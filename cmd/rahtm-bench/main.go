@@ -294,8 +294,7 @@ type pipelineJSON struct {
 	BeamCandidates int64 `json:"beam_candidates"`
 	BeamPruned     int64 `json:"beam_pruned"`
 	SymmetryEvals  int64 `json:"symmetry_evals"`
-	DeltaHits      int64 `json:"delta_hits"`      // merge combos scored sparsely
-	DeltaFallbacks int64 `json:"delta_fallbacks"` // merge combos scored densely
+	BoundSkips     int64 `json:"bound_skips"` // merge combos the running bound rejected
 }
 
 // addMetrics fills the counter-delta columns from a per-run snapshot
@@ -309,8 +308,7 @@ func (p *pipelineJSON) addMetrics(d rahtm.MetricsSnapshot) {
 	p.BeamCandidates = d.Counter("merge.beam.candidates")
 	p.BeamPruned = d.Counter("merge.beam.candidates") - d.Counter("merge.beam.kept")
 	p.SymmetryEvals = d.Counter("merge.symmetry.evals")
-	p.DeltaHits = d.Counter("merge.delta.hits")
-	p.DeltaFallbacks = d.Counter("merge.delta.fallbacks")
+	p.BoundSkips = d.Counter("merge.beam.bound_skips")
 }
 
 func pipelineRow(w *rahtm.Workload, res *rahtm.PipelineResult, err error) pipelineJSON {
@@ -414,11 +412,11 @@ var scaleLadder = []struct {
 }
 
 // scaleTrajectory runs the ladder up to maxProcs and reports one row per
-// rung. Counter deltas attribute delta-eval hits/fallbacks and solver
-// effort to each rung individually.
+// rung. Counter deltas attribute bound skips and solver effort to each
+// rung individually.
 func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJSON {
 	fmt.Println("pipeline scaling trajectory (halo-2d)")
-	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "delta-evals", "peak-rss")
+	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "bound-skips", "peak-rss")
 	var out []scaleJSON
 	for _, lvl := range scaleLadder {
 		if lvl.procs > maxProcs {
@@ -450,7 +448,7 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 		fmt.Printf("%-7d %-12s %6d %12v %12v %10.3f %12d %8.0fMB\n",
 			lvl.procs, lvl.topo, lvl.conc,
 			res.Stats.MergeTime.Round(time.Millisecond), wall.Round(time.Millisecond),
-			res.MCL, row.DeltaHits+row.DeltaFallbacks, row.PeakRSSMB)
+			res.MCL, row.BoundSkips, row.PeakRSSMB)
 	}
 	return out
 }

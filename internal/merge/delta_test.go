@@ -1,19 +1,23 @@
 package merge
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/routing"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
 // deltaChildren builds nchild blocks of tpc tasks each by merging
 // single-task leaves on the child cube, so every child carries a beam of
 // candidates (not just one) and the byte-identity test exercises the
-// ChildCandidates dimension. Construction is deterministic, so both arms of
-// the comparison see identical children.
+// ChildCandidates dimension. Construction is deterministic, so the
+// reference and every production run see identical children.
 func deltaChildren(t *testing.T, g *graph.Comm, nchild, tpc int, childShape []int) []*Block {
 	t.Helper()
 	ones := make([]int, len(childShape))
@@ -67,29 +71,269 @@ func wantSameBlock(t *testing.T, want, got *Block, label string) {
 	}
 }
 
-// TestMergeDeltaByteIdentical pins the incremental-MCL contract the package
-// comment promises: at every beam width, parallelism and reposition setting,
-// the sparse delta evaluator produces candidates byte-identical — bitwise
-// MCL, same mappings, same order — to the dense exact-recompute path
-// (Config.DisableDeltaEval). It doubles as the Parallelism 1-vs-8 beam
-// determinism regression for the deterministic topN/combo tie-breaks.
+// addCrossEdges is addCrossEdgesDelta into a dense vector, same flow order:
+// the scoring deposit of denseMerge.
+func (m *merger) addCrossEdges(edges []crossEdge, st *state, cp []int, loads []float64) {
+	for _, e := range edges {
+		pp := st.pos[e.s][e.oi]
+		if e.toChild {
+			m.alg.AddLoads(m.parent, pp, cp[e.ci], e.vol, loads)
+		} else {
+			m.alg.AddLoads(m.parent, cp[e.ci], pp, e.vol, loads)
+		}
+	}
+}
+
+// maxShifted returns the maximum of base[ch]+delta[ch] over all channels,
+// the dense score of a combination.
+func maxShifted(base, delta []float64) float64 {
+	max := 0.0
+	for ch, b := range base {
+		if v := b + delta[ch]; v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// denseOrder is the reference for mergeOrder: every sampled orientation
+// pair of every child pair is scored in full on a dense vector — the sum of
+// the two children's internal loads, then the pair's cross flows in task
+// order, as mergeOrder deposits them — with no cut-off.
+func denseOrder(m *merger) []int {
+	n := len(m.children)
+	if n == 1 {
+		return []int{0}
+	}
+	ko := len(m.orients)
+	for ko > 1 && ko*ko > m.cfg.MaxPairEvals {
+		ko--
+	}
+	nch := m.parent.NumChannels()
+	pl := make([][][]int, n)
+	internal := make([][][]float64, n)
+	for i := range pl {
+		pl[i] = make([][]int, ko)
+		internal[i] = make([][]float64, ko)
+		for oi := range pl[i] {
+			p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
+			pl[i][oi] = p
+			internal[i][oi] = make([]float64, nch)
+			m.addFlows(m.children[i].Tasks, p, m.children[i].Tasks, p, internal[i][oi], true)
+		}
+	}
+	buf := make([]float64, nch)
+	avg := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			// The pair's cross flows t -> d, in task order.
+			var flows [][2]int
+			var vols []float64
+			for t := 0; t < m.g.N(); t++ {
+				ct := int(m.taskChild[t])
+				if ct != i && ct != j {
+					continue
+				}
+				for ni, d := range m.nbr[t] {
+					if cd := int(m.taskChild[d]); cd != ct && (cd == i || cd == j) {
+						flows = append(flows, [2]int{t, int(d)})
+						vols = append(vols, m.nvol[t][ni])
+					}
+				}
+			}
+			best := -1.0
+			for oi := 0; oi < ko; oi++ {
+				for oj := 0; oj < ko; oj++ {
+					pos := func(t int) int {
+						if int(m.taskChild[t]) == i {
+							return pl[i][oi][m.taskLocal[t]]
+						}
+						return pl[j][oj][m.taskLocal[t]]
+					}
+					for k := range buf {
+						buf[k] = internal[i][oi][k] + internal[j][oj][k]
+					}
+					for k, f := range flows {
+						m.alg.AddLoads(m.parent, pos(f[0]), pos(f[1]), vols[k], buf)
+					}
+					if mcl := routing.MCL(buf); best < 0 || mcl < best {
+						best = mcl
+					}
+				}
+			}
+			avg[i] += best
+			avg[j] += best
+		}
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return avg[order[a]] > avg[order[b]] })
+	return order
+}
+
+// denseMerge is the reference the production merge is checked against:
+// the same beam search with every combination scored densely — the child's
+// internal flows deposited from a zeroed vector at the combination's own
+// placement (once per candidate, orientation and cube), the step's cross
+// flows on top, then a full scan of state loads plus deposits — and each
+// step's combinations fully sorted by MCL, state key and packed choice. No
+// bound, no snapshot translation, no per-worker heaps, no cancellation.
+func denseMerge(m *merger) *Block {
+	order := denseOrder(m)
+	buf := make([]float64, m.parent.NumChannels())
+	beam := []*state{{loads: make([]float64, len(buf))}}
+	childStep := make([]int32, len(m.children))
+	for i := range childStep {
+		childStep[i] = -1
+	}
+	for step, child := range order {
+		tasks := m.children[child].Tasks
+		nc := min(len(m.children[child].Candidates), m.cfg.ChildCandidates)
+		edges := m.crossEdgesFor(order, step, childStep)
+		childStep[child] = int32(step)
+		internal := map[[3]int][]float64{}
+		deposit := func(st *state, c, o, q int) []int {
+			p := m.placementAt(child, m.children[child].Candidates[c], m.orients[o], q)
+			in, ok := internal[[3]int{c, o, q}]
+			if !ok {
+				in = make([]float64, len(buf))
+				m.addFlows(tasks, p, tasks, p, in, true)
+				internal[[3]int{c, o, q}] = in
+			}
+			copy(buf, in)
+			m.addCrossEdges(edges, st, p, buf)
+			return p
+		}
+		var combos []combo
+		for c := 0; c < nc; c++ {
+			for o := range m.orients {
+				for si, st := range beam {
+					for _, q := range m.freeCubes(child, st.used, nil) {
+						deposit(st, c, o, q)
+						combos = append(combos, combo{
+							si: int32(si), cand: int32(c), orient: int32(o),
+							cube: int32(q), mcl: maxShifted(st.loads, buf),
+						})
+					}
+				}
+			}
+		}
+		sort.Slice(combos, func(a, b int) bool {
+			ca, cb := &combos[a], &combos[b]
+			if ca.mcl < cb.mcl {
+				return true
+			}
+			if cb.mcl < ca.mcl {
+				return false
+			}
+			if ca.si != cb.si {
+				return lessKey(beam[ca.si].key, beam[cb.si].key)
+			}
+			return packChoice(int(ca.cube), int(ca.cand), int(ca.orient)) <
+				packChoice(int(cb.cube), int(cb.cand), int(cb.orient))
+		})
+		if len(combos) > m.cfg.BeamWidth {
+			combos = combos[:m.cfg.BeamWidth]
+		}
+		next := make([]*state, 0, len(combos))
+		for _, sc := range combos {
+			st := beam[sc.si]
+			p := deposit(st, int(sc.cand), int(sc.orient), int(sc.cube))
+			loads := append([]float64(nil), st.loads...)
+			for k := range loads {
+				loads[k] += buf[k]
+			}
+			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
+			next = append(next, st.extend(p, int(sc.cube), choice, loads, sc.mcl))
+		}
+		beam = topN(next, m.cfg.BeamWidth)
+	}
+	return m.block(beam, order, false)
+}
+
+// haloTiles is a periodic 2-D halo exchange on a grid of square tiles, with
+// tile i's cells numbered i*tpc.. so that deltaChildren makes each tile one
+// child. Horizontal and vertical messages differ in volume.
+func haloTiles(nchild, tpc int) *graph.Comm {
+	tw, cw := isqrt(tpc), isqrt(nchild) // tile width, tiles per grid row
+	side := tw * cw
+	id := func(r, c int) int {
+		r, c = (r+side)%side, (c+side)%side
+		return ((r/tw)*cw+c/tw)*tpc + (r%tw)*tw + c%tw
+	}
+	g := graph.New(nchild * tpc)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			g.AddTraffic(id(r, c), id(r, c+1), 3)
+			g.AddTraffic(id(r, c), id(r, c-1), 3)
+			g.AddTraffic(id(r, c), id(r+1, c), 2)
+			g.AddTraffic(id(r, c), id(r-1, c), 2)
+		}
+	}
+	return g
+}
+
+// grayPins places tile (a, b) of a square grid of nchild tiles at cube
+// position (gray(a), gray(b)) of a 2-ary cube, so halo-adjacent tiles —
+// including across the periodic seam — are cube neighbors, as Phase 2
+// pins them.
+func grayPins(nchild int) []int {
+	cw := isqrt(nchild)
+	bits := 0
+	for 1<<bits < cw {
+		bits++
+	}
+	pins := make([]int, nchild)
+	for a := 0; a < cw; a++ {
+		for b := 0; b < cw; b++ {
+			pins[a*cw+b] = (a^a>>1)<<bits | b ^ b>>1
+		}
+	}
+	return pins
+}
+
+func isqrt(n int) int {
+	r := 0
+	for (r+1)*(r+1) <= n {
+		r++
+	}
+	return r
+}
+
+// TestMergeDeltaByteIdentical pins the scoring contract the package
+// comment promises: at every beam width, parallelism and reposition
+// setting, the production merge — sparse delta scoring, translated
+// snapshots, per-worker bounded heaps and the bound and pair cut-offs —
+// produces candidates byte-identical (bitwise MCL, same mappings, same
+// order) to denseMerge. It doubles as the Parallelism 1-vs-8 beam
+// determinism regression for the deterministic combo tie-breaks.
 func TestMergeDeltaByteIdentical(t *testing.T) {
 	scenarios := []struct {
 		name       string
 		childShape []int
 		cubeShape  []int
 		torus      bool
-		forceDelta bool // drop deltaMinChannels so small channel spaces use the sparse path
 		beams      []int
 		reposition []bool
+		// cands, orients and pairEvals are the ChildCandidates,
+		// MaxOrientations and MaxPairEvals settings (0 = default).
+		cands, orients, pairEvals int
+		// halo replaces the random graph with a periodic 2-D halo whose
+		// tiles are the children, as Phase 1 clusters a halo exchange.
+		halo bool
+		// wantSkips requires the bound to reject combinations.
+		wantSkips bool
 	}{
-		// Parent 4x4x4, 384 channels: the sparse path engages by default.
+		// Parent 4x4x4, 384 channels.
 		{
 			name:       "3d-4x4x4",
 			childShape: []int{2, 2, 2},
 			cubeShape:  []int{2, 2, 2},
 			beams:      []int{1, 2, 8},
 			reposition: []bool{false, true},
+			cands:      2, orients: 8,
 		},
 		// The paper's 16,384-process shape scaled to one top-level merge:
 		// parent 4x4x4x4x2 with a 1-extent child dimension.
@@ -99,26 +343,37 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			cubeShape:  []int{2, 2, 2, 2, 2},
 			beams:      []int{4},
 			reposition: []bool{false},
+			cands:      2, orients: 8,
 		},
-		// Wrapped evaluation (k=4 dims tie at distance 2) on a channel
-		// space below the auto threshold, forced onto the sparse path.
+		// Wrapped evaluation (k=4 dims tie at distance 2) on a small
+		// channel space.
 		{
 			name:       "torus-4x4x2",
 			childShape: []int{2, 2, 2},
 			cubeShape:  []int{2, 2, 1},
 			torus:      true,
-			forceDelta: true,
 			beams:      []int{1, 8},
 			reposition: []bool{false, true},
+			cands:      2, orients: 8,
+		},
+		// Shaped like the 4k halo root merge: 2x2x2x2 children of 2x2x2x2
+		// tasks on a 4x4x4x4 torus, all 384 orientations, beam 64. The
+		// ordering samples 16 orientations per child instead of 64 only
+		// to keep the dense reference affordable.
+		{
+			name:       "halo-root-4x4x4x4",
+			childShape: []int{2, 2, 2, 2},
+			cubeShape:  []int{2, 2, 2, 2},
+			torus:      true,
+			beams:      []int{64},
+			reposition: []bool{false},
+			cands:      1, pairEvals: 256,
+			halo:      true,
+			wantSkips: true,
 		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			if sc.forceDelta {
-				saved := deltaMinChannels
-				deltaMinChannels = 0
-				t.Cleanup(func() { deltaMinChannels = saved })
-			}
 			nchild := 1
 			for _, k := range sc.cubeShape {
 				nchild *= k
@@ -129,36 +384,50 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			}
 			n := nchild * tpc
 			rng := rand.New(rand.NewSource(int64(1000 + n)))
-			g := graph.New(n)
-			for e := 0; e < 4*n; e++ {
-				g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+			var g *graph.Comm
+			if sc.halo {
+				g = haloTiles(nchild, tpc)
+			} else {
+				g = graph.New(n)
+				for e := 0; e < 4*n; e++ {
+					g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+				}
 			}
 			pins := rng.Perm(nchild)
+			if sc.halo {
+				pins = grayPins(nchild)
+			}
 
 			for _, bw := range sc.beams {
 				for _, repos := range sc.reposition {
 					cfg := Config{
 						BeamWidth:       bw,
-						ChildCandidates: 2,
-						MaxOrientations: 8,
+						ChildCandidates: sc.cands,
+						MaxOrientations: sc.orients,
+						MaxPairEvals:    sc.pairEvals,
 						Torus:           sc.torus,
 						Reposition:      repos,
 					}
-					run := func(disable bool, par int) *Block {
+					label := fmt.Sprintf("bw=%d repos=%v", bw, repos)
+					m, err := newMerger(context.Background(), g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := denseMerge(m)
+					for _, par := range []int{1, 8} {
+						reg := telemetry.NewRegistry()
+						ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Reg: reg})
 						c := cfg
-						c.DisableDeltaEval = disable
 						c.Parallelism = par
-						blk, err := Merge(g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c)
+						got, err := MergeCtx(ctx, g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c)
 						if err != nil {
 							t.Fatal(err)
 						}
-						return blk
+						wantSameBlock(t, want, got, fmt.Sprintf("%s par=%d", label, par))
+						if skips := reg.Snapshot().Counter(telemetry.CtrBeamBoundSkips); sc.wantSkips && skips <= 0 {
+							t.Errorf("%s par=%d: bound rejected %d combinations, want > 0", label, par, skips)
+						}
 					}
-					label := fmt.Sprintf("bw=%d repos=%v", bw, repos)
-					dense := run(true, 1)
-					wantSameBlock(t, dense, run(false, 1), label+" delta/seq")
-					wantSameBlock(t, dense, run(false, 8), label+" delta/par8")
-					wantSameBlock(t, dense, run(true, 8), label+" dense/par8")
 				}
 			}
 		})

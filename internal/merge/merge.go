@@ -22,7 +22,8 @@
 //	mcl = max(state.mcl, max over touched ch of state.loads[ch] + delta[ch])
 //
 // which is exact (bit-for-bit, not approximately) because deltas are
-// non-negative: untouched channels cannot exceed the state's maximum. The
+// non-negative: untouched channels cannot exceed the state's maximum. This
+// sparse scorer is the only scoring path, at every channel-space size. The
 // child-internal loads are themselves computed once per (candidate,
 // orientation) pair at the child's pinned cube position and translated to
 // any other position by a constant channel offset — inside a 2-ary merge
@@ -30,14 +31,42 @@
 // internal minimal routes neither wrap nor pick up direction ties, making
 // the load pattern translation-equivariant.
 //
-// A dense exact-recompute path (Config.DisableDeltaEval, also selected
-// automatically for small channel spaces) scores every candidate from a
-// zeroed load vector instead; both paths deposit per-channel values in the
-// same order and therefore produce byte-identical beams, a property pinned
-// by TestMergeDeltaByteIdentical.
+// # Exact bound pruning
+//
+// A step keeps only its best N combinations, so a combination that is
+// proven unable to enter the beam need not be scored to the end. Each
+// scoring worker keeps its best N combinations in a bounded heap ordered by
+// the step's total order (MCL, then state key, then packed choice). Once the
+// heap is full its worst MCL is the worker's bound: the worker skips a beam
+// state whose MCL is above it, and drops a combination as soon as the
+// DeltaVec's running peak (routing.DeltaVec.ResetOver) is above it. The
+// step then merges the workers' heaps instead of sorting every
+// combination. The pruning is exact, not a heuristic:
+//
+//   - Every deposit is non-negative: graph volumes are positive
+//     (AddTraffic drops vol <= 0, Scale panics on f <= 0) and routing splits
+//     them into non-negative fractions.
+//   - Under round-to-nearest fl(v+x) >= v for x >= 0, and fl(b+v) is
+//     monotone in v, so the peak only grows and its final value is
+//     bit-for-bit the max over the finished vector.
+//   - A worker's bound is the N-th best score over a subset of the step's
+//     combinations, so it is at least the step's final N-th best; a
+//     combination whose peak is strictly above it cannot enter the beam.
+//     Ties at the bound are scored in full and ordered by key.
+//   - Every beam member is in its own worker's top N, so merging the heaps
+//     yields exactly the beam a full sort would.
+//
+// Bounds are per worker, never shared, so the pruning counter
+// (merge.beam.bound_skips) repeats exactly for a given Parallelism and the
+// mappings are identical at every Parallelism. mergeOrder applies the same
+// cut-off to its orientation-pair evaluations: an evaluation stops once its
+// peak reaches the best MCL already found for that child pair.
+// TestMergeDeltaByteIdentical checks the production merge byte-for-byte
+// against a dense, unpruned, fully sorted reference kept in the tests.
 package merge
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -45,7 +74,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/obs"
@@ -60,17 +88,8 @@ var (
 	ctrBeamCandidates = telemetry.Default.Counter(telemetry.CtrBeamCandidates)
 	ctrBeamKept       = telemetry.Default.Counter(telemetry.CtrBeamKept)
 	ctrSymmetryEvals  = telemetry.Default.Counter(telemetry.CtrSymmetryEvals)
-	ctrDeltaHits      = telemetry.Default.Counter(telemetry.CtrDeltaHits)
-	ctrDeltaFallbacks = telemetry.Default.Counter(telemetry.CtrDeltaFallbacks)
+	ctrBoundSkips     = telemetry.Default.Counter(telemetry.CtrBeamBoundSkips)
 )
-
-// deltaMinChannels is the channel-space size below which the merge scorers
-// use the dense exact-recompute path unconditionally: with only a few
-// hundred channels the O(NumChannels) zero-and-scan is cheaper than sparse
-// bookkeeping. Both paths are byte-identical, so the threshold only affects
-// speed. Package variable so tests can force the sparse path on small
-// topologies.
-var deltaMinChannels = 256
 
 // Orientation is a signed dimension permutation of a box: output coordinate
 // d reads input coordinate Perm[d], reversed when Flip[d] is set. Only
@@ -252,12 +271,6 @@ type Config struct {
 	// Parallelism bounds the worker goroutines scoring merge candidates
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// DisableDeltaEval forces the scorers onto the dense exact-recompute
-	// path: every candidate's channel loads are re-accumulated from a
-	// zeroed vector instead of sparsely against the beam state. Both paths
-	// produce byte-identical beams; the switch exists for A/B validation
-	// and benchmarking (small channel spaces fall back automatically).
-	DisableDeltaEval bool
 	// Observer receives BeamRound events after every merge step; nil is a
 	// no-op.
 	Observer obs.Observer
@@ -298,6 +311,15 @@ func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape [
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
+	m, err := newMerger(ctx, g, children, cubeShape, childPos, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.run()
+}
+
+// newMerger validates a merge's inputs and prepares its search state.
+func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config) (*merger, error) {
 	cfg = cfg.withDefaults()
 	if len(children) == 0 {
 		return nil, fmt.Errorf("merge: no children")
@@ -387,7 +409,7 @@ func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape [
 	m.scope = telemetry.ScopeFrom(ctx)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
 	m.initAdjacency()
-	return m.run()
+	return m, nil
 }
 
 // hardCancel returns ctx's error when it was canceled outright. Deadline
@@ -619,7 +641,9 @@ func (m *merger) addFlowsDelta(aTasks []int, aPos []int, bTasks []int, bPos []in
 // mergeOrder ranks children by decreasing average best-pair MCL. Each
 // child's internal loads are routed once per sampled orientation into a
 // snapshot; a pair evaluation then replays two snapshots and routes only the
-// cross flows, sparsely — no dense vector is zeroed or scanned per pair.
+// cross flows, sparsely — no dense vector is zeroed or scanned per pair —
+// and stops as soon as its running peak reaches the pair's best MCL so far,
+// since only a strictly lower MCL can replace it.
 func (m *merger) mergeOrder() []int {
 	n := len(m.children)
 	if n == 1 {
@@ -666,7 +690,7 @@ func (m *merger) mergeOrder() []int {
 				dv.Reset()
 				m.addFlowsDelta(m.children[i].Tasks, p, m.children[i].Tasks, p, dv, true)
 				pl[i][oi] = p
-				snaps[i][oi] = dv.Snapshot()
+				snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
 			}
 		}(lo, hi)
 	}
@@ -715,6 +739,7 @@ func (m *merger) mergeOrder() []int {
 		}
 	}
 	best := make([]float64, len(pairs))
+	zero := make([]float64, m.parent.NumChannels()) // shared read-only peak base
 	chunk = (len(pairs) + workers - 1) / workers
 	for w := 0; w < workers && w*chunk < len(pairs); w++ {
 		lo, hi := w*chunk, (w+1)*chunk
@@ -746,18 +771,20 @@ func (m *merger) mergeOrder() []int {
 							continue
 						}
 						evals++
-						dv.Reset()
+						dv.ResetOver(zero, 0)
 						dv.AddSnapshot(snaps[i][oi], 0)
 						dv.AddSnapshot(snaps[j][oj], 0)
 						for _, e := range pairEdges[pi] {
+							if bst >= 0 && dv.Peak() >= bst {
+								break // cannot go below bst any more
+							}
 							if e.fromJ {
 								alg.AddLoadsDelta(m.parent, pl[j][oj][e.bi], pl[i][oi][e.ai], e.vol, dv)
 							} else {
 								alg.AddLoadsDelta(m.parent, pl[i][oi][e.ai], pl[j][oj][e.bi], e.vol, dv)
 							}
 						}
-						mcl := dv.Max()
-						if bst < 0 || mcl < bst {
+						if mcl := dv.Peak(); bst < 0 || mcl < bst {
 							bst = mcl
 						}
 					}
@@ -794,6 +821,30 @@ type state struct {
 	mcl   float64
 }
 
+// extend returns the state that adds one more child to st: its task
+// placement p at cube position cube, chosen as choice (packChoice), with the
+// merged loads and their MCL.
+func (st *state) extend(p []int, cube int, choice uint64, loads []float64, mcl float64) *state {
+	step := len(st.pos)
+	pos := make([][]int, step+1)
+	copy(pos, st.pos)
+	pos[step] = p
+	cubes := make([]int, step+1)
+	copy(cubes, st.cube)
+	cubes[step] = cube
+	key := make([]uint64, step+1)
+	copy(key, st.key)
+	key[step] = choice
+	return &state{
+		pos:   pos,
+		cube:  cubes,
+		used:  st.used | 1<<uint(cube),
+		key:   key,
+		loads: loads,
+		mcl:   mcl,
+	}
+}
+
 // packChoice encodes one merge step's choice as a single ordered word.
 func packChoice(cube, cand, orient int) uint64 {
 	return uint64(cube)<<40 | uint64(cand)<<20 | uint64(orient)
@@ -820,6 +871,63 @@ type combo struct {
 	mcl    float64
 }
 
+// comboLess is a merge step's total order: MCL first, then the placement
+// key — the state's choice path, then this step's packed choice — so the
+// kept combos never depend on scoring order or parallelism.
+func comboLess(beam []*state, a, b *combo) bool {
+	if a.mcl < b.mcl {
+		return true
+	}
+	if b.mcl < a.mcl {
+		return false
+	}
+	if a.si != b.si {
+		return lessKey(beam[a.si].key, beam[b.si].key)
+	}
+	return packChoice(int(a.cube), int(a.cand), int(a.orient)) <
+		packChoice(int(b.cube), int(b.cand), int(b.orient))
+}
+
+// topCombos is one scoring worker's best n combos of a merge step, kept as
+// a max-heap under comboLess (container/heap): the root is the worst combo
+// kept.
+type topCombos struct {
+	beam []*state
+	n    int
+	h    []combo
+}
+
+func (t *topCombos) Len() int           { return len(t.h) }
+func (t *topCombos) Less(i, j int) bool { return comboLess(t.beam, &t.h[j], &t.h[i]) }
+func (t *topCombos) Swap(i, j int)      { t.h[i], t.h[j] = t.h[j], t.h[i] }
+func (t *topCombos) Push(x any)         { t.h = append(t.h, x.(combo)) }
+func (t *topCombos) Pop() any {
+	c := t.h[len(t.h)-1]
+	t.h = t.h[:len(t.h)-1]
+	return c
+}
+
+// bound is the score a combo must not exceed to enter the heap: +Inf until
+// the heap holds n combos, then the worst kept MCL.
+func (t *topCombos) bound() float64 {
+	if len(t.h) < t.n {
+		return math.Inf(1)
+	}
+	return t.h[0].mcl
+}
+
+// offer keeps c if it ranks among the n best seen so far.
+func (t *topCombos) offer(c combo) {
+	if len(t.h) < t.n {
+		heap.Push(t, c)
+		return
+	}
+	if comboLess(t.beam, &c, &t.h[0]) {
+		t.h[0] = c
+		heap.Fix(t, 0)
+	}
+}
+
 // freeCubes returns the cube positions the incoming child may take given the
 // occupied positions of a partial configuration, appended to dst.
 func (m *merger) freeCubes(child int, used uint64, dst []int) []int {
@@ -837,7 +945,7 @@ func (m *merger) freeCubes(child int, used uint64, dst []int) []int {
 
 // applyVariant adds the child's internal and cross loads for placement p on
 // top of dst (dense). Only the greedy completion path uses it; the scorers
-// route precomputed crossEdge lists instead.
+// route precomputed crossEdge lists sparsely instead.
 func (m *merger) applyVariant(st *state, order []int, step, child int, p []int, dst []float64) {
 	m.addFlows(m.children[child].Tasks, p, m.children[child].Tasks, p, dst, true)
 	for s := 0; s < step; s++ {
@@ -858,8 +966,8 @@ type crossEdge struct {
 }
 
 // crossEdgesFor lists the flows between the incoming child of this step and
-// every placed child, in a deterministic order shared by the sparse and
-// dense scorers and the materialization pass.
+// every placed child, in a deterministic order shared by the scorer and the
+// materialization pass.
 func (m *merger) crossEdgesFor(order []int, step int, childStep []int32) []crossEdge {
 	child := order[step]
 	var edges []crossEdge
@@ -889,10 +997,15 @@ func (m *merger) crossEdgesFor(order []int, step int, childStep []int32) []cross
 }
 
 // addCrossEdgesDelta routes the step's cross flows for the child placed at
-// cp (task local index -> parent rank) against the state's placements.
-func (m *merger) addCrossEdgesDelta(edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec) {
+// cp (task local index -> parent rank) against the state's placements. It
+// stops early once dv's running peak (ResetOver) is above bound; pass +Inf
+// to route every flow.
+func (m *merger) addCrossEdgesDelta(edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, bound float64) {
 	alg := m.alg
 	for _, e := range edges {
+		if dv.Peak() > bound {
+			return
+		}
 		pp := st.pos[e.s][e.oi]
 		if e.toChild {
 			alg.AddLoadsDelta(m.parent, pp, cp[e.ci], e.vol, dv)
@@ -900,32 +1013,6 @@ func (m *merger) addCrossEdgesDelta(edges []crossEdge, st *state, cp []int, dv *
 			alg.AddLoadsDelta(m.parent, cp[e.ci], pp, e.vol, dv)
 		}
 	}
-}
-
-// addCrossEdges is addCrossEdgesDelta into a dense vector, same flow order.
-func (m *merger) addCrossEdges(edges []crossEdge, st *state, cp []int, loads []float64) {
-	alg := m.alg
-	for _, e := range edges {
-		pp := st.pos[e.s][e.oi]
-		if e.toChild {
-			alg.AddLoads(m.parent, pp, cp[e.ci], e.vol, loads)
-		} else {
-			alg.AddLoads(m.parent, cp[e.ci], pp, e.vol, loads)
-		}
-	}
-}
-
-// maxShifted returns the maximum of base[ch]+delta[ch] over all channels —
-// the dense-path score, bit-identical to DeltaVec.MaxOver because adding a
-// zero delta is exact and deltas are non-negative.
-func maxShifted(base, delta []float64) float64 {
-	max := 0.0
-	for ch, b := range base {
-		if v := b + delta[ch]; v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 func (m *merger) run() (*Block, error) {
@@ -937,15 +1024,13 @@ func (m *merger) run() (*Block, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	useDelta := !m.cfg.DisableDeltaEval && m.parent.NumChannels() >= deltaMinChannels
 	nd2 := m.parent.NumDims() * 2
 	degraded := false
-	var candGen, candKept, deltaHits, deltaFalls int64
+	var candGen, candKept, boundSkips int64
 	defer func() {
 		m.scope.CounterOr(telemetry.CtrBeamCandidates, ctrBeamCandidates).Add(candGen)
 		m.scope.CounterOr(telemetry.CtrBeamKept, ctrBeamKept).Add(candKept)
-		m.scope.CounterOr(telemetry.CtrDeltaHits, ctrDeltaHits).Add(deltaHits)
-		m.scope.CounterOr(telemetry.CtrDeltaFallbacks, ctrDeltaFallbacks).Add(deltaFalls)
+		m.scope.CounterOr(telemetry.CtrBeamBoundSkips, ctrBoundSkips).Add(boundSkips)
 	}()
 
 	// The beam starts from the empty configuration; step 0 seeds it with
@@ -980,34 +1065,23 @@ func (m *merger) run() (*Block, error) {
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 
-		// Combo layout: (candidate, orientation) groups are contiguous so a
-		// worker computes each group's reference placement — and, in delta
-		// mode, its internal-load snapshot — exactly once, then scores the
-		// group against every (state, cube position).
+		// A step's combos are the (candidate, orientation) groups times
+		// every (state, free cube position) pair.
 		cubesOf := make([][]int, len(beam))
-		off := make([]int, len(beam)+1)
+		groupSize := 0
 		for si, st := range beam {
 			cubesOf[si] = m.freeCubes(child, st.used, nil)
-			off[si+1] = off[si] + len(cubesOf[si])
+			groupSize += len(cubesOf[si])
 		}
-		groupSize := off[len(beam)]
 		groups := nc * numOrients
-		combos := make([]combo, groups*groupSize)
-		for c := 0; c < nc; c++ {
-			for o := 0; o < numOrients; o++ {
-				base := (c*numOrients + o) * groupSize
-				for si := range beam {
-					for qi, q := range cubesOf[si] {
-						combos[base+off[si]+qi] = combo{
-							si: int32(si), cand: int32(c), orient: int32(o),
-							cube: int32(q), mcl: math.Inf(1),
-						}
-					}
-				}
-			}
-		}
 
-		// Pass 1: score every combo, in parallel over groups.
+		// Pass 1: score the combos in parallel over contiguous group ranges.
+		// A worker computes each group's reference placement and
+		// internal-load snapshot once, then scores the group against every
+		// (state, cube position), keeping its best BeamWidth combos in a
+		// bounded heap whose worst MCL prunes the rest (package comment).
+		tops := make([][]combo, workers)
+		skips := make([]int64, workers)
 		var wg sync.WaitGroup
 		chunk := (groups + workers - 1) / workers
 		for w := 0; w < workers && w*chunk < groups; w++ {
@@ -1016,22 +1090,14 @@ func (m *merger) run() (*Block, error) {
 				ghi = groups
 			}
 			wg.Add(1)
-			go func(glo, ghi int) {
+			go func(w, glo, ghi int) {
 				defer wg.Done()
-				var hits, falls int64
-				defer func() {
-					atomic.AddInt64(&deltaHits, hits)
-					atomic.AddInt64(&deltaFalls, falls)
-				}()
+				top := &topCombos{beam: beam, n: m.cfg.BeamWidth}
+				var skipped int64
+				defer func() { tops[w], skips[w] = top.h, skipped }()
 				refPos := make([]int, len(tasks))
 				posBuf := make([]int, len(tasks))
-				var dv *routing.DeltaVec
-				var buf []float64
-				if useDelta {
-					dv = routing.NewDeltaVec(m.parent.NumChannels())
-				} else {
-					buf = make([]float64, m.parent.NumChannels())
-				}
+				dv := routing.NewDeltaVec(m.parent.NumChannels())
 				var snap routing.Snapshot
 				for g := glo; g < ghi; g++ {
 					c, o := g/numOrients, g%numOrients
@@ -1039,44 +1105,42 @@ func (m *merger) run() (*Block, error) {
 					for i := range tasks {
 						refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
 					}
-					if useDelta {
-						dv.Reset()
-						m.addFlowsDelta(tasks, refPos, tasks, refPos, dv, true)
-						snap = dv.Snapshot()
-					}
-					base := g * groupSize
+					dv.Reset()
+					m.addFlowsDelta(tasks, refPos, tasks, refPos, dv, true)
+					snap = dv.Snapshot(snap)
 					for si, st := range beam {
-						for qi, q := range cubesOf[si] {
+						if st.mcl > top.bound() {
+							skipped += int64(len(cubesOf[si]))
+							continue
+						}
+						for _, q := range cubesOf[si] {
 							select {
 							case <-m.done:
-								return // unscored combos keep mcl=+Inf and are discarded
+								return // the step is discarded; run() handles the context
 							default:
 							}
+							bound := top.bound()
 							rankOff := m.originRank[q] - m.originRank[refCube]
-							for i := range refPos {
-								posBuf[i] = refPos[i] + rankOff
-							}
-							var mcl float64
-							if useDelta {
-								dv.Reset()
-								dv.AddSnapshot(snap, rankOff*nd2)
-								m.addCrossEdgesDelta(crossEdges, st, posBuf, dv)
-								mcl = dv.MaxOver(st.loads, st.mcl)
-								hits++
-							} else {
-								for k := range buf {
-									buf[k] = 0
+							dv.ResetOver(st.loads, st.mcl)
+							dv.AddSnapshot(snap, rankOff*nd2)
+							if dv.Peak() <= bound {
+								for i := range refPos {
+									posBuf[i] = refPos[i] + rankOff
 								}
-								m.addFlows(tasks, posBuf, tasks, posBuf, buf, true)
-								m.addCrossEdges(crossEdges, st, posBuf, buf)
-								mcl = maxShifted(st.loads, buf)
-								falls++
+								m.addCrossEdgesDelta(crossEdges, st, posBuf, dv, bound)
 							}
-							combos[base+off[si]+qi].mcl = mcl
+							if dv.Peak() > bound {
+								skipped++
+								continue
+							}
+							top.offer(combo{
+								si: int32(si), cand: int32(c), orient: int32(o),
+								cube: int32(q), mcl: dv.Peak(),
+							})
 						}
 					}
 				}
-			}(glo, ghi)
+			}(w, glo, ghi)
 		}
 		wg.Wait()
 		if err := hardCancel(m.ctx); err != nil {
@@ -1089,84 +1153,45 @@ func (m *merger) run() (*Block, error) {
 			degraded = true
 			break
 		}
-		candGen += int64(len(combos))
-		sort.Slice(combos, func(a, b int) bool {
-			ca, cb := &combos[a], &combos[b]
-			if ca.mcl < cb.mcl {
-				return true
-			}
-			if cb.mcl < ca.mcl {
-				return false
-			}
-			// Equal MCL: tie-break on the placement key — state choice path
-			// first, then this step's packed choice — a total order
-			// independent of scoring order and parallelism.
-			if ca.si != cb.si {
-				return lessKey(beam[ca.si].key, beam[cb.si].key)
-			}
-			return packChoice(int(ca.cube), int(ca.cand), int(ca.orient)) <
-				packChoice(int(cb.cube), int(cb.cand), int(cb.orient))
-		})
-		if len(combos) > m.cfg.BeamWidth {
-			combos = combos[:m.cfg.BeamWidth]
+		var kept []combo
+		for w := range tops {
+			kept = append(kept, tops[w]...)
+			boundSkips += skips[w]
 		}
-		candKept += int64(len(combos))
+		sort.Slice(kept, func(a, b int) bool { return comboLess(beam, &kept[a], &kept[b]) })
+		if len(kept) > m.cfg.BeamWidth {
+			kept = kept[:m.cfg.BeamWidth]
+		}
+		candGen += int64(groups * groupSize)
+		candKept += int64(len(kept))
 
 		// Pass 2: materialize the winners. The winner's contribution is
 		// re-accumulated at its actual cube position — bit-identical to the
 		// translated snapshot used for scoring — and added onto the state
-		// loads channel by channel, so both modes build identical vectors.
-		next := make([]*state, 0, len(combos))
-		var dvM *routing.DeltaVec
-		var bufM []float64
-		if useDelta {
-			dvM = routing.NewDeltaVec(m.parent.NumChannels())
-		} else {
-			bufM = make([]float64, m.parent.NumChannels())
-		}
-		for _, sc := range combos {
+		// loads channel by channel.
+		next := make([]*state, 0, len(kept))
+		dv := routing.NewDeltaVec(m.parent.NumChannels())
+		for _, sc := range kept {
 			st := beam[sc.si]
 			cand := m.children[child].Candidates[sc.cand]
 			p := m.placementAt(child, cand, m.orients[sc.orient], int(sc.cube))
 			loads := append([]float64(nil), st.loads...)
-			if useDelta {
-				dvM.Reset()
-				m.addFlowsDelta(tasks, p, tasks, p, dvM, true)
-				m.addCrossEdgesDelta(crossEdges, st, p, dvM)
-				dvM.AddTo(loads)
-			} else {
-				for k := range bufM {
-					bufM[k] = 0
-				}
-				m.addFlows(tasks, p, tasks, p, bufM, true)
-				m.addCrossEdges(crossEdges, st, p, bufM)
-				for k := range loads {
-					loads[k] += bufM[k]
-				}
-			}
-			pos := make([][]int, step+1)
-			copy(pos, st.pos)
-			pos[step] = p
-			cube := make([]int, step+1)
-			copy(cube, st.cube)
-			cube[step] = int(sc.cube)
-			key := make([]uint64, step+1)
-			copy(key, st.key)
-			key[step] = packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
-			next = append(next, &state{
-				pos:   pos,
-				cube:  cube,
-				used:  st.used | 1<<uint(sc.cube),
-				key:   key,
-				loads: loads,
-				mcl:   sc.mcl,
-			})
+			dv.Reset()
+			m.addFlowsDelta(tasks, p, tasks, p, dv, true)
+			m.addCrossEdgesDelta(crossEdges, st, p, dv, math.Inf(1))
+			dv.AddTo(loads)
+			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
+			next = append(next, st.extend(p, int(sc.cube), choice, loads, sc.mcl))
 		}
 		beam = topN(next, m.cfg.BeamWidth)
 		m.obs.BeamRound(m.cfg.Level, step, len(beam), beam[0].mcl)
 	}
+	return m.block(beam, order, degraded), nil
+}
 
-	// Assemble the merged block: tasks ascending, candidates from the beam.
+// block assembles the merged block from a final beam: tasks ascending, one
+// candidate per state.
+func (m *merger) block(beam []*state, order []int, degraded bool) *Block {
 	var allTasks []int
 	for _, c := range m.children {
 		allTasks = append(allTasks, c.Tasks...)
@@ -1191,7 +1216,7 @@ func (m *merger) run() (*Block, error) {
 		}
 		out.Candidates = append(out.Candidates, Candidate{Local: local, MCL: st.mcl})
 	}
-	return out, nil
+	return out
 }
 
 // completeGreedy finishes an interrupted merge from the best surviving
@@ -1216,23 +1241,7 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int) []*state {
 		p := m.placementAt(child, cand, m.orients[0], cube)
 		loads := append([]float64(nil), st.loads...)
 		m.applyVariant(st, order, step, child, p, loads)
-		pos := make([][]int, step+1)
-		copy(pos, st.pos)
-		pos[step] = p
-		cubes := make([]int, step+1)
-		copy(cubes, st.cube)
-		cubes[step] = cube
-		key := make([]uint64, step+1)
-		copy(key, st.key)
-		key[step] = packChoice(cube, 0, 0)
-		st = &state{
-			pos:   pos,
-			cube:  cubes,
-			used:  st.used | 1<<uint(cube),
-			key:   key,
-			loads: loads,
-			mcl:   routing.MCL(loads),
-		}
+		st = st.extend(p, cube, packChoice(cube, 0, 0), loads, routing.MCL(loads))
 	}
 	return []*state{st}
 }

@@ -10,13 +10,18 @@ package routing
 // bookkeeping dwarfs the routing work itself. DeltaVec is the sparse
 // accumulator that removes it (the sparse quadratic-assignment framing of
 // Schulz & Träff): generation-stamped so Reset is O(touched), it records
-// exactly which channels a candidate's flows deposit load on, letting the
-// merger score a candidate as
+// exactly which channels a candidate's flows deposit load on. Reset over a
+// base load vector (ResetOver), it also keeps the candidate's score current
+// after every deposit:
 //
-//	max(baseMCL, max over touched ch of base[ch] + delta[ch])
+//	Peak() = max(baseMCL, max over touched ch of base[ch] + delta[ch])
 //
 // which is exact for non-negative deltas because untouched channels cannot
-// exceed the base maximum.
+// exceed the base maximum. Because a non-negative deposit never lowers a
+// channel's total (fl(v+x) >= v for x >= 0 under round-to-nearest, and
+// fl(b+v) is monotone in v), the running peak only grows, so a caller can
+// stop depositing as soon as it exceeds a bound and its final value is
+// bit-for-bit the max over the finished vector.
 //
 // MinimalAdaptive.AddLoadsDelta mirrors AddLoads exactly — same direction
 // and tie handling, same stencil-cache decisions, same DP, same deposit
@@ -37,6 +42,11 @@ type DeltaVec struct {
 	stamp   []uint64
 	gen     uint64
 	touched []int32
+	// base, when non-nil, is the load vector the running peak is tracked
+	// over (see ResetOver); peak is max(baseMCL, base[ch]+vals[ch]) over
+	// every deposit since.
+	base []float64
+	peak float64
 }
 
 // NewDeltaVec returns an empty accumulator over n channels.
@@ -51,11 +61,27 @@ func NewDeltaVec(n int) *DeltaVec {
 // Size returns the dense channel-space size.
 func (v *DeltaVec) Size() int { return len(v.vals) }
 
-// Reset forgets all accumulated deltas in O(1).
+// Reset forgets all accumulated deltas in O(1) and stops peak tracking.
 func (v *DeltaVec) Reset() {
 	v.gen++
 	v.touched = v.touched[:0]
+	v.base = nil
+	v.peak = 0
 }
+
+// ResetOver is Reset followed by tracking the peak over base: from here on
+// Peak returns max(baseMCL, max over touched ch of base[ch]+delta[ch]),
+// the MCL of base with the deltas applied when baseMCL == MCL(base). The
+// peak is exact only while every deposit is non-negative. base is read,
+// never written, and must stay unchanged until the next Reset.
+func (v *DeltaVec) ResetOver(base []float64, baseMCL float64) {
+	v.Reset()
+	v.base = base
+	v.peak = baseMCL
+}
+
+// Peak returns the running peak since the last ResetOver (0 after Reset).
+func (v *DeltaVec) Peak() float64 { return v.peak }
 
 // Add accumulates x onto channel ch, marking it touched.
 func (v *DeltaVec) Add(ch int, x float64) {
@@ -63,9 +89,14 @@ func (v *DeltaVec) Add(ch int, x float64) {
 		v.stamp[ch] = v.gen
 		v.vals[ch] = x
 		v.touched = append(v.touched, int32(ch))
-		return
+	} else {
+		v.vals[ch] += x
 	}
-	v.vals[ch] += x
+	if v.base != nil {
+		if y := v.base[ch] + v.vals[ch]; y > v.peak {
+			v.peak = y
+		}
+	}
 }
 
 // Value returns the accumulated delta on ch (0 when untouched).
@@ -83,31 +114,6 @@ func (v *DeltaVec) Touched() []int32 { return v.touched }
 // NumTouched returns how many distinct channels hold deltas.
 func (v *DeltaVec) NumTouched() int { return len(v.touched) }
 
-// Max returns the maximum accumulated delta (0 when nothing was touched,
-// matching MCL of an otherwise-zero load vector).
-func (v *DeltaVec) Max() float64 {
-	max := 0.0
-	for _, ch := range v.touched {
-		if x := v.vals[ch]; x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// MaxOver returns max(baseMCL, max over touched ch of base[ch]+delta[ch]) —
-// the MCL of base with the deltas applied, exact when baseMCL == MCL(base)
-// and all deltas are non-negative.
-func (v *DeltaVec) MaxOver(base []float64, baseMCL float64) float64 {
-	max := baseMCL
-	for _, ch := range v.touched {
-		if x := base[ch] + v.vals[ch]; x > max {
-			max = x
-		}
-	}
-	return max
-}
-
 // AddTo adds the accumulated deltas into the dense vector loads.
 func (v *DeltaVec) AddTo(loads []float64) {
 	for _, ch := range v.touched {
@@ -124,17 +130,20 @@ type Snapshot struct {
 	Val []float64
 }
 
-// Snapshot freezes the current contents.
-func (v *DeltaVec) Snapshot() Snapshot {
-	s := Snapshot{
-		Ch:  make([]int32, len(v.touched)),
-		Val: make([]float64, len(v.touched)),
+// Snapshot freezes the current contents into dst's storage, reusing its
+// backing arrays when they are large enough, so a worker can keep one
+// snapshot buffer for a whole loop. Pass the zero Snapshot for a fresh copy.
+func (v *DeltaVec) Snapshot(dst Snapshot) Snapshot {
+	n := len(v.touched)
+	dst.Ch = append(dst.Ch[:0], v.touched...)
+	if cap(dst.Val) < n {
+		dst.Val = make([]float64, n)
 	}
-	copy(s.Ch, v.touched)
+	dst.Val = dst.Val[:n]
 	for i, ch := range v.touched {
-		s.Val[i] = v.vals[ch]
+		dst.Val[i] = v.vals[ch]
 	}
-	return s
+	return dst
 }
 
 // AddSnapshot replays a snapshot into the accumulator with every channel id

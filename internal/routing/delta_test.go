@@ -8,6 +8,31 @@ import (
 	"rahtm/internal/topology"
 )
 
+// Max returns the maximum accumulated delta (0 when nothing was touched,
+// matching MCL of an otherwise-zero load vector). Test oracle for Peak over
+// a zero base.
+func (v *DeltaVec) Max() float64 {
+	max := 0.0
+	for _, ch := range v.touched {
+		if x := v.vals[ch]; x > max {
+			max = x
+		}
+	}
+	return max
+}
+
+// MaxOver returns max(baseMCL, max over touched ch of base[ch]+delta[ch])
+// by a full scan of the touched channels. Test oracle for Peak.
+func (v *DeltaVec) MaxOver(base []float64, baseMCL float64) float64 {
+	max := baseMCL
+	for _, ch := range v.touched {
+		if x := base[ch] + v.vals[ch]; x > max {
+			max = x
+		}
+	}
+	return max
+}
+
 // TestDeltaVecBasics exercises the sparse accumulator invariants.
 func TestDeltaVecBasics(t *testing.T) {
 	dv := NewDeltaVec(8)
@@ -49,12 +74,84 @@ func TestDeltaVecBasics(t *testing.T) {
 	}
 }
 
+// TestDeltaVecPeak pins the running peak the merger's bound relies on:
+// after every non-negative deposit — direct or replayed from a snapshot at
+// a channel offset — Peak equals the full MaxOver scan bit-for-bit, and
+// Reset stops tracking. Deposit magnitudes span many binades so the sums
+// round.
+func TestDeltaVecPeak(t *testing.T) {
+	const n = 96
+	rng := rand.New(rand.NewSource(13))
+	mag := func() float64 {
+		if rng.Intn(8) == 0 {
+			return 0
+		}
+		return rng.Float64() * math.Ldexp(1, rng.Intn(48)-24)
+	}
+	dv := NewDeltaVec(n)
+	src := NewDeltaVec(n)
+	var snap Snapshot
+	for trial := 0; trial < 300; trial++ {
+		base := make([]float64, n)
+		for ch := range base {
+			if rng.Intn(3) > 0 {
+				base[ch] = mag()
+			}
+		}
+		baseMCL := MCL(base)
+		if trial%5 == 0 {
+			baseMCL += mag() // a state MCL above every base channel
+		}
+		src.Reset()
+		for k := rng.Intn(12); k >= 0; k-- {
+			src.Add(rng.Intn(n/2), mag())
+		}
+		snap = src.Snapshot(snap)
+
+		dv.ResetOver(base, baseMCL)
+		check := func(op string, k int) {
+			t.Helper()
+			got, want := dv.Peak(), dv.MaxOver(base, baseMCL)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d op %d (%s): Peak %v, MaxOver %v", trial, k, op, got, want)
+			}
+		}
+		check("ResetOver", -1)
+		for k := 0; k < 60; k++ {
+			if rng.Intn(5) == 0 {
+				dv.AddSnapshot(snap, rng.Intn(n/2+1))
+				check("AddSnapshot", k)
+				continue
+			}
+			dv.Add(rng.Intn(n), mag())
+			check("Add", k)
+		}
+	}
+
+	// Reset stops tracking: the peak reads 0 and ignores later deposits,
+	// even onto channels that carried load in the old base.
+	dv.Reset()
+	dv.Add(0, 5)
+	dv.AddSnapshot(snap, 0)
+	if got := dv.Peak(); got != 0 {
+		t.Fatalf("Peak after Reset = %v, want 0", got)
+	}
+	// A zero base tracks the plain delta maximum.
+	dv.ResetOver(make([]float64, n), 0)
+	dv.Add(7, 0.5)
+	dv.Add(9, 1.25)
+	dv.Add(7, 1)
+	if got, want := dv.Peak(), dv.Max(); got != want || got != 1.5 {
+		t.Fatalf("zero-base Peak %v, Max %v, want 1.5", got, want)
+	}
+}
+
 func TestDeltaVecSnapshotTranslate(t *testing.T) {
 	dv := NewDeltaVec(32)
 	dv.Add(2, 0.75)
 	dv.Add(9, 1.25)
 	dv.Add(2, 0.25)
-	snap := dv.Snapshot()
+	snap := dv.Snapshot(Snapshot{})
 	if len(snap.Ch) != 2 || len(snap.Val) != 2 {
 		t.Fatalf("snapshot shape: %+v", snap)
 	}

@@ -56,8 +56,7 @@ const (
 	CtrBeamCandidates = "merge.beam.candidates"
 	CtrBeamKept       = "merge.beam.kept"
 	CtrSymmetryEvals  = "merge.symmetry.evals"
-	CtrDeltaHits      = "merge.delta.hits"      // combos scored by the sparse delta evaluator
-	CtrDeltaFallbacks = "merge.delta.fallbacks" // combos scored by dense exact recompute
+	CtrBeamBoundSkips = "merge.beam.bound_skips" // combos the running bound rejected before a full score
 
 	// trace: communication-profile ingestion.
 	CtrTraceP2P   = "trace.p2p.records"
