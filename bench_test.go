@@ -383,7 +383,8 @@ func BenchmarkParallelPipeline(b *testing.B) {
 
 // BenchmarkPipelineTelemetry compares the pipeline with no observer (the
 // always-on counters alone — the ≤2% overhead budget of DESIGN.md §8)
-// against a full telemetry stack (span recorder + progress tracker + tee).
+// against a full telemetry stack (span recorder + progress tracker + tee)
+// on the context's scope.
 // Compare phase23-ms between the variants.
 func BenchmarkPipelineTelemetry(b *testing.B) {
 	w := Halo3D(8, 8, 8, 10) // 512 processes
@@ -400,8 +401,7 @@ func BenchmarkPipelineTelemetry(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var phase23 float64
 			for i := 0; i < b.N; i++ {
-				m := Mapper{Observer: bc.obs()}
-				res, err := m.Pipeline(w, t, 4)
+				res, err := Mapper{}.PipelineCtx(WithScope(context.Background(), &Scope{Observer: bc.obs()}), w, t, 4)
 				if err != nil {
 					b.Fatal(err)
 				}

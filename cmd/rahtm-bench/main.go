@@ -51,11 +51,11 @@ func main() {
 		srvReqs  = flag.Int("requests", 32, "client mode: total requests to issue")
 		srvConc  = flag.Int("concurrency", 4, "client mode: concurrent request goroutines")
 		workers  = flag.Int("parallelism", 0, "RAHTM scheduler worker goroutines (0 = all CPUs, 1 = sequential); results are identical for every setting")
-		verbose  = flag.Bool("verbose", false, "trace pipeline phases and solver progress to stderr")
+		verbose  = flag.Bool("verbose", false, "log one line per pipeline span (phase envelopes and scheduler jobs) to stderr")
 		jsonOut  = flag.String("json", "", "also write machine-readable results (per-case MCL, wall times, pipeline phase stats, counter deltas) to this file")
 		pprofOut = flag.String("pprof", "", "write a CPU profile to this file")
 		memOut   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		metrics  = flag.String("metrics-addr", "", "serve live telemetry (expvar /debug/vars + /metrics progress snapshot) on this address while benchmarking")
+		metrics  = flag.String("metrics-addr", "", "serve live telemetry (/metrics progress+metrics snapshot, JSON or Prometheus text) on this address while benchmarking")
 		traceOut = flag.String("trace-out", "", "write the RAHTM scheduler span timeline here (Chrome trace-event JSON; a .jsonl suffix selects JSONL)")
 		report   = flag.Bool("report", false, "print the end-of-run telemetry report to stderr")
 	)
@@ -97,8 +97,8 @@ func main() {
 		rahtmMapper.Merge.MaxOrientations = *orient
 	}
 	// Observer stack: logging, span recording and live progress compose
-	// through a tee on the RAHTM mapper. Spans from every pipeline run of
-	// the session land in one timeline.
+	// through a tee on the context's scope. Spans from every pipeline run
+	// of the session land in one timeline.
 	var observers []rahtm.Observer
 	var recorder *rahtm.SpanRecorder
 	var tracker *rahtm.ProgressTracker
@@ -118,9 +118,7 @@ func main() {
 		tracker = rahtm.NewProgressTracker()
 		observers = append(observers, tracker)
 	}
-	if len(observers) > 0 {
-		rahtmMapper.Observer = rahtm.TeeObservers(observers...)
-	}
+	ctx = rahtm.WithScope(ctx, &rahtm.Scope{Observer: rahtm.TeeObservers(observers...)})
 	if *metrics != "" {
 		srv, err := rahtm.ServeMetrics(*metrics, tracker.Snapshot)
 		if err != nil {

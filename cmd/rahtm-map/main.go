@@ -38,9 +38,9 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress the quality report")
 		timeout  = flag.Duration("timeout", 0, "mapping time budget; on expiry RAHTM returns its best mapping so far")
 		workers  = flag.Int("parallelism", 0, "RAHTM scheduler worker goroutines (0 = all CPUs, 1 = sequential); results are identical for every setting")
-		verbose  = flag.Bool("verbose", false, "trace pipeline phases and solver progress to stderr")
+		verbose  = flag.Bool("verbose", false, "log one line per pipeline span (phase envelopes and scheduler jobs) to stderr")
 		pprofOut = flag.String("pprof", "", "write a CPU profile of the mapping computation to this file")
-		metrics  = flag.String("metrics-addr", "", "serve live telemetry (expvar /debug/vars + /metrics progress snapshot) on this address while mapping")
+		metrics  = flag.String("metrics-addr", "", "serve live telemetry (/metrics progress+metrics snapshot, JSON or Prometheus text) on this address while mapping")
 		traceOut = flag.String("trace-out", "", "write the scheduler span timeline here (Chrome trace-event JSON; a .jsonl suffix selects one-span-per-line JSONL)")
 		report   = flag.Bool("report", false, "print the end-of-run telemetry report to stderr")
 	)
@@ -75,9 +75,9 @@ func main() {
 	m := factory(topo)
 
 	// Assemble the observer stack: logging, span recording and live
-	// progress compose through a tee. Only the RAHTM pipeline emits
-	// observer events; for baseline mappers the process-wide counters
-	// (and hence -report and the /metrics endpoint) still work.
+	// progress compose through a tee on the context's scope. Only the
+	// RAHTM pipeline emits spans; for baseline mappers the process-wide
+	// counters (and hence -report and the /metrics endpoint) still work.
 	var observers []rahtm.Observer
 	var recorder *rahtm.SpanRecorder
 	var tracker *rahtm.ProgressTracker
@@ -93,11 +93,9 @@ func main() {
 		observers = append(observers, tracker)
 	}
 
+	ctx = rahtm.WithScope(ctx, &rahtm.Scope{Observer: rahtm.TeeObservers(observers...)})
 	if rm, ok := m.(rahtm.Mapper); ok {
 		rm.Parallelism = *workers
-		if len(observers) > 0 {
-			rm.Observer = rahtm.TeeObservers(observers...)
-		}
 		m = rm
 	} else if *traceOut != "" {
 		fmt.Fprintf(os.Stderr, "rahtm-map: note: -trace-out records the RAHTM scheduler; mapper %q emits no spans\n", m.Name())

@@ -4,57 +4,9 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-// recObserver records events for assertions; safe for concurrent use.
-type recObserver struct {
-	mu          sync.Mutex
-	starts      []string
-	ends        []string
-	subproblems int
-	samples     int
-	rounds      int
-	lpIters     int
-}
-
-func (r *recObserver) PhaseStart(phase string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.starts = append(r.starts, phase)
-}
-
-func (r *recObserver) PhaseEnd(phase string, _ time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ends = append(r.ends, phase)
-}
-
-func (r *recObserver) SubproblemSolved(int, string, float64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.subproblems++
-}
-
-func (r *recObserver) AnnealSample(int, int, float64, float64, float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples++
-}
-
-func (r *recObserver) BeamRound(int, int, int, float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rounds++
-}
-
-func (r *recObserver) LPIterations(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lpIters += n
-}
 
 func TestPipelineCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -124,44 +76,50 @@ func TestPipelineCtxCancelMidRun(t *testing.T) {
 }
 
 func TestPipelineObserverPhases(t *testing.T) {
-	rec := &recObserver{}
+	rec := NewSpanRecorder()
 	w := Halo2D(4, 4, 10)
 	tp := NewTorus(4, 4)
-	res, err := Mapper{Observer: rec}.PipelineCtx(context.Background(), w, tp, 1)
+	ctx := WithScope(context.Background(), &Scope{Observer: rec})
+	res, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Degraded {
 		t.Fatal("unbudgeted run must not be degraded")
 	}
+	kinds := map[string]int{}
+	for _, sp := range rec.Spans() {
+		kinds[sp.Name]++
+	}
 	for _, phase := range []string{PhaseCluster, PhaseMap, PhaseMerge} {
-		if !containsStr(rec.starts, phase) {
-			t.Fatalf("no PhaseStart(%q); starts = %v", phase, rec.starts)
-		}
-		if !containsStr(rec.ends, phase) {
-			t.Fatalf("no PhaseEnd(%q); ends = %v", phase, rec.ends)
+		if _, ok := rec.PhaseSpan(phase); !ok {
+			t.Fatalf("no %q envelope; span kinds %v", phase, kinds)
 		}
 	}
-	if rec.subproblems == 0 {
-		t.Fatal("no SubproblemSolved events")
+	if kinds["solve"] == 0 || kinds["fanout"] == 0 {
+		t.Fatalf("no solve/fanout spans: %v", kinds)
 	}
-	if rec.rounds == 0 {
-		t.Fatal("no BeamRound events")
+	if kinds["merge"] == 0 {
+		t.Fatalf("no merge spans: %v", kinds)
 	}
 }
 
 func TestLogObserverWrites(t *testing.T) {
 	var sb strings.Builder
-	o := NewLogObserver(&sb)
 	w := Halo2D(4, 4, 10)
 	tp := NewTorus(4, 4)
-	if _, err := (Mapper{Observer: o}).PipelineCtx(context.Background(), w, tp, 1); err != nil {
+	if _, err := Solve(context.Background(), Request{Work: w, Torus: tp, Observer: NewLogObserver(&sb)}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"phase cluster start", "phase map start", "phase merge start", "done in"} {
+	for _, want := range []string{"phase cluster done in", "phase map done in", "phase merge done in", "map solve level 0 worker 0 mcl"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log output missing %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "rahtm: ") {
+			t.Fatalf("line %q missing prefix", line)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"rahtm/internal/graph"
 	"rahtm/internal/hiermap"
 	"rahtm/internal/merge"
-	"rahtm/internal/obs"
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
@@ -58,11 +57,6 @@ type Config struct {
 	// also forwarded to the Phase 3 beam scorers. Results are identical
 	// for every setting; see DESIGN.md "Concurrency architecture".
 	Parallelism int
-	// Observer receives pipeline trace events (phase boundaries, subproblem
-	// solves, annealing samples, beam rounds, LP iteration counts). Nil is a
-	// no-op. The same observer is forwarded to the Phase 2 and Phase 3
-	// sub-configurations unless those already carry one.
-	Observer obs.Observer
 }
 
 // PhaseStats reports where pipeline time went.
@@ -151,11 +145,14 @@ func MapProcesses(proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, err
 // (ctx canceled outright) aborts promptly with ctx.Err(); an expired
 // deadline degrades gracefully — each remaining solver returns its
 // best-so-far valid result and Result.Stats.Degraded is set.
+//
+// The pipeline is the only span emitter: every phase envelope and
+// scheduler job is reported, complete, to the observer of the telemetry
+// scope on ctx (telemetry.Scope.Span; a no-op without one).
 func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, error) {
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
-	o := obs.OrNop(cfg.Observer)
 	scope := telemetry.ScopeFrom(ctx)
 	conc := cfg.Concentration
 	if conc <= 0 {
@@ -173,7 +170,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	res := &Result{}
 
 	// ---- Phase 1: clustering -------------------------------------------
-	o.PhaseStart(obs.PhaseCluster)
 	start := time.Now()
 	var nodeGraph *graph.Comm
 	gridDims := cfg.GridDims
@@ -216,7 +212,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		}
 	}
 	res.Stats.ClusterTime = time.Since(start)
-	o.PhaseEnd(obs.PhaseCluster, res.Stats.ClusterTime)
+	scope.Span(phaseSpan(telemetry.PhaseCluster, res.Stats.ClusterTime), start)
 
 	// ---- Phase 2: top-down cube mapping --------------------------------
 	// Within a level every sibling subproblem is independent (§III-C), so
@@ -226,13 +222,11 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	// out in sibling index order — byte-identical to the sequential run.
 	workers := workerCount(cfg.Parallelism)
 	res.Stats.Parallelism = workers
-	o.PhaseStart(obs.PhaseMap)
 	start = time.Now()
 	// pins[d][entity] = position of the depth-(d+1) entity within its
 	// parent's CubeShape(d) cube.
 	pins := make([][]int, L)
 	var mapWork atomic.Int64 // cumulative solver nanoseconds across workers
-	mapJobs := 0
 	for d := 0; d < L; d++ {
 		prepStart := time.Now()
 		count := entityCount(h, d+1)
@@ -248,31 +242,26 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		rep, groupOf := siblingGroups(len(parents), cfg.DisableSiblingReuse, func(i int) uint64 {
 			return keys[i]
 		})
-		obs.EmitSpan(o, "prepare", obs.PhaseMap, -1, d, 0, prepStart, time.Since(prepStart))
-		obs.EmitJobsPlanned(o, obs.PhaseMap, len(rep))
+		scope.Span(telemetry.Span{Name: "prepare", Phase: telemetry.PhaseMap, Worker: -1, Level: d,
+			Jobs: len(rep), Dur: time.Since(prepStart)}, prepStart)
 		type solveResult struct {
 			res *hiermap.Result
 			err error
 		}
 		solved := make([]solveResult, len(rep))
-		mapJobs += len(rep)
+		lc := cfg.Leaf
+		lc.Torus = d == 0 && anyWrap(t)
 		if err := forEach(ctx, workers, len(rep), func(worker, gi int) {
-			lc := cfg.Leaf
-			lc.Torus = d == 0 && anyWrap(t)
-			if lc.Observer == nil {
-				lc.Observer = cfg.Observer
-			}
-			if lc.Parallelism == 0 {
-				// Leftover workers prefetch branch-and-bound relaxations
-				// inside each solve; milp results are parallelism-invariant,
-				// so this never perturbs the mapping.
-				lc.Parallelism = innerParallelism(workers, len(rep))
-			}
 			t0 := time.Now()
 			r, err := hiermap.MapCtx(ctx, locals[rep[gi]], shape, lc)
 			elapsed := time.Since(t0)
 			mapWork.Add(int64(elapsed))
-			obs.EmitSpan(o, "solve", obs.PhaseMap, worker, d, keys[rep[gi]], t0, elapsed)
+			sp := telemetry.Span{Name: "solve", Phase: telemetry.PhaseMap, Worker: worker, Level: d,
+				Hash: keys[rep[gi]], Dur: elapsed}
+			if err == nil {
+				sp.MCL = r.MCL
+			}
+			scope.Span(sp, t0)
 			solved[gi] = solveResult{res: r, err: err}
 		}); err != nil {
 			return nil, err
@@ -290,8 +279,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			gi := groupOf[parent]
 			r := solved[gi].res
 			res.Stats.Subproblems++
-			cached := parent != rep[gi]
-			if cached {
+			if parent != rep[gi] {
 				res.Stats.SubproblemsHit++
 				levelHits++
 			} else {
@@ -300,22 +288,20 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 					res.Stats.Degraded = true
 				}
 			}
-			o.SubproblemSolved(d, r.Method.String(), r.MCL, cached)
 			for j, kid := range kids {
 				pins[d][kid] = r.Mapping[j]
 			}
 		}
-		obs.EmitSpan(o, "fanout", obs.PhaseMap, -1, d, 0, fanStart, time.Since(fanStart))
+		scope.Span(telemetry.Span{Name: "fanout", Phase: telemetry.PhaseMap, Worker: -1, Level: d,
+			Jobs: len(parents), Dur: time.Since(fanStart)}, fanStart)
 		scope.CounterOr(telemetry.CtrSubproblems, ctrSubproblems).Add(int64(len(parents)))    //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 		scope.CounterOr(telemetry.CtrSubproblemHits, ctrSubproblemHits).Add(int64(levelHits)) //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 	}
 	res.Stats.MapTime = time.Since(start)
 	res.Stats.MapWorkTime = time.Duration(mapWork.Load())
-	obs.EmitWorkerPool(o, obs.PhaseMap, workers, mapJobs, res.Stats.MapWorkTime)
-	o.PhaseEnd(obs.PhaseMap, res.Stats.MapTime)
+	scope.Span(phaseSpan(telemetry.PhaseMap, res.Stats.MapTime), start)
 
 	// ---- Phase 3: bottom-up merging ------------------------------------
-	o.PhaseStart(obs.PhaseMerge)
 	start = time.Now()
 	// Leaf blocks (depth L-1) come straight from Phase 2.
 	leavesStart := time.Now()
@@ -331,14 +317,14 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		mcl := hiermap.EvaluateWith(sub, leafShape, false, local, leafAlg)
 		blocks[i] = merge.NewLeafBlock(kids, leafShape, local, mcl)
 	}
-	obs.EmitSpan(o, "leaves", obs.PhaseMerge, -1, L-1, 0, leavesStart, time.Since(leavesStart))
+	scope.Span(telemetry.Span{Name: "leaves", Phase: telemetry.PhaseMerge, Worker: -1, Level: L - 1,
+		Dur: time.Since(leavesStart)}, leavesStart)
 	// Sibling merges within a level are independent (§III-D): dedupe them
 	// by mergeKey, merge one representative per group concurrently, and
 	// translate the rest. The worker budget not consumed by concurrent
 	// sibling merges flows into each merge's internal beam scorers, so the
 	// root merge (a single group) still uses every worker.
 	var mergeWork atomic.Int64
-	mergeJobs := 0
 	for d := L - 2; d >= 0; d-- {
 		prepStart := time.Now()
 		parents := members[d]
@@ -360,13 +346,9 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		rep, groupOf := siblingGroups(len(parents), cfg.DisableSiblingReuse, func(i int) uint64 {
 			return keys[i]
 		})
-		obs.EmitSpan(o, "prepare", obs.PhaseMerge, -1, d, 0, prepStart, time.Since(prepStart))
-		obs.EmitJobsPlanned(o, obs.PhaseMerge, len(rep))
+		scope.Span(telemetry.Span{Name: "prepare", Phase: telemetry.PhaseMerge, Worker: -1, Level: d,
+			Jobs: len(rep), Dur: time.Since(prepStart)}, prepStart)
 		mc := cfg.Merge
-		mc.Level = d
-		if mc.Observer == nil {
-			mc.Observer = cfg.Observer
-		}
 		if d == 0 {
 			mc.Torus = anyWrap(t)
 			if sameDims(t, h.BlockShape(0)) {
@@ -381,14 +363,18 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			err   error
 		}
 		merged := make([]mergeResult, len(rep))
-		mergeJobs += len(rep)
 		if err := forEach(ctx, workers, len(rep), func(worker, gi int) {
 			i := rep[gi]
 			t0 := time.Now()
 			m, err := merge.MergeCtx(ctx, nodeGraph, childSets[i], h.CubeShape(d), posSets[i], mc)
 			elapsed := time.Since(t0)
 			mergeWork.Add(int64(elapsed))
-			obs.EmitSpan(o, "merge", obs.PhaseMerge, worker, d, keys[i], t0, elapsed)
+			sp := telemetry.Span{Name: "merge", Phase: telemetry.PhaseMerge, Worker: worker, Level: d,
+				Hash: keys[i], Dur: elapsed}
+			if err == nil {
+				sp.MCL = m.Candidates[0].MCL
+			}
+			scope.Span(sp, t0)
 			merged[gi] = mergeResult{block: m, err: err}
 		}); err != nil {
 			return nil, err
@@ -414,15 +400,15 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 				levelHits++
 			}
 		}
-		obs.EmitSpan(o, "fanout", obs.PhaseMerge, -1, d, 0, fanStart, time.Since(fanStart))
+		scope.Span(telemetry.Span{Name: "fanout", Phase: telemetry.PhaseMerge, Worker: -1, Level: d,
+			Jobs: len(parents), Dur: time.Since(fanStart)}, fanStart)
 		scope.CounterOr(telemetry.CtrMerges, ctrMerges).Add(int64(len(parents)))    //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 		scope.CounterOr(telemetry.CtrMergeHits, ctrMergeHits).Add(int64(levelHits)) //rahtm:allow(telemetrybatch): flushes once per level, already batched from the fan-out loop
 		blocks = next
 	}
 	res.Stats.MergeTime = time.Since(start)
 	res.Stats.MergeWorkTime = time.Duration(mergeWork.Load())
-	obs.EmitWorkerPool(o, obs.PhaseMerge, workers, mergeJobs, res.Stats.MergeWorkTime)
-	o.PhaseEnd(obs.PhaseMerge, res.Stats.MergeTime)
+	scope.Span(phaseSpan(telemetry.PhaseMerge, res.Stats.MergeTime), start)
 
 	// ---- Final assembly -------------------------------------------------
 	// After the loop blocks[0] is the root block (for L == 1 the Phase 2
@@ -462,6 +448,11 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		res.ProcToNode[p] = res.NodeMapping[res.procToTask[p]]
 	}
 	return res, nil
+}
+
+// phaseSpan is the envelope span of a completed pipeline phase.
+func phaseSpan(phase string, dur time.Duration) telemetry.Span {
+	return telemetry.Span{Name: "phase", Phase: phase, Worker: -1, Level: -1, Dur: dur}
 }
 
 // hardCancel returns ctx's error when it was canceled outright. Deadline

@@ -14,8 +14,7 @@ package core
 // would have populated the entry from; (b) every solver invoked by a worker
 // is internally deterministic for a fixed seed regardless of its own worker
 // count; and (c) results are committed in sibling index order after the
-// level completes, so stats and observer fan-out order do not depend on
-// worker scheduling.
+// level completes, so stats do not depend on worker scheduling.
 
 import (
 	"context"

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"rahtm/internal/graph"
-	"rahtm/internal/obs"
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
@@ -85,13 +84,6 @@ type Config struct {
 	AnnealRestarts int
 	// Seed makes annealing deterministic.
 	Seed int64
-	// Parallelism is passed to the branch-and-bound solver's speculative
-	// prefetch mode (<= 1: sequential). Any setting yields the identical
-	// mapping — milp results are bitwise parallelism-invariant.
-	Parallelism int
-	// Observer receives annealing samples and LP iteration counts; nil is
-	// a no-op.
-	Observer obs.Observer
 }
 
 // Result of mapping a cluster graph onto a cube.
@@ -262,8 +254,6 @@ func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (
 // pairwise-swap moves and incremental channel-load maintenance. The context
 // is polled every 256 steps: hard cancellation aborts with ctx.Err(), an
 // expired deadline returns the best placement found so far as degraded.
-// Temperature/energy samples go to cfg.Observer roughly 32 times per
-// restart.
 func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg Config) (*Result, error) {
 	n := cube.N()
 	iters := cfg.AnnealIters
@@ -275,11 +265,6 @@ func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg C
 		restarts = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	o := obs.OrNop(cfg.Observer)
-	sampleEvery := iters / 32
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
 
 	var best topology.Mapping
 	bestMCL := math.Inf(1)
@@ -314,9 +299,6 @@ restartLoop:
 					degraded = true
 					break restartLoop
 				}
-			}
-			if it%sampleEvery == 0 {
-				o.AnnealSample(r, it, temp, curMCL, bestMCL)
 			}
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i == j {

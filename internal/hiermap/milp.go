@@ -8,7 +8,6 @@ import (
 	"rahtm/internal/graph"
 	"rahtm/internal/lp"
 	"rahtm/internal/milp"
-	"rahtm/internal/obs"
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
@@ -178,12 +177,10 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 		deadline = d
 	}
 	res := prob.SolveCtx(ctx, milp.Options{
-		Deadline:    deadline,
-		MaxNodes:    cfg.MILPMaxNodes,
-		Incumbent:   incumbent,
-		Parallelism: cfg.Parallelism,
+		Deadline:  deadline,
+		MaxNodes:  cfg.MILPMaxNodes,
+		Incumbent: incumbent,
 	})
-	obs.OrNop(cfg.Observer).LPIterations(res.LPIters)
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}

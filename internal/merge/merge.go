@@ -76,7 +76,6 @@ import (
 	"sync"
 
 	"rahtm/internal/graph"
-	"rahtm/internal/obs"
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
@@ -271,11 +270,6 @@ type Config struct {
 	// Parallelism bounds the worker goroutines scoring merge candidates
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Observer receives BeamRound events after every merge step; nil is a
-	// no-op.
-	Observer obs.Observer
-	// Level tags Observer events with the hierarchy depth of this merge.
-	Level int
 }
 
 func (c Config) withDefaults() Config {
@@ -405,7 +399,6 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 	}
 	m.ctx = ctx
 	m.done = ctx.Done()
-	m.obs = obs.OrNop(cfg.Observer)
 	m.scope = telemetry.ScopeFrom(ctx)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
 	m.initAdjacency()
@@ -451,7 +444,6 @@ type merger struct {
 	cfg        Config
 	ctx        context.Context
 	done       <-chan struct{} // ctx.Done(), polled inside worker loops
-	obs        obs.Observer
 	// scope is the request scope carried by ctx (nil outside the daemon);
 	// alg is the shared evaluator, scoped so every scorer's stencil
 	// traffic is attributed to the owning request.
@@ -1049,9 +1041,6 @@ func (m *merger) run() (*Block, error) {
 		if expired(m.ctx) {
 			beam = m.completeGreedy(beam, order, step)
 			degraded = true
-			if step == 0 {
-				m.obs.BeamRound(m.cfg.Level, 0, len(beam), beam[0].mcl)
-			}
 			break
 		}
 		child := order[step]
@@ -1184,7 +1173,6 @@ func (m *merger) run() (*Block, error) {
 			next = append(next, st.extend(p, int(sc.cube), choice, loads, sc.mcl))
 		}
 		beam = topN(next, m.cfg.BeamWidth)
-		m.obs.BeamRound(m.cfg.Level, step, len(beam), beam[0].mcl)
 	}
 	return m.block(beam, order, degraded), nil
 }

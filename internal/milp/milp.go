@@ -12,18 +12,11 @@
 //     simulated-annealing mapping);
 //   - a wall-clock deadline and node budget, after which the best incumbent
 //     is returned (mirroring the paper's tolerance for hours-long offline
-//     solves, scaled down);
-//   - a speculative parallel mode (Options.Parallelism) in which worker
-//     goroutines pull the best open nodes off the shared best-bound heap and
-//     pre-solve their LP relaxations while the coordinator replays the exact
-//     sequential search. A relaxation depends only on the node's branching
-//     bounds — never on the incumbent — so prefetched solutions are valid
-//     whenever they were computed, and the coordinator's pop / prune /
-//     incumbent / branch sequence is identical to the sequential one. The
-//     Result (status, objective, solution vector, bound, node and iteration
-//     counts) is therefore bitwise identical at any parallelism; only
-//     wall-clock time changes. Workers consult the mutex-guarded incumbent
-//     bound so they never speculate on nodes the coordinator will prune.
+//     solves, scaled down).
+//
+// The search is sequential and deterministic: the Result (status,
+// objective, solution vector, bound, node and iteration counts) is a pure
+// function of the problem and the options.
 package milp
 
 import (
@@ -31,7 +24,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"rahtm/internal/lp"
@@ -128,11 +120,6 @@ type Options struct {
 	Incumbent []float64
 	// LPOptions is passed through to every relaxation solve.
 	LPOptions lp.Options
-	// Parallelism, when >= 2, spawns that many prefetch workers that
-	// speculatively solve LP relaxations of open nodes ahead of the
-	// coordinator. The Result is bitwise identical to the sequential search
-	// (<= 1) at any setting; see the package comment.
-	Parallelism int
 }
 
 // Result is the outcome of a MILP solve.
@@ -152,25 +139,11 @@ type branch struct {
 	bound float64
 }
 
-// Relaxation state of an open node, guarded by search.mu.
-const (
-	nodeUnsolved int8 = iota // no one has started this node's relaxation
-	nodeClaimed              // a goroutine is solving it right now
-	nodeSolved               // sol/err hold the finished relaxation
-)
-
 // node is a live branch-and-bound node.
 type node struct {
 	bounds []branch
 	lb     float64 // parent LP bound (priority)
 	depth  int
-
-	// Speculative-prefetch slots, guarded by search.mu. The relaxation is a
-	// pure function of bounds, so a prefetched result stays valid no matter
-	// when the coordinator consumes it.
-	state int8
-	sol   *lp.Solution
-	err   error
 }
 
 type nodeHeap []*node
@@ -224,25 +197,13 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 		scope.CounterOr(telemetry.CtrMILPSolves, ctrMILPSolves).Inc()
 		scope.CounterOr(telemetry.CtrMILPNodes, ctrMILPNodes).Add(int64(res.Nodes))
 	}()
-	s := &search{
-		p:      p,
-		ctx:    ctx,
-		lpOpts: opt.LPOptions,
-		tol:    tol,
-		open:   &nodeHeap{{lb: math.Inf(-1)}},
-		incObj: math.Inf(1),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	heap.Init(s.open)
+	open := &nodeHeap{{lb: math.Inf(-1)}}
+	incObj := math.Inf(1)
 	if opt.Incumbent != nil && p.integral(opt.Incumbent, tol) && p.LP.Feasible(opt.Incumbent, 1e-6) {
 		res.X = append([]float64(nil), opt.Incumbent...)
-		s.incObj = p.LP.Value(opt.Incumbent)
-		res.Objective = s.incObj
+		incObj = p.LP.Value(opt.Incumbent)
+		res.Objective = incObj
 		res.Status = Feasible
-	}
-	for w := 1; w < opt.Parallelism; w++ {
-		s.wg.Add(1)
-		go s.prefetch()
 	}
 
 	deadline := opt.Deadline
@@ -250,43 +211,18 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 		return !deadline.IsZero() && time.Now().After(deadline)
 	}
 
-	// The coordinator below IS the sequential algorithm: it alone pops nodes,
-	// prunes, updates the incumbent and branches, so the search trajectory —
-	// and with it every Result field — does not depend on Parallelism.
-	// Prefetch workers only fill the sol/err slots of nodes still in the heap.
-	s.mu.Lock()
-	for s.open.Len() > 0 {
+	for open.Len() > 0 {
 		if res.Nodes >= maxNodes || checkDeadline() || ctx.Err() != nil {
 			break
 		}
-		nd := heap.Pop(s.open).(*node)
-		if nd.lb >= pruneThreshold(s.incObj, tol) {
+		nd := heap.Pop(open).(*node)
+		if nd.lb >= pruneThreshold(incObj, tol) {
 			continue // pruned by bound
 		}
 		res.Nodes++
 
-		var sol *lp.Solution
-		var err error
-		switch nd.state {
-		case nodeUnsolved:
-			nd.state = nodeClaimed
-			s.mu.Unlock()
-			sol, err = p.relax(ctx, nd, opt.LPOptions)
-			s.mu.Lock()
-			nd.sol, nd.err, nd.state = sol, err, nodeSolved
-		case nodeClaimed:
-			// A worker is mid-solve; its result arrives with a broadcast.
-			//rahtm:allow(ctxpoll): bounded wait — the claiming worker's LP solve polls ctx and always marks the node solved
-			for nd.state != nodeSolved {
-				s.cond.Wait()
-			}
-			sol, err = nd.sol, nd.err
-		case nodeSolved:
-			sol, err = nd.sol, nd.err
-		}
+		sol, err := p.relax(ctx, nd, opt.LPOptions)
 		if sol != nil {
-			// Counts only consumed relaxations — identical to the sequential
-			// search; speculative solves that get pruned stay invisible.
 			res.LPIters += sol.Iters
 		}
 		if err != nil {
@@ -303,17 +239,16 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 		case lp.IterLimit:
 			continue
 		}
-		if sol.Objective >= pruneThreshold(s.incObj, tol) {
+		if sol.Objective >= pruneThreshold(incObj, tol) {
 			continue
 		}
 		fracVar, fracVal := p.mostFractional(sol.X, tol)
 		if fracVar < 0 {
-			// Integer feasible: new incumbent, published under the lock so
-			// workers stop speculating on now-pruned nodes.
-			if sol.Objective < s.incObj {
-				s.incObj = sol.Objective
+			// Integer feasible: new incumbent.
+			if sol.Objective < incObj {
+				incObj = sol.Objective
 				res.X = append(res.X[:0], sol.X...)
-				res.Objective = s.incObj
+				res.Objective = incObj
 				if res.Status == Unknown {
 					res.Status = Feasible
 				}
@@ -323,28 +258,21 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 		// Branch on the most fractional variable; explore the side nearer
 		// the relaxation value first (heap tie-break handles plunging).
 		floorB := math.Floor(fracVal)
-		down := &node{
+		heap.Push(open, &node{
 			bounds: appendBranch(nd.bounds, branch{fracVar, lp.LE, floorB}),
 			lb:     sol.Objective,
 			depth:  nd.depth + 1,
-		}
-		up := &node{
+		})
+		heap.Push(open, &node{
 			bounds: appendBranch(nd.bounds, branch{fracVar, lp.GE, floorB + 1}),
 			lb:     sol.Objective,
 			depth:  nd.depth + 1,
-		}
-		heap.Push(s.open, down)
-		heap.Push(s.open, up)
-		s.cond.Broadcast() // fresh work for prefetch workers
+		})
 	}
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
 
 	// Lower bound: min over remaining open nodes and the incumbent.
-	bound := s.incObj
-	for _, nd := range *s.open {
+	bound := incObj
+	for _, nd := range *open {
 		if nd.lb < bound {
 			bound = nd.lb
 		}
@@ -353,77 +281,19 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 	// Optimality and infeasibility may only be claimed when the search tree
 	// was actually exhausted, not cut short by cancellation.
 	if ctx.Err() == nil {
-		if res.Status == Feasible && s.open.Len() == 0 && res.Nodes < maxNodes {
+		if res.Status == Feasible && open.Len() == 0 && res.Nodes < maxNodes {
 			res.Status = Optimal
-			res.Bound = s.incObj
+			res.Bound = incObj
 		}
-		if res.Status == Unknown && s.open.Len() == 0 && res.Nodes > 0 {
+		if res.Status == Unknown && open.Len() == 0 && res.Nodes > 0 {
 			res.Status = Infeasible
 		}
 	}
 	return res
 }
 
-// search is the state shared between the coordinator and the prefetch
-// workers. Everything behind mu; cond signals both "new open nodes" (to
-// workers) and "node solved" (to a coordinator waiting on a claimed node).
-type search struct {
-	p      *Problem
-	ctx    context.Context
-	lpOpts lp.Options
-	tol    float64
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	open    *nodeHeap
-	incObj  float64 // published incumbent objective (+Inf before the first)
-	stopped bool
-	wg      sync.WaitGroup
-}
-
-// prefetch is the worker loop: claim the best unsolved open node that the
-// incumbent bound cannot prune, solve its relaxation outside the lock, store
-// the result on the node and broadcast.
-func (s *search) prefetch() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	for {
-		if s.stopped {
-			s.mu.Unlock()
-			return
-		}
-		nd := s.pickUnsolved()
-		if nd == nil {
-			s.cond.Wait()
-			continue
-		}
-		nd.state = nodeClaimed
-		s.mu.Unlock()
-		sol, err := s.p.relax(s.ctx, nd, s.lpOpts)
-		s.mu.Lock()
-		nd.sol, nd.err, nd.state = sol, err, nodeSolved
-		s.cond.Broadcast()
-	}
-}
-
-// pickUnsolved returns an unsolved open node worth prefetching, or nil. The
-// heap array is scanned in index order — element 0 is the true best bound and
-// the rest are heap-ordered, which is close enough to best-first for a
-// speculation heuristic (correctness never depends on the choice).
-func (s *search) pickUnsolved() *node {
-	thr := pruneThreshold(s.incObj, s.tol)
-	for _, nd := range *s.open {
-		if nd.state == nodeUnsolved && nd.lb < thr {
-			return nd
-		}
-	}
-	return nil
-}
-
 // relax clones the root LP, applies the node's branching bounds and solves
-// the relaxation. The result depends only on nd.bounds — never on the
-// incumbent — which is what makes speculative prefetching safe. Clone only
-// reads the shared root LP, so concurrent relaxations do not race.
+// the relaxation.
 func (p *Problem) relax(ctx context.Context, nd *node, opt lp.Options) (*lp.Solution, error) {
 	rel := p.LP.Clone()
 	for _, b := range nd.bounds {

@@ -195,12 +195,10 @@ func (a MinimalAdaptive) AddLoadsDelta(t *topology.Torus, src, dst int, vol floa
 // displacement is cacheable, direct DP otherwise, with the same hit/miss
 // accounting.
 func (a MinimalAdaptive) routeBoxDelta(t *topology.Torus, cs, dirs, dists []int, vol float64, dv *DeltaVec, sc *scratch) {
-	if !a.DisableCache {
-		if s := sc.stencilFor(dists); s != nil {
-			sc.nhits++
-			s.applyDelta(t, cs, dirs, vol, dv, sc)
-			return
-		}
+	if s := sc.stencilFor(dists); s != nil {
+		sc.nhits++
+		s.applyDelta(t, cs, dirs, vol, dv, sc)
+		return
 	}
 	sc.nmisses++
 	addMinimalBoxLoadsDelta(t, cs, dirs, dists, vol, dv, sc)

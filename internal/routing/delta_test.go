@@ -180,7 +180,7 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 // per-channel totals deposited by AddLoadsDelta are bit-identical (==, not
 // approximately equal) to the totals AddLoads deposits into a zeroed dense
 // vector. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
-// and the cache-disabled direct DP.
+// and the uncached direct DP.
 func TestAddLoadsDeltaBitwise(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -191,11 +191,17 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 		{"torus-4x4x4", topology.NewTorus(4, 4, 4)},
 		{"torus-4x4x4x4x2", topology.NewTorus(4, 4, 4, 4, 2)},
 	}
-	for _, alg := range []MinimalAdaptive{{}, {DisableCache: true}} {
-		name := "cached"
-		if alg.DisableCache {
-			name = "direct"
+	for _, arm := range []struct {
+		name string
+		alg  interface {
+			AddLoads(t *topology.Torus, src, dst int, vol float64, loads []float64)
+			AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec)
 		}
+	}{
+		{"cached", MinimalAdaptive{}},
+		{"direct", directDP{}},
+	} {
+		name, alg := arm.name, arm.alg
 		for _, sh := range shapes {
 			t.Run(name+"/"+sh.name, func(t *testing.T) {
 				topo := sh.topo

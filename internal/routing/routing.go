@@ -39,12 +39,6 @@ type Algorithm interface {
 // that memoizes the translation-invariant per-channel load fractions of
 // each distance vector. The cache is safe for concurrent use.
 type MinimalAdaptive struct {
-	// DisableCache bypasses the displacement-stencil cache and the pooled
-	// scratch fast path, recomputing every flow with the direct DP. Cached
-	// and direct results agree up to floating-point rounding; the switch
-	// exists for A/B validation and benchmarking.
-	DisableCache bool
-
 	// hits/misses, when set by WithScope, receive the stencil-cache
 	// accounting instead of the process-wide counters, attributing the
 	// evaluator's work to one request.
@@ -139,15 +133,12 @@ func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
 // routeBox deposits one direction-combination's loads, through the stencil
 // cache when the displacement is cacheable and the cache has room, and
 // through the direct DP otherwise. Every box counts as a stencil-cache hit
-// or miss (boxes routed with DisableCache count as misses: the cache did
-// not serve them).
+// or miss.
 func (a MinimalAdaptive) routeBox(t *topology.Torus, cs, dirs, dists []int, vol float64, loads []float64, sc *scratch) {
-	if !a.DisableCache {
-		if s := sc.stencilFor(dists); s != nil {
-			sc.nhits++
-			s.apply(t, cs, dirs, vol, loads, sc)
-			return
-		}
+	if s := sc.stencilFor(dists); s != nil {
+		sc.nhits++
+		s.apply(t, cs, dirs, vol, loads, sc)
+		return
 	}
 	sc.nmisses++
 	addMinimalBoxLoads(t, cs, dirs, dists, vol, loads, sc)

@@ -26,6 +26,50 @@ func randomGraph(n int, seed int64) *graph.Comm {
 	return g
 }
 
+// directDP is the reference evaluator the stencil cache is checked
+// against: it makes AddLoads' routing decisions but routes every direction
+// box through the proportional-split DP (addMinimalBoxLoads or
+// addMinimalBoxLoadsDelta), never through a stencil.
+type directDP struct{}
+
+func (directDP) Name() string { return "minimal-adaptive-direct" }
+
+func (directDP) AddLoads(t *topology.Torus, src, dst int, vol float64, loads []float64) {
+	directBoxes(t, src, dst, vol, func(cs, dirs, dists []int, vol float64, sc *scratch) {
+		addMinimalBoxLoads(t, cs, dirs, dists, vol, loads, sc)
+	})
+}
+
+func (directDP) AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec) {
+	directBoxes(t, src, dst, vol, func(cs, dirs, dists []int, vol float64, sc *scratch) {
+		addMinimalBoxLoadsDelta(t, cs, dirs, dists, vol, dv, sc)
+	})
+}
+
+// directBoxes enumerates the minimal direction combinations of one flow
+// exactly as AddLoads does and hands each box to route.
+func directBoxes(t *topology.Torus, src, dst int, vol float64, route func(cs, dirs, dists []int, vol float64, sc *scratch)) {
+	if src == dst || vol == 0 {
+		return
+	}
+	sc := getScratch(t.NumDims())
+	defer putScratch(sc)
+	cs := t.CoordOf(src, sc.cs)
+	cd := t.CoordOf(dst, sc.cd)
+	numCombos := prepareDirs(t, cs, cd, sc)
+	comboVol := vol / float64(numCombos)
+	for mask := 0; mask < numCombos; mask++ {
+		for b, d := range sc.ties {
+			if mask&(1<<uint(b)) == 0 {
+				sc.dirs[d] = topology.Plus
+			} else {
+				sc.dirs[d] = topology.Minus
+			}
+		}
+		route(cs, sc.dirs, sc.dists, comboVol, sc)
+	}
+}
+
 // TestStencilCacheEquivalence checks that the displacement-stencil cache
 // reproduces the direct DP's channel loads on wrapped, unwrapped, and mixed
 // shapes (including odd extents and tie-prone even extents).
@@ -43,7 +87,7 @@ func TestStencilCacheEquivalence(t *testing.T) {
 			g := randomGraph(tp.N(), int64(ti+1))
 			m := topology.Mapping(rand.New(rand.NewSource(int64(ti + 100))).Perm(tp.N()))
 			cached := ChannelLoads(tp, g, m, MinimalAdaptive{})
-			direct := ChannelLoads(tp, g, m, MinimalAdaptive{DisableCache: true})
+			direct := ChannelLoads(tp, g, m, directDP{})
 			if len(cached) != len(direct) {
 				t.Fatalf("load vector lengths differ: %d vs %d", len(cached), len(direct))
 			}
@@ -137,10 +181,10 @@ func BenchmarkMinimalAdaptiveStencil(b *testing.B) {
 	m := topology.Identity(tp.N())
 	for _, cfg := range []struct {
 		name string
-		alg  MinimalAdaptive
+		alg  Algorithm
 	}{
 		{"cached", MinimalAdaptive{}},
-		{"direct", MinimalAdaptive{DisableCache: true}},
+		{"direct", directDP{}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()

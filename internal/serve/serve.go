@@ -19,9 +19,9 @@
 //
 // The daemon also serves GET /healthz (liveness, build info, queue state)
 // and mounts the existing telemetry endpoint (GET /metrics — JSON or
-// Prometheus text by content negotiation — and GET /debug/vars) on the same
-// mux; per-request counters (queue wait, cache hit/miss, degraded
-// completions, rejections) land in the process-wide telemetry registry.
+// Prometheus text by content negotiation) on the same mux; per-request
+// counters (queue wait, cache hit/miss, degraded completions, rejections)
+// land in the process-wide telemetry registry.
 // Lifecycle events go to Config.Logger as structured logs.
 package serve
 
@@ -130,7 +130,7 @@ type job struct {
 	key      string
 	ctx      context.Context // request-scoped (canceled when the client goes away)
 	traceID  string
-	scope    *telemetry.Scope    // request-local counter registry
+	scope    *telemetry.Scope    // request-local counter registry, observed by rec
 	rec      *telemetry.Recorder // request-local span timeline
 	enqueued time.Time
 	queueMS  float64       // set by the worker when the job is picked up
@@ -189,7 +189,7 @@ func New(ctx context.Context, cfg Config) *Server {
 }
 
 // Handler returns the daemon's HTTP handler (POST /solve, GET /healthz,
-// GET /metrics, GET /debug/vars, GET /debug/requests).
+// GET /metrics, GET /debug/requests).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // CacheLen returns the number of cached results.
@@ -412,10 +412,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	ctrCacheMisses.Inc()
 
-	scope := telemetry.NewScope(traceID)
 	rec := telemetry.NewRecorder()
-	rec.SetTraceID(traceID)
-	req.Observer = rec
+	scope := telemetry.NewScope(traceID)
+	scope.Observer = rec
 	j := &job{
 		req: req, key: key, ctx: r.Context(),
 		traceID: traceID, scope: scope, rec: rec,

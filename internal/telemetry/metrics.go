@@ -1,17 +1,18 @@
 // Package telemetry is the observability layer of the RAHTM pipeline: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms), a span recorder exporting worker timelines as JSONL and
-// Chrome trace-event files, a live-progress tracker, an expvar HTTP
-// endpoint, and an end-of-run report table.
+// histograms), the request Scope that carries a solve's counters and spans,
+// span observers (a recorder exporting worker timelines as JSONL and Chrome
+// trace-event files, a live-progress tracker, a line log), a live /metrics
+// HTTP endpoint (JSON or Prometheus text), and an end-of-run report table.
 //
 // The package sits below every pipeline layer (it depends only on the
-// standard library and internal/obs), so the hot paths — the routing
-// stencil cache, the level-wise scheduler, the LP/MILP solvers, annealing
-// and the beam merger — instrument themselves against the process-wide
-// Default registry. Instrumentation is always on; its budget is <= 2% of
-// pipeline wall time with a Nop observer (see BenchmarkPipelineTelemetry
-// and DESIGN.md §8), achieved by batching hot-loop counts locally and by
-// striping the counters the routing evaluator updates per flow.
+// standard library), so the hot paths — the routing stencil cache, the
+// level-wise scheduler, the LP/MILP solvers, annealing and the beam merger
+// — instrument themselves against the process-wide Default registry.
+// Instrumentation is always on; its budget is <= 2% of pipeline wall time
+// (see BenchmarkPipelineTelemetry and DESIGN.md §8), achieved by batching
+// hot-loop counts locally and by striping the counters the routing
+// evaluator updates per flow.
 package telemetry
 
 import (

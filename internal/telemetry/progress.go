@@ -4,15 +4,13 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"rahtm/internal/obs"
 )
 
 // Progress is a point-in-time view of a running pipeline, JSON-encodable
 // as-is; the live endpoint serves it next to the metrics snapshot.
 type Progress struct {
-	// Phase is the pipeline phase currently running ("" before the first
-	// PhaseStart; the last completed phase keeps the name with Done set).
+	// Phase is the pipeline phase of the latest span ("" before the first;
+	// a completed phase keeps the name with PhaseDone set).
 	Phase string `json:"phase"`
 	// PhaseDone reports that Phase has completed and the next one has not
 	// started yet.
@@ -29,17 +27,16 @@ type Progress struct {
 	Subproblems int `json:"subproblems"`
 	// BestMCL is the best maximum channel load reported so far at the
 	// shallowest hierarchy level reached; BestLevel is that level (-1 until
-	// the first beam round reports, in which case BestMCL is 0).
+	// the first merge completes, in which case BestMCL is 0).
 	BestMCL   float64 `json:"best_mcl"`
 	BestLevel int     `json:"best_level"`
 }
 
-// ProgressTracker derives a live Progress view from pipeline observer
-// events. It implements obs.Observer plus the SpanObserver and
-// ProgressObserver extensions, and is safe for concurrent use — attach it
-// via obs.Tee and poll Snapshot from the serving goroutine.
+// ProgressTracker is an Observer that derives a live Progress view from
+// the pipeline's spans. It is safe for concurrent use — attach it through
+// a Scope (alongside other observers via Tee) and poll Snapshot from the
+// serving goroutine.
 type ProgressTracker struct {
-	obs.Nop
 	mu sync.Mutex
 	p  Progress
 }
@@ -56,68 +53,37 @@ func (t *ProgressTracker) Snapshot() Progress {
 	return t.p
 }
 
-// PhaseStart implements obs.Observer.
-func (t *ProgressTracker) PhaseStart(phase string) {
+// Record implements Observer. Job spans mark their phase running; the
+// envelope marks it done. "prepare" spans plan jobs, "solve"/"merge" spans
+// complete them, map "fanout" spans count committed subproblems, and the
+// shallowest merge level's best MCL is the pipeline's best-so-far (level 0
+// is the root merge).
+func (t *ProgressTracker) Record(sp Span, _ time.Time) {
 	t.mu.Lock()
-	t.p.Phase = phase
-	t.p.PhaseDone = false
-	t.mu.Unlock()
-}
-
-// PhaseEnd implements obs.Observer.
-func (t *ProgressTracker) PhaseEnd(phase string, elapsed time.Duration) {
-	t.mu.Lock()
-	if t.p.Phase == phase {
-		t.p.PhaseDone = true
-	}
-	t.mu.Unlock()
-}
-
-// SubproblemSolved implements obs.Observer: counts committed Phase 2
-// results, sibling-reuse copies included.
-func (t *ProgressTracker) SubproblemSolved(level int, method string, mcl float64, cached bool) {
-	t.mu.Lock()
-	t.p.Subproblems++
-	t.mu.Unlock()
-}
-
-// BeamRound implements obs.Observer: the shallowest level's best MCL is the
-// pipeline's best-so-far (level 0 is the root merge).
-func (t *ProgressTracker) BeamRound(level, step, candidates int, bestMCL float64) {
-	if math.IsNaN(bestMCL) || math.IsInf(bestMCL, 0) {
-		return
-	}
-	t.mu.Lock()
-	if t.p.BestLevel < 0 || level <= t.p.BestLevel {
-		t.p.BestLevel = level
-		t.p.BestMCL = bestMCL
-	}
-	t.mu.Unlock()
-}
-
-// JobsPlanned implements obs.ProgressObserver.
-func (t *ProgressTracker) JobsPlanned(phase string, n int) {
-	t.mu.Lock()
-	switch phase {
-	case obs.PhaseMap:
-		t.p.MapJobsPlanned += n
-	case obs.PhaseMerge:
-		t.p.MergeJobsPlanned += n
-	}
-	t.mu.Unlock()
-}
-
-// Span implements obs.SpanObserver: completed solve/merge scheduler jobs
-// advance the done counters.
-func (t *ProgressTracker) Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration) {
-	switch name {
+	defer t.mu.Unlock()
+	t.p.Phase = sp.Phase
+	t.p.PhaseDone = sp.Name == "phase"
+	switch sp.Name {
+	case "prepare":
+		if sp.Phase == PhaseMap {
+			t.p.MapJobsPlanned += sp.Jobs
+		} else {
+			t.p.MergeJobsPlanned += sp.Jobs
+		}
 	case "solve":
-		t.mu.Lock()
 		t.p.MapJobsDone++
-		t.mu.Unlock()
+	case "fanout":
+		if sp.Phase == PhaseMap {
+			t.p.Subproblems += sp.Jobs
+		}
 	case "merge":
-		t.mu.Lock()
 		t.p.MergeJobsDone++
-		t.mu.Unlock()
+		if math.IsNaN(sp.MCL) || math.IsInf(sp.MCL, 0) {
+			return
+		}
+		if t.p.BestLevel < 0 || sp.Level <= t.p.BestLevel {
+			t.p.BestLevel = sp.Level
+			t.p.BestMCL = sp.MCL
+		}
 	}
 }

@@ -1,39 +1,45 @@
 package telemetry
 
-// Request-scoped metric attribution.
+// Request-scoped telemetry: the one carrier of a solve's signals.
 //
 // The process-wide Default registry answers "what has this process done";
 // once the daemon solves several requests concurrently it cannot answer
 // "which request did it". A Scope is one request's private slice of the
-// same metric space: a trace ID plus a throwaway Registry that the
-// pipeline's batched flush sites route into (via CounterOr) when the solve
-// context carries a scope. The hot paths keep their batching — a scope adds
-// one pointer test per flush site, never per-iteration work — so the <= 2%
-// telemetry budget of DESIGN.md §8 holds with attribution enabled (see
-// BenchmarkPipelineTelemetry's scoped variant).
+// same metric space — a trace ID plus a throwaway Registry that the
+// pipeline's batched flush sites route into (via CounterOr) — and the
+// consumer of its spans: the pipeline emits every completed span through
+// Scope.Span to the scope's Observer. The hot paths keep their batching —
+// a scope adds one pointer test per flush site or span, never
+// per-iteration work — so the <= 2% telemetry budget of DESIGN.md §8 holds
+// with attribution enabled (see BenchmarkRequestScopedTelemetry).
 //
 // Scoped counts bypass the process-wide registry while the solve runs;
 // rahtm.Solve folds the request's delta into Default at request end
 // (Registry.Merge), so process totals are unchanged whether or not a scope
-// is attached — each count lands exactly once.
+// is attached — each count lands exactly once. A scope without a registry
+// only carries an observer: its counters stay on Default.
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"time"
 )
 
-// Scope is one request's telemetry identity: a trace ID and a private
-// registry collecting that request's share of the pipeline counters. All
-// methods are safe on a nil *Scope, so flush sites can route through
-// CounterOr unconditionally.
+// Scope is one solve's telemetry identity: a trace ID, a private registry
+// collecting that solve's share of the pipeline counters, and the observer
+// its spans go to. All methods are safe on a nil *Scope, so emitters and
+// flush sites call them unconditionally.
 type Scope struct {
 	// TraceID identifies the request end to end; it is stamped on spans,
 	// response headers and structured log lines.
 	TraceID string
 	// Reg is the request-local registry. Counters the pipeline tees here
-	// are merged into Default when the solve finishes.
+	// are merged into Default when the solve finishes. Nil keeps the
+	// counters on Default.
 	Reg *Registry
+	// Observer receives every completed span of the solve (nil = none).
+	Observer Observer
 }
 
 // NewScope returns a scope with its own empty registry. An empty traceID
@@ -76,27 +82,38 @@ func TraceIDFrom(ctx context.Context) string {
 	return ""
 }
 
-// Counter returns the scope's counter for name, or nil when s is nil.
+// Span stamps sp with the scope's trace ID and hands it to the scope's
+// observer; a no-op when s or its observer is nil.
+func (s *Scope) Span(sp Span, start time.Time) {
+	if s == nil || s.Observer == nil {
+		return
+	}
+	sp.TraceID = s.TraceID
+	s.Observer.Record(sp, start)
+}
+
+// Counter returns the scope's counter for name, or nil when s has no
+// registry.
 func (s *Scope) Counter(name string) *Counter {
-	if s == nil {
+	if s == nil || s.Reg == nil {
 		return nil
 	}
 	return s.Reg.Counter(name)
 }
 
-// CounterOr returns the scope's counter for name, or fallback when s is
-// nil. Batched flush sites call it once per flush to pick between the
-// request-local registry and their process-wide handle.
+// CounterOr returns the scope's counter for name, or fallback when s has
+// no registry. Batched flush sites call it once per flush to pick between
+// the request-local registry and their process-wide handle.
 func (s *Scope) CounterOr(name string, fallback *Counter) *Counter {
-	if s == nil {
+	if s == nil || s.Reg == nil {
 		return fallback
 	}
 	return s.Reg.Counter(name)
 }
 
-// Snapshot returns the scope registry's snapshot (zero when s is nil).
+// Snapshot returns the scope registry's snapshot (zero without one).
 func (s *Scope) Snapshot() Snapshot {
-	if s == nil {
+	if s == nil || s.Reg == nil {
 		return Snapshot{}
 	}
 	return s.Reg.Snapshot()

@@ -2,27 +2,20 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Server is a live telemetry HTTP endpoint. It serves:
-//
-//	/metrics    — LiveSnapshot JSON: {"progress": ..., "metrics": ...};
-//	              Prometheus text exposition instead under
-//	              Accept: text/plain or ?format=prometheus
-//	/debug/vars — standard expvar JSON (includes the "rahtm" var mirroring
-//	              the same LiveSnapshot, next to memstats and cmdline)
+// Server is a live telemetry HTTP endpoint. It serves /metrics: a
+// LiveSnapshot JSON ({"progress": ..., "metrics": ...}), or the Prometheus
+// text exposition instead under Accept: text/plain or ?format=prometheus.
 //
 // Construct with Serve and stop with Close. The server runs on its own
 // listener and mux, so it never interferes with an application's default
-// mux or other expvar publishers.
+// mux.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -34,51 +27,20 @@ type LiveSnapshot struct {
 	Metrics  Snapshot `json:"metrics"`
 }
 
-// serveState is the process-wide source feeding the published "rahtm"
-// expvar. expvar.Publish panics on duplicate names and has no Unpublish, so
-// the var is registered once and reads through an atomic pointer that each
-// Serve call swaps to its own sources.
-type serveState struct {
-	reg      *Registry
-	progress func() Progress
-}
-
-var (
-	publishOnce sync.Once
-	current     atomic.Pointer[serveState]
-)
-
-func liveSnapshot() LiveSnapshot {
-	st := current.Load()
-	if st == nil {
-		return LiveSnapshot{}
-	}
-	out := LiveSnapshot{Metrics: st.reg.Snapshot()}
-	if st.progress != nil {
-		out.Progress = st.progress()
-	}
-	return out
-}
-
-// Mount registers the telemetry handlers (/metrics and /debug/vars) on
-// mux, reading metrics from reg (nil = Default) and live progress from the
-// progress callback (nil = zero Progress). It lets an application server —
-// the rahtm-serve daemon — carry the telemetry endpoint on its own mux
-// instead of a second listener. Mount and Serve share the process-wide
-// published expvar; the most recent call wins its sources.
+// Mount registers the /metrics handler on mux, reading metrics from reg
+// (nil = Default) and live progress from the progress callback (nil = zero
+// Progress). It lets an application server — the rahtm-serve daemon —
+// carry the telemetry endpoint on its own mux instead of a second
+// listener. Every mount serves its own sources.
 func Mount(mux *http.ServeMux, reg *Registry, progress func() Progress) {
 	if reg == nil {
 		reg = Default
 	}
-	current.Store(&serveState{reg: reg, progress: progress})
-	publishOnce.Do(func() {
-		expvar.Publish("rahtm", expvar.Func(func() interface{} {
-			return liveSnapshot()
-		}))
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := liveSnapshot()
+		snap := LiveSnapshot{Metrics: reg.Snapshot()}
+		if progress != nil {
+			snap.Progress = progress()
+		}
 		if wantsPrometheus(r) {
 			w.Header().Set("Content-Type", PromContentType)
 			_ = WritePrometheus(w, snap.Metrics)

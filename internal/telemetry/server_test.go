@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 )
 
 func getJSON(t *testing.T, url string, into interface{}) {
@@ -30,7 +31,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(CtrStencilHits).Add(42)
 	tr := NewProgressTracker()
-	tr.PhaseStart("map")
+	tr.Record(Span{Name: "prepare", Phase: PhaseMap, Worker: -1, Jobs: 3}, time.Now())
 	s, err := Serve("localhost:0", reg, tr.Snapshot)
 	if err != nil {
 		t.Fatal(err)
@@ -42,46 +43,31 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if live.Metrics.Counter(CtrStencilHits) != 42 {
 		t.Fatalf("metrics: %+v", live.Metrics)
 	}
-	if live.Progress.Phase != "map" {
+	if live.Progress.Phase != PhaseMap || live.Progress.MapJobsPlanned != 3 {
 		t.Fatalf("progress: %+v", live.Progress)
-	}
-
-	var vars map[string]json.RawMessage
-	getJSON(t, s.URL()+"/debug/vars", &vars)
-	raw, ok := vars["rahtm"]
-	if !ok {
-		t.Fatalf("expvar output missing rahtm var: %v", vars)
-	}
-	var published LiveSnapshot
-	if err := json.Unmarshal(raw, &published); err != nil {
-		t.Fatal(err)
-	}
-	if published.Metrics.Counter(CtrStencilHits) != 42 || published.Progress.Phase != "map" {
-		t.Fatalf("published expvar: %+v", published)
 	}
 }
 
-// TestServeTwiceSwapsState pins the expvar single-publish contract: a second
-// Serve must not panic and must redirect the published var to its own
-// sources.
-func TestServeTwiceSwapsState(t *testing.T) {
-	reg1 := NewRegistry()
-	reg1.Counter("x").Add(1)
-	s1, err := Serve("localhost:0", reg1, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestServeEndpointsOwnRegistries pins that every endpoint reads the
+// sources it was started with: two live endpoints each serve their own
+// registry.
+func TestServeEndpointsOwnRegistries(t *testing.T) {
+	var urls []string
+	for i := int64(1); i <= 2; i++ {
+		reg := NewRegistry()
+		reg.Counter("x").Add(i)
+		s, err := Serve("localhost:0", reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		urls = append(urls, s.URL())
 	}
-	s1.Close()
-	reg2 := NewRegistry()
-	reg2.Counter("x").Add(2)
-	s2, err := Serve("localhost:0", reg2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	var live LiveSnapshot
-	getJSON(t, s2.URL()+"/metrics", &live)
-	if live.Metrics.Counter("x") != 2 {
-		t.Fatalf("second Serve must read its own registry: %+v", live.Metrics)
+	for i, url := range urls {
+		var live LiveSnapshot
+		getJSON(t, url+"/metrics", &live)
+		if got := live.Metrics.Counter("x"); got != int64(i+1) {
+			t.Fatalf("endpoint %d serves x = %d, want its own registry's %d", i+1, got, i+1)
+		}
 	}
 }

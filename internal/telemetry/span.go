@@ -8,19 +8,26 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"rahtm/internal/obs"
 )
 
-// Span is one timed unit of pipeline work on the recorder's timeline.
-// Start is the offset from the recorder's epoch (its creation time), so
-// exported timelines are self-contained and stable.
+// Pipeline phase names carried by Span.Phase.
+const (
+	PhaseCluster = "cluster" // Phase 1: concentration + per-level coarsening
+	PhaseMap     = "map"     // Phase 2: top-down cube mapping
+	PhaseMerge   = "merge"   // Phase 3: bottom-up beam merging
+)
+
+// Span is one completed unit of pipeline work: a whole-phase envelope or
+// one job of the level-wise scheduler. It is the pipeline's only trace
+// event. Start is the offset from the recording Recorder's epoch (its
+// creation time), so exported timelines are self-contained and stable;
+// emitters leave it zero and pass the absolute start to Observer.Record.
 type Span struct {
 	// Name is the span kind: "solve", "merge", "prepare", "leaves",
 	// "fanout" for scheduler jobs, or "phase" for whole-phase envelopes.
 	Name string `json:"name"`
-	// Phase is the pipeline phase the work belongs to (obs.PhaseCluster,
-	// obs.PhaseMap, obs.PhaseMerge).
+	// Phase is the pipeline phase the work belongs to (PhaseCluster,
+	// PhaseMap, PhaseMerge).
 	Phase string `json:"phase"`
 	// Worker is the scheduler worker index that ran the job; -1 marks the
 	// coordinating goroutine (phase envelopes, fan-outs, preparation).
@@ -30,8 +37,16 @@ type Span struct {
 	// Hash is the structural fingerprint of the subproblem (sibling-group
 	// key), 0 when not applicable.
 	Hash uint64 `json:"hash,omitempty"`
+	// Jobs is a job count: on "prepare", the representative solves or
+	// merges the level is about to dispatch; on "fanout", the subproblems
+	// or merges the level committed, sibling-reuse copies included.
+	Jobs int `json:"jobs,omitempty"`
+	// MCL is the best maximum channel load the job produced: the
+	// representative's on "solve", the merged block's best candidate on
+	// "merge".
+	MCL float64 `json:"mcl,omitempty"`
 	// TraceID is the request identity the span belongs to, "" for spans
-	// recorded outside a request scope (CLI runs).
+	// emitted outside a traced scope (CLI runs).
 	TraceID string `json:"trace,omitempty"`
 	// Start is the offset from the recorder epoch.
 	Start time.Duration `json:"start_ns"`
@@ -42,82 +57,105 @@ type Span struct {
 // End returns Start + Dur.
 func (s Span) End() time.Duration { return s.Start + s.Dur }
 
-// Recorder collects pipeline spans. It implements obs.Observer (phase
-// boundaries become "phase" envelope spans) plus the obs.SpanObserver
-// extension (per-job spans from the level-wise scheduler), and is safe for
-// concurrent use — attach it to a pipeline via obs.Tee alongside logging
-// and progress observers.
+// Observer consumes completed spans. The pipeline delivers them through the
+// Scope on the solve context (Scope.Span); start is the span's absolute
+// start time. Job spans fire from worker goroutines the moment each job
+// finishes, so their order reflects real execution timing and varies run to
+// run, and implementations must be safe for concurrent use. A phase's
+// envelope arrives after every job span of that phase.
+type Observer interface {
+	Record(sp Span, start time.Time)
+}
+
+// Tee returns an Observer that hands every span to all non-nil members, in
+// argument order. With zero non-nil members it returns nil; with one, that
+// member unchanged. It adds no synchronization: it is safe for concurrent
+// use exactly when every member is.
+func Tee(members ...Observer) Observer {
+	kept := make(tee, 0, len(members))
+	for _, o := range members {
+		if o != nil {
+			kept = append(kept, o)
+		}
+	}
+	switch len(kept) {
+	case 0:
+		return nil
+	case 1:
+		return kept[0]
+	}
+	return kept
+}
+
+type tee []Observer
+
+// Record implements Observer.
+func (t tee) Record(sp Span, start time.Time) {
+	for _, o := range t {
+		o.Record(sp, start)
+	}
+}
+
+// Log is an Observer that writes one line per span to an io.Writer,
+// serialized by an internal mutex, e.g.
+//
+//	rahtm: map solve level 0 worker 0 mcl 12 in 724ms
+//	rahtm: phase map done in 1.2s
+//
+// A Log built with a nil writer, and a nil *Log, discard every span. Do not
+// copy a Log after first use (it contains a mutex).
+type Log struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+// NewLog returns a Log writing to w.
+func NewLog(w io.Writer) *Log { return &Log{w: w} }
+
+// Record implements Observer.
+func (l *Log) Record(sp Span, _ time.Time) {
+	if l == nil || l.w == nil {
+		return
+	}
+	line := fmt.Sprintf("rahtm: phase %s done", sp.Phase)
+	if sp.Name != "phase" {
+		line = fmt.Sprintf("rahtm: %s %s", sp.Phase, sp.Name)
+		if sp.Level >= 0 {
+			line += fmt.Sprintf(" level %d", sp.Level)
+		}
+		if sp.Worker >= 0 {
+			line += fmt.Sprintf(" worker %d", sp.Worker)
+		}
+		if sp.Jobs > 0 {
+			line += fmt.Sprintf(" jobs %d", sp.Jobs)
+		}
+		if sp.MCL != 0 {
+			line += fmt.Sprintf(" mcl %.4g", sp.MCL)
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fmt.Fprintf(l.w, "%s in %v\n", line, sp.Dur)
+}
+
+// Recorder is an Observer that collects spans on a timeline whose zero is
+// its creation time. It is safe for concurrent use.
 type Recorder struct {
-	obs.Nop
-	mu      sync.Mutex
-	epoch   time.Time
-	spans   []Span
-	opened  map[string]time.Time // phase -> PhaseStart time
-	traceID string
+	mu    sync.Mutex
+	epoch time.Time
+	spans []Span
 }
 
 // NewRecorder returns an empty recorder whose epoch (timeline zero) is now.
 func NewRecorder() *Recorder {
-	return &Recorder{epoch: time.Now(), opened: map[string]time.Time{}}
+	return &Recorder{epoch: time.Now()}
 }
 
-// SetTraceID stamps id on every span recorded from now on. The serving
-// layer sets it right after construction so a request recorder's whole
-// timeline carries the request's identity.
-func (r *Recorder) SetTraceID(id string) {
+// Record implements Observer: the span joins the timeline at start's
+// offset from the recorder epoch.
+func (r *Recorder) Record(sp Span, start time.Time) {
+	sp.Start = start.Sub(r.epoch)
 	r.mu.Lock()
-	r.traceID = id
-	r.mu.Unlock()
-}
-
-// TraceID returns the stamp set by SetTraceID ("" by default).
-func (r *Recorder) TraceID() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traceID
-}
-
-// PhaseStart implements obs.Observer.
-func (r *Recorder) PhaseStart(phase string) {
-	r.mu.Lock()
-	r.opened[phase] = time.Now()
-	r.mu.Unlock()
-}
-
-// PhaseEnd implements obs.Observer: the completed phase becomes a "phase"
-// envelope span.
-func (r *Recorder) PhaseEnd(phase string, elapsed time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	start, ok := r.opened[phase]
-	if !ok {
-		start = time.Now().Add(-elapsed)
-	}
-	delete(r.opened, phase)
-	r.spans = append(r.spans, Span{
-		Name:    "phase",
-		Phase:   phase,
-		Worker:  -1,
-		Level:   -1,
-		TraceID: r.traceID,
-		Start:   start.Sub(r.epoch),
-		Dur:     elapsed,
-	})
-}
-
-// Span implements obs.SpanObserver.
-func (r *Recorder) Span(name, phase string, worker, level int, hash uint64, start time.Time, elapsed time.Duration) {
-	sp := Span{
-		Name:   name,
-		Phase:  phase,
-		Worker: worker,
-		Level:  level,
-		Hash:   hash,
-		Start:  start.Sub(r.epoch),
-		Dur:    elapsed,
-	}
-	r.mu.Lock()
-	sp.TraceID = r.traceID
 	r.spans = append(r.spans, sp)
 	r.mu.Unlock()
 }

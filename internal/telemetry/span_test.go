@@ -8,32 +8,35 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rahtm/internal/obs"
 )
+
+// job is a scheduler-job span of the given kind.
+func job(name, phase string, worker, level int, hash uint64, dur time.Duration) Span {
+	return Span{Name: name, Phase: phase, Worker: worker, Level: level, Hash: hash, Dur: dur}
+}
+
+// envelope is a phase envelope span.
+func envelope(phase string, dur time.Duration) Span {
+	return Span{Name: "phase", Phase: phase, Worker: -1, Level: -1, Dur: dur}
+}
 
 // record feeds a recorder a deterministic two-phase timeline through the
 // observer interface, with explicit start times so coverage is exact.
 func record(t *testing.T) *Recorder {
 	t.Helper()
 	r := NewRecorder()
-	epoch := r.epoch
-	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	at := func(ms int) time.Time { return r.epoch.Add(time.Duration(ms) * time.Millisecond) }
 	// Phase envelope [0, 100); job spans [0,40) w0, [20,90) w1, [40,100) coord.
-	r.PhaseStart(obs.PhaseMap)
-	r.Span("solve", obs.PhaseMap, 0, 2, 0xabc, at(0), 40*time.Millisecond)
-	r.Span("solve", obs.PhaseMap, 1, 2, 0xdef, at(20), 70*time.Millisecond)
-	r.Span("fanout", obs.PhaseMap, -1, 2, 0, at(40), 60*time.Millisecond)
-	r.mu.Lock()
-	r.opened[obs.PhaseMap] = epoch // pin the envelope to the epoch for exact math
-	r.mu.Unlock()
-	r.PhaseEnd(obs.PhaseMap, 100*time.Millisecond)
+	r.Record(job("solve", PhaseMap, 0, 2, 0xabc, 40*time.Millisecond), at(0))
+	r.Record(job("solve", PhaseMap, 1, 2, 0xdef, 70*time.Millisecond), at(20))
+	r.Record(job("fanout", PhaseMap, -1, 2, 0, 60*time.Millisecond), at(40))
+	r.Record(envelope(PhaseMap, 100*time.Millisecond), at(0))
 	return r
 }
 
 func TestRecorderPhaseEnvelope(t *testing.T) {
 	r := record(t)
-	env, ok := r.PhaseSpan(obs.PhaseMap)
+	env, ok := r.PhaseSpan(PhaseMap)
 	if !ok {
 		t.Fatal("phase envelope missing")
 	}
@@ -51,10 +54,10 @@ func TestRecorderPhaseEnvelope(t *testing.T) {
 func TestPhaseCoverage(t *testing.T) {
 	r := record(t)
 	// Union of [0,40), [20,90), [40,100) covers the full [0,100) envelope.
-	if got := r.PhaseCoverage(obs.PhaseMap); got < 0.999 || got > 1.001 {
+	if got := r.PhaseCoverage(PhaseMap); got < 0.999 || got > 1.001 {
 		t.Fatalf("coverage = %v, want 1.0", got)
 	}
-	if got := r.PhaseCoverage(obs.PhaseMerge); got != 0 {
+	if got := r.PhaseCoverage(PhaseMerge); got != 0 {
 		t.Fatalf("unrecorded phase coverage = %v, want 0", got)
 	}
 }
@@ -62,15 +65,11 @@ func TestPhaseCoverage(t *testing.T) {
 func TestPhaseCoverageGaps(t *testing.T) {
 	r := NewRecorder()
 	epoch := r.epoch
-	r.PhaseStart(obs.PhaseMerge)
-	r.Span("merge", obs.PhaseMerge, 0, 1, 0, epoch, 30*time.Millisecond)
-	r.Span("merge", obs.PhaseMerge, 1, 1, 0, epoch.Add(60*time.Millisecond), 20*time.Millisecond)
-	r.mu.Lock()
-	r.opened[obs.PhaseMerge] = epoch
-	r.mu.Unlock()
-	r.PhaseEnd(obs.PhaseMerge, 100*time.Millisecond)
+	r.Record(job("merge", PhaseMerge, 0, 1, 0, 30*time.Millisecond), epoch)
+	r.Record(job("merge", PhaseMerge, 1, 1, 0, 20*time.Millisecond), epoch.Add(60*time.Millisecond))
+	r.Record(envelope(PhaseMerge, 100*time.Millisecond), epoch)
 	// [0,30) + [60,80) = 50ms of 100ms.
-	if got := r.PhaseCoverage(obs.PhaseMerge); got < 0.499 || got > 0.501 {
+	if got := r.PhaseCoverage(PhaseMerge); got < 0.499 || got > 0.501 {
 		t.Fatalf("coverage = %v, want 0.5", got)
 	}
 }
@@ -148,7 +147,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Span("solve", obs.PhaseMap, g, i%3, uint64(i), time.Now(), time.Microsecond)
+				r.Record(job("solve", PhaseMap, g, i%3, uint64(i), time.Microsecond), time.Now())
 			}
 		}(g)
 	}

@@ -24,10 +24,11 @@
 // Request.Work and Request.Torus, or use the Mapper methods, which are thin
 // wrappers over the same path.
 //
-// Observability: pipeline runs emit trace events to an Observer
-// (observer.go), always-on metrics counters snapshot via Metrics(), and
-// span timelines / live progress attach through SpanRecorder,
-// ProgressTracker, and ServeMetrics (telemetry.go; DESIGN.md §8).
+// Observability: always-on metrics counters snapshot via Metrics(); the
+// pipeline reports every completed phase and scheduler job as a Span to the
+// Observer of the Scope on the solve context (or Request.Observer).
+// SpanRecorder, ProgressTracker and LogObserver are the observers;
+// ServeMetrics exposes the live view (telemetry.go; DESIGN.md §8).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured results of every figure and table.
@@ -150,8 +151,6 @@ type Mapper struct {
 	// scheduler: 0 uses all CPUs, 1 runs fully sequentially. Results are
 	// identical for every setting.
 	Parallelism int
-	// Observer receives pipeline trace events (nil = no tracing).
-	Observer Observer
 }
 
 // Name implements ProcMapper.

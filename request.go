@@ -79,8 +79,11 @@ type Request struct {
 	// Config supplies a fully configured RAHTM pipeline, overriding
 	// Mapper/Parallelism/BeamWidth. Library-side only; not serialized.
 	Config *Mapper `json:"-"`
-	// Observer receives pipeline trace events. Library-side only; not
-	// serialized.
+	// Observer receives the solve's spans. Solve moves it onto the scope of
+	// the solve context (a copy of the caller's scope, or an observer-only
+	// scope when there is none), so it sees exactly the spans a scope
+	// observer would; alone it moves no counter and leaves Result.TraceID
+	// and Result.Metrics empty. Library-side only; not serialized.
 	Observer Observer `json:"-"`
 
 	// Materialization memo (see Materialize).
@@ -358,7 +361,7 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 	// registry on the way out (so process totals stay whole) and stamp the
 	// per-request slice onto the result.
 	scope := telemetry.ScopeFrom(ctx)
-	if scope != nil {
+	if scope != nil && scope.Reg != nil {
 		prev := scope.Reg.Snapshot()
 		defer func() {
 			delta := scope.Reg.Snapshot().Sub(prev)
@@ -368,6 +371,17 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 				res.Metrics = delta.Counters
 			}
 		}()
+	}
+	// Request.Observer joins the observer of a copy of the caller's scope
+	// (or of an observer-only scope), so below here spans have one path.
+	if req.Observer != nil {
+		var s telemetry.Scope
+		if scope != nil {
+			s = *scope
+		}
+		s.Observer = telemetry.Tee(s.Observer, req.Observer)
+		scope = &s
+		ctx = telemetry.WithScope(ctx, scope)
 	}
 	if req.DeadlineMS > 0 {
 		var cancel context.CancelFunc
@@ -391,7 +405,6 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 			Merge:               m.Merge,
 			DisableSiblingReuse: m.DisableSiblingReuse,
 			Parallelism:         m.Parallelism,
-			Observer:            m.Observer,
 		})
 		if err != nil {
 			return nil, err
@@ -422,14 +435,10 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 
 // resolveMapper picks the mapper for the request: the Config escape hatch
 // when set, the named registry entry otherwise, with the serialized
-// Parallelism/BeamWidth/Observer knobs applied to RAHTM mappers.
+// Parallelism/BeamWidth knobs applied to RAHTM mappers.
 func (r *Request) resolveMapper(t *Torus) (ProcMapper, error) {
 	if r.Config != nil {
-		m := *r.Config
-		if r.Observer != nil && m.Observer == nil {
-			m.Observer = r.Observer
-		}
-		return m, nil
+		return *r.Config, nil
 	}
 	name := r.Mapper
 	if name == "" {
@@ -444,9 +453,6 @@ func (r *Request) resolveMapper(t *Torus) (ProcMapper, error) {
 		rm.Parallelism = r.Parallelism
 		if r.BeamWidth > 0 {
 			rm.Merge.BeamWidth = r.BeamWidth
-		}
-		if r.Observer != nil {
-			rm.Observer = r.Observer
 		}
 		m = rm
 	}

@@ -1,30 +1,48 @@
 package rahtm
 
-// Telemetry surface: the metrics registry, span timeline recorder, live
-// progress tracker, HTTP endpoint, and end-of-run report implemented in
-// internal/telemetry. Counters are process-wide and always on (the hot
-// paths batch and stripe their updates; overhead is within 2% of pipeline
-// wall time — see DESIGN.md §8); spans and progress are only collected when
-// a SpanRecorder / ProgressTracker observer is attached to the pipeline,
-// typically composed with TeeObservers.
+// Telemetry surface: the metrics registry, the request scope, span
+// observers (timeline recorder, live progress tracker, line log), the HTTP
+// endpoint, and the end-of-run report implemented in internal/telemetry.
+// Counters are process-wide and always on (the hot paths batch and stripe
+// their updates; overhead is within 2% of pipeline wall time — see
+// DESIGN.md §8). Spans are the pipeline's one trace event: the pipeline
+// reports each completed phase envelope and scheduler job to the Observer
+// of the Scope on the solve context (or to Request.Observer, which Solve
+// moves onto that scope), typically several observers composed with
+// TeeObservers.
 
 import (
 	"io"
 
 	"rahtm/internal/core"
-	"rahtm/internal/obs"
 	"rahtm/internal/telemetry"
+)
+
+// Phase names carried by Span.Phase.
+const (
+	PhaseCluster = telemetry.PhaseCluster
+	PhaseMap     = telemetry.PhaseMap
+	PhaseMerge   = telemetry.PhaseMerge
 )
 
 type (
 	// PhaseStats reports where pipeline time went (PipelineResult.Stats).
 	PhaseStats = core.PhaseStats
-	// SpanRecorder is an Observer that records every scheduler job
-	// (representative solves, sibling fan-outs, merges, phase envelopes)
-	// as a timed span, exportable as JSONL or a Chrome trace-event file.
-	SpanRecorder = telemetry.Recorder
-	// Span is one timed unit of recorded pipeline work.
+	// Observer consumes completed pipeline spans. Record must be safe for
+	// concurrent use: job spans fire from the scheduler's worker goroutines
+	// in completion order, which varies run to run.
+	Observer = telemetry.Observer
+	// Span is one completed unit of pipeline work: a phase envelope or a
+	// scheduler job (representative solve, merge, level preparation,
+	// sibling fan-out, leaf evaluation).
 	Span = telemetry.Span
+	// SpanRecorder is an Observer that records every span on a timeline,
+	// exportable as JSONL or a Chrome trace-event file.
+	SpanRecorder = telemetry.Recorder
+	// LogObserver is an Observer that writes one line per span to an
+	// io.Writer; it is what `rahtm-map -verbose` and `rahtm-bench -verbose`
+	// attach to stderr.
+	LogObserver = telemetry.Log
 	// ProgressTracker is an Observer that maintains a live Progress view.
 	ProgressTracker = telemetry.ProgressTracker
 	// Progress is a point-in-time view of a running pipeline.
@@ -32,15 +50,17 @@ type (
 	// MetricsSnapshot is a point-in-time view of the process-wide metrics
 	// registry; Sub computes per-run deltas of the cumulative counters.
 	MetricsSnapshot = telemetry.Snapshot
-	// MetricsServer is a live telemetry HTTP endpoint (expvar + /metrics).
+	// MetricsServer is a live telemetry HTTP endpoint (/metrics, JSON or
+	// Prometheus text).
 	MetricsServer = telemetry.Server
 	// PhaseTime is one row of the end-of-run telemetry report.
 	PhaseTime = telemetry.PhaseTime
-	// Scope is a request-local telemetry scope: a trace ID plus a private
-	// metrics registry the solver layers write into when the scope rides
-	// the solve context. Solve folds the scope's counters back into the
-	// process-wide registry on exit and reports the per-request delta in
-	// Result.Metrics.
+	// Scope is a solve's telemetry carrier on its context: a trace ID, a
+	// private metrics registry the solver layers write into, and the
+	// Observer its spans go to. Solve folds the scope's counters back into
+	// the process-wide registry on exit and reports the per-request delta
+	// in Result.Metrics; a scope without a registry (&Scope{Observer: o})
+	// only carries spans and leaves the counters process-wide.
 	Scope = telemetry.Scope
 )
 
@@ -60,15 +80,25 @@ var (
 	NewTraceID = telemetry.NewTraceID
 )
 
+// NewLogObserver returns a LogObserver writing to w; a nil w discards
+// every span.
+func NewLogObserver(w io.Writer) *LogObserver { return telemetry.NewLog(w) }
+
+// TeeObservers fans every span out to all non-nil observers, in argument
+// order, so logging, span recording and live progress compose. With no
+// non-nil member it returns nil.
+func TeeObservers(members ...Observer) Observer { return telemetry.Tee(members...) }
+
 // Metrics returns a snapshot of the process-wide metrics registry
 // (stencil-cache hits/misses, sibling-reuse counts, simplex pivots, MILP
 // nodes, anneal acceptance, beam pruning).
 func Metrics() MetricsSnapshot { return telemetry.Default.Snapshot() }
 
-// ServeMetrics starts a live telemetry endpoint on addr serving expvar JSON
-// (/debug/vars) and a combined progress+metrics snapshot (/metrics).
-// progress supplies the live view (typically ProgressTracker.Snapshot); nil
-// serves metrics only. Close the returned server when done.
+// ServeMetrics starts a live telemetry endpoint on addr serving a combined
+// progress+metrics snapshot on /metrics (JSON, or Prometheus text by
+// content negotiation). progress supplies the live view (typically
+// ProgressTracker.Snapshot); nil serves metrics only. Close the returned
+// server when done.
 func ServeMetrics(addr string, progress func() Progress) (*MetricsServer, error) {
 	return telemetry.Serve(addr, nil, progress)
 }
@@ -78,9 +108,9 @@ func ServeMetrics(addr string, progress func() Progress) (*MetricsServer, error)
 // merges (sibling-reuse copies included).
 func PhaseTimes(s PhaseStats) []PhaseTime {
 	return []PhaseTime{
-		{Name: obs.PhaseCluster, Wall: s.ClusterTime},
-		{Name: obs.PhaseMap, Wall: s.MapTime, Work: s.MapWorkTime, Jobs: s.Subproblems},
-		{Name: obs.PhaseMerge, Wall: s.MergeTime, Work: s.MergeWorkTime, Jobs: s.Merges},
+		{Name: PhaseCluster, Wall: s.ClusterTime},
+		{Name: PhaseMap, Wall: s.MapTime, Work: s.MapWorkTime, Jobs: s.Subproblems},
+		{Name: PhaseMerge, Wall: s.MergeTime, Work: s.MergeWorkTime, Jobs: s.Merges},
 	}
 }
 

@@ -2,7 +2,10 @@ package rahtm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,8 +20,8 @@ func runTraced(t *testing.T, parallelism int) (*PipelineResult, *SpanRecorder, *
 	top := NewTorus(4, 4, 8) // 128 nodes
 	rec := NewSpanRecorder()
 	prog := NewProgressTracker()
-	m := Mapper{Parallelism: parallelism, Observer: TeeObservers(rec, prog)}
-	res, err := m.Pipeline(w, top, 1)
+	ctx := WithScope(context.Background(), &Scope{Observer: TeeObservers(rec, prog)})
+	res, err := Mapper{Parallelism: parallelism}.PipelineCtx(ctx, w, top, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +71,9 @@ func TestPhaseStatsEffectiveParallelism(t *testing.T) {
 }
 
 // TestSpansNestWithinPhases pins the recorder contract: every job span
-// falls inside its phase envelope (small tolerance: the envelope duration
-// is measured just after PhaseStart fires) and phase coverage is high —
-// the scheduler's prepare/solve/fanout spans account for the phase wall.
+// falls inside its phase envelope (small tolerance for clock reads) and
+// phase coverage is high — the scheduler's prepare/solve/fanout spans
+// account for the phase wall.
 func TestSpansNestWithinPhases(t *testing.T) {
 	_, rec, _ := runTraced(t, 0)
 	const tol = 10 * time.Millisecond
@@ -192,5 +195,128 @@ func TestServeMetricsFacade(t *testing.T) {
 	defer s.Close()
 	if s.URL() == "" {
 		t.Fatal("no URL")
+	}
+}
+
+// TestSpanObserverByteIdentical pins the one-path contract of the span
+// model: however an observer is attached — Request.Observer alone, on the
+// context's scope, or both — it sees the same spans, and tracing changes
+// neither the result nor any counter. Solves one instance four ways at
+// parallelism 1 and 4: untraced, Request.Observer alone, a scope carrying
+// the observer, and a scope observer plus Request.Observer.
+func TestSpanObserverByteIdentical(t *testing.T) {
+	keys := []string{
+		"routing.stencil.hits", "merge.beam.candidates", "merge.beam.kept", "merge.symmetry.evals",
+		"anneal.moves", "core.subproblems", "core.subproblems.reused", "core.merges", "core.merges.reused",
+	}
+	type spanKey struct {
+		name, phase string
+		level       int
+		hash        uint64
+		jobs        int
+		mcl         float64
+	}
+	multiset := func(spans []Span) map[spanKey]int {
+		out := map[spanKey]int{}
+		for _, sp := range spans {
+			out[spanKey{sp.Name, sp.Phase, sp.Level, sp.Hash, sp.Jobs, sp.MCL}]++
+		}
+		return out
+	}
+	// stable is the part of PhaseStats that does not measure time.
+	stable := func(s PhaseStats) PhaseStats {
+		s.ClusterTime, s.MapTime, s.MergeTime, s.MapWorkTime, s.MergeWorkTime = 0, 0, 0, 0, 0
+		return s
+	}
+	for _, par := range []int{1, 4} {
+		var base *Result
+		var baseDelta map[string]int64
+		var baseSpans map[spanKey]int
+		for _, mode := range []string{"untraced", "request", "scope", "both"} {
+			req := Request{
+				Work:   Halo2D(8, 8, 10),
+				Torus:  NewTorus(8, 8),
+				Config: &Mapper{Parallelism: par, Leaf: LeafConfig{Method: LeafAnneal, AnnealIters: 200}},
+			}
+			ctx := context.Background()
+			var scope *Scope
+			var recs []*SpanRecorder
+			if mode == "scope" || mode == "both" {
+				scope = NewScope("")
+				rec := NewSpanRecorder()
+				scope.Observer = rec
+				recs = append(recs, rec)
+				ctx = WithScope(ctx, scope)
+			}
+			if mode == "request" || mode == "both" {
+				rec := NewSpanRecorder()
+				req.Observer = rec
+				recs = append(recs, rec)
+			}
+			before := Metrics()
+			res, err := Solve(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := Metrics().Sub(before)
+			delta := map[string]int64{}
+			for _, k := range keys {
+				delta[k] = after.Counter(k)
+			}
+			label := fmt.Sprintf("parallelism %d, %s", par, mode)
+
+			wantTrace := ""
+			if scope != nil {
+				wantTrace = scope.TraceID
+				for _, k := range keys {
+					if res.Metrics[k] != delta[k] {
+						t.Fatalf("%s: Result.Metrics[%s] = %d, process-wide delta %d", label, k, res.Metrics[k], delta[k])
+					}
+				}
+			} else if res.Metrics != nil {
+				t.Fatalf("%s: Result.Metrics = %v without a scope", label, res.Metrics)
+			}
+			if res.TraceID != wantTrace {
+				t.Fatalf("%s: Result.TraceID %q, want %q", label, res.TraceID, wantTrace)
+			}
+			for _, rec := range recs {
+				spans := rec.Spans()
+				for _, sp := range spans {
+					if sp.TraceID != wantTrace {
+						t.Fatalf("%s: span %+v carries trace %q, want %q", label, sp, sp.TraceID, wantTrace)
+					}
+				}
+				ms := multiset(spans)
+				if baseSpans == nil {
+					baseSpans = ms
+					kinds := map[string]bool{}
+					for k := range ms {
+						kinds[k.name] = true
+					}
+					if len(kinds) != 6 {
+						t.Fatalf("%s: span kinds %v, want all six", label, kinds)
+					}
+				} else if !reflect.DeepEqual(ms, baseSpans) {
+					t.Fatalf("%s: span multiset differs:\n%v\nwant\n%v", label, ms, baseSpans)
+				}
+			}
+
+			if base == nil {
+				base, baseDelta = res, delta
+				if delta["anneal.moves"] == 0 || delta["merge.beam.candidates"] == 0 {
+					t.Fatalf("%s: fixture moved no anneal/merge counters: %v", label, delta)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res.Mapping, base.Mapping) || res.MCL != base.MCL {
+				t.Fatalf("%s: mapping or MCL (%v) differs from untraced (%v)", label, res.MCL, base.MCL)
+			}
+			if !reflect.DeepEqual(stable(*res.Stats), stable(*base.Stats)) {
+				t.Fatalf("%s: stats %+v, untraced %+v", label, *res.Stats, *base.Stats)
+			}
+			if !reflect.DeepEqual(delta, baseDelta) {
+				t.Fatalf("%s: process-wide deltas %v, untraced %v", label, delta, baseDelta)
+			}
+		}
 	}
 }
