@@ -17,17 +17,18 @@ type incEval struct {
 	byTask  [][]int // task -> indices into flows touching it
 	loads   []float64
 	cur     topology.Mapping
-	alg     routing.MinimalAdaptive
+	tab     *routing.Table
 	touched []int // scratch: flow indices affected by the current move
 	seen    []int // scratch: generation marks per flow
 	gen     int
 	moves   int // accepted/attempted moves since the last full rebuild
 }
 
-// newIncEval builds the evaluator; alg routes the flows, so a request-scoped
-// evaluator (routing.MinimalAdaptive.WithScope) attributes the annealing
-// loop's stencil traffic to its request.
-func newIncEval(g *graph.Comm, cube *topology.Torus, start topology.Mapping, alg routing.MinimalAdaptive) *incEval {
+// newIncEval builds the evaluator; tab routes the flows over cube, so a
+// table built from a request-scoped evaluator
+// (routing.MinimalAdaptive.WithScope) attributes the annealing loop's
+// stencil traffic to its request.
+func newIncEval(g *graph.Comm, cube *topology.Torus, start topology.Mapping, tab *routing.Table) *incEval {
 	flows := g.Flows()
 	byTask := make([][]int, g.N())
 	for idx, f := range flows {
@@ -41,7 +42,7 @@ func newIncEval(g *graph.Comm, cube *topology.Torus, start topology.Mapping, alg
 		flows:  flows,
 		byTask: byTask,
 		cur:    start.Clone(),
-		alg:    alg,
+		tab:    tab,
 		seen:   make([]int, len(flows)),
 	}
 	e.rebuild()
@@ -53,15 +54,23 @@ func newIncEval(g *graph.Comm, cube *topology.Torus, start topology.Mapping, alg
 func (e *incEval) rebuild() {
 	if e.loads == nil {
 		e.loads = make([]float64, e.cube.NumChannels())
-	} else {
-		for i := range e.loads {
-			e.loads[i] = 0
-		}
 	}
-	for _, f := range e.flows {
-		e.alg.AddLoads(e.cube, e.cur[f.Src], e.cur[f.Dst], f.Vol, e.loads)
-	}
+	routeAll(e.tab, e.flows, e.cur, e.loads)
 	e.moves = 0
+}
+
+// routeAll zeroes loads, routes every flow under mapping m through tab and
+// returns the MCL. With flows in g.EachFlow order (g.Flows) the loads, and
+// so the MCL, are bit-identical to routing.ChannelLoads under
+// MinimalAdaptive.
+func routeAll(tab *routing.Table, flows []graph.Flow, m topology.Mapping, loads []float64) float64 {
+	for i := range loads {
+		loads[i] = 0
+	}
+	for _, f := range flows {
+		tab.AddLoads(m[f.Src], m[f.Dst], f.Vol, loads)
+	}
+	return routing.MCL(loads)
 }
 
 // mcl returns the current maximum channel load.
@@ -90,12 +99,12 @@ func (e *incEval) swap(i, j int) float64 {
 	aff := e.affected(i, j)
 	for _, idx := range aff {
 		f := e.flows[idx]
-		e.alg.AddLoads(e.cube, e.cur[f.Src], e.cur[f.Dst], -f.Vol, e.loads)
+		e.tab.AddLoads(e.cur[f.Src], e.cur[f.Dst], -f.Vol, e.loads)
 	}
 	e.cur[i], e.cur[j] = e.cur[j], e.cur[i]
 	for _, idx := range aff {
 		f := e.flows[idx]
-		e.alg.AddLoads(e.cube, e.cur[f.Src], e.cur[f.Dst], f.Vol, e.loads)
+		e.tab.AddLoads(e.cur[f.Src], e.cur[f.Dst], f.Vol, e.loads)
 	}
 	e.moves++
 	if e.moves >= 8192 {

@@ -1,9 +1,11 @@
 package hiermap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
@@ -21,7 +23,7 @@ func TestIncEvalMatchesFullEvaluation(t *testing.T) {
 		for e := 0; e < 20; e++ {
 			g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
 		}
-		ev := newIncEval(g, cube, topology.Mapping(rng.Perm(8)), routing.MinimalAdaptive{})
+		ev := newIncEval(g, cube, topology.Mapping(rng.Perm(8)), routing.MinimalAdaptive{}.Table(cube))
 		for step := 0; step < 200; step++ {
 			i, j := rng.Intn(8), rng.Intn(8)
 			if i == j {
@@ -51,7 +53,7 @@ func TestIncEvalSwapUndo(t *testing.T) {
 	g.AddTraffic(0, 1, 5)
 	g.AddTraffic(2, 3, 2)
 	g.AddTraffic(0, 3, 1)
-	ev := newIncEval(g, cube, topology.Identity(4), routing.MinimalAdaptive{})
+	ev := newIncEval(g, cube, topology.Identity(4), routing.MinimalAdaptive{}.Table(cube))
 	before := append([]float64(nil), ev.loads...)
 	ev.swap(0, 3)
 	ev.swap(0, 3)
@@ -67,7 +69,7 @@ func TestIncEvalPeriodicRebuild(t *testing.T) {
 	cube := topology.NewMesh(2, 2)
 	g := graph.New(4)
 	g.AddTraffic(0, 1, 3)
-	ev := newIncEval(g, cube, topology.Identity(4), routing.MinimalAdaptive{})
+	ev := newIncEval(g, cube, topology.Identity(4), routing.MinimalAdaptive{}.Table(cube))
 	for k := 0; k < 9000; k++ {
 		ev.swap(0, 1)
 	}
@@ -99,7 +101,7 @@ func BenchmarkAnnealStepIncremental(b *testing.B) {
 	for e := 0; e < 200; e++ {
 		g.AddTraffic(rng.Intn(32), rng.Intn(32), float64(1+rng.Intn(9)))
 	}
-	ev := newIncEval(g, cube, topology.Identity(32), routing.MinimalAdaptive{})
+	ev := newIncEval(g, cube, topology.Identity(32), routing.MinimalAdaptive{}.Table(cube))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.swap(rng.Intn(32), rng.Intn(32))
@@ -119,5 +121,37 @@ func BenchmarkAnnealStepFull(b *testing.B) {
 		j, k := rng.Intn(32), rng.Intn(32)
 		m[j], m[k] = m[k], m[j]
 		_ = routing.MaxChannelLoad(cube, g, m, routing.MinimalAdaptive{})
+	}
+}
+
+// TestAnnealMCLIsEvaluated checks that an annealed Result.MCL is the MCL
+// of the returned mapping bit for bit, not the value the incremental
+// evaluator drifted to over thousands of signed updates; the last solve
+// runs into its deadline and returns degraded.
+func TestAnnealMCLIsEvaluated(t *testing.T) {
+	shape := []int{2, 2, 2, 2}
+	check := func(g *graph.Comm, torus bool, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.MCL, Evaluate(g, shape, torus, res.Mapping); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("torus=%v degraded=%v: Result.MCL %.17g, Evaluate %.17g", torus, res.Degraded, got, want)
+		}
+	}
+	for _, torus := range []bool{false, true} {
+		for seed := int64(1); seed <= 8; seed++ {
+			g := randomGraph(16, 40+seed)
+			res, err := Map(g, shape, Config{Method: Anneal, Torus: torus, AnnealIters: 2000, AnnealRestarts: 2, Seed: seed})
+			check(g, torus, res, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	g := randomGraph(16, 49)
+	res, err := MapCtx(ctx, g, shape, Config{Method: Anneal, Torus: true, AnnealIters: 200_000_000, AnnealRestarts: 1})
+	check(g, true, res, err)
+	if !res.Degraded {
+		t.Fatal("Degraded not set")
 	}
 }

@@ -179,13 +179,7 @@ func (a MinimalAdaptive) AddLoadsDelta(t *topology.Torus, src, dst int, vol floa
 	numCombos := prepareDirs(t, cs, cd, sc)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
-		for b, d := range sc.ties {
-			if mask&(1<<uint(b)) == 0 {
-				sc.dirs[d] = topology.Plus
-			} else {
-				sc.dirs[d] = topology.Minus
-			}
-		}
+		sc.setTies(mask)
 		a.routeBoxDelta(t, cs, sc.dirs, sc.dists, comboVol, dv, sc)
 	}
 	sc.flushStencil(a)
@@ -204,15 +198,14 @@ func (a MinimalAdaptive) routeBoxDelta(t *topology.Torus, cs, dirs, dists []int,
 	addMinimalBoxLoadsDelta(t, cs, dirs, dists, vol, dv, sc)
 }
 
-// applyDelta is stencil.apply depositing into a DeltaVec.
+// applyDelta is stencil.apply depositing into a DeltaVec. It repeats the
+// cell loop of stencil.chans instead of depositing from its channel list:
+// the beam merger's scorers route through here, and the two-pass walk
+// made the 4k rung's merge 15% slower (GOMAXPROCS=1 rahtm-bench -fig
+// scale, six alternating runs on a 2-vCPU host: median 4.35s -> 5.02s).
 func (s *stencil) applyDelta(t *topology.Torus, cs, dirs []int, vol float64, dv *DeltaVec, sc *scratch) {
 	nd := s.nd
-	tab := sc.ints(s.tabLen)
-	s.fillChanTab(t, cs, dirs, tab)
-	chanOff := sc.chanOff
-	for d := 0; d < nd; d++ {
-		chanOff[d] = 2*d + dirs[d]
-	}
+	tab, chanOff := s.fillChanTab(t, cs, dirs, sc)
 	ei := 0
 	for c := 0; c < s.cells; c++ {
 		base := c * nd

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -180,7 +181,9 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 // per-channel totals deposited by AddLoadsDelta are bit-identical (==, not
 // approximately equal) to the totals AddLoads deposits into a zeroed dense
 // vector. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
-// and the uncached direct DP.
+// and the uncached direct DP. The table arm holds a compiled route Table
+// to the same contract against AddLoads, over flows of either sign, with
+// equal stencil hit and miss counts.
 func TestAddLoadsDeltaBitwise(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -241,6 +244,86 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// The table arm accumulates both sides over every flow, so replays of
+	// an already compiled pair are checked too. On the 300-node mesh the
+	// 299-hop pair has no stencil and must take the AddLoads fallback. The
+	// 2^7 torus wants about 28M channel ids for all its pairs, so its
+	// flows run the table out of budget and the later pairs fall back;
+	// the 2^9 torus has more pairs than the table indexes, so every flow
+	// falls back (and, at 9 dimensions, misses the stencil cache).
+	for _, sh := range []struct {
+		name   string
+		topo   *topology.Torus
+		pairs  [][2]int
+		trials int
+		spent  bool // the channel budget runs out
+	}{
+		{"torus-2x2x2x2", topology.NewTorus(2, 2, 2, 2), nil, 400, false},
+		{"torus-4x4x4", topology.NewTorus(4, 4, 4), nil, 400, false},
+		{"mesh-2x2x2x2", topology.NewMesh(2, 2, 2, 2), nil, 400, false},
+		{"mesh-300", topology.NewMesh(300), [][2]int{{0, 299}, {299, 0}}, 400, false},
+		{"torus-2^7", topology.NewTorus(2, 2, 2, 2, 2, 2, 2), nil, 4000, true},
+		{"torus-2^9", topology.NewTorus(2, 2, 2, 2, 2, 2, 2, 2, 2), nil, 100, false},
+	} {
+		t.Run("table/"+sh.name, func(t *testing.T) {
+			topo := sh.topo
+			rng := rand.New(rand.NewSource(11))
+			n := topo.N()
+			refScope, tabScope := telemetry.NewScope("ref"), telemetry.NewScope("table")
+			ref := MinimalAdaptive{}.WithScope(refScope)
+			tab := MinimalAdaptive{}.WithScope(tabScope).Table(topo)
+			want := make([]float64, topo.NumChannels())
+			got := make([]float64, topo.NumChannels())
+			for trial := 0; trial < sh.trials; trial++ {
+				src, dst := rng.Intn(n), rng.Intn(n)
+				if trial%50 < len(sh.pairs) {
+					src, dst = sh.pairs[trial%50][0], sh.pairs[trial%50][1]
+				}
+				vol := 1 + rng.Float64()*9
+				if rng.Intn(2) == 0 {
+					vol = -vol
+				}
+				ref.AddLoads(topo, src, dst, vol, want)
+				tab.AddLoads(src, dst, vol, got)
+				for ch := range want {
+					if math.Float64bits(got[ch]) != math.Float64bits(want[ch]) {
+						t.Fatalf("trial %d flow %d->%d vol %v: ch %d table %v AddLoads %v",
+							trial, src, dst, vol, ch, got[ch], want[ch])
+					}
+				}
+			}
+			tab.Flush()
+			for _, name := range []string{telemetry.CtrStencilHits, telemetry.CtrStencilMisses} {
+				if g, w := tabScope.Counter(name).Value(), refScope.Counter(name).Value(); g != w {
+					t.Fatalf("%s: table %d, AddLoads %d", name, g, w)
+				}
+			}
+			misses := refScope.Counter(telemetry.CtrStencilMisses).Value()
+			if wantMisses := len(sh.pairs) > 0 || topo.NumDims() > maxStencilDims; wantMisses != (misses > 0) {
+				t.Fatalf("%d stencil misses, want them only for the uncacheable pairs", misses)
+			}
+
+			// Memory: the index exists only within maxTablePairs, and the
+			// stored channel ids never exceed maxTableChans.
+			if (tab.routes == nil) != (n*n > maxTablePairs) {
+				t.Fatalf("%d pairs: index present %v", n*n, tab.routes != nil)
+			}
+			stored, refused := 0, 0
+			for _, r := range tab.routes {
+				stored += cap(r.chans)
+				if r.nc > 0 && r.st == nil {
+					refused++
+				}
+			}
+			if stored > maxTableChans || stored+tab.free != maxTableChans {
+				t.Fatalf("%d channel ids stored, %d free, budget %d", stored, tab.free, maxTableChans)
+			}
+			if sh.spent && (refused == 0 || misses > 0) {
+				t.Fatalf("%d pairs refused with %d ids stored and %d misses, want the budget to refuse some", refused, stored, misses)
+			}
+		})
 	}
 }
 

@@ -76,13 +76,7 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 	numCombos := prepareDirs(t, cs, cd, sc)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
-		for b, d := range sc.ties {
-			if mask&(1<<uint(b)) == 0 {
-				sc.dirs[d] = topology.Plus
-			} else {
-				sc.dirs[d] = topology.Minus
-			}
-		}
+		sc.setTies(mask)
 		a.routeBox(t, cs, sc.dirs, sc.dists, comboVol, loads, sc)
 	}
 	sc.flushStencil(a)
@@ -93,8 +87,9 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 // sc.ties. Ties (torus distance exactly k/2) admit both directions; every
 // combination of choices contributes the same number of minimal paths, so
 // combinations weigh equally. Returns the number of direction combinations
-// (2^len(ties)). Shared by the dense (AddLoads) and sparse (AddLoadsDelta)
-// evaluators so their routing decisions cannot drift apart.
+// (2^len(ties)). Shared by the dense (AddLoads), sparse (AddLoadsDelta)
+// and compiled (Table) evaluators so their routing decisions cannot drift
+// apart.
 func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
 	dirs, dists := sc.dirs, sc.dists
 	numCombos := 1

@@ -13,8 +13,8 @@ package routing
 // translating cell offsets from the flow's source coordinate and scaling by
 // its volume. This turns the per-flow DP (allocate + fill an O(box) flow
 // array) into a linear walk over precomputed fractions, which is what the
-// Phase 3 merge scorers and the annealing incremental evaluator spend most
-// of their time in.
+// Phase 3 merge scorers spend most of their time in; the leaf solvers'
+// route tables (table.go) run the walk once per pair and replay it.
 
 import (
 	"sync"
@@ -58,14 +58,19 @@ type stencil struct {
 	tabLen int
 }
 
-// fillChanTab writes the channel-base table for applying s to one concrete
-// flow: for dimension d and box offset u, tab[tabOff(d)+u] holds the
-// channels-per-node multiple of the rank contribution of the wrapped
-// coordinate cs[d] stepped u hops along dirs[d]. Summing one entry per
-// dimension yields node*2*nd — the base of the node's channel-id block.
-func (s *stencil) fillChanTab(t *topology.Torus, cs, dirs []int, tab []int) {
+// fillChanTab readies sc for one walk of s over a concrete flow's box,
+// source coordinate cs and travel directions dirs, and returns two of sc's
+// slices. tab is the channel-base table: for dimension d and box offset
+// u, tab[tabOff(d)+u] holds the channels-per-node multiple of the rank
+// contribution of the wrapped coordinate cs[d] stepped u hops along
+// dirs[d], so summing one entry per dimension yields node*2*nd, the base
+// of the node's channel-id block. chanOff[d] is the channel-id remainder
+// 2*d+dirs[d] of a hop along d.
+func (s *stencil) fillChanTab(t *topology.Torus, cs, dirs []int, sc *scratch) (tab, chanOff []int) {
+	tab, chanOff = sc.ints(s.tabLen), sc.chanOff
 	ti := 0
 	for d := 0; d < s.nd; d++ {
+		chanOff[d] = 2*d + dirs[d]
 		k := t.Dim(d)
 		m := 2 * s.nd * t.Stride(d)
 		c := cs[d]
@@ -89,6 +94,7 @@ func (s *stencil) fillChanTab(t *topology.Torus, cs, dirs []int, tab []int) {
 			}
 		}
 	}
+	return tab, chanOff
 }
 
 var (
@@ -245,17 +251,19 @@ func buildStencil(dists []int) *stencil {
 	return st
 }
 
-// apply translates the stencil to a concrete flow: source coordinate cs,
-// travel directions dirs, vol units of traffic. sc supplies the channel-base
-// table storage. Deposit order matches the direct DP exactly.
-func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []float64, sc *scratch) {
+// chans walks the stencil over a concrete box — source coordinate cs,
+// travel directions dirs — and returns the channel id of every deposit in
+// the direct DP's order: entry i receives fracs[i] of the box's volume.
+// The slice is sc's storage, valid until sc's next chans call. apply and
+// Table.compile deposit through it; applyDelta fuses the same walk with
+// its deposits.
+func (s *stencil) chans(t *topology.Torus, cs, dirs []int, sc *scratch) []int32 {
 	nd := s.nd
-	tab := sc.ints(s.tabLen)
-	s.fillChanTab(t, cs, dirs, tab)
-	chanOff := sc.chanOff
-	for d := 0; d < nd; d++ {
-		chanOff[d] = 2*d + dirs[d]
+	tab, chanOff := s.fillChanTab(t, cs, dirs, sc)
+	if cap(sc.chs) < len(s.fracs) {
+		sc.chs = make([]int32, len(s.fracs))
 	}
+	out := sc.chs[:len(s.fracs)]
 	ei := 0
 	for c := 0; c < s.cells; c++ {
 		base := c * nd
@@ -264,22 +272,34 @@ func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []
 			nodeCh += tab[s.offs[base+d]]
 		}
 		for n := s.cnt[c]; n > 0; n-- {
-			loads[nodeCh+chanOff[s.dims[ei]]] += s.fracs[ei] * vol
+			out[ei] = int32(nodeCh + chanOff[s.dims[ei]])
 			ei++
 		}
+	}
+	return out
+}
+
+// apply translates the stencil to a concrete flow: source coordinate cs,
+// travel directions dirs, vol units of traffic. sc supplies the walk's
+// storage. Deposit order matches the direct DP exactly.
+func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []float64, sc *scratch) {
+	for i, ch := range s.chans(t, cs, dirs, sc) {
+		loads[ch] += s.fracs[i] * vol
 	}
 }
 
 // scratch holds the per-call working storage of MinimalAdaptive.AddLoads,
-// recycled through a pool so the hot evaluators (merge scorers, annealing
-// swaps) do not allocate per flow.
+// recycled through a pool so the hot evaluators (the merge scorers) do not
+// allocate per flow.
 type scratch struct {
 	cs, cd, dirs, dists, coord, ties []int
 	shape, strides, u                []int
 	p                                []float64
 	// tab holds a stencil's per-flow channel-base table; chanOff holds the
-	// per-dimension channel-id remainder 2*d+dirs[d] for the current flow.
+	// per-dimension channel-id remainder 2*d+dirs[d] for the current flow;
+	// chs holds the channel ids of the last stencil walk.
 	tab, chanOff []int
+	chs          []int32
 	// memoKey/memoVal form a direct-mapped stencil memo that short-circuits
 	// the process-wide sync.Map on repeat displacement vectors.
 	memoKey [stencilMemoSize]uint64
@@ -347,6 +367,19 @@ func getScratch(nd int) *scratch {
 	sc.chanOff = grow(sc.chanOff, nd)
 	sc.ties = sc.ties[:0]
 	return sc
+}
+
+// setTies points every tied dimension of the current flow (sc.ties, from
+// prepareDirs) in the direction tie combination mask selects: bit b clear
+// routes tie b Plus, set routes it Minus.
+func (sc *scratch) setTies(mask int) {
+	for b, d := range sc.ties {
+		if mask&(1<<uint(b)) == 0 {
+			sc.dirs[d] = topology.Plus
+		} else {
+			sc.dirs[d] = topology.Minus
+		}
+	}
 }
 
 // ints returns an integer scratch of length n (contents undefined).

@@ -59,13 +59,7 @@ func directBoxes(t *topology.Torus, src, dst int, vol float64, route func(cs, di
 	numCombos := prepareDirs(t, cs, cd, sc)
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
-		for b, d := range sc.ties {
-			if mask&(1<<uint(b)) == 0 {
-				sc.dirs[d] = topology.Plus
-			} else {
-				sc.dirs[d] = topology.Minus
-			}
-		}
+		sc.setTies(mask)
 		route(cs, sc.dirs, sc.dists, comboVol, sc)
 	}
 }
