@@ -3,6 +3,7 @@ package rahtm
 // Benchmarks for the §VI extensions and the remaining ablations.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,7 +62,7 @@ func BenchmarkScalingStudy(b *testing.B) {
 			}
 			var res *PipelineResult
 			for i := 0; i < b.N; i++ {
-				res, err = m.Pipeline(w, c.topo, c.conc)
+				res, err = pipelineResult(context.Background(), m, w, c.topo, c.conc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -97,7 +98,7 @@ func BenchmarkPacketSimValidation(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var cycles int
 			for i := 0; i < b.N; i++ {
-				res, err := PacketSimulate(t, w.Graph, c.m, cfg)
+				res, err := PacketSimulateCtx(context.Background(), t, w.Graph, c.m, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

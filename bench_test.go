@@ -70,7 +70,7 @@ func suiteComparison(b *testing.B) []*Comparison {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := CompareSuite(ws, t, conc, StandardMappers(t), Model{})
+	cs, err := CompareSuiteCtx(context.Background(), ws, t, conc, StandardMappers(t), Model{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func BenchmarkTable2MILPSolve(b *testing.B) {
 	g.AddTraffic(3, 0, 1)
 	var mcl float64
 	for i := 0; i < b.N; i++ {
-		res, err := hiermap.Map(g, []int{2, 2}, hiermap.Config{Method: hiermap.MILP})
+		res, err := hiermap.MapCtx(context.Background(), g, []int{2, 2}, hiermap.Config{Method: hiermap.MILP})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkSectionVBOptimizationTime(b *testing.B) {
 	}
 	var res *PipelineResult
 	for i := 0; i < b.N; i++ {
-		res, err = (Mapper{}).Pipeline(w, t, conc)
+		res, err = pipelineResult(context.Background(), Mapper{}, w, t, conc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkAblationLeafSolver(b *testing.B) {
 			}
 			var mcl float64
 			for i := 0; i < b.N; i++ {
-				res, err := hiermap.Map(g, []int{2, 2, 2}, hiermap.Config{Method: method, Seed: 1})
+				res, err := hiermap.MapCtx(context.Background(), g, []int{2, 2, 2}, hiermap.Config{Method: method, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -283,7 +283,7 @@ func BenchmarkAblationEvaluator(b *testing.B) {
 	b.Run("LP-optimal-split", func(b *testing.B) {
 		var mcl float64
 		for i := 0; i < b.N; i++ {
-			res, err := mcflow.Evaluate(t, w.Graph, m, lp.Options{})
+			res, _, err := mcflow.EvaluateWithRoutesCtx(context.Background(), t, w.Graph, m, lp.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func BenchmarkSimplexLP(b *testing.B) {
 		return p
 	}
 	for i := 0; i < b.N; i++ {
-		sol, err := build().Solve()
+		sol, err := build().SolveCtx(context.Background(), lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("LP solve failed: %v %v", err, sol.Status)
 		}
@@ -360,7 +360,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			m := Mapper{Parallelism: bc.par}
 			var phase23, mcl float64
 			for i := 0; i < b.N; i++ {
-				res, err := m.Pipeline(w, t, 4)
+				res, err := pipelineResult(context.Background(), m, w, t, 4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -401,7 +401,7 @@ func BenchmarkPipelineTelemetry(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var phase23 float64
 			for i := 0; i < b.N; i++ {
-				res, err := Mapper{}.PipelineCtx(WithScope(context.Background(), &Scope{Observer: bc.obs()}), w, t, 4)
+				res, err := pipelineResult(WithScope(context.Background(), &Scope{Observer: bc.obs()}), Mapper{}, w, t, 4)
 				if err != nil {
 					b.Fatal(err)
 				}

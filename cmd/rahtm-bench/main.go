@@ -30,11 +30,11 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"rahtm"
+	"rahtm/internal/topology"
 )
 
 func main() {
@@ -82,11 +82,7 @@ func main() {
 	}
 
 	if *srvAddr != "" {
-		dims := make([]int, t.NumDims())
-		for d := range dims {
-			dims[d] = t.Dim(d)
-		}
-		must(runServeClient(*srvAddr, ws, dims, *conc, *srvReqs, *srvConc, *timeout, *jsonOut))
+		must(runServeClient(*srvAddr, ws, t.Dims(), *conc, *srvReqs, *srvConc, *timeout, *jsonOut))
 		return
 	}
 	rahtmMapper := rahtm.Mapper{Parallelism: *workers}
@@ -339,12 +335,22 @@ func collectPipelineStats(ctx context.Context, ws []*rahtm.Workload, t *rahtm.To
 	out := make([]pipelineJSON, 0, len(ws))
 	for _, w := range ws {
 		prev := rahtm.Metrics()
-		res, err := m.PipelineCtx(ctx, w, t, conc)
+		res, err := solveDetail(ctx, w, t, conc, m)
 		row := pipelineRow(w, res, err)
 		row.addMetrics(rahtm.Metrics().Sub(prev))
 		out = append(out, row)
 	}
 	return out
+}
+
+// solveDetail runs the configured RAHTM pipeline through rahtm.Solve and
+// returns its full pipeline output.
+func solveDetail(ctx context.Context, w *rahtm.Workload, t *rahtm.Torus, conc int, m rahtm.Mapper) (*rahtm.PipelineResult, error) {
+	res, err := rahtm.Solve(ctx, rahtm.Request{Work: w, Torus: t, Conc: conc, Config: &m})
+	if err != nil {
+		return nil, err
+	}
+	return res.Detail, nil
 }
 
 func writeJSON(path string, t *rahtm.Torus, procs, conc, workers int, fig string, cs []*rahtm.Comparison, pipes []pipelineJSON, scale []scaleJSON) error {
@@ -427,7 +433,7 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 		w := rahtm.Halo2D(lvl.rows, lvl.cols, 1)
 		prev := rahtm.Metrics()
 		start := time.Now()
-		res, err := m.PipelineCtx(ctx, w, t, lvl.conc)
+		res, err := solveDetail(ctx, w, t, lvl.conc, m)
 		wall := time.Since(start)
 		row := scaleJSON{
 			Procs:        lvl.procs,
@@ -460,7 +466,7 @@ func optimizationTime(ctx context.Context, ws []*rahtm.Workload, t *rahtm.Torus,
 	out := make([]pipelineJSON, 0, len(ws))
 	for _, w := range ws {
 		prev := rahtm.Metrics()
-		res, err := m.PipelineCtx(ctx, w, t, conc)
+		res, err := solveDetail(ctx, w, t, conc, m)
 		row := pipelineRow(w, res, err)
 		row.addMetrics(rahtm.Metrics().Sub(prev))
 		out = append(out, row)
@@ -481,15 +487,12 @@ func optimizationTime(ctx context.Context, ws []*rahtm.Workload, t *rahtm.Torus,
 	return out
 }
 
+// parseTopo builds the torus an "AxBxC" spec names (the -topo flag and
+// the scale ladder's rungs).
 func parseTopo(spec string) (*rahtm.Torus, error) {
-	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "x")
-	dims := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad topology spec %q", spec)
-		}
-		dims = append(dims, v)
+	dims, err := topology.ParseDims(spec)
+	if err != nil {
+		return nil, err
 	}
 	return rahtm.NewTorus(dims...), nil
 }

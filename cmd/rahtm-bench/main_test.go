@@ -22,4 +22,14 @@ func TestParseTopo(t *testing.T) {
 			t.Fatalf("parseTopo(%q) should fail", bad)
 		}
 	}
+	// Every scale-ladder rung names a torus that holds its processes.
+	for _, lvl := range scaleLadder {
+		tp, err := parseTopo(lvl.topo)
+		if err != nil {
+			t.Fatalf("rung %d: %v", lvl.procs, err)
+		}
+		if tp.N()*lvl.conc != lvl.procs || lvl.rows*lvl.cols != lvl.procs {
+			t.Fatalf("rung %d: %v x %d, grid %dx%d", lvl.procs, tp, lvl.conc, lvl.rows, lvl.cols)
+		}
+	}
 }

@@ -17,11 +17,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"rahtm"
+	"rahtm/internal/topology"
 )
 
 func main() {
@@ -54,25 +54,16 @@ func main() {
 		defer cancel()
 	}
 
-	t, err := parseDims(*topoSpec)
+	req, err := newRequest(*wl, *graphIn, *gridSpec, *topoSpec, *procs, *conc)
 	if err != nil {
 		fatal(err)
 	}
-	topo := rahtm.NewTorus(t...)
-	if *procs == 0 {
-		*procs = topo.N() * *conc
-	}
-
-	w, err := buildWorkload(*wl, *graphIn, *gridSpec, *procs)
+	req.Mapper = *mapper
+	req.Parallelism = *workers
+	w, topo, err := req.Materialize()
 	if err != nil {
 		fatal(err)
 	}
-
-	factory, err := rahtm.MapperByName(*mapper)
-	if err != nil {
-		fatal(err)
-	}
-	m := factory(topo)
 
 	// Assemble the observer stack: logging, span recording and live
 	// progress compose through a tee on the context's scope. Only the
@@ -94,12 +85,6 @@ func main() {
 	}
 
 	ctx = rahtm.WithScope(ctx, &rahtm.Scope{Observer: rahtm.TeeObservers(observers...)})
-	if rm, ok := m.(rahtm.Mapper); ok {
-		rm.Parallelism = *workers
-		m = rm
-	} else if *traceOut != "" {
-		fmt.Fprintf(os.Stderr, "rahtm-map: note: -trace-out records the RAHTM scheduler; mapper %q emits no spans\n", m.Name())
-	}
 
 	if *metrics != "" {
 		srv, err := rahtm.ServeMetrics(*metrics, tracker.Snapshot)
@@ -123,31 +108,23 @@ func main() {
 	}
 
 	start := time.Now()
-	var mapping rahtm.Mapping
-	var stats *rahtm.PhaseStats
-	if rm, ok := m.(rahtm.Mapper); ok {
-		res, err := rm.PipelineCtx(ctx, w, topo, *conc)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fatal(fmt.Errorf("interrupted before a mapping was available"))
-			}
-			fatal(err)
+	res, err := rahtm.Solve(ctx, req)
+	if err != nil {
+		if errors.Is(err, context.Canceled) {
+			fatal(fmt.Errorf("interrupted before a mapping was available"))
 		}
-		if res.Stats.Degraded {
-			fmt.Fprintln(os.Stderr, "rahtm-map: time budget expired; returning the best mapping found so far")
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "rahtm-map: scheduler parallelism %d (map work %v, merge work %v)\n",
-				res.Stats.Parallelism, res.Stats.MapWorkTime.Round(time.Millisecond),
-				res.Stats.MergeWorkTime.Round(time.Millisecond))
-		}
-		mapping = res.ProcToNode
-		stats = &res.Stats
-	} else {
-		mapping, err = m.MapProcs(w, topo, *conc)
-		if err != nil {
-			fatal(err)
-		}
+		fatal(err)
+	}
+	if res.Degraded {
+		fmt.Fprintln(os.Stderr, "rahtm-map: time budget expired; returning the best mapping found so far")
+	}
+	if res.Stats == nil && *traceOut != "" {
+		fmt.Fprintf(os.Stderr, "rahtm-map: note: -trace-out records the RAHTM scheduler; mapper %q emits no spans\n", res.Mapper)
+	}
+	if *verbose && res.Stats != nil {
+		fmt.Fprintf(os.Stderr, "rahtm-map: scheduler parallelism %d (map work %v, merge work %v)\n",
+			res.Stats.Parallelism, res.Stats.MapWorkTime.Round(time.Millisecond),
+			res.Stats.MergeWorkTime.Round(time.Millisecond))
 	}
 	elapsed := time.Since(start)
 
@@ -160,12 +137,12 @@ func main() {
 		defer f.Close()
 		sink = f
 	}
-	header := fmt.Sprintf("rahtm-map: workload=%s mapper=%s topo=%s conc=%d", w.Name, m.Name(), topo, *conc)
+	header := fmt.Sprintf("rahtm-map: workload=%s mapper=%s topo=%s conc=%d", w.Name, res.Mapper, topo, *conc)
 	switch *format {
 	case "ranks":
-		err = rahtm.WriteMapFileRanks(sink, mapping, header)
+		err = rahtm.WriteMapFileRanks(sink, res.Mapping, header)
 	case "coords":
-		err = rahtm.WriteMapFileCoords(sink, topo, mapping, header)
+		err = rahtm.WriteMapFileCoords(sink, topo, res.Mapping, header)
 	default:
 		err = fmt.Errorf("unknown -format %q (want ranks or coords)", *format)
 	}
@@ -174,9 +151,9 @@ func main() {
 	}
 
 	if !*quiet {
-		rep := rahtm.Measure(topo, w.Graph, mapping)
+		rep := rahtm.Measure(topo, w.Graph, res.Mapping)
 		fmt.Fprintf(os.Stderr, "mapped %d processes with %s in %v\n%s\n",
-			w.Procs(), m.Name(), elapsed.Round(time.Millisecond), rep)
+			w.Procs(), res.Mapper, elapsed.Round(time.Millisecond), rep)
 	}
 
 	if *traceOut != "" && recorder != nil {
@@ -186,7 +163,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rahtm-map: wrote %d spans to %s\n", recorder.Len(), *traceOut)
 	}
 	if *report {
-		if err := rahtm.WriteTelemetryReport(os.Stderr, stats); err != nil {
+		if err := rahtm.WriteTelemetryReport(os.Stderr, res.Stats); err != nil {
 			fatal(err)
 		}
 	}
@@ -211,59 +188,33 @@ func writeTrace(path string, rec *rahtm.SpanRecorder) error {
 	return err
 }
 
-func buildWorkload(name, graphIn, gridSpec string, procs int) (*rahtm.Workload, error) {
-	var grid []int
+// newRequest builds the request the mapping flags describe. A -graph file
+// is read here and passed as Request.Work, so the workload keeps the file's
+// path as its name.
+func newRequest(workload, graphIn, gridSpec, topoSpec string, procs, conc int) (rahtm.Request, error) {
+	req := rahtm.Request{Workload: workload, Procs: procs, Conc: conc}
+	var err error
+	if req.Topo, err = topology.ParseDims(topoSpec); err != nil {
+		return req, err
+	}
 	if gridSpec != "" {
-		g, err := parseDims(gridSpec)
-		if err != nil {
-			return nil, err
+		if req.Grid, err = topology.ParseDims(gridSpec); err != nil {
+			return req, err
 		}
-		grid = g
 	}
 	if graphIn != "" {
 		f, err := os.Open(graphIn)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
 		defer f.Close()
 		g, err := rahtm.ReadGraph(f)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
-		return &rahtm.Workload{Name: graphIn, Grid: grid, Graph: g, CommFraction: 0.5}, nil
+		req.Work = &rahtm.Workload{Name: graphIn, Grid: req.Grid, Graph: g, CommFraction: 0.5}
 	}
-	switch strings.ToLower(name) {
-	case "bt", "sp", "cg":
-		return rahtm.WorkloadByName(name, procs)
-	case "halo2d":
-		if len(grid) != 2 {
-			return nil, fmt.Errorf("halo2d needs -grid RxC")
-		}
-		return rahtm.Halo2D(grid[0], grid[1], 10), nil
-	case "halo3d":
-		if len(grid) != 3 {
-			return nil, fmt.Errorf("halo3d needs -grid XxYxZ")
-		}
-		return rahtm.Halo3D(grid[0], grid[1], grid[2], 10), nil
-	case "random":
-		return rahtm.RandomNeighbors(procs, 4, 10, 1), nil
-	case "":
-		return nil, fmt.Errorf("need -workload or -graph")
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
-func parseDims(spec string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "x")
-	dims := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension spec %q", spec)
-		}
-		dims = append(dims, v)
-	}
-	return dims, nil
+	return req, nil
 }
 
 func fatal(err error) {

@@ -10,20 +10,19 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"rahtm"
+	"rahtm/internal/topology"
 )
 
 func main() {
 	var (
 		topoSpec = flag.String("topo", "4x4x4", "torus dimensions")
-		wl       = flag.String("workload", "CG", "benchmark: BT, SP, CG, halo2d, random")
+		wl       = flag.String("workload", "CG", "benchmark: BT, SP, CG, halo2d, halo3d, random")
 		procs    = flag.Int("procs", 0, "number of processes (defaults to nodes x conc)")
 		conc     = flag.Int("conc", 1, "processes per node")
 		gridSpec = flag.String("grid", "", "logical process grid for halo workloads")
@@ -34,16 +33,11 @@ func main() {
 	)
 	flag.Parse()
 
-	dims, err := parseDims(*topoSpec)
+	req, err := newRequest(*wl, *gridSpec, *topoSpec, *procs, *conc)
 	if err != nil {
 		fatal(err)
 	}
-	topo := rahtm.NewTorus(dims...)
-	if *procs == 0 {
-		*procs = topo.N() * *conc
-	}
-
-	w, err := buildWorkload(*wl, *gridSpec, *procs)
+	w, topo, err := req.Materialize()
 	if err != nil {
 		fatal(err)
 	}
@@ -53,10 +47,10 @@ func main() {
 	case *mapFile != "":
 		mapping, err = readMapFileTopo(*mapFile, topo)
 	case *mapper != "":
-		var factory rahtm.MapperFactory
-		factory, err = rahtm.MapperByName(*mapper)
-		if err == nil {
-			mapping, err = factory(topo).MapProcs(w, topo, *conc)
+		req.Mapper = *mapper
+		var res *rahtm.Result
+		if res, err = rahtm.Solve(context.Background(), req); err == nil {
+			mapping = res.Mapping
 		}
 	default:
 		err = fmt.Errorf("need -map or -mapper")
@@ -91,52 +85,17 @@ func main() {
 	}
 }
 
-func buildWorkload(name, gridSpec string, procs int) (*rahtm.Workload, error) {
-	var grid []int
+// newRequest builds the request the workload and topology flags describe.
+func newRequest(workload, gridSpec, topoSpec string, procs, conc int) (rahtm.Request, error) {
+	req := rahtm.Request{Workload: workload, Procs: procs, Conc: conc}
+	var err error
+	if req.Topo, err = topology.ParseDims(topoSpec); err != nil {
+		return req, err
+	}
 	if gridSpec != "" {
-		g, err := parseDims(gridSpec)
-		if err != nil {
-			return nil, err
-		}
-		grid = g
+		req.Grid, err = topology.ParseDims(gridSpec)
 	}
-	switch strings.ToLower(name) {
-	case "bt", "sp", "cg":
-		return rahtm.WorkloadByName(name, procs)
-	case "halo2d":
-		if len(grid) != 2 {
-			return nil, fmt.Errorf("halo2d needs -grid RxC")
-		}
-		return rahtm.Halo2D(grid[0], grid[1], 10), nil
-	case "random":
-		return rahtm.RandomNeighbors(procs, 4, 10, 1), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
-// readMapFile reads either map-file format (node ranks, or BG/Q-style
-// coordinate tuples) without topology validation; rank-format only here —
-// use readMapFileTopo when a topology is at hand.
-func readMapFile(path string) (rahtm.Mapping, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var m rahtm.Mapping
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.Atoi(line)
-		if err != nil {
-			return nil, fmt.Errorf("bad map line %q", line)
-		}
-		m = append(m, v)
-	}
-	return m, sc.Err()
+	return req, err
 }
 
 // readMapFileTopo reads either map-file format with validation against topo.
@@ -147,19 +106,6 @@ func readMapFileTopo(path string, topo *rahtm.Torus) (rahtm.Mapping, error) {
 	}
 	defer f.Close()
 	return rahtm.ReadMapFile(f, topo)
-}
-
-func parseDims(spec string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "x")
-	dims := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension spec %q", spec)
-		}
-		dims = append(dims, v)
-	}
-	return dims, nil
 }
 
 func fatal(err error) {

@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"rahtm"
+	"rahtm/internal/topology"
 )
 
 func main() {
@@ -118,7 +118,7 @@ func writeRequest(path string, g *rahtm.Comm, topoSpec string, conc int, mapper 
 	if topoSpec == "" {
 		return fmt.Errorf("-request needs -topo (torus dimensions, e.g. 4x4x4)")
 	}
-	dims, err := parseDims(topoSpec)
+	dims, err := topology.ParseDims(topoSpec)
 	if err != nil {
 		return err
 	}
@@ -142,19 +142,6 @@ func writeRequest(path string, g *rahtm.Comm, topoSpec string, conc int, mapper 
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func parseDims(spec string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "x")
-	dims := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension spec %q", spec)
-		}
-		dims = append(dims, v)
-	}
-	return dims, nil
 }
 
 func printStats(g *rahtm.Comm) {

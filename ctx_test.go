@@ -14,7 +14,7 @@ func TestPipelineCtxAlreadyCanceled(t *testing.T) {
 	w := Halo2D(8, 8, 10)
 	tp := NewTorus(4, 4, 4)
 	start := time.Now()
-	_, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+	_, err := pipelineResult(ctx, Mapper{}, w, tp, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -31,7 +31,7 @@ func TestPipelineCtxDeadlineDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := NewTorus(4, 4, 4)
-	res, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+	res, err := pipelineResult(ctx, Mapper{}, w, tp, 1)
 	if err != nil {
 		t.Fatalf("expired deadline must degrade, not fail: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestPipelineCtxCancelMidRun(t *testing.T) {
 	tp := NewTorus(4, 4, 4)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+		_, err := pipelineResult(ctx, Mapper{}, w, tp, 1)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -80,7 +80,7 @@ func TestPipelineObserverPhases(t *testing.T) {
 	w := Halo2D(4, 4, 10)
 	tp := NewTorus(4, 4)
 	ctx := WithScope(context.Background(), &Scope{Observer: rec})
-	res, err := Mapper{}.PipelineCtx(ctx, w, tp, 1)
+	res, err := pipelineResult(ctx, Mapper{}, w, tp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,55 @@ func TestCompareCtxCanceled(t *testing.T) {
 	}
 }
 
-func TestMapperImplementsCtxProcMapper(t *testing.T) {
-	var m ProcMapper = Mapper{}
-	if _, ok := m.(CtxProcMapper); !ok {
-		t.Fatal("Mapper must implement CtxProcMapper")
+// ctxRecordingMapper is a CtxProcMapper that records the context it is
+// handed and maps like the machine default.
+type ctxRecordingMapper struct{ got *context.Context }
+
+func (ctxRecordingMapper) Name() string { return "ctx-recorder" }
+
+func (ctxRecordingMapper) MapProcs(*Workload, *Torus, int) (Mapping, error) {
+	return nil, errors.New("ctx-recorder: MapProcs called instead of MapProcsCtx")
+}
+
+func (m ctxRecordingMapper) MapProcsCtx(ctx context.Context, w *Workload, t *Torus, conc int) (Mapping, error) {
+	*m.got = ctx
+	return DefaultMapper(t).MapProcs(w, t, conc)
+}
+
+// TestCompareCtxPassesContext pins that CompareCtx hands its ctx on: RAHTM's
+// leaf solves report to the recorder on the ctx's scope, and a registered
+// CtxProcMapper receives the comparison's very ctx.
+func TestCompareCtxPassesContext(t *testing.T) {
+	var got context.Context
+	RegisterMapper("ctx-recorder-test", func(*Torus) ProcMapper { return ctxRecordingMapper{got: &got} })
+	f, err := MapperByName("ctx-recorder-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewSpanRecorder()
+	ctx := WithScope(context.Background(), &Scope{Observer: rec})
+	w := Halo2D(4, 4, 10)
+	tp := NewTorus(4, 4)
+	cmp, err := CompareCtx(ctx, w, tp, 1, []ProcMapper{DefaultMapper(tp), Mapper{}, f(tp)}, Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cmp.Rows {
+		if r.Err != "" {
+			t.Fatalf("%s failed: %s", r.Mapper, r.Err)
+		}
+	}
+	solves := 0
+	for _, sp := range rec.Spans() {
+		if sp.Name == "solve" {
+			solves++
+		}
+	}
+	if solves == 0 {
+		t.Fatal("RAHTM ran without the comparison's scope: no solve spans recorded")
+	}
+	if got != ctx {
+		t.Fatalf("registered CtxProcMapper received %v, want the comparison's ctx", got)
 	}
 }
 

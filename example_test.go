@@ -3,6 +3,7 @@ package rahtm_test
 // Testable examples documenting the public API end to end.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -25,12 +26,12 @@ func ExampleMCL() {
 	// Output: adjacent MCL 10, diagonal MCL 5
 }
 
-// ExampleCompare runs the Figure 10 engine on one benchmark.
-func ExampleCompare() {
+// ExampleCompareCtx runs the Figure 10 engine on one benchmark.
+func ExampleCompareCtx() {
 	t := rahtm.NewTorus(4, 4)
 	w, _ := rahtm.CG(64)
 	ms := []rahtm.ProcMapper{rahtm.DefaultMapper(t), rahtm.Mapper{}}
-	cmp, err := rahtm.Compare(w, t, 4, ms, rahtm.Model{})
+	cmp, err := rahtm.CompareCtx(context.Background(), w, t, 4, ms, rahtm.Model{})
 	if err != nil {
 		panic(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	t := rahtm.NewTorus(4, 4)
 	const procs = 16
 	const msg = 1000.0
@@ -28,16 +30,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		def, err := rahtm.DefaultMapper(t).MapProcs(w, t, 1)
+		def, err := rahtm.Solve(ctx, rahtm.Request{Work: w, Torus: t, Mapper: "default"})
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt, err := rahtm.Mapper{}.MapProcs(w, t, 1)
+		opt, err := rahtm.Solve(ctx, rahtm.Request{Work: w, Torus: t})
 		if err != nil {
 			log.Fatal(err)
 		}
-		mclDef := rahtm.MCL(t, w.Graph, def)
-		mclOpt := rahtm.MCL(t, w.Graph, opt)
+		mclDef, mclOpt := def.MCL, opt.MCL
 		fmt.Printf("%-28s %12.4g %12.4g %11.1f%%\n", op, mclDef, mclOpt, 100*(1-mclOpt/mclDef))
 	}
 
@@ -52,25 +53,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := rahtm.Mapper{}.MapProcs(w2, t, 1)
+	opt, err := rahtm.Solve(ctx, rahtm.Request{Work: w2, Torus: t})
 	if err != nil {
 		log.Fatal(err)
 	}
-	def, err := rahtm.DefaultMapper(t).MapProcs(w2, t, 1)
+	def, err := rahtm.Solve(ctx, rahtm.Request{Work: w2, Torus: t, Mapper: "default"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("default MCL %.4g -> RAHTM MCL %.4g\n",
-		rahtm.MCL(t, w2.Graph, def), rahtm.MCL(t, w2.Graph, opt))
+	fmt.Printf("default MCL %.4g -> RAHTM MCL %.4g\n", def.MCL, opt.MCL)
 
 	// Validate the win with the packet-level simulator rather than the
 	// analytic model.
 	cfg := rahtm.PacketSimConfig{Seed: 1, InjectionRate: 64}
-	rd, err := rahtm.PacketSimulate(t, w2.Graph, def, cfg)
+	rd, err := rahtm.PacketSimulateCtx(ctx, t, w2.Graph, def.Mapping, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ro, err := rahtm.PacketSimulate(t, w2.Graph, opt, cfg)
+	ro, err := rahtm.PacketSimulateCtx(ctx, t, w2.Graph, opt.Mapping, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

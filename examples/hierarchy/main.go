@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,11 +19,12 @@ func main() {
 
 	fmt.Printf("mapping %d processes onto %s\n\n", w.Procs(), t)
 
-	res, err := (rahtm.Mapper{}).Pipeline(w, t, 1)
+	sol, err := rahtm.Solve(context.Background(), rahtm.Request{Work: w, Torus: t})
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	res := sol.Detail // the full pipeline output
 	s := res.Stats
 	fmt.Println("Phase 1 — clustering (Figures 3-4)")
 	fmt.Printf("  tile shapes per level : %v\n", s.TileShapes)
@@ -42,9 +44,9 @@ func main() {
 	fmt.Printf("final node mapping (task -> node): %v\n", res.NodeMapping)
 	fmt.Printf("final MCL: %.4g", res.MCL)
 
-	def, err := rahtm.DefaultMapper(t).MapProcs(w, t, 1)
+	def, err := rahtm.Solve(context.Background(), rahtm.Request{Work: w, Torus: t, Mapper: "default"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf(" (default mapping: %.4g)\n", rahtm.MCL(t, w.Graph, def))
+	fmt.Printf(" (default mapping: %.4g)\n", def.MCL)
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -52,7 +53,7 @@ func main() {
 	fmt.Println()
 
 	start := time.Now()
-	cs, err := rahtm.CompareSuite(ws, topo, conc, ms, rahtm.Model{})
+	cs, err := rahtm.CompareSuiteCtx(context.Background(), ws, topo, conc, ms, rahtm.Model{})
 	if err != nil {
 		log.Fatal(err)
 	}

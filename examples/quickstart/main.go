@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,32 +19,26 @@ func main() {
 	const conc = 4
 
 	// The machine default: ABT dimension order, cores fastest.
-	def := rahtm.DefaultMapper(t)
-	defMap, err := def.MapProcs(w, t, conc)
+	def, err := rahtm.Solve(context.Background(), rahtm.Request{Work: w, Torus: t, Conc: conc, Mapper: "default"})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// RAHTM: clustering + hierarchical optimal mapping + rotation merge.
-	rahtmMap, err := rahtm.Mapper{}.MapProcs(w, t, conc)
+	opt, err := rahtm.Solve(context.Background(), rahtm.Request{Work: w, Torus: t, Conc: conc})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("workload: %s on %s, %d processes per node\n\n", w.Name, t, conc)
-	for _, c := range []struct {
-		name string
-		m    rahtm.Mapping
-	}{{def.Name(), defMap}, {"RAHTM", rahtmMap}} {
-		rep := rahtm.Measure(t, w.Graph, c.m)
-		comm, err := rahtm.CommTime(t, w.Graph, c.m, rahtm.Model{})
+	for _, res := range []*rahtm.Result{def, opt} {
+		rep := rahtm.Measure(t, w.Graph, res.Mapping)
+		comm, err := rahtm.CommTime(t, w.Graph, res.Mapping, rahtm.Model{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-8s %s\n         comm %.3gs/iter\n", c.name, rep, comm.Time)
+		fmt.Printf("%-8s %s\n         comm %.3gs/iter\n", res.Mapper, rep, comm.Time)
 	}
 
-	base := rahtm.MCL(t, w.Graph, defMap)
-	opt := rahtm.MCL(t, w.Graph, rahtmMap)
-	fmt.Printf("\nRAHTM cuts the maximum channel load by %.1f%%\n", 100*(1-opt/base))
+	fmt.Printf("\nRAHTM cuts the maximum channel load by %.1f%%\n", 100*(1-opt.MCL/def.MCL))
 }

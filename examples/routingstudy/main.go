@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,10 +55,11 @@ func main() {
 	// And indeed RAHTM's own leaf solver (the Table II MILP family)
 	// discovers the diagonal placement by itself:
 	w := &rahtm.Workload{Name: "figure1", Graph: g, CommFraction: 0.5}
-	m, err := rahtm.Mapper{}.MapProcs(w, rahtm.NewMesh(2, 2), 1)
+	res, err := rahtm.Solve(context.Background(), rahtm.Request{Work: w, Topo: []int{2, 2}, Mesh: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := res.Mapping
 	fmt.Printf("\nRAHTM's placement: %v (heavy pair at distance %d)\n",
 		m, rahtm.NewMesh(2, 2).MinDistance(m[0], m[1]))
 }

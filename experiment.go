@@ -12,10 +12,11 @@ import (
 	"rahtm/internal/netsim"
 )
 
-// CtxProcMapper is a ProcMapper that also accepts a context, letting
-// comparisons propagate cancellation and time budgets into the mapping
-// computation. Mapper implements it; the baselines do not need to (they map
-// in microseconds).
+// CtxProcMapper is a ProcMapper that also accepts a context, letting Solve
+// and CompareCtx propagate cancellation and time budgets into a registered
+// mapper's computation (rahtm-serve cancels a solve whose client goes
+// away). RAHTM's Mapper runs its pipeline under the context directly; the
+// baselines need not implement it (they map in microseconds).
 type CtxProcMapper interface {
 	ProcMapper
 	MapProcsCtx(ctx context.Context, w *Workload, t *Torus, conc int) (Mapping, error)
@@ -45,23 +46,24 @@ type Comparison struct {
 	Rows         []Row
 }
 
-// Compare maps w onto t with every mapper (the first is the normalization
-// baseline, conventionally the machine default) and simulates communication
-// and execution time. Mapper failures are recorded per row rather than
-// aborting the comparison.
-func Compare(w *Workload, t *Torus, conc int, ms []ProcMapper, model Model) (*Comparison, error) {
-	return CompareCtx(context.Background(), w, t, conc, ms, model)
-}
-
-// CompareCtx is Compare under a context. Mappers implementing CtxProcMapper
-// (RAHTM's Mapper among them) receive ctx and can degrade or abort; the
-// rest run as usual. Hard cancellation aborts the comparison between
-// mappers with ctx.Err(); deadline expiry lets it finish, with
-// context-aware mappers returning degraded results.
+// CompareCtx maps w onto t with every mapper (the first is the
+// normalization baseline, conventionally the machine default) and
+// simulates communication and execution time. Mapper failures are recorded
+// per row rather than aborting the comparison.
+//
+// Each mapper runs as in Solve: RAHTM's pipeline and any CtxProcMapper
+// receive ctx, with its telemetry scope, and can degrade or abort; the rest
+// run as usual. Unlike Solve, CompareCtx does not fold a scope registry's
+// counters back into the process-wide one. Hard cancellation aborts the
+// comparison between mappers with ctx.Err(); deadline expiry lets it
+// finish, with context-aware mappers returning degraded results.
 func CompareCtx(ctx context.Context, w *Workload, t *Torus, conc int, ms []ProcMapper, model Model) (*Comparison, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("rahtm: no mappers to compare")
 	}
+	// The graph is fully built by now; every mapper and evaluation below
+	// scans the frozen form, as in Solve.
+	w.Graph.Freeze()
 	cmp := &Comparison{
 		Workload:     w.Name,
 		Procs:        w.Procs(),
@@ -76,13 +78,7 @@ func CompareCtx(ctx context.Context, w *Workload, t *Torus, conc int, ms []ProcM
 		}
 		row := Row{Mapper: m.Name()}
 		start := time.Now()
-		var mp Mapping
-		var err error
-		if cm, ok := m.(CtxProcMapper); ok {
-			mp, err = cm.MapProcsCtx(ctx, w, t, conc)
-		} else {
-			mp, err = m.MapProcs(w, t, conc)
-		}
+		mp, _, err := mapProcs(ctx, m, w, t, conc)
 		row.MapTime = time.Since(start)
 		if err != nil {
 			row.Err = err.Error()
@@ -126,14 +122,9 @@ func CompareCtx(ctx context.Context, w *Workload, t *Torus, conc int, ms []ProcM
 	return cmp, nil
 }
 
-// CompareSuite runs Compare over several workloads and appends a geometric
-// mean pseudo-comparison, mirroring the extra bar cluster of Figures 8/10.
-func CompareSuite(ws []*Workload, t *Torus, conc int, ms []ProcMapper, model Model) ([]*Comparison, error) {
-	return CompareSuiteCtx(context.Background(), ws, t, conc, ms, model)
-}
-
-// CompareSuiteCtx is CompareSuite under a context, with CompareCtx's
-// cancellation semantics applied per workload.
+// CompareSuiteCtx runs CompareCtx over several workloads and appends a
+// geometric mean pseudo-comparison, mirroring the extra bar cluster of
+// Figures 8/10. CompareCtx's cancellation semantics apply per workload.
 func CompareSuiteCtx(ctx context.Context, ws []*Workload, t *Torus, conc int, ms []ProcMapper, model Model) ([]*Comparison, error) {
 	var out []*Comparison
 	for _, w := range ws {

@@ -1,6 +1,7 @@
 package rahtm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func smallSuite(t *testing.T) ([]*Workload, *Torus, int) {
 func TestCompareBasics(t *testing.T) {
 	ws, tp, conc := smallSuite(t)
 	ms := []ProcMapper{DefaultMapper(tp), NewHilbert(), Mapper{}}
-	cmp, err := Compare(ws[2], tp, conc, ms, Model{})
+	cmp, err := CompareCtx(context.Background(), ws[2], tp, conc, ms, Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCompareRAHTMWins(t *testing.T) {
 	ws, tp, conc := smallSuite(t)
 	ms := []ProcMapper{DefaultMapper(tp), Mapper{}}
 	for _, w := range ws {
-		cmp, err := Compare(w, tp, conc, ms, Model{})
+		cmp, err := CompareCtx(context.Background(), w, tp, conc, ms, Model{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestCompareRAHTMWins(t *testing.T) {
 func TestCompareSuiteAddsGeomean(t *testing.T) {
 	ws, tp, conc := smallSuite(t)
 	ms := []ProcMapper{DefaultMapper(tp), Mapper{}}
-	cs, err := CompareSuite(ws, tp, conc, ms, Model{})
+	cs, err := CompareSuiteCtx(context.Background(), ws, tp, conc, ms, Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCompareSuiteAddsGeomean(t *testing.T) {
 func TestCompareFailingMapperRecorded(t *testing.T) {
 	ws, tp, conc := smallSuite(t)
 	bad := NewPermutation("ZZT") // invalid spec for this topology
-	cmp, err := Compare(ws[0], tp, conc, []ProcMapper{DefaultMapper(tp), bad}, Model{})
+	cmp, err := CompareCtx(context.Background(), ws[0], tp, conc, []ProcMapper{DefaultMapper(tp), bad}, Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +100,14 @@ func TestCompareFailingMapperRecorded(t *testing.T) {
 		t.Fatal("failure not recorded")
 	}
 	// A failing baseline aborts.
-	if _, err := Compare(ws[0], tp, conc, []ProcMapper{bad}, Model{}); err == nil {
+	if _, err := CompareCtx(context.Background(), ws[0], tp, conc, []ProcMapper{bad}, Model{}); err == nil {
 		t.Fatal("failing baseline should abort")
 	}
 }
 
 func TestWriteTableModes(t *testing.T) {
 	ws, tp, conc := smallSuite(t)
-	cs, err := CompareSuite(ws[:1], tp, conc, []ProcMapper{DefaultMapper(tp), NewHilbert()}, Model{})
+	cs, err := CompareSuiteCtx(context.Background(), ws[:1], tp, conc, []ProcMapper{DefaultMapper(tp), NewHilbert()}, Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestGeoMeanEmptyAndFailures(t *testing.T) {
 
 func TestCompareNoMappers(t *testing.T) {
 	ws, tp, conc := smallSuite(t)
-	if _, err := Compare(ws[0], tp, conc, nil, Model{}); err == nil {
+	if _, err := CompareCtx(context.Background(), ws[0], tp, conc, nil, Model{}); err == nil {
 		t.Fatal("expected error")
 	}
 }

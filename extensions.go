@@ -101,16 +101,10 @@ var ProfileFromGraph = trace.FromGraph
 // (the §VI mapping/routing co-optimization).
 type RoutingTable = mcflow.RoutingTable
 
-// OptimalSplitMCL evaluates a fixed mapping with the LP routing model and
-// returns the optimal MCL together with the per-flow routing table that
-// achieves it.
-func OptimalSplitMCL(t *Torus, g *Comm, m Mapping) (float64, *RoutingTable, error) {
-	return OptimalSplitMCLCtx(context.Background(), t, g, m)
-}
-
-// OptimalSplitMCLCtx is OptimalSplitMCL under a context: the LP aborts at
-// its next pivot poll and returns ctx.Err() when ctx is canceled or its
-// deadline expires.
+// OptimalSplitMCLCtx evaluates a fixed mapping with the LP routing model
+// and returns the optimal MCL together with the per-flow routing table that
+// achieves it. The LP aborts at its next pivot poll and returns ctx.Err()
+// when ctx is canceled or its deadline expires.
 func OptimalSplitMCLCtx(ctx context.Context, t *Torus, g *Comm, m Mapping) (float64, *RoutingTable, error) {
 	res, rt, err := mcflow.EvaluateWithRoutesCtx(ctx, t, g, m, lp.Options{})
 	if err != nil {
@@ -141,17 +135,12 @@ type PacketSimConfig = packetsim.Config
 // PacketSimResult reports packet-level simulation statistics.
 type PacketSimResult = packetsim.Result
 
-// PacketSimulate runs the cycle-based packet-level simulator: traffic g
+// PacketSimulateCtx runs the cycle-based packet-level simulator: traffic g
 // mapped by m onto t, forwarded hop by hop under per-hop adaptive minimal
 // routing. It validates (rather than assumes) that low MCL means fast
-// communication.
-func PacketSimulate(t *Torus, g *Comm, m Mapping, cfg PacketSimConfig) (*PacketSimResult, error) {
-	return packetsim.Simulate(t, g, m, cfg)
-}
-
-// PacketSimulateCtx is PacketSimulate under a context, polled every 512
-// simulated cycles; any cancellation (including deadline expiry) aborts
-// with ctx.Err(), since a half-finished simulation has no valid statistics.
+// communication. ctx is polled every 512 simulated cycles; any
+// cancellation (including deadline expiry) aborts with ctx.Err(), since a
+// half-finished simulation has no valid statistics.
 func PacketSimulateCtx(ctx context.Context, t *Torus, g *Comm, m Mapping, cfg PacketSimConfig) (*PacketSimResult, error) {
 	return packetsim.SimulateCtx(ctx, t, g, m, cfg)
 }

@@ -1,6 +1,7 @@
 package rahtm
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -68,7 +69,7 @@ func TestOptimalSplitMCLFacade(t *testing.T) {
 	tp := NewMesh(2, 2)
 	g := NewGraph(4)
 	g.AddTraffic(0, 3, 4)
-	mcl, rt, err := OptimalSplitMCL(tp, g, Identity(4))
+	mcl, rt, err := OptimalSplitMCLCtx(context.Background(), tp, g, Identity(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestPacketSimulateFacadeAgreesWithMCLOrdering(t *testing.T) {
 		t.Skip("random mapping happened to be good; nothing to validate")
 	}
 	cfg := PacketSimConfig{Seed: 1, InjectionRate: 64}
-	rg, err := PacketSimulate(tp, w.Graph, good, cfg)
+	rg, err := PacketSimulateCtx(context.Background(), tp, w.Graph, good, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := PacketSimulate(tp, w.Graph, bad, cfg)
+	rb, err := PacketSimulateCtx(context.Background(), tp, w.Graph, bad, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

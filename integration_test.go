@@ -6,6 +6,7 @@ package rahtm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -81,11 +82,11 @@ coll broadcast-binomial 100 0 1 2 3
 	// decisive analytic win).
 	if MCL(tp, g, def) > 1.3*MCL(tp, g, mapping) {
 		cfg := PacketSimConfig{Seed: 7, InjectionRate: 64}
-		rOpt, err := PacketSimulate(tp, g, mapping, cfg)
+		rOpt, err := PacketSimulateCtx(context.Background(), tp, g, mapping, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rDef, err := PacketSimulate(tp, g, def, cfg)
+		rDef, err := PacketSimulateCtx(context.Background(), tp, g, def, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestEndToEndSuiteConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := []ProcMapper{DefaultMapper(tp), NewHilbert(), NewRHT(), NewRecursiveBisection(), Mapper{}}
-	cs, err := CompareSuite(ws, tp, 4, ms, Model{})
+	cs, err := CompareSuiteCtx(context.Background(), ws, tp, 4, ms, Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestEndToEndConcentratedNASRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cmp, err := Compare(w, tp, 4, []ProcMapper{DefaultMapper(tp), Mapper{}}, Model{})
+		cmp, err := CompareCtx(context.Background(), w, tp, 4, []ProcMapper{DefaultMapper(tp), Mapper{}}, Model{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,10 @@ import (
 // CtxPoll enforces the PR 1 cancellation contract in two parts.
 //
 // Everywhere under internal/, it flags context.Background() and
-// context.TODO(): library code must accept the caller's context. The
-// deliberate pattern — a non-Ctx compatibility wrapper delegating to its
-// ...Ctx sibling — is suppressed explicitly with
-// //rahtm:allow(ctxpoll): so each root context is a documented decision.
+// context.TODO(): library code must accept the caller's context. Every
+// long-running internal entry point takes one and has no context-free
+// twin, so internal code has no reason to mint a root; a root that is
+// still wanted must carry //rahtm:allow(ctxpoll): with its justification.
 //
 // In the solver packages (lp, milp, hiermap, merge), any function that
 // receives a cancellation signal (a context.Context or a done/cancel
@@ -46,7 +46,7 @@ func runCtxPoll(pass *Pass) error {
 				if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
 					fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
 					(fn.Name() == "Background" || fn.Name() == "TODO") {
-					pass.Reportf(sel.Pos(), "context.%s() in internal code: accept the caller's ctx (compatibility wrappers need a rahtm:allow with justification)", fn.Name())
+					pass.Reportf(sel.Pos(), "context.%s() in internal code: accept the caller's ctx (a deliberate root needs a rahtm:allow with justification)", fn.Name())
 				}
 			}
 			return true

@@ -12,8 +12,8 @@ var (
 	// associative) must happen in sorted key order.
 	deterministicPkgs = set("graph", "core", "cluster", "merge", "hiermap", "routing")
 
-	// solverPkgs contain the iterative solvers whose ...Ctx entry
-	// points promise to poll cancellation within bounded iterations.
+	// solverPkgs contain the iterative solvers, whose entry points all
+	// take a ctx and promise to poll it within bounded iterations.
 	// serve is held to the same bar: its workers run under per-request
 	// contexts and any retry/wait loop must observe them.
 	solverPkgs = set("lp", "milp", "hiermap", "merge", "serve")
@@ -23,9 +23,10 @@ var (
 	// counter updates outside loops.
 	hotPkgs = set("routing", "core", "lp", "milp", "hiermap", "merge")
 
-	// concurrentPkgs spawn goroutines (daemon workers, speculative
-	// branch-and-bound, the Phase 2/3 worker pools) and must keep every
-	// one cancellable and joined — the goroutinejoin contract.
+	// concurrentPkgs spawn goroutines (daemon workers, the Phase 2/3
+	// worker pools) and must keep every one cancellable and joined — the
+	// goroutinejoin contract. milp spawns none today; it stays listed so
+	// a future parallel branch-and-bound is held to the contract.
 	concurrentPkgs = set("serve", "milp", "core", "merge")
 )
 
@@ -53,8 +54,8 @@ func IsSolverPkg(path string) bool { return solverPkgs[pkgBase(path)] }
 // IsHotPkg reports whether path is under the telemetry overhead budget.
 func IsHotPkg(path string) bool { return hotPkgs[pkgBase(path)] }
 
-// IsConcurrentPkg reports whether path spawns pooled/speculative
-// goroutines held to the join-or-cancel contract.
+// IsConcurrentPkg reports whether path spawns pooled goroutines held to
+// the join-or-cancel contract.
 func IsConcurrentPkg(path string) bool { return concurrentPkgs[pkgBase(path)] }
 
 // IsScopedPkg reports whether path participates in per-request telemetry

@@ -11,7 +11,7 @@ import (
 // through every solver layer; TestPerRequestMetricsPartition proves the
 // request-local delta plus the background registry equals the process
 // totals exactly. That exactness breaks silently whenever a ctx-carrying
-// function forks off work that no longer sees the scope. Three shapes are
+// function forks off work that no longer sees the scope. Two shapes are
 // reported inside any function that receives a context.Context:
 //
 //   - context.Background()/TODO() passed as a call argument: the callee
@@ -20,13 +20,10 @@ import (
 //   - a routing.MinimalAdaptive composite literal that is not immediately
 //     given the scope via .WithScope(...): the evaluator's stencil-cache
 //     hits/misses land on the process-wide counters instead of the
-//     request's registry, undercounting the request's delta;
-//   - calls to unscoped compatibility wrappers that have a scope-threading
-//     sibling (hiermap.Evaluate → hiermap.EvaluateWith): the wrapper
-//     hard-codes an unscoped evaluator.
+//     request's registry, undercounting the request's delta.
 //
 // Functions without a ctx parameter are exempt — they are the documented
-// unscoped entry points (CLIs, tests, the non-Ctx compatibility shims).
+// unscoped entry points (CLIs, tests, leaf helpers handed an evaluator).
 // WithScope and ScopeFrom are nil-safe, so threading the scope in a path
 // that never carries one costs nothing.
 var ScopeProp = &Analyzer{
@@ -34,12 +31,6 @@ var ScopeProp = &Analyzer{
 	Doc:    "ctx-carrying functions must keep the telemetry scope attached: no root contexts, no unscoped evaluators",
 	Filter: IsScopedPkg,
 	Run:    runScopeProp,
-}
-
-// unscopedSiblings maps known scope-dropping wrappers to the sibling that
-// threads a scope, keyed by (package-path suffix, function name).
-var unscopedSiblings = map[[2]string]string{
-	{"internal/hiermap", "Evaluate"}: "EvaluateWith",
 }
 
 func runScopeProp(pass *Pass) error {
@@ -100,13 +91,6 @@ func checkScopeProp(pass *Pass, body *ast.BlockStmt) {
 					pass.Reportf(arg.Pos(), "root context passed while the caller's ctx (and its telemetry scope) is in hand; pass ctx through so the per-request metrics partition stays exact")
 				}
 			}
-			if pkgPath, name, ok := calledPkgFunc(pass, n); ok {
-				for key, sibling := range unscopedSiblings {
-					if name == key[1] && strings.HasSuffix(pkgPath, key[0]) {
-						pass.Reportf(n.Pos(), "%s hard-codes an unscoped evaluator; call %s with a scope-threaded routing.MinimalAdaptive instead", name, sibling)
-					}
-				}
-			}
 		}
 		return true
 	})
@@ -151,21 +135,4 @@ func isRootCtxCall(pass *Pass, e ast.Expr) bool {
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
 		(fn.Name() == "Background" || fn.Name() == "TODO")
-}
-
-// calledPkgFunc resolves a call to a package-level function, returning its
-// package path and name.
-func calledPkgFunc(pass *Pass, call *ast.CallExpr) (pkgPath, name string, ok bool) {
-	sel, selOk := call.Fun.(*ast.SelectorExpr)
-	if !selOk {
-		return "", "", false
-	}
-	fn, fnOk := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !fnOk || fn.Pkg() == nil {
-		return "", "", false
-	}
-	if sig, sigOk := fn.Type().(*types.Signature); !sigOk || sig.Recv() != nil {
-		return "", "", false
-	}
-	return fn.Pkg().Path(), fn.Name(), true
 }

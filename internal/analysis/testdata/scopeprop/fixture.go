@@ -1,7 +1,7 @@
 // Fixture for the scopeprop analyzer: a ctx-carrying function must keep
 // the request's telemetry scope attached — no root contexts handed to
-// callees, no unscoped evaluators, no scope-dropping compatibility
-// wrappers. Checked under the synthetic import path rahtm/internal/core.
+// callees, no unscoped evaluators. Checked under the synthetic import path
+// rahtm/internal/core.
 package fixture
 
 import (
@@ -29,13 +29,8 @@ func badUnscopedEvaluator(ctx context.Context, loads []float64) routing.MinimalA
 	return alg
 }
 
-// badCompatWrapper calls the scope-dropping sibling of EvaluateWith.
-func badCompatWrapper(ctx context.Context, g *graph.Comm, shape []int, m topology.Mapping) float64 {
-	return hiermap.Evaluate(g, shape, true, m) // want `scopeprop: Evaluate hard-codes an unscoped evaluator; call EvaluateWith`
-}
-
-// goodScoped is the clean twin: the scope rides ctx into the evaluator and
-// the scope-threading sibling carries it to the solve.
+// goodScoped is the clean twin: the scope rides ctx into the evaluator,
+// which carries it to the solve.
 func goodScoped(ctx context.Context, g *graph.Comm, shape []int, m topology.Mapping) float64 {
 	alg := routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))
 	return hiermap.EvaluateWith(g, shape, true, m, alg)
@@ -47,11 +42,9 @@ func goodCtxThreaded(ctx context.Context) {
 }
 
 // goodNoCtx has no ctx parameter: it is a documented unscoped entry point
-// (CLI, test, non-Ctx compatibility shim) and is exempt.
+// (CLI, test, leaf helper) and is exempt.
 func goodNoCtx(g *graph.Comm, shape []int, m topology.Mapping) float64 {
-	alg := routing.MinimalAdaptive{}
-	_ = alg
-	return hiermap.Evaluate(g, shape, true, m)
+	return hiermap.EvaluateWith(g, shape, true, m, routing.MinimalAdaptive{})
 }
 
 // allowedRoot shows a justified suppression: no diagnostic expected.

@@ -3,10 +3,12 @@
 // mapping of cluster graphs onto 2-ary n-cubes, and Phase 3 bottom-up
 // rotation/reorientation merging with top-N pruning.
 //
-// The entry point is MapProcesses, which takes a process-level communication
-// graph, a power-of-two torus/mesh topology, and a configuration, and
-// produces a process-to-node mapping that minimizes the maximum channel
-// load under the minimal-adaptive routing approximation.
+// The entry point is MapPartitionedCtx, which takes a context, a
+// process-level communication graph, a torus/mesh topology, and a
+// configuration, and produces a process-to-node mapping that minimizes the
+// maximum channel load under the minimal-adaptive routing approximation.
+// Power-of-two topologies go straight to MapProcessesCtx; others are split
+// into power-of-two boxes first.
 package core
 
 import (
@@ -134,12 +136,6 @@ type Result struct {
 // ProcTask returns the node-level task (post-concentration cluster) of a
 // process rank.
 func (r *Result) ProcTask(p int) int { return r.procToTask[p] }
-
-// MapProcesses runs RAHTM end to end.
-func MapProcesses(proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return MapProcessesCtx(context.Background(), proc, t, cfg)
-}
 
 // MapProcessesCtx runs RAHTM end to end under a context. Hard cancellation
 // (ctx canceled outright) aborts promptly with ctx.Err(); an expired

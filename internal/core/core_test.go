@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestPipelineSixteenProcessExample(t *testing.T) {
 	// The paper's running example scale: 16 processes onto a 4x4 torus.
 	tp := topology.NewTorus(4, 4)
 	g := halo2D(4, 4, 10)
-	res, err := MapProcesses(g, tp, Config{GridDims: []int{4, 4}})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{4, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestPipelineBeatsDefaultOnButterfly(t *testing.T) {
 	// RAHTM should find a strictly better placement.
 	tp := topology.NewTorus(4, 4)
 	g := butterflyRows(2, 8, 5)
-	res, err := MapProcesses(g, tp, Config{GridDims: []int{2, 8}})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{2, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestPipelineConcentration(t *testing.T) {
 	// 64 processes on a 4x4 torus with 4 processes per node.
 	tp := topology.NewTorus(4, 4)
 	g := halo2D(8, 8, 3)
-	res, err := MapProcesses(g, tp, Config{Concentration: 4, GridDims: []int{8, 8}})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{Concentration: 4, GridDims: []int{8, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestPipelineConcentration(t *testing.T) {
 func TestPipelineThreeDimensional(t *testing.T) {
 	tp := topology.NewTorus(4, 4, 2)
 	g := halo2D(8, 4, 2) // 32 processes on a 2-D logical grid
-	res, err := MapProcesses(g, tp, Config{GridDims: []int{8, 4}})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{8, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
 	g := butterflyRows(4, 4, 2)
 	cfg := Config{GridDims: []int{4, 4}}
-	a, err := MapProcesses(g, tp, cfg)
+	a, err := MapProcessesCtx(context.Background(), g, tp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MapProcesses(g, tp, cfg)
+	b, err := MapProcessesCtx(context.Background(), g, tp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +153,14 @@ func TestPipelineDeterminism(t *testing.T) {
 func TestPipelineSiblingReuse(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
 	g := halo2D(4, 4, 1)
-	withReuse, err := MapProcesses(g, tp, Config{GridDims: []int{4, 4}})
+	withReuse, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{4, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withReuse.Stats.SubproblemsHit == 0 {
 		t.Fatalf("uniform stencil should hit the phase-2 cache: %+v", withReuse.Stats)
 	}
-	noReuse, err := MapProcesses(g, tp, Config{GridDims: []int{4, 4}, DisableSiblingReuse: true})
+	noReuse, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{4, 4}, DisableSiblingReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +176,13 @@ func TestPipelineSiblingReuse(t *testing.T) {
 
 func TestPipelineErrors(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	if _, err := MapProcesses(graph.New(15), tp, Config{}); err == nil {
+	if _, err := MapProcessesCtx(context.Background(), graph.New(15), tp, Config{}); err == nil {
 		t.Fatal("expected error: 15 processes on 16 nodes")
 	}
-	if _, err := MapProcesses(graph.New(12), topology.NewTorus(3, 4), Config{}); err == nil {
+	if _, err := MapProcessesCtx(context.Background(), graph.New(12), topology.NewTorus(3, 4), Config{}); err == nil {
 		t.Fatal("expected error: non-power-of-two topology")
 	}
-	if _, err := MapProcesses(graph.New(32), tp, Config{Concentration: 3}); err == nil {
+	if _, err := MapProcessesCtx(context.Background(), graph.New(32), tp, Config{Concentration: 3}); err == nil {
 		t.Fatal("expected error: concentration mismatch")
 	}
 }
@@ -189,7 +190,7 @@ func TestPipelineErrors(t *testing.T) {
 func TestPipelineMeshTopology(t *testing.T) {
 	tp := topology.NewMesh(4, 4)
 	g := halo2D(4, 4, 1)
-	res, err := MapProcesses(g, tp, Config{GridDims: []int{4, 4}})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{4, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestPipelineMeshTopology(t *testing.T) {
 func TestPipelineGreedyFallbackWithoutGrid(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
 	g := butterflyRows(4, 4, 1)
-	res, err := MapProcesses(g, tp, Config{}) // no GridDims
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{}) // no GridDims
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestPipelineThreeLevelHierarchy(t *testing.T) {
 	// top-down mapping and two rounds of bottom-up merging.
 	tp := topology.NewTorus(8, 8)
 	g := halo2D(8, 8, 4)
-	res, err := MapProcesses(g, tp, Config{GridDims: []int{8, 8}})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{GridDims: []int{8, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestPipelineTwoNodeTorus(t *testing.T) {
 	tp := topology.NewTorus(2)
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 5)
-	res, err := MapProcesses(g, tp, Config{})
+	res, err := MapProcessesCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -54,11 +55,11 @@ func runPair(t *testing.T, g *graph.Comm, tp *topology.Torus, cfg Config) (*Resu
 	parCfg := cfg
 	parCfg.Parallelism = 8
 
-	seq, err := MapProcesses(g, tp, seqCfg)
+	seq, err := MapProcessesCtx(context.Background(), g, tp, seqCfg)
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}
-	par, err := MapProcesses(g, tp, parCfg)
+	par, err := MapProcessesCtx(context.Background(), g, tp, parCfg)
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}

@@ -13,9 +13,9 @@ import (
 	"rahtm/internal/topology"
 )
 
-// MapPartitioned extends MapProcesses to tori whose dimensions are not
-// powers of two, implementing §III-B's prescription: "topologies that do
-// not satisfy this constraint may be partitioned into smaller partitions
+// MapPartitionedCtx extends MapProcessesCtx to tori whose dimensions are
+// not powers of two, implementing §III-B's prescription: "topologies that
+// do not satisfy this constraint may be partitioned into smaller partitions
 // where the property holds. We then apply RAHTM to each one of the
 // partitions and then merge back the mappings."
 //
@@ -27,13 +27,8 @@ import (
 // placements compose. (Cross-partition rotation merging is not applicable
 // because the partitions have different shapes; the partition cut is
 // minimized instead.)
-func MapPartitioned(proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return MapPartitionedCtx(context.Background(), proc, t, cfg)
-}
-
-// MapPartitionedCtx is MapPartitioned under a context, with the same
-// cancellation semantics as MapProcessesCtx: hard cancellation aborts with
+//
+// Cancellation follows MapProcessesCtx: hard cancellation aborts with
 // ctx.Err() at the next per-partition boundary, deadline expiry degrades
 // each remaining partition to its best-so-far mapping.
 func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, error) {

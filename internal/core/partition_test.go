@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rahtm/internal/graph"
@@ -101,7 +102,7 @@ func TestMapPartitionedNonPowerOfTwoTorus(t *testing.T) {
 			g.AddTraffic(id(i, j), id((i+1)%6, j), 5)
 		}
 	}
-	res, err := MapPartitioned(g, tp, Config{GridDims: []int{6, 4}})
+	res, err := MapPartitionedCtx(context.Background(), g, tp, Config{GridDims: []int{6, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestMapPartitionedDelegatesForPowerOfTwo(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
 	g := graph.New(16)
 	g.AddTraffic(0, 1, 5)
-	a, err := MapPartitioned(g, tp, Config{})
+	a, err := MapPartitionedCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MapProcesses(g, tp, Config{})
+	b, err := MapProcessesCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestMapPartitionedWithConcentration(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		g.AddTraffic(i, (i+1)%48, 3)
 	}
-	res, err := MapPartitioned(g, tp, Config{Concentration: 2})
+	res, err := MapPartitionedCtx(context.Background(), g, tp, Config{Concentration: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestMapPartitionedSingleNodeBoxes(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		g.AddTraffic(i, (i+1)%6, 1)
 	}
-	res, err := MapPartitioned(g, tp, Config{})
+	res, err := MapPartitionedCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMapPartitionedSingleNodeBoxes(t *testing.T) {
 
 func TestMapPartitionedSizeMismatch(t *testing.T) {
 	tp := topology.NewTorus(6, 4)
-	if _, err := MapPartitioned(graph.New(23), tp, Config{}); err == nil {
+	if _, err := MapPartitionedCtx(context.Background(), graph.New(23), tp, Config{}); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 }

@@ -135,14 +135,14 @@ func TestAnnealMCLIsEvaluated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := res.MCL, Evaluate(g, shape, torus, res.Mapping); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("torus=%v degraded=%v: Result.MCL %.17g, Evaluate %.17g", torus, res.Degraded, got, want)
+		if got, want := res.MCL, EvaluateWith(g, shape, torus, res.Mapping, routing.MinimalAdaptive{}); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("torus=%v degraded=%v: Result.MCL %.17g, EvaluateWith %.17g", torus, res.Degraded, got, want)
 		}
 	}
 	for _, torus := range []bool{false, true} {
 		for seed := int64(1); seed <= 8; seed++ {
 			g := randomGraph(16, 40+seed)
-			res, err := Map(g, shape, Config{Method: Anneal, Torus: torus, AnnealIters: 2000, AnnealRestarts: 2, Seed: seed})
+			res, err := MapCtx(context.Background(), g, shape, Config{Method: Anneal, Torus: torus, AnnealIters: 2000, AnnealRestarts: 2, Seed: seed})
 			check(g, torus, res, err)
 		}
 	}

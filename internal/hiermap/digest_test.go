@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 )
 
@@ -38,7 +39,7 @@ var leafCases = []struct {
 const leafDigest = "69684550fb4fcb4384d436df44489af85b290671046aef8c5e1c3695eb4d3166"
 
 // leafSolveDigest hashes, per case: the mapping, the bits of a fresh
-// Evaluate of it, Method/Proved/Degraded, and the anneal counter deltas
+// EvaluateWith of it, Method/Proved/Degraded, and the anneal counter deltas
 // read from the solve's own scope.
 func leafSolveDigest() (string, error) {
 	h := sha256.New()
@@ -69,7 +70,7 @@ func leafSolveDigest() (string, error) {
 			for _, v := range res.Mapping {
 				put(uint64(v))
 			}
-			put(math.Float64bits(Evaluate(g, c.shape, c.torus, res.Mapping)))
+			put(math.Float64bits(EvaluateWith(g, c.shape, c.torus, res.Mapping, routing.MinimalAdaptive{})))
 			put(uint64(res.Method))
 			put(bit(res.Proved))
 			put(bit(res.Degraded))

@@ -97,15 +97,9 @@ type Result struct {
 	Degraded bool
 }
 
-// Map places the |V| clusters of g onto the cube with the given {1,2}^n
-// shape (|V| must equal the cube size).
-func Map(g *graph.Comm, shape []int, cfg Config) (*Result, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return MapCtx(context.Background(), g, shape, cfg)
-}
-
-// MapCtx is Map under a context. Hard cancellation aborts the solver at
-// its next poll and returns ctx.Err(); an expired deadline degrades
+// MapCtx places the |V| clusters of g onto the cube with the given {1,2}^n
+// shape (|V| must equal the cube size). Hard cancellation aborts the solver
+// at its next poll and returns ctx.Err(); an expired deadline degrades
 // gracefully — the solver stops searching and returns its best-so-far valid
 // placement with Result.Degraded set.
 func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Result, error) {
@@ -166,14 +160,9 @@ func cubeTopology(shape []int, torus bool) *topology.Torus {
 	return topology.NewMesh(shape...)
 }
 
-// Evaluate scores an existing placement with the uniform-split model.
-func Evaluate(g *graph.Comm, shape []int, torus bool, m topology.Mapping) float64 {
-	return EvaluateWith(g, shape, torus, m, routing.MinimalAdaptive{})
-}
-
-// EvaluateWith is Evaluate with a caller-supplied evaluator, so request-
-// scoped callers (routing.MinimalAdaptive.WithScope) keep their stencil
-// attribution.
+// EvaluateWith scores an existing placement with the uniform-split model
+// under the caller's evaluator, so request-scoped callers
+// (routing.MinimalAdaptive.WithScope) keep their stencil attribution.
 func EvaluateWith(g *graph.Comm, shape []int, torus bool, m topology.Mapping, alg routing.MinimalAdaptive) float64 {
 	return routing.MaxChannelLoad(cubeTopology(shape, torus), g, m, alg)
 }

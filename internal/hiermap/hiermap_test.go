@@ -1,6 +1,7 @@
 package hiermap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,7 +39,7 @@ func diagonalDistance(shape []int, m topology.Mapping, a, b int) int {
 }
 
 func TestExhaustiveFigure1PutsHeavyPairOnDiagonal(t *testing.T) {
-	res, err := Map(figure1Graph(), []int{2, 2}, Config{Method: Exhaustive})
+	res, err := MapCtx(context.Background(), figure1Graph(), []int{2, 2}, Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestExhaustiveFigure1PutsHeavyPairOnDiagonal(t *testing.T) {
 }
 
 func TestMILPFigure1PutsHeavyPairOnDiagonal(t *testing.T) {
-	res, err := Map(figure1Graph(), []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), figure1Graph(), []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +74,12 @@ func TestMILPObjectiveMatchesLPEvaluator(t *testing.T) {
 	// MCL no worse than any other placement's.
 	g := figure1Graph()
 	shape := []int{2, 2}
-	res, err := Map(g, shape, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, shape, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mesh := topology.NewMesh(shape...)
-	milpEval, err := mcflow.Evaluate(mesh, g, res.Mapping, lp.Options{})
+	milpEval, _, err := mcflow.EvaluateWithRoutesCtx(context.Background(), mesh, g, res.Mapping, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestMILPObjectiveMatchesLPEvaluator(t *testing.T) {
 	var permute func(k int)
 	permute = func(k int) {
 		if k == 4 {
-			ev, err := mcflow.Evaluate(mesh, g, topology.Mapping(perm), lp.Options{})
+			ev, _, err := mcflow.EvaluateWithRoutesCtx(context.Background(), mesh, g, topology.Mapping(perm), lp.Options{})
 			if err == nil && ev.MCL < best {
 				best = ev.MCL
 			}
@@ -113,7 +114,7 @@ func TestExhaustiveMatchesBruteForceUniformModel(t *testing.T) {
 		for e := 0; e < 6; e++ {
 			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
-		res, err := Map(g, []int{2, 2}, Config{Method: Exhaustive})
+		res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,19 +151,19 @@ func TestMILPNeverWorseThanExhaustiveUnderLPModel(t *testing.T) {
 		for e := 0; e < 5; e++ {
 			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(5)))
 		}
-		mRes, err := Map(g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute, Seed: int64(trial)})
+		mRes, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eRes, err := Map(g, []int{2, 2}, Config{Method: Exhaustive})
+		eRes, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mEval, err := mcflow.Evaluate(mesh, g, mRes.Mapping, lp.Options{})
+		mEval, _, err := mcflow.EvaluateWithRoutesCtx(context.Background(), mesh, g, mRes.Mapping, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eEval, err := mcflow.Evaluate(mesh, g, eRes.Mapping, lp.Options{})
+		eEval, _, err := mcflow.EvaluateWithRoutesCtx(context.Background(), mesh, g, eRes.Mapping, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +175,11 @@ func TestMILPNeverWorseThanExhaustiveUnderLPModel(t *testing.T) {
 
 func TestAnnealFindsGoodRingMapping(t *testing.T) {
 	g := ringGraph(8, 5)
-	aRes, err := Map(g, []int{2, 2, 2}, Config{Method: Anneal, Seed: 3})
+	aRes, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Anneal, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eRes, err := Map(g, []int{2, 2, 2}, Config{Method: Exhaustive})
+	eRes, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +194,14 @@ func TestAnnealFindsGoodRingMapping(t *testing.T) {
 }
 
 func TestAutoSelectsBySize(t *testing.T) {
-	res, err := Map(ringGraph(4, 1), []int{2, 2}, Config{})
+	res, err := MapCtx(context.Background(), ringGraph(4, 1), []int{2, 2}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != Exhaustive {
 		t.Fatalf("auto picked %v for 4 nodes, want exhaustive", res.Method)
 	}
-	res, err = Map(ringGraph(16, 1), []int{2, 2, 2, 2}, Config{AnnealIters: 500})
+	res, err = MapCtx(context.Background(), ringGraph(16, 1), []int{2, 2, 2, 2}, Config{AnnealIters: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +215,14 @@ func TestTorusDoubleLinksHalveLoad(t *testing.T) {
 	// across the double links.
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 8)
-	res, err := Map(g, []int{2, 1}, Config{Method: Exhaustive, Torus: true})
+	res, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: Exhaustive, Torus: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.MCL-4) > 1e-9 {
 		t.Fatalf("torus MCL = %v, want 4 (double-wide links)", res.MCL)
 	}
-	res, err = Map(g, []int{2, 1}, Config{Method: Exhaustive})
+	res, err = MapCtx(context.Background(), g, []int{2, 1}, Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +232,10 @@ func TestTorusDoubleLinksHalveLoad(t *testing.T) {
 }
 
 func TestMapValidation(t *testing.T) {
-	if _, err := Map(ringGraph(4, 1), []int{3, 2}, Config{}); err == nil {
+	if _, err := MapCtx(context.Background(), ringGraph(4, 1), []int{3, 2}, Config{}); err == nil {
 		t.Fatal("expected error for non-2-ary shape")
 	}
-	if _, err := Map(ringGraph(3, 1), []int{2, 2}, Config{}); err == nil {
+	if _, err := MapCtx(context.Background(), ringGraph(3, 1), []int{2, 2}, Config{}); err == nil {
 		t.Fatal("expected error for size mismatch")
 	}
 }
@@ -251,12 +252,12 @@ func TestMethodString(t *testing.T) {
 
 func TestEvaluateConsistentWithResult(t *testing.T) {
 	g := figure1Graph()
-	res, err := Map(g, []int{2, 2}, Config{Method: Exhaustive})
+	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev := Evaluate(g, []int{2, 2}, false, res.Mapping); math.Abs(ev-res.MCL) > 1e-12 {
-		t.Fatalf("Evaluate = %v, Result.MCL = %v", ev, res.MCL)
+	if ev := EvaluateWith(g, []int{2, 2}, false, res.Mapping, routing.MinimalAdaptive{}); math.Abs(ev-res.MCL) > 1e-12 {
+		t.Fatalf("EvaluateWith = %v, Result.MCL = %v", ev, res.MCL)
 	}
 }
 
@@ -268,7 +269,7 @@ func TestExhaustiveProducesPermutation(t *testing.T) {
 		for e := 0; e < 12; e++ {
 			g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(4)))
 		}
-		res, err := Map(g, []int{2, 2, 2}, Config{Method: Exhaustive})
+		res, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package hiermap
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 func TestMILPTrivialTwoNodeShape(t *testing.T) {
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 6)
-	res, err := Map(g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +31,11 @@ func TestMILPTorusCapacityHalvesLoad(t *testing.T) {
 	// torus (split across the pair), i.e. half the mesh load.
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 8)
-	mesh, err := Map(g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
+	mesh, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	torus, err := Map(g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute, Torus: true})
+	torus, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute, Torus: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMILPTorusCapacityHalvesLoad(t *testing.T) {
 func TestMILPEmptyGraph(t *testing.T) {
 	// No flows: any placement is optimal with MCL 0.
 	g := graph.New(4)
-	res, err := Map(g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestMILPDeadlineStillReturnsMapping(t *testing.T) {
 			}
 		}
 	}
-	res, err := Map(g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Millisecond})
+	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMILPSymmetryPinRespected(t *testing.T) {
 	g := graph.New(4)
 	g.AddTraffic(2, 3, 10)
 	g.AddTraffic(0, 1, 1)
-	res, err := Map(g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestIterationLimit(t *testing.T) {
 		p.SetObjectiveCoef(i, -1)
 		p.AddConstraint([]Term{{Var: i, Coef: 1}, {Var: (i + 1) % 4, Coef: 1}}, LE, float64(3+i))
 	}
-	sol, err := p.SolveOpts(Options{MaxIters: 1})
+	sol, err := p.SolveCtx(context.Background(), Options{MaxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestLargeCoefficientScaling(t *testing.T) {
 	p.SetObjectiveCoef(0, 1e-6)
 	p.SetObjectiveCoef(1, 1e6)
 	p.AddConstraint([]Term{{Var: 0, Coef: 1e6}, {Var: 1, Coef: 1e-6}}, GE, 2e6)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,14 +231,6 @@ type Options struct {
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
-// Solve minimizes the problem with the default options.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }
-
-// SolveOpts minimizes the problem with explicit options.
-func (p *Problem) SolveOpts(opt Options) (*Solution, error) {
-	return solveSimplex(p, opt, nil)
-}
-
 // SolveCtx minimizes the problem under a context: the pivot loop polls
 // ctx periodically and aborts with ctx.Err() when it is done. On
 // cancellation the returned Solution has Status Canceled and the error is

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,7 +10,7 @@ const testTol = 1e-6
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v\n%s", err, p)
 	}
@@ -82,7 +83,7 @@ func TestSimplexInfeasible(t *testing.T) {
 	p.SetObjectiveCoef(0, 1)
 	p.AddConstraint([]Term{{0, 1}}, LE, 1)
 	p.AddConstraint([]Term{{0, 1}}, GE, 2)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSimplexUnbounded(t *testing.T) {
 	// min -x with only x >= 0: unbounded below.
 	p := NewProblem(1)
 	p.SetObjectiveCoef(0, -1)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSimplexUnboundedWithConstraint(t *testing.T) {
 	p.SetObjectiveCoef(0, -1)
 	p.SetObjectiveCoef(1, 1)
 	p.AddConstraint([]Term{{1, 1}}, GE, 1)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,7 +160,7 @@ func TestSimplexAgainstVertexOracle(t *testing.T) {
 			}
 			p.AddConstraint(terms, LE, b[i])
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveCtx(context.Background(), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -201,7 +202,7 @@ func TestQuickSimplexDominatesRandomFeasiblePoints(t *testing.T) {
 			b[i] = float64(1 + rng.Intn(9))
 			p.AddConstraint(terms, LE, b[i])
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveCtx(context.Background(), Options{})
 		if err != nil || sol.Status != Optimal {
 			return false
 		}

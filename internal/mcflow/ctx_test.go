@@ -15,7 +15,7 @@ func TestEvaluateCtxBackground(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
 	g := graph.New(tp.N())
 	g.AddTraffic(0, 5, 10)
-	res, err := EvaluateCtx(context.Background(), tp, g, topology.Identity(tp.N()), lp.Options{})
+	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(tp.N()), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestEvaluateCtxCanceled(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
 	g := graph.New(tp.N())
 	g.AddTraffic(0, 5, 10)
-	_, err := EvaluateCtx(ctx, tp, g, topology.Identity(tp.N()), lp.Options{})
+	_, _, err := EvaluateWithRoutesCtx(ctx, tp, g, topology.Identity(tp.N()), lp.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

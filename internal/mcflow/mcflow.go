@@ -28,33 +28,22 @@ type Result struct {
 	Loads []float64 // per-channel loads of the optimal split
 }
 
-// Evaluate computes the optimal minimal-routing MCL for graph g mapped onto
-// t by m. Flows are restricted to channels that lie on minimal paths
-// (distance-decreasing hops through nodes on some minimal source-destination
-// path). Tasks sharing a node contribute nothing.
-func Evaluate(t *topology.Torus, g *graph.Comm, m topology.Mapping, opt lp.Options) (*Result, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	res, _, err := evaluate(context.Background(), t, g, m, opt, false)
-	return res, err
-}
-
-// EvaluateCtx is Evaluate under a context: the LP aborts at its next pivot
-// poll when ctx is canceled or its deadline expires, returning ctx.Err().
-// The evaluator has no meaningful partial result, so deadline expiry is an
-// error here, unlike in the mapping pipeline.
-func EvaluateCtx(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.Mapping, opt lp.Options) (*Result, error) {
-	res, _, err := evaluate(ctx, t, g, m, opt, false)
-	return res, err
-}
-
 type nodeFlow struct {
 	src, dst int
 	vol      float64
 }
 
-// evaluate builds and solves the fixed-mapping min-MCL LP; with wantRoutes
-// it additionally extracts the per-flow channel splits.
-func evaluate(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.Mapping, opt lp.Options, wantRoutes bool) (*Result, []RouteSplit, error) {
+// EvaluateWithRoutesCtx computes the optimal minimal-routing MCL for graph
+// g mapped onto t by m, together with the per-flow routing table extracted
+// from the LP solution. Flows are restricted to channels that lie on minimal
+// paths (distance-decreasing hops through nodes on some minimal
+// source-destination path). Tasks sharing a node contribute nothing.
+//
+// The LP aborts at its next pivot poll when ctx is canceled or its deadline
+// expires, returning ctx.Err(). The evaluator has no meaningful partial
+// result, so deadline expiry is an error here, unlike in the mapping
+// pipeline.
+func EvaluateWithRoutesCtx(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.Mapping, opt lp.Options) (*Result, *RoutingTable, error) {
 	if len(m) != g.N() {
 		return nil, nil, fmt.Errorf("mcflow: mapping covers %d tasks, graph has %d", len(m), g.N())
 	}
@@ -178,9 +167,6 @@ func evaluate(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.
 		}
 	}
 	res := &Result{MCL: routing.MCL(loads), Loads: loads}
-	if !wantRoutes {
-		return res, nil, nil
-	}
 	splits := make([]RouteSplit, 0, len(nf))
 	for fi, f := range nf {
 		s := RouteSplit{Src: f.src, Dst: f.dst, Vol: f.vol, Fraction: make(map[int]float64)}
@@ -192,5 +178,5 @@ func evaluate(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.
 		}
 		splits = append(splits, s)
 	}
-	return res, splits, nil
+	return res, &RoutingTable{Topo: t, Splits: splits}, nil
 }

@@ -1,6 +1,7 @@
 package mcflow
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func TestSingleFlowLine(t *testing.T) {
 	tp := topology.NewMesh(3)
 	g := graph.New(3)
 	g.AddTraffic(0, 2, 4)
-	res, err := Evaluate(tp, g, topology.Identity(3), lp.Options{})
+	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(3), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestLPBeatsOrMatchesUniformSplit(t *testing.T) {
 	g.AddTraffic(1, 2, 1) // (0,1)->(1,0)
 	m := topology.Identity(4)
 	uniform := routing.MaxChannelLoad(tp, g, m, routing.MinimalAdaptive{})
-	res, err := Evaluate(tp, g, m, lp.Options{})
+	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestColocatedTasksFree(t *testing.T) {
 	g.AddTraffic(0, 1, 100)
 	g.AddTraffic(2, 3, 1)
 	m := topology.Mapping{0, 0, 0, 1} // heavy pair shares node 0
-	res, err := Evaluate(tp, g, m, lp.Options{})
+	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestAggregationAcrossTasks(t *testing.T) {
 	g.AddTraffic(0, 2, 1)
 	g.AddTraffic(1, 2, 1)
 	m := topology.Mapping{0, 0, 1}
-	res, err := Evaluate(tp, g, m, lp.Options{})
+	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestAggregationAcrossTasks(t *testing.T) {
 func TestMappingLengthMismatch(t *testing.T) {
 	tp := topology.NewMesh(2)
 	g := graph.New(3)
-	if _, err := Evaluate(tp, g, topology.Mapping{0, 1}, lp.Options{}); err == nil {
+	if _, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Mapping{0, 1}, lp.Options{}); err == nil {
 		t.Fatal("expected error for short mapping")
 	}
 }
@@ -96,7 +97,7 @@ func TestTorusTieUsesBothDirections(t *testing.T) {
 	g := graph.New(4)
 	g.AddTraffic(0, 2, 1)
 	g.AddTraffic(1, 3, 1)
-	res, err := Evaluate(tp, g, topology.Identity(4), lp.Options{})
+	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(4), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestQuickLPBoundsAgainstUniform(t *testing.T) {
 		}
 		m := topology.Mapping(rng.Perm(n))
 		uniform := routing.MaxChannelLoad(tp, g, m, routing.MinimalAdaptive{})
-		res, err := Evaluate(tp, g, m, lp.Options{})
+		res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,13 +1,10 @@
 package mcflow
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
-	"rahtm/internal/graph"
-	"rahtm/internal/lp"
 	"rahtm/internal/routing"
 	"rahtm/internal/topology"
 )
@@ -26,23 +23,6 @@ type RouteSplit struct {
 type RoutingTable struct {
 	Topo   *topology.Torus
 	Splits []RouteSplit
-}
-
-// EvaluateWithRoutes is Evaluate plus the per-flow routing table extracted
-// from the LP solution.
-func EvaluateWithRoutes(t *topology.Torus, g *graph.Comm, m topology.Mapping, opt lp.Options) (*Result, *RoutingTable, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return EvaluateWithRoutesCtx(context.Background(), t, g, m, opt)
-}
-
-// EvaluateWithRoutesCtx is EvaluateWithRoutes under a context, with
-// EvaluateCtx's cancellation semantics.
-func EvaluateWithRoutesCtx(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.Mapping, opt lp.Options) (*Result, *RoutingTable, error) {
-	res, splits, err := evaluate(ctx, t, g, m, opt, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &RoutingTable{Topo: t, Splits: splits}, nil
 }
 
 // String renders the table compactly for inspection.

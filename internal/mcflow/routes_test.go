@@ -1,6 +1,7 @@
 package mcflow
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -16,7 +17,7 @@ func TestRoutesMatchLoads(t *testing.T) {
 	g := graph.New(4)
 	g.AddTraffic(0, 3, 4)
 	g.AddTraffic(1, 2, 2)
-	res, rt, err := EvaluateWithRoutes(tp, g, topology.Identity(4), lp.Options{})
+	res, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(4), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestRoutesConserved(t *testing.T) {
 		for e := 0; e < 4; e++ {
 			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
-		_, rt, err := EvaluateWithRoutes(tp, g, topology.Mapping(rng.Perm(4)), lp.Options{})
+		_, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Mapping(rng.Perm(4)), lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestRoutesFractionsSumToOneAtSource(t *testing.T) {
 	tp := topology.NewMesh(3)
 	g := graph.New(3)
 	g.AddTraffic(0, 2, 5)
-	_, rt, err := EvaluateWithRoutes(tp, g, topology.Identity(3), lp.Options{})
+	_, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(3), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRoutingTableString(t *testing.T) {
 	tp := topology.NewMesh(2, 2)
 	g := graph.New(4)
 	g.AddTraffic(0, 3, 4)
-	_, rt, err := EvaluateWithRoutes(tp, g, topology.Identity(4), lp.Options{})
+	_, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(4), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

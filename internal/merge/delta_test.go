@@ -32,7 +32,7 @@ func deltaChildren(t *testing.T, g *graph.Comm, nchild, tpc int, childShape []in
 			leaves[j] = NewLeafBlock([]int{i*tpc + j}, ones, topology.Mapping{0}, 0)
 			pins[j] = j
 		}
-		blk, err := Merge(g, leaves, childShape, pins, Config{BeamWidth: 4, MaxOrientations: 8})
+		blk, err := MergeCtx(context.Background(), g, leaves, childShape, pins, Config{BeamWidth: 4, MaxOrientations: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +66,23 @@ func wantSameBlock(t *testing.T, want, got *Block, label string) {
 			if got.Candidates[i].Local[j] != p {
 				t.Fatalf("%s: candidate %d task %d at %d, want %d",
 					label, i, j, got.Candidates[i].Local[j], p)
+			}
+		}
+	}
+}
+
+// addFlows is addFlowsDelta into a dense vector, same flow order, with the
+// child's tasks found through a map of its own rather than taskChild: the
+// internal-load deposit of denseOrder and denseMerge.
+func (m *merger) addFlows(tasks []int, pos []int, loads []float64) {
+	at := make(map[int]int, len(tasks))
+	for i, t := range tasks {
+		at[t] = pos[i]
+	}
+	for _, t := range tasks {
+		for ni, d := range m.nbr[t] {
+			if pd, ok := at[int(d)]; ok {
+				m.alg.AddLoads(m.parent, at[t], pd, m.nvol[t][ni], loads)
 			}
 		}
 	}
@@ -119,7 +136,7 @@ func denseOrder(m *merger) []int {
 			p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
 			pl[i][oi] = p
 			internal[i][oi] = make([]float64, nch)
-			m.addFlows(m.children[i].Tasks, p, m.children[i].Tasks, p, internal[i][oi], true)
+			m.addFlows(m.children[i].Tasks, p, internal[i][oi])
 		}
 	}
 	buf := make([]float64, nch)
@@ -199,7 +216,7 @@ func denseMerge(m *merger) *Block {
 			in, ok := internal[[3]int{c, o, q}]
 			if !ok {
 				in = make([]float64, len(buf))
-				m.addFlows(tasks, p, tasks, p, in, true)
+				m.addFlows(tasks, p, in)
 				internal[[3]int{c, o, q}] = in
 			}
 			copy(buf, in)

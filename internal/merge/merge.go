@@ -288,15 +288,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Merge combines child blocks arranged on a {1,2}^n cube into their parent
-// block. childPos[i] is the pinned cube position of child i (row-major over
-// cubeShape) from Phase 2. g is the global task-level communication graph.
-func Merge(g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config) (*Block, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return MergeCtx(context.Background(), g, children, cubeShape, childPos, cfg)
-}
-
-// MergeCtx is Merge under a context. Hard cancellation aborts the beam
+// MergeCtx combines child blocks arranged on a {1,2}^n cube into their
+// parent block. childPos[i] is the pinned cube position of child i
+// (row-major over cubeShape) from Phase 2. g is the global task-level
+// communication graph. Hard cancellation aborts the beam
 // search (workers bail at their next poll) and returns ctx.Err(); an
 // expired deadline stops searching and completes the remaining children
 // greedily — pinned positions, first candidate, identity orientation — so a
@@ -462,17 +457,6 @@ type merger struct {
 	// lists once per step instead of re-marking task sets per evaluation.
 	taskChild []int32
 	taskLocal []int32
-	// scratch pools flowScratch instances sized to g.N() for addFlows.
-	scratch sync.Pool
-}
-
-// flowScratch is the per-call working set of addFlows: task -> parent
-// position plus membership marks, validated by generation counters so the
-// arrays never need clearing between calls.
-type flowScratch struct {
-	pos      []int
-	inA, inB []int64
-	gen      int64
 }
 
 // initAdjacency caches neighbor/volume lists for every task of the merge.
@@ -499,13 +483,6 @@ func (m *merger) initAdjacency() {
 			}
 			//rahtm:allow(csralias): nbr/nvol deliberately cache CSR row aliases for zero-copy adjacency scans; the rows are never written and the frozen graph outlives the merger (TestMergeDeltaByteIdentical covers the read-only contract)
 			m.nbr[t], m.nvol[t] = m.g.Edges(t)
-		}
-	}
-	m.scratch.New = func() interface{} {
-		return &flowScratch{
-			pos: make([]int, n),
-			inA: make([]int64, n),
-			inB: make([]int64, n),
 		}
 	}
 }
@@ -549,85 +526,17 @@ func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
 	return m.placementAt(child, cand, o, m.childPos[child])
 }
 
-// addFlows adds the loads of all graph flows between the two task->position
-// maps (a may equal b for internal flows) into loads.
-func (m *merger) addFlows(aTasks []int, aPos []int, bTasks []int, bPos []int, loads []float64, includeInternal bool) {
-	alg := m.alg
-	fs := m.scratch.Get().(*flowScratch)
-	fs.gen++
-	gen := fs.gen
-	for i, t := range aTasks {
-		fs.pos[t] = aPos[i]
-		fs.inA[t] = gen
-	}
-	for i, t := range bTasks {
-		fs.pos[t] = bPos[i]
-		fs.inB[t] = gen
-	}
-	for _, t := range aTasks {
+// addFlowsDelta deposits the loads of every graph flow inside one child,
+// its tasks placed at pos (local task index -> parent rank), into a sparse
+// DeltaVec.
+func (m *merger) addFlowsDelta(child int, pos []int, dv *routing.DeltaVec) {
+	for li, t := range m.children[child].Tasks {
 		for ni, d := range m.nbr[t] {
-			if fs.inB[d] != gen {
-				continue
+			if m.taskChild[d] == int32(child) {
+				m.alg.AddLoadsDelta(m.parent, pos[li], pos[m.taskLocal[d]], m.nvol[t][ni], dv)
 			}
-			if !includeInternal && fs.inA[d] == gen {
-				continue
-			}
-			alg.AddLoads(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], loads)
 		}
 	}
-	for _, t := range bTasks {
-		if fs.inA[t] == gen {
-			continue
-		}
-		for ni, d := range m.nbr[t] {
-			if fs.inA[d] != gen {
-				continue
-			}
-			alg.AddLoads(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], loads)
-		}
-	}
-	m.scratch.Put(fs)
-}
-
-// addFlowsDelta is addFlows depositing into a sparse DeltaVec. It walks the
-// same flows in the same order, so per-channel totals match the dense path
-// bit-for-bit (see routing.AddLoadsDelta).
-func (m *merger) addFlowsDelta(aTasks []int, aPos []int, bTasks []int, bPos []int, dv *routing.DeltaVec, includeInternal bool) {
-	alg := m.alg
-	fs := m.scratch.Get().(*flowScratch)
-	fs.gen++
-	gen := fs.gen
-	for i, t := range aTasks {
-		fs.pos[t] = aPos[i]
-		fs.inA[t] = gen
-	}
-	for i, t := range bTasks {
-		fs.pos[t] = bPos[i]
-		fs.inB[t] = gen
-	}
-	for _, t := range aTasks {
-		for ni, d := range m.nbr[t] {
-			if fs.inB[d] != gen {
-				continue
-			}
-			if !includeInternal && fs.inA[d] == gen {
-				continue
-			}
-			alg.AddLoadsDelta(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], dv)
-		}
-	}
-	for _, t := range bTasks {
-		if fs.inA[t] == gen {
-			continue
-		}
-		for ni, d := range m.nbr[t] {
-			if fs.inA[d] != gen {
-				continue
-			}
-			alg.AddLoadsDelta(m.parent, fs.pos[t], fs.pos[d], m.nvol[t][ni], dv)
-		}
-	}
-	m.scratch.Put(fs)
 }
 
 // mergeOrder ranks children by decreasing average best-pair MCL. Each
@@ -680,7 +589,7 @@ func (m *merger) mergeOrder() []int {
 				i, oi := u/ko, u%ko
 				p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
 				dv.Reset()
-				m.addFlowsDelta(m.children[i].Tasks, p, m.children[i].Tasks, p, dv, true)
+				m.addFlowsDelta(i, p, dv)
 				pl[i][oi] = p
 				snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
 			}
@@ -935,16 +844,6 @@ func (m *merger) freeCubes(child int, used uint64, dst []int) []int {
 	return dst
 }
 
-// applyVariant adds the child's internal and cross loads for placement p on
-// top of dst (dense). Only the greedy completion path uses it; the scorers
-// route precomputed crossEdge lists sparsely instead.
-func (m *merger) applyVariant(st *state, order []int, step, child int, p []int, dst []float64) {
-	m.addFlows(m.children[child].Tasks, p, m.children[child].Tasks, p, dst, true)
-	for s := 0; s < step; s++ {
-		m.addFlows(m.children[order[s]].Tasks, st.pos[s], m.children[child].Tasks, p, dst, false)
-	}
-}
-
 // crossEdge is one directed flow between the incoming child of a merge step
 // and an already-placed child. The list is extracted once per step so a
 // combo evaluation touches exactly the flows it routes — no per-evaluation
@@ -1039,7 +938,7 @@ func (m *merger) run() (*Block, error) {
 			return nil, err
 		}
 		if expired(m.ctx) {
-			beam = m.completeGreedy(beam, order, step)
+			beam = m.completeGreedy(beam, order, step, childStep)
 			degraded = true
 			break
 		}
@@ -1095,7 +994,7 @@ func (m *merger) run() (*Block, error) {
 						refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
 					}
 					dv.Reset()
-					m.addFlowsDelta(tasks, refPos, tasks, refPos, dv, true)
+					m.addFlowsDelta(child, refPos, dv)
 					snap = dv.Snapshot(snap)
 					for si, st := range beam {
 						if st.mcl > top.bound() {
@@ -1138,7 +1037,7 @@ func (m *merger) run() (*Block, error) {
 		if expired(m.ctx) {
 			// The step was cut short; its scores are partial. Discard them
 			// and complete this and the remaining steps greedily.
-			beam = m.completeGreedy(beam, order, step)
+			beam = m.completeGreedy(beam, order, step, childStep)
 			degraded = true
 			break
 		}
@@ -1166,7 +1065,7 @@ func (m *merger) run() (*Block, error) {
 			p := m.placementAt(child, cand, m.orients[sc.orient], int(sc.cube))
 			loads := append([]float64(nil), st.loads...)
 			dv.Reset()
-			m.addFlowsDelta(tasks, p, tasks, p, dv, true)
+			m.addFlowsDelta(child, p, dv)
 			m.addCrossEdgesDelta(crossEdges, st, p, dv, math.Inf(1))
 			dv.AddTo(loads)
 			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
@@ -1211,9 +1110,12 @@ func (m *merger) block(beam []*state, order []int, degraded bool) *Block {
 // state: each remaining child (steps from..end of order) is absorbed with
 // its first candidate, the identity orientation, and its pinned cube
 // position (or the first free one when Reposition already took it). The
-// result is a valid single-candidate beam without any further search.
-func (m *merger) completeGreedy(beam []*state, order []int, from int) []*state {
+// result is a valid single-candidate beam without any further search. Each
+// step deposits like pass 2's materialization; childStep is run's
+// child -> merge step index, extended here as children are absorbed.
+func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep []int32) []*state {
 	st := beam[0]
+	dv := routing.NewDeltaVec(m.parent.NumChannels())
 	for step := from; step < len(order); step++ {
 		child := order[step]
 		cube := m.childPos[child]
@@ -1227,9 +1129,14 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int) []*state {
 		}
 		cand := m.children[child].Candidates[0]
 		p := m.placementAt(child, cand, m.orients[0], cube)
+		crossEdges := m.crossEdgesFor(order, step, childStep)
+		childStep[child] = int32(step)
+		dv.ResetOver(st.loads, st.mcl)
+		m.addFlowsDelta(child, p, dv)
+		m.addCrossEdgesDelta(crossEdges, st, p, dv, math.Inf(1))
 		loads := append([]float64(nil), st.loads...)
-		m.applyVariant(st, order, step, child, p, loads)
-		st = st.extend(p, cube, packChoice(cube, 0, 0), loads, routing.MCL(loads))
+		dv.AddTo(loads)
+		st = st.extend(p, cube, packChoice(cube, 0, 0), loads, dv.Peak())
 	}
 	return []*state{st}
 }

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -75,12 +76,12 @@ func TestSearchDigest(t *testing.T) {
 		n := 3 + rng.Intn(6)
 		m := 1 + rng.Intn(4)
 		seed := rng.Int63()
-		hashResult(h, randomBinaryMILP(rand.New(rand.NewSource(seed)), n, m).Solve(Options{}))
+		hashResult(h, randomBinaryMILP(rand.New(rand.NewSource(seed)), n, m).SolveCtx(context.Background(), Options{}))
 	}
 	rng = rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		seed := rng.Int63()
-		hashResult(h, randomBinaryMILP(rand.New(rand.NewSource(seed)), 7, 3).Solve(Options{MaxNodes: 5}))
+		hashResult(h, randomBinaryMILP(rand.New(rand.NewSource(seed)), 7, 3).SolveCtx(context.Background(), Options{MaxNodes: 5}))
 	}
 	// minimize -3x - 2y s.t. 2x + y <= 11, x + 3y <= 12, x,y integer >= 0.
 	base := lp.NewProblem(0)
@@ -91,7 +92,7 @@ func TestSearchDigest(t *testing.T) {
 	base.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 3}}, lp.LE, 12)
 	p.MarkInteger(x)
 	p.MarkInteger(y)
-	res := p.Solve(Options{})
+	res := p.SolveCtx(context.Background(), Options{})
 	wantStatus(t, res, Optimal)
 	hashResult(h, res)
 	if got := hex.EncodeToString(h.Sum(nil)); got != searchDigest {

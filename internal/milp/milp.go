@@ -169,18 +169,12 @@ func (h *nodeHeap) Pop() interface{} {
 	return it
 }
 
-// Solve runs branch and bound and returns the best result found.
-func (p *Problem) Solve(opt Options) *Result {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return p.SolveCtx(context.Background(), opt)
-}
-
-// SolveCtx runs branch and bound under a context. When ctx is canceled or
-// its deadline expires the search stops at the next node boundary (and
-// in-flight LP relaxations abort at their next pivot poll); the best
-// incumbent found so far is returned, exactly as for an expired Deadline.
-// Callers that must distinguish hard cancellation inspect ctx.Err()
-// themselves.
+// SolveCtx runs branch and bound and returns the best result found. When
+// ctx is canceled or its deadline expires the search stops at the next
+// node boundary (and in-flight LP relaxations abort at their next pivot
+// poll); the best incumbent found so far is returned, exactly as for an
+// expired Deadline. Callers that must distinguish hard cancellation
+// inspect ctx.Err() themselves.
 func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 	tol := opt.Tol
 	if tol <= 0 {

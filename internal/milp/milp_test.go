@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func TestKnapsackBinary(t *testing.T) {
 	b := p.AddBinary(-4, "b")
 	c := p.AddBinary(-3, "c")
 	base.AddConstraint([]lp.Term{{Var: a, Coef: 2}, {Var: b, Coef: 3}, {Var: c, Coef: 1}}, lp.LE, 5)
-	res := p.Solve(Options{})
+	res := p.SolveCtx(context.Background(), Options{})
 	wantStatus(t, res, Optimal)
 	wantObj(t, res, -9)
 	if math.Abs(res.X[a]-1) > 1e-6 || math.Abs(res.X[b]-1) > 1e-6 || math.Abs(res.X[c]) > 1e-6 {
@@ -48,7 +49,7 @@ func TestFractionalRelaxation(t *testing.T) {
 	x := p.AddBinary(-1, "x")
 	y := p.AddBinary(-1, "y")
 	base.AddConstraint([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 2}}, lp.LE, 3)
-	res := p.Solve(Options{})
+	res := p.SolveCtx(context.Background(), Options{})
 	wantStatus(t, res, Optimal)
 	wantObj(t, res, -1)
 }
@@ -61,7 +62,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	// x + y == 2 with x + y <= 1: infeasible.
 	base.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.EQ, 2)
 	base.AddConstraint([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 1)
-	res := p.Solve(Options{})
+	res := p.SolveCtx(context.Background(), Options{})
 	wantStatus(t, res, Infeasible)
 }
 
@@ -72,7 +73,7 @@ func TestGeneralInteger(t *testing.T) {
 	base.AddConstraint([]lp.Term{{Var: 0, Coef: 3}}, lp.GE, 10)
 	p := NewProblem(base)
 	p.MarkInteger(0)
-	res := p.Solve(Options{})
+	res := p.SolveCtx(context.Background(), Options{})
 	wantStatus(t, res, Optimal)
 	wantObj(t, res, 4)
 }
@@ -103,7 +104,7 @@ func TestAssignmentIntegralRelaxation(t *testing.T) {
 		base.AddConstraint(rowT, lp.EQ, 1)
 		base.AddConstraint(colT, lp.EQ, 1)
 	}
-	res := p.Solve(Options{})
+	res := p.SolveCtx(context.Background(), Options{})
 	wantStatus(t, res, Optimal)
 	// Optimal assignment: (0,1)=2,(1,2)=7,(2,0)=3 -> 12; check alternatives:
 	// (0,0)=4,(1,2)=7,(2,1)=1 -> 12; (0,1)? both 12.
@@ -121,7 +122,7 @@ func TestIncumbentWarmStart(t *testing.T) {
 	base.AddConstraint([]lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 2}}, lp.LE, 3)
 	inc := make([]float64, base.NumVariables())
 	inc[x] = 1 // feasible: 2 <= 3
-	res := p.Solve(Options{Incumbent: inc})
+	res := p.SolveCtx(context.Background(), Options{Incumbent: inc})
 	wantStatus(t, res, Optimal)
 	wantObj(t, res, -1)
 }
@@ -133,7 +134,7 @@ func TestBadIncumbentIgnored(t *testing.T) {
 	base.AddConstraint([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 0)
 	inc := make([]float64, base.NumVariables())
 	inc[x] = 1 // violates x <= 0
-	res := p.Solve(Options{Incumbent: inc})
+	res := p.SolveCtx(context.Background(), Options{Incumbent: inc})
 	wantStatus(t, res, Optimal)
 	wantObj(t, res, 0)
 }
@@ -153,7 +154,7 @@ func TestDeadlineReturnsIncumbent(t *testing.T) {
 	base.AddConstraint(terms, lp.LE, 17)
 	inc := make([]float64, base.NumVariables())
 	inc[vars[0]] = 1
-	res := p.Solve(Options{Incumbent: inc, Deadline: time.Now().Add(-time.Second)})
+	res := p.SolveCtx(context.Background(), Options{Incumbent: inc, Deadline: time.Now().Add(-time.Second)})
 	wantStatus(t, res, Feasible)
 	if res.X == nil || math.Abs(res.X[vars[0]]-1) > 1e-9 {
 		t.Fatalf("incumbent not preserved: %v", res.X)
@@ -170,7 +171,7 @@ func TestNodeBudget(t *testing.T) {
 		terms[i] = lp.Term{Var: v, Coef: float64(5 + (i*3)%7)}
 	}
 	base.AddConstraint(terms, lp.LE, 23)
-	res := p.Solve(Options{MaxNodes: 3})
+	res := p.SolveCtx(context.Background(), Options{MaxNodes: 3})
 	if res.Nodes > 3 {
 		t.Fatalf("node budget exceeded: %d", res.Nodes)
 	}
@@ -269,7 +270,7 @@ func TestRandomBinaryMILPAgainstBruteForce(t *testing.T) {
 			}
 			base.AddConstraint(terms, lp.LE, b0)
 		}
-		res := p.Solve(Options{})
+		res := p.SolveCtx(context.Background(), Options{})
 		if !feasAny {
 			wantStatus(t, res, Infeasible)
 			continue

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/topology"
@@ -54,16 +53,10 @@ type packet struct {
 	hops     int
 }
 
-// Simulate runs graph g mapped by m on topology t until every packet is
-// delivered, returning timing and queueing statistics.
-func Simulate(t *topology.Torus, g *graph.Comm, m topology.Mapping, cfg Config) (*Result, error) {
-	//rahtm:allow(ctxpoll): compatibility wrapper; the root context is the documented default for the non-Ctx API
-	return SimulateCtx(context.Background(), t, g, m, cfg)
-}
-
-// SimulateCtx is Simulate under a context, polled every 512 cycles. A
-// half-finished simulation has no meaningful statistics, so both hard
-// cancellation and deadline expiry abort with ctx.Err().
+// SimulateCtx runs graph g mapped by m on topology t until every packet is
+// delivered, returning timing and queueing statistics. ctx is polled every
+// 512 cycles; a half-finished simulation has no meaningful statistics, so
+// both hard cancellation and deadline expiry abort with ctx.Err().
 func SimulateCtx(ctx context.Context, t *topology.Torus, g *graph.Comm, m topology.Mapping, cfg Config) (*Result, error) {
 	if len(m) != g.N() {
 		return nil, fmt.Errorf("packetsim: mapping covers %d tasks, graph has %d", len(m), g.N())
@@ -234,30 +227,4 @@ func SimulateCtx(ctx context.Context, t *topology.Torus, g *graph.Comm, m topolo
 	}
 	return nil, fmt.Errorf("packetsim: %d of %d packets undelivered after %d cycles",
 		totalPackets-delivered, totalPackets, maxCycles)
-}
-
-// CompareMappings simulates several mappings of the same traffic and
-// returns completion cycles per mapping name, sorted by name for
-// deterministic reporting.
-func CompareMappings(t *topology.Torus, g *graph.Comm, ms map[string]topology.Mapping, cfg Config) ([]NamedResult, error) {
-	names := make([]string, 0, len(ms))
-	for name := range ms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]NamedResult, 0, len(names))
-	for _, name := range names {
-		r, err := Simulate(t, g, ms[name], cfg)
-		if err != nil {
-			return nil, fmt.Errorf("packetsim: %s: %w", name, err)
-		}
-		out = append(out, NamedResult{Name: name, Result: r})
-	}
-	return out, nil
-}
-
-// NamedResult pairs a mapping name with its simulation result.
-type NamedResult struct {
-	Name   string
-	Result *Result
 }

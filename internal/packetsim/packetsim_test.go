@@ -1,6 +1,7 @@
 package packetsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestSingleFlowSerialization(t *testing.T) {
 	tp := topology.NewMesh(2)
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 10)
-	res, err := Simulate(tp, g, topology.Identity(2), Config{})
+	res, err := SimulateCtx(context.Background(), tp, g, topology.Identity(2), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestPacketization(t *testing.T) {
 	tp := topology.NewMesh(2)
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 1024)
-	res, err := Simulate(tp, g, topology.Identity(2), Config{PacketBytes: 100})
+	res, err := SimulateCtx(context.Background(), tp, g, topology.Identity(2), Config{PacketBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestColocatedTrafficFree(t *testing.T) {
 	tp := topology.NewMesh(2)
 	g := graph.New(4)
 	g.AddTraffic(0, 1, 1e6)
-	res, err := Simulate(tp, g, topology.Mapping{0, 0, 1, 1}, Config{})
+	res, err := SimulateCtx(context.Background(), tp, g, topology.Mapping{0, 0, 1, 1}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestHopsAreMinimal(t *testing.T) {
 	g.AddTraffic(3, 9, 5)
 	g.AddTraffic(5, 6, 2)
 	m := topology.Identity(16)
-	res, err := Simulate(tp, g, m, Config{})
+	res, err := SimulateCtx(context.Background(), tp, g, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestAdaptiveBeatsConcentration(t *testing.T) {
 	g.AddTraffic(0, 1, heavy)
 	adjacent := topology.Mapping{0, 1, 2, 3} // distance 1
 	diagonal := topology.Mapping{0, 3, 1, 2} // distance 2, two paths
-	ra, err := Simulate(tp, g, adjacent, Config{Seed: 1})
+	ra, err := SimulateCtx(context.Background(), tp, g, adjacent, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Simulate(tp, g, diagonal, Config{Seed: 1})
+	rd, err := SimulateCtx(context.Background(), tp, g, diagonal, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestSimulationValidatesMCLPrediction(t *testing.T) {
 	// High injection rate so links — not NICs — are the bottleneck, as in
 	// the paper's bandwidth-bound benchmarks.
 	cfg := Config{Seed: 2, InjectionRate: 64}
-	rGood, err := Simulate(tp, g, good, cfg)
+	rGood, err := SimulateCtx(context.Background(), tp, g, good, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBad, err := Simulate(tp, g, bad, cfg)
+	rBad, err := SimulateCtx(context.Background(), tp, g, bad, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +150,11 @@ func TestDeterminismBySeed(t *testing.T) {
 		g.AddTraffic(i, (i+5)%16, 20)
 	}
 	m := topology.Identity(16)
-	a, err := Simulate(tp, g, m, Config{Seed: 9})
+	a, err := SimulateCtx(context.Background(), tp, g, m, Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(tp, g, m, Config{Seed: 9})
+	b, err := SimulateCtx(context.Background(), tp, g, m, Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	tp := topology.NewMesh(2)
 	g := graph.New(2)
 	g.AddTraffic(0, 1, 1000)
-	if _, err := Simulate(tp, g, topology.Identity(2), Config{MaxCycles: 3}); err == nil {
+	if _, err := SimulateCtx(context.Background(), tp, g, topology.Identity(2), Config{MaxCycles: 3}); err == nil {
 		t.Fatal("expected abort")
 	}
 }
@@ -174,25 +175,8 @@ func TestMaxCyclesAborts(t *testing.T) {
 func TestMappingMismatch(t *testing.T) {
 	tp := topology.NewMesh(2)
 	g := graph.New(3)
-	if _, err := Simulate(tp, g, topology.Mapping{0, 1}, Config{}); err == nil {
+	if _, err := SimulateCtx(context.Background(), tp, g, topology.Mapping{0, 1}, Config{}); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-func TestCompareMappings(t *testing.T) {
-	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 50)
-	g.AddTraffic(2, 3, 50)
-	out, err := CompareMappings(tp, g, map[string]topology.Mapping{
-		"identity": topology.Identity(4),
-		"swapped":  {3, 2, 1, 0},
-	}, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Name != "identity" || out[1].Name != "swapped" {
-		t.Fatalf("results = %+v", out)
 	}
 }
 
@@ -200,7 +184,7 @@ func TestLatencyAccounting(t *testing.T) {
 	tp := topology.NewMesh(3)
 	g := graph.New(3)
 	g.AddTraffic(0, 2, 1)
-	res, err := Simulate(tp, g, topology.Identity(3), Config{})
+	res, err := SimulateCtx(context.Background(), tp, g, topology.Identity(3), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

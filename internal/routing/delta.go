@@ -107,10 +107,6 @@ func (v *DeltaVec) Value(ch int) float64 {
 	return v.vals[ch]
 }
 
-// Touched returns the channels with accumulated deltas, in first-touch
-// order. The slice is owned by the DeltaVec and valid until the next Reset.
-func (v *DeltaVec) Touched() []int32 { return v.touched }
-
 // NumTouched returns how many distinct channels hold deltas.
 func (v *DeltaVec) NumTouched() int { return len(v.touched) }
 

@@ -295,16 +295,30 @@ func (s *Server) finishTrace(j *job) {
 		"queue_depth", len(s.queue))
 }
 
+// errSolvePanic marks a solve that panicked. The worker recovers it, so
+// one bad solve costs its own request a 500, not the daemon.
+var errSolvePanic = errors.New("solve panicked")
+
 // solve runs one job under the merged request/daemon lifetime, with the
 // job's telemetry scope on the context so the solver layers attribute
-// their counters to this request.
-func (s *Server) solve(j *job) (*rahtm.Result, error) {
+// their counters to this request. A panic on the worker's goroutine (in a
+// registered mapper, say) becomes an error wrapping errSolvePanic; net/http
+// recovers only its own handler goroutines, so without this one panicking
+// solve would end the process.
+func (s *Server) solve(j *job) (res *rahtm.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ctrErrors.Inc()
+			s.log.Error("solve panic", "trace", j.traceID, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("%w: %v", errSolvePanic, p)
+		}
+	}()
 	jctx, cancel := context.WithCancel(j.ctx)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 	jctx = telemetry.WithScope(jctx, j.scope)
-	res, err := rahtm.Solve(jctx, j.req)
+	res, err = rahtm.Solve(jctx, j.req)
 	if err != nil {
 		ctrErrors.Inc()
 		return nil, err
@@ -448,9 +462,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.err != nil {
-		if errors.Is(j.err, context.Canceled) {
+		switch {
+		case errors.Is(j.err, context.Canceled):
 			httpError(w, http.StatusServiceUnavailable, "solve canceled: %v", j.err)
-		} else {
+		case errors.Is(j.err, errSolvePanic):
+			httpError(w, http.StatusInternalServerError, "solve failed: %v", j.err)
+		default:
 			httpError(w, http.StatusBadRequest, "solve failed: %v", j.err)
 		}
 		return

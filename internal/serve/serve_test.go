@@ -538,3 +538,40 @@ func TestRetryAfterHintClamped(t *testing.T) {
 		t.Fatalf("backlog: hint %d, want 60", got)
 	}
 }
+
+// panicMapper panics inside MapProcs, on the worker's goroutine.
+type panicMapper struct{}
+
+func (panicMapper) Name() string { return "panic" }
+
+func (panicMapper) MapProcs(*rahtm.Workload, *rahtm.Torus, int) (rahtm.Mapping, error) {
+	panic("panicMapper: deliberate failure")
+}
+
+// TestSolvePanicRecovered pins that a panicking solve costs its own request
+// a 500, counted on serve.errors, while the lone worker survives to answer
+// the next request.
+func TestSolvePanicRecovered(t *testing.T) {
+	rahtm.RegisterMapper("panic-test", func(*rahtm.Torus) rahtm.ProcMapper { return panicMapper{} })
+	s, ts := newTestServer(t, Config{Workers: 1})
+	before := telemetry.Default.Snapshot().Counter(telemetry.CtrServeErrors)
+
+	resp, body := postSolve(t, ts.URL, `{"workload":"CG","topo":[4,4],"mapper":"panic-test"}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking solve: status %d, body %s; want 500", resp.StatusCode, body)
+	}
+	if e, ok := s.tracker.get(resp.Header.Get(TraceHeader)); !ok || e.Status != "error" {
+		t.Errorf("panicking solve's trace = %+v (found %v), want status error", e, ok)
+	}
+	if !strings.Contains(string(body), "deliberate failure") {
+		t.Errorf("500 body does not carry the panic: %s", body)
+	}
+	if got := telemetry.Default.Snapshot().Counter(telemetry.CtrServeErrors) - before; got != 1 {
+		t.Errorf("serve.errors advanced by %d, want 1", got)
+	}
+
+	resp, body = postSolve(t, ts.URL, cgRequest)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, body %s; want 200", resp.StatusCode, body)
+	}
+}

@@ -393,13 +393,3 @@ func Rate(hit, miss int64) float64 {
 	}
 	return float64(hit) / float64(hit+miss)
 }
-
-// JSONRate is Rate for JSON payloads: a zero denominator yields nil (which
-// encodes as null) instead of NaN, which encoding/json refuses to encode.
-func JSONRate(hit, miss int64) *float64 {
-	if hit+miss == 0 {
-		return nil
-	}
-	v := float64(hit) / float64(hit+miss)
-	return &v
-}

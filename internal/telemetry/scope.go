@@ -74,14 +74,6 @@ func ScopeFrom(ctx context.Context) *Scope {
 	return s
 }
 
-// TraceIDFrom returns the trace ID carried by ctx's scope, or "".
-func TraceIDFrom(ctx context.Context) string {
-	if s := ScopeFrom(ctx); s != nil {
-		return s.TraceID
-	}
-	return ""
-}
-
 // Span stamps sp with the scope's trace ID and hands it to the scope's
 // observer; a no-op when s or its observer is nil.
 func (s *Scope) Span(sp Span, start time.Time) {

@@ -10,6 +10,7 @@ package topology
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -108,6 +109,22 @@ func (t *Torus) String() string {
 		kind = "mixed"
 	}
 	return kind + "(" + strings.Join(parts, "x") + ")"
+}
+
+// ParseDims parses a dimension list in the "AxBxC" form String renders
+// inside its parentheses (case-insensitive x, surrounding space ignored).
+// Every extent must be a positive integer.
+func ParseDims(spec string) ([]int, error) {
+	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "x")
+	dims := make([]int, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad dimension spec %q", spec)
+		}
+		dims = append(dims, v)
+	}
+	return dims, nil
 }
 
 // CoordOf decodes rank into a coordinate vector. If out has capacity it is

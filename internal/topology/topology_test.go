@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -309,5 +311,31 @@ func TestQuickChannelBijection(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseDims(t *testing.T) {
+	for spec, want := range map[string][]int{
+		"16x16":     {16, 16},
+		"4x4x4x4x2": {4, 4, 4, 4, 2},
+		" 8X2 ":     {8, 2},
+		"7":         {7},
+	} {
+		got, err := ParseDims(spec)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseDims(%q) = %v, %v; want %v", spec, got, err, want)
+		}
+	}
+	// String's dimension list parses back to the same topology.
+	tp := NewTorus(4, 2, 3)
+	s := tp.String()
+	dims, err := ParseDims(s[strings.IndexByte(s, '(')+1 : len(s)-1])
+	if err != nil || !reflect.DeepEqual(dims, tp.Dims()) {
+		t.Fatalf("ParseDims(%s) = %v, %v", s, dims, err)
+	}
+	for _, bad := range []string{"", "x", "4x", "axb", "4x0", "-2"} {
+		if _, err := ParseDims(bad); err == nil {
+			t.Fatalf("ParseDims(%q) should fail", bad)
+		}
 	}
 }

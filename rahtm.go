@@ -21,8 +21,10 @@
 //	_ = res.MCL                                // max channel load
 //
 // Library callers holding Workload/Torus values pass them directly via
-// Request.Work and Request.Torus, or use the Mapper methods, which are thin
-// wrappers over the same path.
+// Request.Work and Request.Torus, and a configured pipeline via
+// Request.Config. Every long-running operation takes a context and has no
+// context-free twin; Mapper.MapProcs is the one exception, because it is
+// the ProcMapper method every baseline implements, and it calls Solve.
 //
 // Observability: always-on metrics counters snapshot via Metrics(); the
 // pipeline reports every completed phase and scheduler job as a Span to the
@@ -156,61 +158,15 @@ type Mapper struct {
 // Name implements ProcMapper.
 func (Mapper) Name() string { return "RAHTM" }
 
-// request builds the Solve request equivalent to a legacy method call.
-func (m Mapper) request(w *Workload, t *Torus, conc int) Request {
-	return Request{Work: w, Torus: t, Conc: conc, Config: &m}
-}
-
 // MapProcs implements ProcMapper: it runs clustering, hierarchical MILP
-// mapping and beam merging, returning a process-to-node mapping.
-//
-// Deprecated: MapProcs/MapProcsCtx and Pipeline/PipelineCtx are the legacy
-// split entry points; new code should call Solve with a Request, which
-// subsumes both the context and the configuration (and is what the serving
-// layer speaks). These wrappers remain for compatibility.
+// mapping and beam merging through Solve and returns the process-to-node
+// mapping. Solve takes a context and also returns the pipeline detail.
 func (m Mapper) MapProcs(w *Workload, t *Torus, conc int) (Mapping, error) {
-	return m.MapProcsCtx(context.Background(), w, t, conc)
-}
-
-// MapProcsCtx is MapProcs under a context. Canceling ctx aborts the
-// pipeline promptly with ctx.Err(); letting its deadline expire instead
-// degrades gracefully — the pipeline finishes from the best results found
-// so far and still returns a valid mapping (flagged in the PipelineResult
-// stats, which this method discards; use PipelineCtx to observe it).
-//
-// Deprecated: call Solve with a Request instead; Result.Mapping is this
-// method's return value.
-func (m Mapper) MapProcsCtx(ctx context.Context, w *Workload, t *Torus, conc int) (Mapping, error) {
-	res, err := solve(ctx, m.request(w, t, conc), false)
+	res, err := Solve(context.Background(), Request{Work: w, Torus: t, Conc: conc, Config: &m})
 	if err != nil {
 		return nil, err
 	}
 	return res.Mapping, nil
-}
-
-// Pipeline runs the full RAHTM pipeline and returns the detailed result
-// (mapping, node graph, phase statistics). Tori with non-power-of-two
-// dimensions are handled by §III-B partitioning (power-of-two boxes mapped
-// independently after a cut-minimizing split).
-//
-// Deprecated: call Solve with a Request instead; Result.Detail is this
-// method's return value.
-func (m Mapper) Pipeline(w *Workload, t *Torus, conc int) (*PipelineResult, error) {
-	return m.PipelineCtx(context.Background(), w, t, conc)
-}
-
-// PipelineCtx is Pipeline under a context. A canceled ctx returns ctx.Err();
-// an expired deadline returns a valid best-effort result with
-// Stats.Degraded set.
-//
-// Deprecated: call Solve with a Request instead; Result.Detail is this
-// method's return value.
-func (m Mapper) PipelineCtx(ctx context.Context, w *Workload, t *Torus, conc int) (*PipelineResult, error) {
-	res, err := solve(ctx, m.request(w, t, conc), false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Detail, nil
 }
 
 // Baseline mappers (see §IV "Other mappings").

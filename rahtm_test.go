@@ -1,6 +1,7 @@
 package rahtm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestMapperEndToEnd(t *testing.T) {
 func TestPipelineStatsExposed(t *testing.T) {
 	tp := NewTorus(4, 4)
 	w := Halo2D(4, 4, 1)
-	res, err := (Mapper{}).Pipeline(w, tp, 1)
+	res, err := pipelineResult(context.Background(), Mapper{}, w, tp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,4 +140,14 @@ func TestMapperCustomConfig(t *testing.T) {
 	if err := mp.Validate(tp.N(), true); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pipelineResult runs m's pipeline through Solve and returns its full
+// output, the form the pipeline tests inspect.
+func pipelineResult(ctx context.Context, m Mapper, w *Workload, t *Torus, conc int) (*PipelineResult, error) {
+	res, err := Solve(ctx, Request{Work: w, Torus: t, Conc: conc, Config: &m})
+	if err != nil {
+		return nil, err
+	}
+	return res.Detail, nil
 }

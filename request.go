@@ -1,10 +1,9 @@
 package rahtm
 
 // The unified Request/Result API: a serializable description of one mapping
-// problem, a serializable answer, and a single Solve entry point that both
-// library callers and the rahtm-serve daemon (internal/serve) go through.
-// The legacy Mapper.MapProcs / Pipeline method pairs are thin wrappers over
-// the same path; see DESIGN.md §10.
+// problem, a serializable answer, and a single Solve entry point that
+// library callers, the CLIs and the rahtm-serve daemon (internal/serve) all
+// go through; see DESIGN.md §10.
 
 import (
 	"context"
@@ -254,8 +253,19 @@ func (r *Request) Materialize() (*Workload, *Torus, error) {
 	return w, t, nil
 }
 
-// buildWorkload constructs the workload from the serialized fields.
+// buildWorkload constructs the workload from the serialized fields. Signs
+// are checked before any generator runs: a negative size would panic in
+// graph construction, and a grid of paired negative extents would pass the
+// size check as a positive product.
 func (r *Request) buildWorkload(t *Torus) (*Workload, error) {
+	if r.Procs < 0 {
+		return nil, fmt.Errorf("rahtm: procs is %d", r.Procs)
+	}
+	for i, k := range r.Grid {
+		if k < 1 {
+			return nil, fmt.Errorf("rahtm: grid dimension %d is %d", i, k)
+		}
+	}
 	if r.Graph != "" {
 		if r.Workload != "" {
 			return nil, fmt.Errorf("rahtm: request has both workload %q and an inline graph", r.Workload)
@@ -339,13 +349,7 @@ func (r *Request) Key() (string, error) {
 // Result with quality metrics filled in. Canceling ctx outright aborts with
 // ctx.Err(); an expired deadline (from ctx or Request.DeadlineMS) instead
 // degrades to the best valid mapping found so far, flagged Result.Degraded.
-func Solve(ctx context.Context, req Request) (*Result, error) {
-	return solve(ctx, req, true)
-}
-
-// solve implements Solve. The legacy wrappers pass measure=false to skip
-// the proc-level MCL/hop-bytes evaluation their contracts never included.
-func solve(ctx context.Context, req Request, measure bool) (res *Result, err error) {
+func Solve(ctx context.Context, req Request) (res *Result, err error) {
 	w, t, err := (&req).Materialize()
 	if err != nil {
 		return nil, err
@@ -395,8 +399,28 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 	w.Graph.Freeze()
 
 	start := time.Now()
-	res = &Result{Mapper: mapper.Name(), Workload: w.Name, Topology: t.String()}
-	switch m := mapper.(type) {
+	mp, pres, err := mapProcs(ctx, mapper, w, t, conc)
+	if err != nil {
+		return nil, err
+	}
+	res = &Result{Mapping: mp, Mapper: mapper.Name(), Workload: w.Name, Topology: t.String(), Detail: pres}
+	if pres != nil {
+		stats := pres.Stats
+		res.Stats = &stats
+		res.Degraded = stats.Degraded
+	}
+	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+	res.MCL = routing.MaxChannelLoad(t, w.Graph, res.Mapping, routing.MinimalAdaptive{}.WithScope(scope))
+	res.HopBytes = metrics.HopBytes(t, w.Graph, res.Mapping)
+	return res, nil
+}
+
+// mapProcs runs one mapper on a materialized problem: RAHTM through the
+// pipeline, which also returns its full output; a CtxProcMapper under ctx;
+// any other mapper through plain MapProcs. Solve and CompareCtx both map
+// through it.
+func mapProcs(ctx context.Context, m ProcMapper, w *Workload, t *Torus, conc int) (Mapping, *PipelineResult, error) {
+	switch m := m.(type) {
 	case Mapper:
 		pres, err := core.MapPartitionedCtx(ctx, w.Graph, t, PipelineConfig{
 			Concentration:       conc,
@@ -407,30 +431,15 @@ func solve(ctx context.Context, req Request, measure bool) (res *Result, err err
 			Parallelism:         m.Parallelism,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		res.Mapping = pres.ProcToNode
-		res.Detail = pres
-		stats := pres.Stats
-		res.Stats = &stats
-		res.Degraded = stats.Degraded
+		return pres.ProcToNode, pres, nil
 	case CtxProcMapper:
-		res.Mapping, err = m.MapProcsCtx(ctx, w, t, conc)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		res.Mapping, err = m.MapProcs(w, t, conc)
-		if err != nil {
-			return nil, err
-		}
+		mp, err := m.MapProcsCtx(ctx, w, t, conc)
+		return mp, nil, err
 	}
-	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	if measure {
-		res.MCL = routing.MaxChannelLoad(t, w.Graph, res.Mapping, routing.MinimalAdaptive{}.WithScope(scope))
-		res.HopBytes = metrics.HopBytes(t, w.Graph, res.Mapping)
-	}
-	return res, nil
+	mp, err := m.MapProcs(w, t, conc)
+	return mp, nil, err
 }
 
 // resolveMapper picks the mapper for the request: the Config escape hatch

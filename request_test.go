@@ -129,14 +129,15 @@ func TestRegisterMapper(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesLegacyWrappers pins the API redesign's compatibility
-// contract: the deprecated MapProcs/Pipeline entry points are wrappers over
-// Solve and must keep producing byte-identical mappings.
+// TestSolveMatchesLegacyWrappers pins that Mapper.MapProcs, the ProcMapper
+// method every comparison calls, is Solve: the named request, the
+// configured one and MapProcs produce byte-identical mappings, and the
+// pipeline detail agrees with the result.
 func TestSolveMatchesLegacyWrappers(t *testing.T) {
 	w := MustWorkload(t)
 	topo := NewTorus(4, 4)
 
-	legacy, err := Mapper{}.MapProcs(w, topo, 1)
+	viaMapProcs, err := Mapper{}.MapProcs(w, topo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,22 +145,25 @@ func TestSolveMatchesLegacyWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, res.Mapping) {
-		t.Fatalf("Solve mapping differs from legacy MapProcs:\n%v\n%v", legacy, res.Mapping)
+	if !reflect.DeepEqual(viaMapProcs, res.Mapping) {
+		t.Fatalf("Solve mapping differs from MapProcs:\n%v\n%v", viaMapProcs, res.Mapping)
 	}
 	if res.MCL <= 0 || res.HopBytes <= 0 {
 		t.Errorf("Solve did not measure quality: MCL=%v hop-bytes=%v", res.MCL, res.HopBytes)
 	}
 	if res.Stats == nil || res.Detail == nil {
-		t.Error("Solve dropped the pipeline stats/detail for the RAHTM mapper")
+		t.Fatal("Solve dropped the pipeline stats/detail for the RAHTM mapper")
+	}
+	if !reflect.DeepEqual(res.Detail.ProcToNode, res.Mapping) {
+		t.Error("pipeline detail diverged from the result mapping")
 	}
 
-	pipe, err := Mapper{}.Pipeline(w, topo, 1)
+	configured, err := Solve(context.Background(), Request{Work: w, Torus: topo, Conc: 1, Config: &Mapper{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pipe.ProcToNode, res.Mapping) {
-		t.Error("Pipeline wrapper diverged from Solve")
+	if !reflect.DeepEqual(configured.Mapping, res.Mapping) || configured.MCL != res.MCL {
+		t.Error("Request.Config diverged from the named rahtm mapper")
 	}
 }
 
@@ -204,6 +208,9 @@ func TestSolveInvalidRequests(t *testing.T) {
 		"unknown mapper":   {Workload: "CG", Topo: []int{4, 4}, Mapper: "nope1"},
 		"size mismatch":    {Workload: "CG", Procs: 64, Topo: []int{4, 4}},
 		"both graphs":      {Workload: "CG", Graph: "comm 2\n0 1 5\n", Topo: []int{4, 4}},
+		"negative procs":   {Workload: "random", Procs: -5, Topo: []int{4}},
+		"negative grid":    {Workload: "halo3d", Grid: []int{-1, -1, -4}, Topo: []int{4}},
+		"sign-paired grid": {Workload: "halo2d", Grid: []int{-2, -2}, Topo: []int{4}},
 	}
 	for name, req := range cases {
 		req := req

@@ -21,7 +21,7 @@ func runTraced(t *testing.T, parallelism int) (*PipelineResult, *SpanRecorder, *
 	rec := NewSpanRecorder()
 	prog := NewProgressTracker()
 	ctx := WithScope(context.Background(), &Scope{Observer: TeeObservers(rec, prog)})
-	res, err := Mapper{Parallelism: parallelism}.PipelineCtx(ctx, w, top, 1)
+	res, err := pipelineResult(ctx, Mapper{Parallelism: parallelism}, w, top, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
