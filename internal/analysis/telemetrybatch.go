@@ -10,11 +10,9 @@ import (
 // (DESIGN.md §8) in the hot packages (routing, core, lp, milp, hiermap,
 // merge). Two shapes are flagged inside any loop:
 //
-//   - telemetry.Counter.Add/Inc — the shared striped counter costs a
-//     cross-core atomic per call; hot loops must accumulate into a plain
-//     local and flush once at loop/solve exit (or claim a Counter.Local
-//     handle outside the loop — LocalCounter updates are uncontended and
-//     approved for per-item firing);
+//   - telemetry.Counter.Add/Inc — the shared counter costs a cross-core
+//     atomic per call; hot loops must accumulate into a plain local and
+//     flush once at loop/solve exit;
 //   - Registry.Counter/Gauge/Histogram — a registry lookup takes the
 //     registry lock; handles must be hoisted to package or solve scope.
 var TelemetryBatch = &Analyzer{
@@ -65,7 +63,7 @@ func checkLoopTelemetry(pass *Pass, body *ast.BlockStmt) {
 		switch recv.Obj().Name() {
 		case "Counter":
 			if fn.Name() == "Add" || fn.Name() == "Inc" {
-				pass.Reportf(call.Pos(), "telemetry.Counter.%s inside a hot loop costs an atomic per iteration; accumulate into a local and flush after the loop (or claim a Counter.Local handle outside it)", fn.Name())
+				pass.Reportf(call.Pos(), "telemetry.Counter.%s inside a hot loop costs an atomic per iteration; accumulate into a local and flush after the loop", fn.Name())
 			}
 		case "Registry":
 			if fn.Name() == "Counter" || fn.Name() == "Gauge" || fn.Name() == "Histogram" {

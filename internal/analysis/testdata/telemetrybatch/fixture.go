@@ -7,7 +7,7 @@ import "rahtm/internal/telemetry"
 
 var ctr = telemetry.Default.Counter("fixture.events")
 
-// bad pays a striped-counter atomic every iteration.
+// bad pays a shared-counter atomic every iteration.
 func bad(items []int) {
 	for range items {
 		ctr.Inc() // want `telemetrybatch: telemetry\.Counter\.Inc inside a hot loop`
@@ -28,15 +28,6 @@ func good(items []int) {
 		n++
 	}
 	ctr.Add(n)
-}
-
-// goodLocal claims an uncontended handle outside the loop — the approved
-// per-item firing pattern.
-func goodLocal(items []int) {
-	local := ctr.Local()
-	for range items {
-		local.Inc()
-	}
 }
 
 // allowed shows a justified suppression: no diagnostic expected.

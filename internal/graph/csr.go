@@ -19,8 +19,8 @@ var (
 // rowPtr/colIdx/vol arrays plus cached per-vertex out-volumes and the total
 // volume — and releases the maps. After Freeze the graph is immutable:
 // AddTraffic panics, every traversal is an allocation-free linear scan, and
-// derived operations (Coarsen, InducedSubgraph, Permuted, Symmetrized, Clone,
-// Scale) emit frozen CSR results directly. Freeze is idempotent and returns
+// derived operations (Coarsen, InducedSubgraph, Clone, Scale) emit frozen
+// CSR results directly. Freeze is idempotent and returns
 // the receiver for chaining.
 //
 // Determinism: the CSR rows are compiled in ascending (src, dst) order — the
@@ -210,110 +210,6 @@ func (g *Comm) inducedFrozen(verts []int) (*Comm, map[int]int) {
 		rowPtr[i+1] = int32(len(colIdx))
 	}
 	return newFrozen(len(verts), rowPtr, colIdx, vol), local
-}
-
-// permutedFrozen is Permuted over the CSR form. perm must be a bijection on
-// [0, n); each edge carries a single stored volume, so only row order matters.
-func (g *Comm) permutedFrozen(perm []int) *Comm {
-	seen := make([]bool, g.n)
-	for v, p := range perm {
-		if p < 0 || p >= g.n {
-			panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", p, g.n))
-		}
-		if seen[p] {
-			panic(fmt.Sprintf("graph: permutation maps two vertices to %d", p))
-		}
-		seen[p] = true
-		_ = v
-	}
-	m := len(g.colIdx)
-	rowPtr := make([]int32, g.n+1)
-	for s := 0; s < g.n; s++ {
-		rowPtr[perm[s]+1] = g.rowPtr[s+1] - g.rowPtr[s]
-	}
-	for s := 1; s <= g.n; s++ {
-		rowPtr[s] += rowPtr[s-1]
-	}
-	colIdx := make([]int32, m)
-	vol := make([]float64, m)
-	for s := 0; s < g.n; s++ {
-		base := rowPtr[perm[s]]
-		for k := g.rowPtr[s]; k < g.rowPtr[s+1]; k++ {
-			j := base + k - g.rowPtr[s]
-			colIdx[j] = int32(perm[g.colIdx[k]])
-			vol[j] = g.vol[k]
-		}
-		end := rowPtr[perm[s]] + g.rowPtr[s+1] - g.rowPtr[s]
-		sort.Sort(rowSorter{colIdx[base:end], vol[base:end]})
-	}
-	return newFrozen(g.n, rowPtr, colIdx, vol)
-}
-
-// symmetrizedFrozen is Symmetrized over the CSR form. The map path adds the
-// two half-volumes of an undirected pair {a, b} into out[a][b] in global
-// (src, dst) iteration order, i.e. the half from the lexicographically
-// smaller directed edge lands first. The merge below reproduces that order:
-// when both a->b and b->a exist, out[a][b] = half(a,b) + half(b,a) for a < b
-// and half(b,a) + half(a,b) for a > b.
-func (g *Comm) symmetrizedFrozen() *Comm {
-	// Transpose index: in-edges of each vertex, sources ascending (scanning
-	// rows in ascending src order fills each transpose row in order).
-	tPtr := make([]int32, g.n+1)
-	for _, d := range g.colIdx {
-		tPtr[d+1]++
-	}
-	for i := 1; i <= g.n; i++ {
-		tPtr[i] += tPtr[i-1]
-	}
-	fill := make([]int32, g.n)
-	copy(fill, tPtr[:g.n])
-	tSrc := make([]int32, len(g.colIdx))
-	tVol := make([]float64, len(g.vol))
-	for s := 0; s < g.n; s++ {
-		for k := g.rowPtr[s]; k < g.rowPtr[s+1]; k++ {
-			d := g.colIdx[k]
-			tSrc[fill[d]] = int32(s)
-			tVol[fill[d]] = g.vol[k]
-			fill[d]++
-		}
-	}
-	rowPtr := make([]int32, g.n+1)
-	var (
-		colIdx []int32
-		vol    []float64
-	)
-	for a := 0; a < g.n; a++ {
-		i, iEnd := g.rowPtr[a], g.rowPtr[a+1]
-		j, jEnd := tPtr[a], tPtr[a+1]
-		for i < iEnd || j < jEnd {
-			var b int32
-			var val float64
-			switch {
-			case j >= jEnd || (i < iEnd && g.colIdx[i] < tSrc[j]):
-				b, val = g.colIdx[i], g.vol[i]/2
-				i++
-			case i >= iEnd || tSrc[j] < g.colIdx[i]:
-				b, val = tSrc[j], tVol[j]/2
-				j++
-			default: // both directions exist
-				b = g.colIdx[i]
-				if int32(a) < b {
-					val = g.vol[i]/2 + tVol[j]/2
-				} else {
-					val = tVol[j]/2 + g.vol[i]/2
-				}
-				i++
-				j++
-			}
-			// Mirror AddTraffic's drop condition for underflowed halves.
-			if !(val <= 0) {
-				colIdx = append(colIdx, b)
-				vol = append(vol, val)
-			}
-		}
-		rowPtr[a+1] = int32(len(colIdx))
-	}
-	return newFrozen(g.n, rowPtr, colIdx, vol)
 }
 
 // cloneFrozen deep-copies a frozen graph, including the cached aggregates.

@@ -107,15 +107,6 @@ func TestFrozenBitIdenticalToBuilder(t *testing.T) {
 			}
 		}
 
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = (i*11 + 3) % n
-		}
-		if !isPermutation(perm) {
-			t.Fatalf("test bug: perm is not a bijection for n=%d", n)
-		}
-		requireSameComm(t, "permuted", b.Permuted(perm), f.Permuted(perm))
-		requireSameComm(t, "symmetrized", b.Symmetrized(), f.Symmetrized())
 		requireSameComm(t, "scaled", b.Scale(0.625), f.Scale(0.625))
 		requireSameComm(t, "clone", b.Clone(), f.Clone())
 
@@ -123,17 +114,6 @@ func TestFrozenBitIdenticalToBuilder(t *testing.T) {
 			t.Fatalf("Equal(tol=0) rejects builder/frozen pair")
 		}
 	}
-}
-
-func isPermutation(p []int) bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
 }
 
 // TestFrozenDerivedStayFrozen checks frozen-ness propagates through derived
@@ -146,13 +126,8 @@ func TestFrozenDerivedStayFrozen(t *testing.T) {
 	}
 	cg, _ := f.Coarsen(assign, 8)
 	sg, _ := f.InducedSubgraph([]int{3, 1, 4, 15, 9, 2, 6})
-	perm := make([]int, 32)
-	for i := range perm {
-		perm[i] = (i + 5) % 32
-	}
 	for name, g := range map[string]*Comm{
-		"coarsen": cg, "induced": sg, "permuted": f.Permuted(perm),
-		"symmetrized": f.Symmetrized(), "scaled": f.Scale(2), "clone": f.Clone(),
+		"coarsen": cg, "induced": sg, "scaled": f.Scale(2), "clone": f.Clone(),
 	} {
 		if !g.Frozen() {
 			t.Errorf("%s of frozen graph is not frozen", name)

@@ -61,7 +61,7 @@ func TestAggregationsBitIdentical(t *testing.T) {
 		for _, f := range coarse.Flows() {
 			out = append(out, uint64(f.Src), uint64(f.Dst), math.Float64bits(f.Vol))
 		}
-		for _, f := range g.Symmetrized().Scale(1.0 / 3.0).Flows() {
+		for _, f := range g.Scale(1.0 / 3.0).Flows() {
 			out = append(out, uint64(f.Src), uint64(f.Dst), math.Float64bits(f.Vol))
 		}
 		return out

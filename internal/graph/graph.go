@@ -231,23 +231,6 @@ func (g *Comm) OutVolume(s int) float64 {
 	return tot
 }
 
-// Symmetrized returns a new graph with w'(s,d) = w'(d,s) = (w(s,d)+w(d,s))/2.
-// Several mapping heuristics assume symmetric demand.
-func (g *Comm) Symmetrized() *Comm {
-	if g.frozen {
-		return g.symmetrizedFrozen()
-	}
-	out := New(g.n)
-	for s, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			half := a[d] / 2
-			out.AddTraffic(s, d, half)
-			out.AddTraffic(d, s, half)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy in the same representation as the receiver.
 func (g *Comm) Clone() *Comm {
 	if g.frozen {
@@ -338,23 +321,6 @@ func (g *Comm) InducedSubgraph(verts []int) (*Comm, map[int]int) {
 	return out, local
 }
 
-// Permuted returns the graph relabelled by perm: vertex v becomes perm[v].
-func (g *Comm) Permuted(perm []int) *Comm {
-	if len(perm) != g.n {
-		panic("graph: permutation length mismatch")
-	}
-	if g.frozen {
-		return g.permutedFrozen(perm)
-	}
-	out := New(g.n)
-	for s, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			out.AddTraffic(perm[s], perm[d], a[d])
-		}
-	}
-	return out
-}
-
 // Equal reports whether the two graphs have identical vertex counts and edge
 // volumes within tol. Rows are compared with one merge-style linear scan
 // over each graph's sorted edges (no re-sorting, no per-edge map lookups).
@@ -434,6 +400,21 @@ func (g *Comm) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
+// ReadHeader parses the "comm <n>" header line of the WriteTo format and
+// returns the vertex count n, so a caller can bound n before Read
+// allocates the graph.
+func ReadHeader(line string) (int, error) {
+	head := strings.Fields(line)
+	if len(head) != 2 || head[0] != "comm" {
+		return 0, fmt.Errorf("graph: bad header %q", line)
+	}
+	n, err := strconv.Atoi(head[1])
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("graph: bad vertex count %q", head[1])
+	}
+	return n, nil
+}
+
 // Read parses the format produced by WriteTo. Duplicate header lines and
 // non-finite volumes are rejected with line-numbered errors.
 func Read(r io.Reader) (*Comm, error) {
@@ -442,13 +423,9 @@ func Read(r io.Reader) (*Comm, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	head := strings.Fields(sc.Text())
-	if len(head) != 2 || head[0] != "comm" {
-		return nil, fmt.Errorf("graph: bad header %q", sc.Text())
-	}
-	n, err := strconv.Atoi(head[1])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("graph: bad vertex count %q", head[1])
+	n, err := ReadHeader(sc.Text())
+	if err != nil {
+		return nil, err
 	}
 	g := New(n)
 	line := 1

@@ -440,8 +440,8 @@ type merger struct {
 	ctx        context.Context
 	done       <-chan struct{} // ctx.Done(), polled inside worker loops
 	// scope is the request scope carried by ctx (nil outside the daemon);
-	// alg is the shared evaluator, scoped so every scorer's stencil
-	// traffic is attributed to the owning request.
+	// alg, scoped to it, makes each worker's routing.Table, so every
+	// scorer's stencil traffic is attributed to the owning request.
 	scope *telemetry.Scope
 	alg   routing.MinimalAdaptive
 
@@ -528,12 +528,12 @@ func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
 
 // addFlowsDelta deposits the loads of every graph flow inside one child,
 // its tasks placed at pos (local task index -> parent rank), into a sparse
-// DeltaVec.
-func (m *merger) addFlowsDelta(child int, pos []int, dv *routing.DeltaVec) {
+// DeltaVec through the worker's table.
+func (m *merger) addFlowsDelta(tab *routing.Table, child int, pos []int, dv *routing.DeltaVec) {
 	for li, t := range m.children[child].Tasks {
 		for ni, d := range m.nbr[t] {
 			if m.taskChild[d] == int32(child) {
-				m.alg.AddLoadsDelta(m.parent, pos[li], pos[m.taskLocal[d]], m.nvol[t][ni], dv)
+				tab.AddLoadsDelta(pos[li], pos[m.taskLocal[d]], m.nvol[t][ni], dv)
 			}
 		}
 	}
@@ -579,6 +579,8 @@ func (m *merger) mergeOrder() []int {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			tab := m.alg.Table(m.parent)
+			defer tab.Flush()
 			dv := routing.NewDeltaVec(m.parent.NumChannels())
 			for u := lo; u < hi; u++ {
 				select {
@@ -589,7 +591,7 @@ func (m *merger) mergeOrder() []int {
 				i, oi := u/ko, u%ko
 				p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
 				dv.Reset()
-				m.addFlowsDelta(i, p, dv)
+				m.addFlowsDelta(tab, i, p, dv)
 				pl[i][oi] = p
 				snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
 			}
@@ -653,7 +655,8 @@ func (m *merger) mergeOrder() []int {
 			var evals int64
 			//rahtm:allow(telemetrybatch): flushes a per-worker local once at worker exit, not per iteration
 			defer func() { m.scope.CounterOr(telemetry.CtrSymmetryEvals, ctrSymmetryEvals).Add(evals) }()
-			alg := m.alg
+			tab := m.alg.Table(m.parent)
+			defer tab.Flush()
 			dv := routing.NewDeltaVec(m.parent.NumChannels())
 			for pi := lo; pi < hi; pi++ {
 				select {
@@ -680,9 +683,9 @@ func (m *merger) mergeOrder() []int {
 								break // cannot go below bst any more
 							}
 							if e.fromJ {
-								alg.AddLoadsDelta(m.parent, pl[j][oj][e.bi], pl[i][oi][e.ai], e.vol, dv)
+								tab.AddLoadsDelta(pl[j][oj][e.bi], pl[i][oi][e.ai], e.vol, dv)
 							} else {
-								alg.AddLoadsDelta(m.parent, pl[i][oi][e.ai], pl[j][oj][e.bi], e.vol, dv)
+								tab.AddLoadsDelta(pl[i][oi][e.ai], pl[j][oj][e.bi], e.vol, dv)
 							}
 						}
 						if mcl := dv.Peak(); bst < 0 || mcl < bst {
@@ -888,20 +891,19 @@ func (m *merger) crossEdgesFor(order []int, step int, childStep []int32) []cross
 }
 
 // addCrossEdgesDelta routes the step's cross flows for the child placed at
-// cp (task local index -> parent rank) against the state's placements. It
-// stops early once dv's running peak (ResetOver) is above bound; pass +Inf
-// to route every flow.
-func (m *merger) addCrossEdgesDelta(edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, bound float64) {
-	alg := m.alg
+// cp (task local index -> parent rank) against the state's placements,
+// through the worker's table. It stops early once dv's running peak
+// (ResetOver) is above bound; pass +Inf to route every flow.
+func (m *merger) addCrossEdgesDelta(tab *routing.Table, edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, bound float64) {
 	for _, e := range edges {
 		if dv.Peak() > bound {
 			return
 		}
 		pp := st.pos[e.s][e.oi]
 		if e.toChild {
-			alg.AddLoadsDelta(m.parent, pp, cp[e.ci], e.vol, dv)
+			tab.AddLoadsDelta(pp, cp[e.ci], e.vol, dv)
 		} else {
-			alg.AddLoadsDelta(m.parent, cp[e.ci], pp, e.vol, dv)
+			tab.AddLoadsDelta(cp[e.ci], pp, e.vol, dv)
 		}
 	}
 }
@@ -980,6 +982,8 @@ func (m *merger) run() (*Block, error) {
 			wg.Add(1)
 			go func(w, glo, ghi int) {
 				defer wg.Done()
+				tab := m.alg.Table(m.parent)
+				defer tab.Flush()
 				top := &topCombos{beam: beam, n: m.cfg.BeamWidth}
 				var skipped int64
 				defer func() { tops[w], skips[w] = top.h, skipped }()
@@ -994,7 +998,7 @@ func (m *merger) run() (*Block, error) {
 						refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
 					}
 					dv.Reset()
-					m.addFlowsDelta(child, refPos, dv)
+					m.addFlowsDelta(tab, child, refPos, dv)
 					snap = dv.Snapshot(snap)
 					for si, st := range beam {
 						if st.mcl > top.bound() {
@@ -1015,7 +1019,7 @@ func (m *merger) run() (*Block, error) {
 								for i := range refPos {
 									posBuf[i] = refPos[i] + rankOff
 								}
-								m.addCrossEdgesDelta(crossEdges, st, posBuf, dv, bound)
+								m.addCrossEdgesDelta(tab, crossEdges, st, posBuf, dv, bound)
 							}
 							if dv.Peak() > bound {
 								skipped++
@@ -1058,6 +1062,7 @@ func (m *merger) run() (*Block, error) {
 		// translated snapshot used for scoring — and added onto the state
 		// loads channel by channel.
 		next := make([]*state, 0, len(kept))
+		tab := m.alg.Table(m.parent)
 		dv := routing.NewDeltaVec(m.parent.NumChannels())
 		for _, sc := range kept {
 			st := beam[sc.si]
@@ -1065,12 +1070,13 @@ func (m *merger) run() (*Block, error) {
 			p := m.placementAt(child, cand, m.orients[sc.orient], int(sc.cube))
 			loads := append([]float64(nil), st.loads...)
 			dv.Reset()
-			m.addFlowsDelta(child, p, dv)
-			m.addCrossEdgesDelta(crossEdges, st, p, dv, math.Inf(1))
+			m.addFlowsDelta(tab, child, p, dv)
+			m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
 			dv.AddTo(loads)
 			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
 			next = append(next, st.extend(p, int(sc.cube), choice, loads, sc.mcl))
 		}
+		tab.Flush()
 		beam = topN(next, m.cfg.BeamWidth)
 	}
 	return m.block(beam, order, degraded), nil
@@ -1115,6 +1121,8 @@ func (m *merger) block(beam []*state, order []int, degraded bool) *Block {
 // child -> merge step index, extended here as children are absorbed.
 func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep []int32) []*state {
 	st := beam[0]
+	tab := m.alg.Table(m.parent)
+	defer tab.Flush()
 	dv := routing.NewDeltaVec(m.parent.NumChannels())
 	for step := from; step < len(order); step++ {
 		child := order[step]
@@ -1132,8 +1140,8 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep 
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 		dv.ResetOver(st.loads, st.mcl)
-		m.addFlowsDelta(child, p, dv)
-		m.addCrossEdgesDelta(crossEdges, st, p, dv, math.Inf(1))
+		m.addFlowsDelta(tab, child, p, dv)
+		m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
 		loads := append([]float64(nil), st.loads...)
 		dv.AddTo(loads)
 		st = st.extend(p, cube, packChoice(cube, 0, 0), loads, dv.Peak())

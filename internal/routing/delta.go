@@ -23,16 +23,12 @@ package routing
 // stop depositing as soon as it exceeds a bound and its final value is
 // bit-for-bit the max over the finished vector.
 //
-// MinimalAdaptive.AddLoadsDelta mirrors AddLoads exactly — same direction
-// and tie handling, same stencil-cache decisions, same DP, same deposit
-// order — so for any flow the per-channel totals accumulated into a DeltaVec
-// are bit-identical to the totals the dense path accumulates from a zeroed
+// Table.AddLoadsDelta takes the same flow walk as AddLoads — same
+// direction and tie handling, same stencil, same deposit order — so for
+// any flow the per-channel totals accumulated into a DeltaVec are
+// bit-identical to the totals the dense path accumulates from a zeroed
 // vector. Delta evaluation is therefore byte-exact against a full
 // recomputation, not merely approximately equal.
-
-import (
-	"rahtm/internal/topology"
-)
 
 // DeltaVec is a sparse accumulator over a dense channel space. The zero
 // value is not usable; construct with NewDeltaVec. Not safe for concurrent
@@ -147,129 +143,5 @@ func (v *DeltaVec) Snapshot(dst Snapshot) Snapshot {
 func (v *DeltaVec) AddSnapshot(s Snapshot, chOff int) {
 	for i, ch := range s.Ch {
 		v.Add(int(ch)+chOff, s.Val[i])
-	}
-}
-
-// AddSnapshotTo replays a snapshot into a dense load vector with every
-// channel id shifted by chOff.
-func (s Snapshot) AddSnapshotTo(loads []float64, chOff int) {
-	for i, ch := range s.Ch {
-		loads[int(ch)+chOff] += s.Val[i]
-	}
-}
-
-// AddLoadsDelta is AddLoads depositing into a DeltaVec instead of a dense
-// vector. For a given flow it makes exactly the stencil-cache decisions and
-// deposits exactly the values, in the same order, as AddLoads would into a
-// zeroed dense vector, so sparse and dense evaluation agree bit-for-bit.
-// A negative vol subtracts. Safe for concurrent use with distinct DeltaVecs.
-func (a MinimalAdaptive) AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec) {
-	if src == dst || vol == 0 {
-		return
-	}
-	nd := t.NumDims()
-	sc := getScratch(nd)
-	defer putScratch(sc)
-	cs := t.CoordOf(src, sc.cs)
-	cd := t.CoordOf(dst, sc.cd)
-	numCombos := prepareDirs(t, cs, cd, sc)
-	comboVol := vol / float64(numCombos)
-	for mask := 0; mask < numCombos; mask++ {
-		sc.setTies(mask)
-		a.routeBoxDelta(t, cs, sc.dirs, sc.dists, comboVol, dv, sc)
-	}
-	sc.flushStencil(a)
-}
-
-// routeBoxDelta is routeBox with a DeltaVec sink: stencil cache when the
-// displacement is cacheable, direct DP otherwise, with the same hit/miss
-// accounting.
-func (a MinimalAdaptive) routeBoxDelta(t *topology.Torus, cs, dirs, dists []int, vol float64, dv *DeltaVec, sc *scratch) {
-	if s := sc.stencilFor(dists); s != nil {
-		sc.nhits++
-		s.applyDelta(t, cs, dirs, vol, dv, sc)
-		return
-	}
-	sc.nmisses++
-	addMinimalBoxLoadsDelta(t, cs, dirs, dists, vol, dv, sc)
-}
-
-// applyDelta is stencil.apply depositing into a DeltaVec. It repeats the
-// cell loop of stencil.chans instead of depositing from its channel list:
-// the beam merger's scorers route through here, and the two-pass walk
-// made the 4k rung's merge 15% slower (GOMAXPROCS=1 rahtm-bench -fig
-// scale, six alternating runs on a 2-vCPU host: median 4.35s -> 5.02s).
-func (s *stencil) applyDelta(t *topology.Torus, cs, dirs []int, vol float64, dv *DeltaVec, sc *scratch) {
-	nd := s.nd
-	tab, chanOff := s.fillChanTab(t, cs, dirs, sc)
-	ei := 0
-	for c := 0; c < s.cells; c++ {
-		base := c * nd
-		nodeCh := 0
-		for d := 0; d < nd; d++ {
-			nodeCh += tab[s.offs[base+d]]
-		}
-		for n := s.cnt[c]; n > 0; n-- {
-			dv.Add(nodeCh+chanOff[s.dims[ei]], s.fracs[ei]*vol)
-			ei++
-		}
-	}
-}
-
-// addMinimalBoxLoadsDelta is addMinimalBoxLoads depositing into a DeltaVec.
-func addMinimalBoxLoadsDelta(t *topology.Torus, cs []int, dirs, dists []int, vol float64, dv *DeltaVec, sc *scratch) {
-	nd := t.NumDims()
-	total := 1
-	shape := sc.shape
-	for d := 0; d < nd; d++ {
-		shape[d] = dists[d] + 1
-		total *= shape[d]
-	}
-	strides := sc.strides
-	s := 1
-	for d := nd - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= shape[d]
-	}
-
-	p := sc.floats(total)
-	p[0] = vol
-	u := sc.u
-	for d := range u {
-		u[d] = 0
-	}
-	coord := sc.coord
-	for idx := 0; idx < total; idx++ {
-		pu := p[idx]
-		if pu == 0 {
-			incOffset(u, shape)
-			continue
-		}
-		remain := 0
-		for d := 0; d < nd; d++ {
-			remain += dists[d] - u[d]
-		}
-		if remain > 0 {
-			for d := 0; d < nd; d++ {
-				k := t.Dim(d)
-				if dirs[d] == topology.Plus {
-					coord[d] = (cs[d] + u[d]) % k
-				} else {
-					coord[d] = ((cs[d]-u[d])%k + k) % k
-				}
-			}
-			node := t.RankOf(coord)
-			inv := pu / float64(remain)
-			for d := 0; d < nd; d++ {
-				left := dists[d] - u[d]
-				if left == 0 {
-					continue
-				}
-				frac := inv * float64(left)
-				dv.Add(t.ChannelID(node, d, dirs[d]), frac)
-				p[idx+strides[d]] += frac
-			}
-		}
-		incOffset(u, shape)
 	}
 }

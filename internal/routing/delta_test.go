@@ -164,12 +164,6 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 		t.Fatalf("AddSnapshot: ch12=%v ch19=%v", dv2.Value(12), dv2.Value(19))
 	}
 
-	dense := make([]float64, 32)
-	snap.AddSnapshotTo(dense, 10)
-	if dense[12] != 1.0 || dense[19] != 1.25 {
-		t.Fatalf("AddSnapshotTo: %v %v", dense[12], dense[19])
-	}
-
 	// Snapshot is frozen: resetting the source must not affect it.
 	dv.Reset()
 	if snap.Val[0] != 1.0 && snap.Val[1] != 1.0 {
@@ -178,81 +172,89 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 }
 
 // TestAddLoadsDeltaBitwise asserts the core contract: for any flow, the
-// per-channel totals deposited by AddLoadsDelta are bit-identical (==, not
-// approximately equal) to the totals AddLoads deposits into a zeroed dense
-// vector. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
-// and the uncached direct DP. The table arm holds a compiled route Table
-// to the same contract against AddLoads, over flows of either sign, with
-// equal stencil hit and miss counts.
+// per-channel totals a Table deposits through AddLoadsDelta are
+// bit-identical (==, not approximately equal) to the totals AddLoads
+// deposits into a zeroed dense vector, with equal stencil hit and miss
+// counts. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
+// and displacements the cache key cannot encode: the 299-hop pair of a
+// 300-node mesh and a 9-dimension torus. The table arm holds the
+// compiled dense routes to the same contract against AddLoads, over flows
+// of either sign.
 func TestAddLoadsDeltaBitwise(t *testing.T) {
-	shapes := []struct {
-		name string
-		topo *topology.Torus
+	for _, sh := range []struct {
+		name  string
+		topo  *topology.Torus
+		pairs [][2]int
 	}{
-		{"torus-4x4", topology.NewTorus(4, 4)},
-		{"mesh-5x3", topology.NewMesh(5, 3)},
-		{"torus-4x4x4", topology.NewTorus(4, 4, 4)},
-		{"torus-4x4x4x4x2", topology.NewTorus(4, 4, 4, 4, 2)},
-	}
-	for _, arm := range []struct {
-		name string
-		alg  interface {
-			AddLoads(t *topology.Torus, src, dst int, vol float64, loads []float64)
-			AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec)
-		}
-	}{
-		{"cached", MinimalAdaptive{}},
-		{"direct", directDP{}},
+		{"torus-4x4", topology.NewTorus(4, 4), nil},
+		{"mesh-5x3", topology.NewMesh(5, 3), nil},
+		{"torus-4x4x4", topology.NewTorus(4, 4, 4), nil},
+		{"torus-4x4x4x4x2", topology.NewTorus(4, 4, 4, 4, 2), nil},
+		{"mesh-300", topology.NewMesh(300), [][2]int{{0, 299}, {299, 0}}},
+		{"torus-2^9", topology.NewTorus(2, 2, 2, 2, 2, 2, 2, 2, 2), nil},
 	} {
-		name, alg := arm.name, arm.alg
-		for _, sh := range shapes {
-			t.Run(name+"/"+sh.name, func(t *testing.T) {
-				topo := sh.topo
-				rng := rand.New(rand.NewSource(7))
-				n := topo.N()
-				dense := make([]float64, topo.NumChannels())
-				dv := NewDeltaVec(topo.NumChannels())
-				for trial := 0; trial < 50; trial++ {
-					src := rng.Intn(n)
-					dst := rng.Intn(n)
-					vol := 1 + rng.Float64()*9
-					for i := range dense {
-						dense[i] = 0
-					}
-					alg.AddLoads(topo, src, dst, vol, dense)
-					dv.Reset()
-					alg.AddLoadsDelta(topo, src, dst, vol, dv)
+		t.Run("cached/"+sh.name, func(t *testing.T) {
+			topo := sh.topo
+			rng := rand.New(rand.NewSource(7))
+			n := topo.N()
+			refScope, tabScope := telemetry.NewScope("ref"), telemetry.NewScope("table")
+			ref := MinimalAdaptive{}.WithScope(refScope)
+			tab := MinimalAdaptive{}.WithScope(tabScope).Table(topo)
+			dense := make([]float64, topo.NumChannels())
+			dv := NewDeltaVec(topo.NumChannels())
+			for trial := 0; trial < 50; trial++ {
+				src := rng.Intn(n)
+				dst := rng.Intn(n)
+				if trial < len(sh.pairs) {
+					src, dst = sh.pairs[trial][0], sh.pairs[trial][1]
+				}
+				vol := 1 + rng.Float64()*9
+				for i := range dense {
+					dense[i] = 0
+				}
+				ref.AddLoads(topo, src, dst, vol, dense)
+				dv.Reset()
+				tab.AddLoadsDelta(src, dst, vol, dv)
 
-					nz := 0
-					for ch, want := range dense {
-						if want != 0 {
-							nz++
-						}
-						if got := dv.Value(ch); got != want {
-							t.Fatalf("trial %d flow %d->%d vol %v: ch %d delta %v dense %v (diff %g)",
-								trial, src, dst, vol, ch, got, want, math.Abs(got-want))
-						}
+				nz := 0
+				for ch, want := range dense {
+					if want != 0 {
+						nz++
 					}
-					if dv.NumTouched() < nz {
-						t.Fatalf("trial %d: delta touched %d channels, dense has %d non-zero",
-							trial, dv.NumTouched(), nz)
-					}
-					// And the sparse max equals the dense MCL bitwise.
-					if got, want := dv.Max(), MCL(dense); got != want {
-						t.Fatalf("trial %d: sparse max %v, dense MCL %v", trial, got, want)
+					if got := dv.Value(ch); got != want {
+						t.Fatalf("trial %d flow %d->%d vol %v: ch %d delta %v dense %v (diff %g)",
+							trial, src, dst, vol, ch, got, want, math.Abs(got-want))
 					}
 				}
-			})
-		}
+				if dv.NumTouched() < nz {
+					t.Fatalf("trial %d: delta touched %d channels, dense has %d non-zero",
+						trial, dv.NumTouched(), nz)
+				}
+				// And the sparse max equals the dense MCL bitwise.
+				if got, want := dv.Max(), MCL(dense); got != want {
+					t.Fatalf("trial %d: sparse max %v, dense MCL %v", trial, got, want)
+				}
+			}
+			tab.Flush()
+			for _, name := range []string{telemetry.CtrStencilHits, telemetry.CtrStencilMisses} {
+				if g, w := tabScope.Counter(name).Value(), refScope.Counter(name).Value(); g != w {
+					t.Fatalf("%s: table %d, AddLoads %d", name, g, w)
+				}
+			}
+			misses := refScope.Counter(telemetry.CtrStencilMisses).Value()
+			if wantMisses := len(sh.pairs) > 0 || topo.NumDims() > maxStencilDims; wantMisses != (misses > 0) {
+				t.Fatalf("%d stencil misses, want them only for the unencodable displacements", misses)
+			}
+		})
 	}
 
 	// The table arm accumulates both sides over every flow, so replays of
 	// an already compiled pair are checked too. On the 300-node mesh the
-	// 299-hop pair has no stencil and must take the AddLoads fallback. The
-	// 2^7 torus wants about 28M channel ids for all its pairs, so its
-	// flows run the table out of budget and the later pairs fall back;
-	// the 2^9 torus has more pairs than the table indexes, so every flow
-	// falls back (and, at 9 dimensions, misses the stencil cache).
+	// 299-hop pair has no cached stencil and must be walked. The 2^7
+	// torus wants about 28M channel ids for all its pairs, so its flows
+	// run the table out of budget and the later pairs are walked; the 2^9
+	// torus has more pairs than the table indexes, so every flow is
+	// walked (and, at 9 dimensions, misses the stencil cache).
 	for _, sh := range []struct {
 		name   string
 		topo   *topology.Torus
@@ -335,7 +337,7 @@ func TestAddLoadsDeltaTieEnumeration(t *testing.T) {
 	dense := make([]float64, topo.NumChannels())
 	alg.AddLoads(topo, 0, 2, 8, dense)
 	dv := NewDeltaVec(topo.NumChannels())
-	alg.AddLoadsDelta(topo, 0, 2, 8, dv)
+	alg.Table(topo).AddLoadsDelta(0, 2, 8, dv)
 	for ch, want := range dense {
 		if got := dv.Value(ch); got != want {
 			t.Fatalf("ch %d: delta %v dense %v", ch, got, want)

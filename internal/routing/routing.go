@@ -9,7 +9,12 @@
 // paths — by a dynamic program that, at every intermediate node, splits the
 // remaining flow proportionally to the remaining distance in each
 // dimension; that split induces exactly the uniform distribution over
-// minimal paths.
+// minimal paths. The DP runs once per distance vector, into a stencil that
+// every flow with that displacement walks (stencil.go); it is the
+// package's only implementation of the model. Two evaluators route
+// through it: MinimalAdaptive.AddLoads for one-off evaluations, and Table,
+// one worker's evaluator, which owns its scratch and stencil counts and
+// replays compiled per-pair routes (table.go).
 //
 // Dimension-order routing (DOR) is provided as the routing-oblivious
 // comparator.
@@ -69,17 +74,36 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 	if src == dst || vol == 0 {
 		return
 	}
-	sc := getScratch(t.NumDims())
-	defer putScratch(sc)
+	sc := scratchPool.Get().(*scratch)
+	sc.size(t.NumDims())
+	sc.walk(t, src, dst, vol, loads, nil)
+	sc.flushStencil(a)
+	scratchPool.Put(sc)
+}
+
+// walk is the one flow walk of the minimal-adaptive evaluators:
+// prepareDirs, the box's stencil, and one stencil walk per tie
+// combination, depositing into loads, or into dv when dv is non-nil. The
+// box counts one stencil hit or miss per combination on sc.
+func (sc *scratch) walk(t *topology.Torus, src, dst int, vol float64, loads []float64, dv *DeltaVec) {
 	cs := t.CoordOf(src, sc.cs)
 	cd := t.CoordOf(dst, sc.cd)
 	numCombos := prepareDirs(t, cs, cd, sc)
+	s, cached := sc.stencilFor(sc.dists)
+	if cached {
+		sc.nhits += int64(numCombos)
+	} else {
+		sc.nmisses += int64(numCombos)
+	}
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
 		sc.setTies(mask)
-		a.routeBox(t, cs, sc.dirs, sc.dists, comboVol, loads, sc)
+		if dv != nil {
+			s.applyDelta(t, cs, sc.dirs, comboVol, dv, sc)
+		} else {
+			s.apply(t, cs, sc.dirs, comboVol, loads, sc)
+		}
 	}
-	sc.flushStencil(a)
 }
 
 // prepareDirs fills sc.dirs/sc.dists with the per-dimension minimal
@@ -87,11 +111,11 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 // sc.ties. Ties (torus distance exactly k/2) admit both directions; every
 // combination of choices contributes the same number of minimal paths, so
 // combinations weigh equally. Returns the number of direction combinations
-// (2^len(ties)). Shared by the dense (AddLoads), sparse (AddLoadsDelta)
-// and compiled (Table) evaluators so their routing decisions cannot drift
-// apart.
+// (2^len(ties)). The flow walk and the compiled routes (Table) both
+// start here, so their routing decisions cannot drift apart.
 func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
 	dirs, dists := sc.dirs, sc.dists
+	sc.ties = sc.ties[:0]
 	numCombos := 1
 	for d := 0; d < t.NumDims(); d++ {
 		dirs[d], dists[d] = 0, 0
@@ -123,95 +147,6 @@ func prepareDirs(t *topology.Torus, cs, cd []int, sc *scratch) int {
 		}
 	}
 	return numCombos
-}
-
-// routeBox deposits one direction-combination's loads, through the stencil
-// cache when the displacement is cacheable and the cache has room, and
-// through the direct DP otherwise. Every box counts as a stencil-cache hit
-// or miss.
-func (a MinimalAdaptive) routeBox(t *topology.Torus, cs, dirs, dists []int, vol float64, loads []float64, sc *scratch) {
-	if s := sc.stencilFor(dists); s != nil {
-		sc.nhits++
-		s.apply(t, cs, dirs, vol, loads, sc)
-		return
-	}
-	sc.nmisses++
-	addMinimalBoxLoads(t, cs, dirs, dists, vol, loads, sc)
-}
-
-// addMinimalBoxLoads runs the proportional-split DP over the minimal box
-// defined by the source coordinate, the per-dimension travel directions and
-// distances, adding channel loads for vol units of flow. sc supplies the
-// working storage; pass a fresh scratch when calling outside the pool.
-func addMinimalBoxLoads(t *topology.Torus, cs []int, dirs, dists []int, vol float64, loads []float64, sc *scratch) {
-	nd := t.NumDims()
-	// Box shape and local strides (row-major, last dim fastest).
-	total := 1
-	shape := sc.shape
-	for d := 0; d < nd; d++ {
-		shape[d] = dists[d] + 1
-		total *= shape[d]
-	}
-	strides := sc.strides
-	s := 1
-	for d := nd - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= shape[d]
-	}
-
-	p := sc.floats(total)
-	p[0] = vol
-	u := sc.u
-	for d := range u {
-		u[d] = 0
-	}
-	coord := sc.coord
-	for idx := 0; idx < total; idx++ {
-		pu := p[idx]
-		if pu == 0 {
-			// Still need to advance the offset counter.
-			incOffset(u, shape)
-			continue
-		}
-		remain := 0
-		for d := 0; d < nd; d++ {
-			remain += dists[d] - u[d]
-		}
-		if remain > 0 {
-			// Torus rank of the node at offset u.
-			for d := 0; d < nd; d++ {
-				k := t.Dim(d)
-				if dirs[d] == topology.Plus {
-					coord[d] = (cs[d] + u[d]) % k
-				} else {
-					coord[d] = ((cs[d]-u[d])%k + k) % k
-				}
-			}
-			node := t.RankOf(coord)
-			inv := pu / float64(remain)
-			for d := 0; d < nd; d++ {
-				left := dists[d] - u[d]
-				if left == 0 {
-					continue
-				}
-				frac := inv * float64(left)
-				loads[t.ChannelID(node, d, dirs[d])] += frac
-				p[idx+strides[d]] += frac
-			}
-		}
-		incOffset(u, shape)
-	}
-}
-
-// incOffset advances a mixed-radix counter (row-major, last dim fastest).
-func incOffset(u, shape []int) {
-	for d := len(u) - 1; d >= 0; d-- {
-		u[d]++
-		if u[d] < shape[d] {
-			return
-		}
-		u[d] = 0
-	}
 }
 
 // DimOrder is deterministic dimension-order routing: the flow fully

@@ -2,19 +2,20 @@ package routing
 
 // Displacement-stencil cache for the minimal-adaptive evaluator.
 //
-// The proportional-split DP of addMinimalBoxLoads distributes a flow over
-// the minimal box spanned by its per-dimension travel distances. The load
-// *fraction* deposited on each channel of that box depends only on the
-// distance vector — it is invariant under translation of the source, under
-// the travel directions (the box is mirror-symmetric), and under the
-// topology the box is embedded in. The stencil for a distance vector is
-// therefore computed once — a list of (cell offset, dimension, fraction)
-// triples normalized to unit volume — and applied to any concrete flow by
-// translating cell offsets from the flow's source coordinate and scaling by
-// its volume. This turns the per-flow DP (allocate + fill an O(box) flow
-// array) into a linear walk over precomputed fractions, which is what the
-// Phase 3 merge scorers spend most of their time in; the leaf solvers'
-// route tables (table.go) run the walk once per pair and replay it.
+// The proportional-split DP distributes a flow over the minimal box
+// spanned by its per-dimension travel distances. The load *fraction*
+// deposited on each channel of that box depends only on the distance
+// vector — it is invariant under translation of the source, under the
+// travel directions (the box is mirror-symmetric), and under the topology
+// the box is embedded in. buildStencil therefore runs the DP once per
+// distance vector — a list of (cell offset, dimension, fraction) triples
+// normalized to unit volume — and every flow is routed by translating the
+// cell offsets from its source coordinate and scaling by its volume. The
+// process-wide cache keeps each stencil for reuse; a box the cache cannot
+// hold is routed through a stencil built for that use alone, so a flow's
+// loads never depend on what the cache held. The Phase 3 merge scorers
+// spend most of their time in this walk; the leaf solvers' route tables
+// (table.go) run it once per pair and replay it.
 
 import (
 	"sync"
@@ -30,16 +31,15 @@ const (
 	// maxStencilDist bounds each per-dimension distance a key can encode.
 	maxStencilDist = 255
 	// maxStencilCells bounds the total cells held by the cache (~48 bytes
-	// per cell); displacement vectors beyond the budget are routed by the
-	// direct DP.
+	// per cell); a stencil beyond the budget routes its box and is dropped.
 	maxStencilCells = 1 << 20
 )
 
 // stencil is the unit-volume channel-load pattern of one displacement,
 // stored flat: cell c occupies offs[c*nd : (c+1)*nd] and owns cnt[c]
 // consecutive (dims, fracs) entries. Cells appear in the DP's visit order,
-// so applying a stencil deposits loads in exactly the order the direct DP
-// would, keeping results reproducible run to run.
+// so every application deposits loads in the same order, keeping results
+// reproducible run to run.
 //
 // offs holds table indices, not raw box offsets: the entry for cell c,
 // dimension d is tabOff(d)+u where u is the cell's box offset along d and
@@ -103,13 +103,12 @@ var (
 )
 
 // Cache telemetry. Hits and misses fire once per routed box — the hottest
-// counter in the process — so the per-box path increments plain ints on the
-// scratch and flushStencil drains them once per AddLoads/AddLoadsDelta call
-// through striped local handles (claimed in the pool's New func; sync.Pool's
-// per-P affinity spreads the stripes across CPUs). Builds and evictions are
-// rare and use the counters directly. "Evictions" counts stencils that were
-// built and then discarded: cell-budget rejections and lost publication
-// races.
+// counter in the process — so the per-box path increments plain ints on
+// the evaluator's scratch, and flushStencil adds them once per AddLoads
+// call or once per Table. Builds and evictions are rare and use the
+// counters directly. "Builds" counts stencils built for the cache and
+// "evictions" those of them discarded again: cell-budget rejections and
+// lost publication races.
 var (
 	ctrStencilHits      = telemetry.Default.Counter(telemetry.CtrStencilHits)
 	ctrStencilMisses    = telemetry.Default.Counter(telemetry.CtrStencilMisses)
@@ -133,60 +132,55 @@ func stencilKey(dists []int) (key uint64, ok bool) {
 	return key, true
 }
 
-// stencilFor returns the cached stencil for dists, building and publishing
-// it on first use. It returns nil when the cache budget is exhausted and the
-// stencil is not already present.
-func stencilFor(dists []int) *stencil {
-	key, ok := stencilKey(dists)
-	if !ok {
-		return nil
-	}
-	return stencilForKey(key, dists)
-}
-
-// stencilFor is stencilFor fronted by the scratch's direct-mapped memo.
-// Merge scoring routes millions of boxes drawn from a few hundred distinct
-// displacement vectors, so the interface-hashing sync.Map lookup is
+// stencilFor returns the stencil for dists and whether it is the cached
+// one. A box the cache cannot hold — its key does not encode, or the cell
+// budget refuses the stencil just built — gets a stencil built for this
+// use alone, so every box is routed by the same DP whatever the cache
+// happens to hold.
+//
+// The process-wide sync.Map is fronted by the scratch's direct-mapped
+// memo. Merge scoring routes millions of boxes drawn from a few hundred
+// distinct displacement vectors, so the interface-hashing lookup is
 // measurable; the memo turns the common repeat into two array reads.
-// Stencils are immutable and never unpublished once returned, so memo
-// entries cannot go stale.
-func (sc *scratch) stencilFor(dists []int) *stencil {
+// Cached stencils are immutable and never unpublished, so memo entries
+// cannot go stale.
+func (sc *scratch) stencilFor(dists []int) (*stencil, bool) {
 	key, ok := stencilKey(dists)
 	if !ok {
-		return nil
+		return buildStencil(dists), false
 	}
 	// Fibonacci-hash the key into a slot; keys are nonzero (they encode
 	// the dimension count), so the zero-initialized memo never false-hits.
 	slot := (key * 0x9e3779b97f4a7c15) >> (64 - stencilMemoBits)
 	if sc.memoKey[slot] == key {
-		return sc.memoVal[slot]
+		return sc.memoVal[slot], true
 	}
-	s := stencilForKey(key, dists)
-	if s != nil {
+	s, cached := stencilForKey(key, dists)
+	if cached {
 		sc.memoKey[slot] = key
 		sc.memoVal[slot] = s
 	}
-	return s
+	return s, cached
 }
 
-func stencilForKey(key uint64, dists []int) *stencil {
+func stencilForKey(key uint64, dists []int) (*stencil, bool) {
 	if v, ok := stencilCache.Load(key); ok {
-		return v.(*stencil)
+		return v.(*stencil), true
 	}
 	s := buildStencil(dists)
 	ctrStencilBuilds.Inc()
 	if stencilCells.Add(int64(s.cells)) > maxStencilCells {
 		stencilCells.Add(-int64(s.cells))
 		ctrStencilEvictions.Inc()
-		return nil
+		return s, false
 	}
 	if prev, loaded := stencilCache.LoadOrStore(key, s); loaded {
 		// Lost a build race; keep the published copy and return the cells.
 		stencilCells.Add(-int64(s.cells))
 		ctrStencilEvictions.Inc()
-		return prev.(*stencil)
+		return prev.(*stencil), true
 	}
-	return s
+	return s, true
 }
 
 // buildStencil runs the proportional-split DP once with unit volume,
@@ -251,9 +245,20 @@ func buildStencil(dists []int) *stencil {
 	return st
 }
 
+// incOffset advances a mixed-radix counter (row-major, last dim fastest).
+func incOffset(u, shape []int) {
+	for d := len(u) - 1; d >= 0; d-- {
+		u[d]++
+		if u[d] < shape[d] {
+			return
+		}
+		u[d] = 0
+	}
+}
+
 // chans walks the stencil over a concrete box — source coordinate cs,
 // travel directions dirs — and returns the channel id of every deposit in
-// the direct DP's order: entry i receives fracs[i] of the box's volume.
+// the DP's visit order: entry i receives fracs[i] of the box's volume.
 // The slice is sc's storage, valid until sc's next chans call. apply and
 // Table.compile deposit through it; applyDelta fuses the same walk with
 // its deposits.
@@ -281,20 +286,40 @@ func (s *stencil) chans(t *topology.Torus, cs, dirs []int, sc *scratch) []int32 
 
 // apply translates the stencil to a concrete flow: source coordinate cs,
 // travel directions dirs, vol units of traffic. sc supplies the walk's
-// storage. Deposit order matches the direct DP exactly.
+// storage. Deposits follow the DP's visit order.
 func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []float64, sc *scratch) {
 	for i, ch := range s.chans(t, cs, dirs, sc) {
 		loads[ch] += s.fracs[i] * vol
 	}
 }
 
-// scratch holds the per-call working storage of MinimalAdaptive.AddLoads,
-// recycled through a pool so the hot evaluators (the merge scorers) do not
-// allocate per flow.
+// applyDelta is apply depositing into a DeltaVec. It repeats the cell loop
+// of chans instead of depositing from its channel list: the beam merger's
+// scorers route through here, and the two-pass walk made the 4k rung's
+// merge 15% slower (GOMAXPROCS=1 rahtm-bench -fig scale, six alternating
+// runs on a 2-vCPU host: median 4.35s -> 5.02s).
+func (s *stencil) applyDelta(t *topology.Torus, cs, dirs []int, vol float64, dv *DeltaVec, sc *scratch) {
+	nd := s.nd
+	tab, chanOff := s.fillChanTab(t, cs, dirs, sc)
+	ei := 0
+	for c := 0; c < s.cells; c++ {
+		base := c * nd
+		nodeCh := 0
+		for d := 0; d < nd; d++ {
+			nodeCh += tab[s.offs[base+d]]
+		}
+		for n := s.cnt[c]; n > 0; n-- {
+			dv.Add(nodeCh+chanOff[s.dims[ei]], s.fracs[ei]*vol)
+			ei++
+		}
+	}
+}
+
+// scratch is one evaluator's working storage and stencil accounting. A
+// Table owns one for its lifetime; MinimalAdaptive.AddLoads borrows one
+// from a pool for a single call.
 type scratch struct {
-	cs, cd, dirs, dists, coord, ties []int
-	shape, strides, u                []int
-	p                                []float64
+	cs, cd, dirs, dists, ties []int
 	// tab holds a stencil's per-flow channel-base table; chanOff holds the
 	// per-dimension channel-id remainder 2*d+dirs[d] for the current flow;
 	// chs holds the channel ids of the last stencil walk.
@@ -304,41 +329,24 @@ type scratch struct {
 	// the process-wide sync.Map on repeat displacement vectors.
 	memoKey [stencilMemoSize]uint64
 	memoVal [stencilMemoSize]*stencil
-	// nhits/nmisses batch the cache accounting of one AddLoads or
-	// AddLoadsDelta call as plain ints; flushStencil drains them once per
-	// call into the striped handles below.
+	// nhits/nmisses count the boxes routed since the last flushStencil.
 	nhits, nmisses int64
-	// hits/misses are striped process-wide cache-counter handles, claimed
-	// once per scratch so the per-call flush adds without cross-CPU
-	// contention.
-	hits, misses *telemetry.LocalCounter
-	// scopeKey/scopeHits/scopeMisses cache striped handles of a request
-	// scope's counters; re-claimed only when the scratch migrates to a
-	// different scope (scopeKey is the scope's hit counter, used as the
-	// scope identity).
-	scopeKey               *telemetry.Counter
-	scopeHits, scopeMisses *telemetry.LocalCounter
 }
 
-// flushStencil drains the call-batched hit/miss counts: into the request
-// scope's counters when the evaluator is scoped, into the process-wide
-// striped handles otherwise. The scoped path costs one pointer compare per
-// call; Local handles are claimed only when the scratch changes scopes.
+// flushStencil adds the batched hit and miss counts to the evaluator's
+// counters: a's request scope when WithScope gave it one, the process-wide
+// counters otherwise.
 func (sc *scratch) flushStencil(a MinimalAdaptive) {
-	if sc.nhits == 0 && sc.nmisses == 0 {
-		return
-	}
-	h, m := sc.hits, sc.misses
+	h, m := ctrStencilHits, ctrStencilMisses
 	if a.hits != nil {
-		if sc.scopeKey != a.hits {
-			sc.scopeKey = a.hits
-			sc.scopeHits = a.hits.Local()
-			sc.scopeMisses = a.misses.Local()
-		}
-		h, m = sc.scopeHits, sc.scopeMisses
+		h, m = a.hits, a.misses
 	}
-	h.Add(sc.nhits)
-	m.Add(sc.nmisses)
+	if sc.nhits != 0 {
+		h.Add(sc.nhits)
+	}
+	if sc.nmisses != 0 {
+		m.Add(sc.nmisses)
+	}
 	sc.nhits, sc.nmisses = 0, 0
 }
 
@@ -347,26 +355,15 @@ const (
 	stencilMemoSize = 1 << stencilMemoBits
 )
 
-var scratchPool = sync.Pool{New: func() interface{} {
-	return &scratch{
-		hits:   ctrStencilHits.Local(),
-		misses: ctrStencilMisses.Local(),
-	}
-}}
+var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
-func getScratch(nd int) *scratch {
-	sc := scratchPool.Get().(*scratch)
+// size readies sc's per-dimension slices for an nd-dimensional topology.
+func (sc *scratch) size(nd int) {
 	sc.cs = grow(sc.cs, nd)
 	sc.cd = grow(sc.cd, nd)
 	sc.dirs = grow(sc.dirs, nd)
 	sc.dists = grow(sc.dists, nd)
-	sc.coord = grow(sc.coord, nd)
-	sc.shape = grow(sc.shape, nd)
-	sc.strides = grow(sc.strides, nd)
-	sc.u = grow(sc.u, nd)
 	sc.chanOff = grow(sc.chanOff, nd)
-	sc.ties = sc.ties[:0]
-	return sc
 }
 
 // setTies points every tied dimension of the current flow (sc.ties, from
@@ -390,23 +387,9 @@ func (sc *scratch) ints(n int) []int {
 	return sc.tab[:n]
 }
 
-func putScratch(sc *scratch) { scratchPool.Put(sc) }
-
 func grow(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
 	}
 	return s[:n]
-}
-
-// floats returns a zeroed float scratch of length n from the pool entry.
-func (sc *scratch) floats(n int) []float64 {
-	if cap(sc.p) < n {
-		sc.p = make([]float64, n)
-	}
-	sc.p = sc.p[:n]
-	for i := range sc.p {
-		sc.p[i] = 0
-	}
-	return sc.p
 }

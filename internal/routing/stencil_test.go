@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -27,40 +28,83 @@ func randomGraph(n int, seed int64) *graph.Comm {
 }
 
 // directDP is the reference evaluator the stencil cache is checked
-// against: it makes AddLoads' routing decisions but routes every direction
-// box through the proportional-split DP (addMinimalBoxLoads or
-// addMinimalBoxLoadsDelta), never through a stencil.
+// against: it makes AddLoads' routing decisions but runs the
+// proportional-split DP directly over every direction box, never through
+// a stencil.
 type directDP struct{}
 
 func (directDP) Name() string { return "minimal-adaptive-direct" }
 
 func (directDP) AddLoads(t *topology.Torus, src, dst int, vol float64, loads []float64) {
-	directBoxes(t, src, dst, vol, func(cs, dirs, dists []int, vol float64, sc *scratch) {
-		addMinimalBoxLoads(t, cs, dirs, dists, vol, loads, sc)
-	})
-}
-
-func (directDP) AddLoadsDelta(t *topology.Torus, src, dst int, vol float64, dv *DeltaVec) {
-	directBoxes(t, src, dst, vol, func(cs, dirs, dists []int, vol float64, sc *scratch) {
-		addMinimalBoxLoadsDelta(t, cs, dirs, dists, vol, dv, sc)
-	})
-}
-
-// directBoxes enumerates the minimal direction combinations of one flow
-// exactly as AddLoads does and hands each box to route.
-func directBoxes(t *topology.Torus, src, dst int, vol float64, route func(cs, dirs, dists []int, vol float64, sc *scratch)) {
 	if src == dst || vol == 0 {
 		return
 	}
-	sc := getScratch(t.NumDims())
-	defer putScratch(sc)
+	var sc scratch
+	sc.size(t.NumDims())
 	cs := t.CoordOf(src, sc.cs)
 	cd := t.CoordOf(dst, sc.cd)
-	numCombos := prepareDirs(t, cs, cd, sc)
-	comboVol := vol / float64(numCombos)
+	numCombos := prepareDirs(t, cs, cd, &sc)
 	for mask := 0; mask < numCombos; mask++ {
 		sc.setTies(mask)
-		route(cs, sc.dirs, sc.dists, comboVol, sc)
+		addMinimalBoxLoads(t, cs, sc.dirs, sc.dists, vol/float64(numCombos), loads)
+	}
+}
+
+// addMinimalBoxLoads runs the proportional-split DP over the minimal box
+// defined by the source coordinate, the per-dimension travel directions and
+// distances, adding channel loads for vol units of flow.
+func addMinimalBoxLoads(t *topology.Torus, cs, dirs, dists []int, vol float64, loads []float64) {
+	nd := t.NumDims()
+	// Box shape and local strides (row-major, last dim fastest).
+	total := 1
+	shape := make([]int, nd)
+	for d := 0; d < nd; d++ {
+		shape[d] = dists[d] + 1
+		total *= shape[d]
+	}
+	strides := make([]int, nd)
+	s := 1
+	for d := nd - 1; d >= 0; d-- {
+		strides[d] = s
+		s *= shape[d]
+	}
+	p := make([]float64, total)
+	p[0] = vol
+	u := make([]int, nd)
+	coord := make([]int, nd)
+	for idx := 0; idx < total; idx++ {
+		pu := p[idx]
+		if pu == 0 {
+			incOffset(u, shape)
+			continue
+		}
+		remain := 0
+		for d := 0; d < nd; d++ {
+			remain += dists[d] - u[d]
+		}
+		if remain > 0 {
+			// Torus rank of the node at offset u.
+			for d := 0; d < nd; d++ {
+				k := t.Dim(d)
+				if dirs[d] == topology.Plus {
+					coord[d] = (cs[d] + u[d]) % k
+				} else {
+					coord[d] = ((cs[d]-u[d])%k + k) % k
+				}
+			}
+			node := t.RankOf(coord)
+			inv := pu / float64(remain)
+			for d := 0; d < nd; d++ {
+				left := dists[d] - u[d]
+				if left == 0 {
+					continue
+				}
+				frac := inv * float64(left)
+				loads[t.ChannelID(node, d, dirs[d])] += frac
+				p[idx+strides[d]] += frac
+			}
+		}
+		incOffset(u, shape)
 	}
 }
 
@@ -148,6 +192,66 @@ func TestStencilCacheConcurrent(t *testing.T) {
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// emptyStencilCache forgets every cached stencil, frees the cell budget,
+// and drops the pooled scratches, whose memos may still hold stencils.
+func emptyStencilCache() {
+	stencilCache.Range(func(key, _ any) bool {
+		stencilCache.Delete(key)
+		return true
+	})
+	stencilCells.Store(0)
+	scratchPool = sync.Pool{New: scratchPool.New}
+}
+
+// TestStencilHistoryIndependence checks that a flow's loads do not depend
+// on what the process-wide cache holds. From an empty cache, each graph is
+// routed once with the cell budget free and once with it spent, where
+// every box misses the cache and is routed through a stencil built for it
+// alone. Every channel, dense through AddLoads and sparse through
+// Table.AddLoadsDelta, must be bit-identical between the two runs.
+func TestStencilHistoryIndependence(t *testing.T) {
+	defer emptyStencilCache()
+	for ti, tp := range []*topology.Torus{
+		topology.NewTorus(8, 8, 8),
+		topology.NewTorus(6, 6, 6),
+		topology.NewMesh(7, 5, 3),
+	} {
+		g := randomGraph(tp.N(), int64(ti+21))
+		m := topology.Mapping(rand.New(rand.NewSource(int64(ti + 121))).Perm(tp.N()))
+		route := func(spent bool) (dense, sparse []float64, misses int64) {
+			emptyStencilCache()
+			if spent {
+				stencilCells.Store(maxStencilCells)
+			}
+			scope := telemetry.NewScope("history")
+			alg := MinimalAdaptive{}.WithScope(scope)
+			dense = ChannelLoads(tp, g, m, alg)
+			tab := alg.Table(tp)
+			dv := NewDeltaVec(tp.NumChannels())
+			g.EachFlow(func(s, d int, vol float64) { tab.AddLoadsDelta(m[s], m[d], vol, dv) })
+			tab.Flush()
+			sparse = make([]float64, tp.NumChannels())
+			dv.AddTo(sparse)
+			return dense, sparse, scope.Counter(telemetry.CtrStencilMisses).Value()
+		}
+		freeDense, freeSparse, freeMisses := route(false)
+		spentDense, spentSparse, spentMisses := route(true)
+		if freeMisses != 0 || spentMisses == 0 {
+			t.Fatalf("%v: %d misses with the budget free, %d spent; want none and some", tp, freeMisses, spentMisses)
+		}
+		for ch, want := range freeDense {
+			for _, got := range []struct {
+				name string
+				v    float64
+			}{{"free sparse", freeSparse[ch]}, {"spent dense", spentDense[ch]}, {"spent sparse", spentSparse[ch]}} {
+				if math.Float64bits(got.v) != math.Float64bits(want) {
+					t.Fatalf("%v channel %d: %s %.17g, free dense %.17g", tp, ch, got.name, got.v, want)
+				}
+			}
+		}
 	}
 }
 

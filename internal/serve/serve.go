@@ -390,8 +390,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		deny(http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
+	// Materialize checks every size the request names before it builds
+	// anything; a size beyond the package bounds is a 413.
 	if _, _, err := req.Materialize(); err != nil {
-		deny(http.StatusBadRequest, "%v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, rahtm.ErrRequestTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		deny(code, "%v", err)
 		return
 	}
 	if name := req.Mapper; name != "" {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +157,35 @@ func TestMalformedRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /solve: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestOversizedRequests413 checks that requests whose numbers name more
+// than the request bounds are refused with 413 before any solve is queued,
+// while a size that merely disagrees with nodes x conc stays a 400.
+func TestOversizedRequests413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"node count overflow", `{"workload":"random","topo":[4294967296,4294967296]}`, http.StatusRequestEntityTooLarge},
+		{"nodes x conc over bound", `{"workload":"random","topo":[1024,1024],"conc":2}`, http.StatusRequestEntityTooLarge},
+		{"grid over bound", `{"workload":"halo2d","grid":[1000000,1000000],"topo":[2]}`, http.StatusRequestEntityTooLarge},
+		{"inline header over bound", `{"graph":"comm 10000000000\n0 1 5\n","topo":[2]}`, http.StatusRequestEntityTooLarge},
+		{"negative conc", `{"workload":"random","topo":[4],"conc":-3}`, http.StatusBadRequest},
+		{"inline header mismatch", `{"graph":"comm 8\n0 1 5\n","topo":[2]}`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := ctrCacheMisses.Value()
+			resp, body := postSolve(t, ts.URL, tc.body)
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status %d, want %d; body %s", resp.StatusCode, tc.code, body)
+			}
+			if ctrCacheMisses.Value() != before {
+				t.Fatal("a refused request reached the cache probe")
+			}
+		})
 	}
 }
 
@@ -356,6 +388,72 @@ func TestDegradedResultsAreNotCached(t *testing.T) {
 	if d.Counter(telemetry.CtrServeDegraded) < 1 {
 		t.Errorf("degraded counter delta = %d, want >= 1", d.Counter(telemetry.CtrServeDegraded))
 	}
+}
+
+// TestCancellationStormNoGoroutineLeak sends cold solves that spend most
+// of their time in the merge and cancels each client after a seeded 1–50
+// ms, then solves with 1–20 ms deadlines, and shuts the daemon down: every
+// goroutine the storm started — handlers, workers, merge and scheduler
+// workers, connections — must be gone again. Heap is not checked: a bound
+// on a GC-timed number flakes.
+func TestCancellationStormNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(context.Background(), Config{Workers: 2, CacheEntries: -1})
+	ts := httptest.NewServer(s.Handler())
+	transport := &http.Transport{}
+	client := &http.Client{Transport: transport}
+	rng := rand.New(rand.NewSource(1))
+
+	post := func(ctx context.Context, body string) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/solve", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := client.Do(req); err == nil {
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	// random 512 on an 8x8 torus at conc 8 spends over 95% of its solve
+	// in the merge.
+	const cold = `{"workload":"random","topo":[8,8],"conc":8%s}`
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		delay := time.Duration(1+rng.Intn(50)) * time.Millisecond
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), delay)
+			defer cancel()
+			post(ctx, fmt.Sprintf(cold, ""))
+		}()
+	}
+	for i := 0; i < 16; i++ {
+		deadline := fmt.Sprintf(`,"deadline_ms":%d`, 1+rng.Intn(20))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			post(context.Background(), fmt.Sprintf(cold, deadline))
+		}()
+	}
+	wg.Wait()
+
+	transport.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ts.Close()
+	var n int
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if n = runtime.NumGoroutine(); n <= base+2 {
+			return
+		}
+	}
+	buf := make([]byte, 1<<20)
+	t.Fatalf("%d goroutines after the storm, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 }
 
 func TestGracefulShutdown(t *testing.T) {

@@ -11,8 +11,8 @@
 // — instrument themselves against the process-wide Default registry.
 // Instrumentation is always on; its budget is <= 2% of pipeline wall time
 // (see BenchmarkPipelineTelemetry and DESIGN.md §8), achieved by batching
-// hot-loop counts locally and by striping the counters the routing
-// evaluator updates per flow.
+// hot-loop counts in plain locals — per solver call, per worker, or per
+// routing evaluator — and flushing them once.
 package telemetry
 
 import (
@@ -80,60 +80,21 @@ const (
 // queue-wait and request-latency histograms.
 var ServeLatencyBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 
-// stripes is the cell count of a striped Counter. Local handles are dealt
-// round-robin, so with up to this many concurrent writers each updates its
-// own cache line.
-const stripes = 8
-
-// cell is one padded counter stripe. The padding keeps neighboring stripes
-// on distinct cache lines so concurrent writers do not false-share.
-type cell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonic (or at least sum-semantics) int64 metric, striped
-// across padded cells so concurrent writers do not contend. The zero value
-// is ready to use. Hot loops that increment from worker goroutines should
-// claim a Local handle once and update through it.
+// Counter is a monotonic (or at least sum-semantics) int64 metric. The
+// zero value is ready to use. Hot loops accumulate into a plain local and
+// add it once at loop exit (see the telemetrybatch analyzer).
 type Counter struct {
-	cells [stripes]cell
-	next  atomic.Uint32
+	n atomic.Int64
 }
 
-// Add adds delta through the default stripe.
-func (c *Counter) Add(delta int64) { c.cells[0].n.Add(delta) }
+// Add adds delta.
+func (c *Counter) Add(delta int64) { c.n.Add(delta) }
 
-// Inc adds one through the default stripe.
-func (c *Counter) Inc() { c.Add(1) }
+// Inc adds one.
+func (c *Counter) Inc() { c.n.Add(1) }
 
-// Value returns the sum across all stripes.
-func (c *Counter) Value() int64 {
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
-}
-
-// Local claims a stripe (round-robin) and returns a handle that adds to it
-// without contending with other handles. Handles are cheap; claim one per
-// long-lived worker or pooled scratch object, not per operation.
-func (c *Counter) Local() *LocalCounter {
-	i := (c.next.Add(1) - 1) % stripes
-	return &LocalCounter{cell: &c.cells[i]}
-}
-
-// LocalCounter is a striped handle of a Counter; see Counter.Local.
-type LocalCounter struct {
-	cell *cell
-}
-
-// Add adds delta to the handle's stripe.
-func (l *LocalCounter) Add(delta int64) { l.cell.n.Add(delta) }
-
-// Inc adds one to the handle's stripe.
-func (l *LocalCounter) Inc() { l.Add(1) }
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Gauge is a float64 metric that holds the latest set value (worker counts,
 // temperatures, best-so-far objectives). The zero value is ready to use.

@@ -13,14 +13,16 @@ func TestCounterStripes(t *testing.T) {
 	if got := c.Value(); got != 4 {
 		t.Fatalf("Value = %d, want 4", got)
 	}
-	// Local handles land on distinct stripes but sum into the same total.
-	locals := make([]*LocalCounter, 2*stripes)
-	for i := range locals {
-		locals[i] = c.Local()
-		locals[i].Add(10)
+	// A counter is one atomic cell: every handle to a registered name adds
+	// into the same total.
+	r := NewRegistry()
+	handles := make([]*Counter, 8)
+	for i := range handles {
+		handles[i] = r.Counter("x")
+		handles[i].Add(10)
 	}
-	if got := c.Value(); got != 4+10*int64(len(locals)) {
-		t.Fatalf("Value = %d after local adds", got)
+	if got := r.Counter("x").Value(); got != 10*int64(len(handles)) {
+		t.Fatalf("Value = %d after adds through %d handles", got, len(handles))
 	}
 }
 
@@ -32,9 +34,8 @@ func TestCounterConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := c.Local()
 			for i := 0; i < per; i++ {
-				l.Inc()
+				c.Inc()
 			}
 		}()
 	}

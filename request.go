@@ -139,6 +139,20 @@ type Result struct {
 // not know (and that are not permutation specs).
 var ErrUnknownMapper = errors.New("unknown mapper")
 
+// ErrRequestTooLarge is wrapped by Materialize (and so by Key and Solve)
+// for a request whose serialized fields name more than 2^20 processes or
+// 32 topology dimensions. rahtm-serve answers it with 413.
+var ErrRequestTooLarge = errors.New("request too large")
+
+const (
+	// maxProcs bounds every size a serialized request names: nodes x
+	// conc, an explicit procs, the grid product and an inline graph's
+	// vertex count. It is 16x the 64k scale rung.
+	maxProcs = 1 << 20
+	// maxTopoDims bounds the topology's dimension count.
+	maxTopoDims = 32
+)
+
 // MapperFactory builds a ProcMapper for a concrete topology. Factories take
 // the topology because some mappers (the machine default, permutation
 // baselines) depend on its dimensionality.
@@ -215,22 +229,19 @@ func (r *Request) concOf() int {
 
 // Materialize resolves the request into its workload and topology, building
 // them from the serialized fields when the direct Work/Torus fields are
-// unset. The result is memoized, so the serving layer can validate and key
-// a request without paying for a second parse inside Solve.
+// unset. Every size those fields name is checked first (checkSizes), so a
+// request is rejected before anything is built. The result is memoized, so
+// the serving layer can validate and key a request without paying for a
+// second parse inside Solve.
 func (r *Request) Materialize() (*Workload, *Torus, error) {
 	if r.work != nil && r.torus != nil {
 		return r.work, r.torus, nil
 	}
+	if err := r.checkSizes(); err != nil {
+		return nil, nil, err
+	}
 	t := r.Torus
 	if t == nil {
-		if len(r.Topo) == 0 {
-			return nil, nil, fmt.Errorf("rahtm: request needs a topology (topo)")
-		}
-		for i, k := range r.Topo {
-			if k < 1 {
-				return nil, nil, fmt.Errorf("rahtm: topo dimension %d is %d", i, k)
-			}
-		}
 		if r.Mesh {
 			t = topology.NewMesh(r.Topo...)
 		} else {
@@ -253,19 +264,107 @@ func (r *Request) Materialize() (*Workload, *Torus, error) {
 	return w, t, nil
 }
 
-// buildWorkload constructs the workload from the serialized fields. Signs
-// are checked before any generator runs: a negative size would panic in
-// graph construction, and a grid of paired negative extents would pass the
-// size check as a positive product.
-func (r *Request) buildWorkload(t *Torus) (*Workload, error) {
-	if r.Procs < 0 {
-		return nil, fmt.Errorf("rahtm: procs is %d", r.Procs)
+// checkSizes validates the serialized fields before anything is built:
+// signs, the topology's dimension count, nodes x conc, an explicit procs,
+// the grid product and an inline graph's header vertex count. Products are
+// bounded as they accumulate, so none can overflow. Sizes beyond maxProcs
+// or maxTopoDims wrap ErrRequestTooLarge; a size that is in bounds but
+// disagrees with nodes x conc is an ordinary error.
+func (r *Request) checkSizes() error {
+	if r.Conc < 0 {
+		return fmt.Errorf("rahtm: conc is %d", r.Conc)
 	}
-	for i, k := range r.Grid {
-		if k < 1 {
-			return nil, fmt.Errorf("rahtm: grid dimension %d is %d", i, k)
+	if r.Torus != nil && r.Work != nil {
+		return nil // nothing to build
+	}
+	nodes := 0
+	if r.Torus != nil {
+		nodes = r.Torus.N()
+	} else {
+		if len(r.Topo) == 0 {
+			return fmt.Errorf("rahtm: request needs a topology (topo)")
+		}
+		if len(r.Topo) > maxTopoDims {
+			return fmt.Errorf("rahtm: %w: %d topo dimensions, at most %d", ErrRequestTooLarge, len(r.Topo), maxTopoDims)
+		}
+		for i, k := range r.Topo {
+			if k < 1 {
+				return fmt.Errorf("rahtm: topo dimension %d is %d", i, k)
+			}
+		}
+		var ok bool
+		if nodes, ok = boundedProduct(r.Topo...); !ok {
+			return fmt.Errorf("rahtm: %w: topo %v has more than %d nodes", ErrRequestTooLarge, r.Topo, maxProcs)
 		}
 	}
+	procs, ok := boundedProduct(nodes, r.concOf())
+	if !ok {
+		return fmt.Errorf("rahtm: %w: %d nodes x %d concentration exceeds %d processes", ErrRequestTooLarge, nodes, r.concOf(), maxProcs)
+	}
+	if r.Work != nil {
+		return nil
+	}
+	switch {
+	case r.Procs < 0:
+		return fmt.Errorf("rahtm: procs is %d", r.Procs)
+	case r.Procs > maxProcs:
+		return fmt.Errorf("rahtm: %w: procs %d exceeds %d", ErrRequestTooLarge, r.Procs, maxProcs)
+	case r.Procs != 0 && r.Procs != procs:
+		return fmt.Errorf("rahtm: %d processes != %d nodes x %d concentration", r.Procs, nodes, r.concOf())
+	}
+	// Signs first: a grid of paired negative extents would pass as a
+	// positive product.
+	for i, k := range r.Grid {
+		if k < 1 {
+			return fmt.Errorf("rahtm: grid dimension %d is %d", i, k)
+		}
+	}
+	gridProcs, ok := boundedProduct(r.Grid...)
+	if !ok {
+		return fmt.Errorf("rahtm: %w: grid %v has more than %d processes", ErrRequestTooLarge, r.Grid, maxProcs)
+	}
+	if dims := haloDims[strings.ToLower(r.Workload)]; dims > 0 {
+		if len(r.Grid) != dims {
+			return fmt.Errorf("rahtm: halo%dd needs a %d-D grid", dims, dims)
+		}
+		if gridProcs != procs {
+			return fmt.Errorf("rahtm: grid %v has %d processes != %d nodes x %d concentration", r.Grid, gridProcs, nodes, r.concOf())
+		}
+	}
+	if r.Graph != "" {
+		header, _, _ := strings.Cut(r.Graph, "\n")
+		n, err := graph.ReadHeader(header)
+		switch {
+		case err != nil:
+			return fmt.Errorf("rahtm: inline graph: %w", err)
+		case n > maxProcs:
+			return fmt.Errorf("rahtm: %w: inline graph has %d vertices, at most %d", ErrRequestTooLarge, n, maxProcs)
+		case n != procs:
+			return fmt.Errorf("rahtm: inline graph has %d vertices != %d nodes x %d concentration", n, nodes, r.concOf())
+		}
+	}
+	return nil
+}
+
+// haloDims is the grid dimension count of each halo workload.
+var haloDims = map[string]int{"halo2d": 2, "halo3d": 3}
+
+// boundedProduct multiplies positive factors. ok is false as soon as the
+// product would exceed maxProcs, so it never overflows.
+func boundedProduct(xs ...int) (p int, ok bool) {
+	p = 1
+	for _, x := range xs {
+		if x > maxProcs/p {
+			return 0, false
+		}
+		p *= x
+	}
+	return p, true
+}
+
+// buildWorkload constructs the workload from the serialized fields, whose
+// sizes checkSizes has bounded.
+func (r *Request) buildWorkload(t *Torus) (*Workload, error) {
 	if r.Graph != "" {
 		if r.Workload != "" {
 			return nil, fmt.Errorf("rahtm: request has both workload %q and an inline graph", r.Workload)
@@ -276,22 +375,13 @@ func (r *Request) buildWorkload(t *Torus) (*Workload, error) {
 		}
 		return &Workload{Name: "inline", Grid: r.Grid, Graph: g, CommFraction: 0.5}, nil
 	}
-	procs := r.Procs
-	if procs == 0 {
-		procs = t.N() * r.concOf()
-	}
+	procs := t.N() * r.concOf() // checkSizes made a nonzero Procs equal to it
 	switch strings.ToLower(r.Workload) {
 	case "bt", "sp", "cg":
 		return WorkloadByName(r.Workload, procs)
 	case "halo2d":
-		if len(r.Grid) != 2 {
-			return nil, fmt.Errorf("rahtm: halo2d needs a 2-D grid")
-		}
 		return Halo2D(r.Grid[0], r.Grid[1], 10), nil
 	case "halo3d":
-		if len(r.Grid) != 3 {
-			return nil, fmt.Errorf("rahtm: halo3d needs a 3-D grid")
-		}
 		return Halo3D(r.Grid[0], r.Grid[1], r.Grid[2], 10), nil
 	case "random":
 		return RandomNeighbors(procs, 4, 10, 1), nil

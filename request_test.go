@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+
+	"rahtm/internal/telemetry"
 )
 
 func TestRequestJSONRoundTrip(t *testing.T) {
@@ -216,6 +219,49 @@ func TestSolveInvalidRequests(t *testing.T) {
 		req := req
 		if _, err := Solve(context.Background(), req); err == nil {
 			t.Errorf("%s: solve succeeded, want error", name)
+		}
+	}
+
+	// Wire requests whose numbers ask for more than the package bounds,
+	// or disagree with nodes x conc, are rejected before anything is
+	// built: no graph is constructed. The too-large ones wrap
+	// ErrRequestTooLarge and nothing else does.
+	dims33 := `[` + strings.Repeat(`1,`, 32) + `1]`
+	wire := []struct {
+		name, body string
+		tooLarge   bool
+	}{
+		{"node count overflow", `{"workload":"random","topo":[4294967296,4294967296]}`, true},
+		{"nodes x conc overflow", `{"workload":"random","topo":[1024,1024],"conc":4294967296}`, true},
+		{"nodes x conc over bound", `{"workload":"random","topo":[1024,1024],"conc":2}`, true},
+		{"33 dimensions", `{"workload":"random","topo":` + dims33 + `}`, true},
+		{"procs over bound", `{"workload":"random","topo":[4],"procs":2097152}`, true},
+		{"grid over bound", `{"workload":"halo2d","grid":[1000000,1000000],"topo":[2]}`, true},
+		{"grid overflow", `{"workload":"CG","grid":[4294967296,4294967296],"topo":[4,4]}`, true},
+		{"inline header over bound", `{"graph":"comm 10000000000\n0 1 5\n","topo":[2]}`, true},
+		{"negative conc", `{"workload":"random","topo":[4],"conc":-3}`, false},
+		{"procs mismatch", `{"workload":"random","topo":[4],"procs":5}`, false},
+		{"halo grid mismatch", `{"workload":"halo2d","grid":[4,4],"topo":[4]}`, false},
+		{"halo grid shape", `{"workload":"halo3d","grid":[4,4],"topo":[4,4]}`, false},
+		{"inline header mismatch", `{"graph":"comm 8\n0 1 5\n","topo":[2]}`, false},
+		{"inline bad header", `{"graph":"graph 2\n0 1 5\n","topo":[2]}`, false},
+	}
+	for _, tc := range wire {
+		var req Request
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		builds := Metrics().Counter(telemetry.CtrGraphBuild)
+		_, _, err := req.Materialize()
+		if err == nil {
+			t.Errorf("%s: materialized, want error", tc.name)
+			continue
+		}
+		if got := errors.Is(err, ErrRequestTooLarge); got != tc.tooLarge {
+			t.Errorf("%s: %v: wraps ErrRequestTooLarge %v, want %v", tc.name, err, got, tc.tooLarge)
+		}
+		if n := Metrics().Counter(telemetry.CtrGraphBuild) - builds; n != 0 {
+			t.Errorf("%s: %d graphs built before the rejection", tc.name, n)
 		}
 	}
 }

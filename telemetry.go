@@ -3,9 +3,10 @@ package rahtm
 // Telemetry surface: the metrics registry, the request scope, span
 // observers (timeline recorder, live progress tracker, line log), the HTTP
 // endpoint, and the end-of-run report implemented in internal/telemetry.
-// Counters are process-wide and always on (the hot paths batch and stripe
-// their updates; overhead is within 2% of pipeline wall time — see
-// DESIGN.md §8). Spans are the pipeline's one trace event: the pipeline
+// Counters are process-wide and always on (the hot paths batch their
+// updates in plain locals and flush them once per call, worker or routing
+// evaluator; overhead is within 2% of pipeline wall time — see DESIGN.md
+// §8). Spans are the pipeline's one trace event: the pipeline
 // reports each completed phase envelope and scheduler job to the Observer
 // of the Scope on the solve context (or to Request.Observer, which Solve
 // moves onto that scope), typically several observers composed with
