@@ -18,7 +18,7 @@ import (
 // candidates (not just one) and the byte-identity test exercises the
 // ChildCandidates dimension. Construction is deterministic, so the
 // reference and every production run see identical children.
-func deltaChildren(t *testing.T, g *graph.Comm, nchild, tpc int, childShape []int) []*Block {
+func deltaChildren(t testing.TB, g *graph.Comm, nchild, tpc int, childShape []int) []*Block {
 	t.Helper()
 	ones := make([]int, len(childShape))
 	for d := range ones {

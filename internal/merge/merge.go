@@ -395,7 +395,15 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 	m.ctx = ctx
 	m.done = ctx.Done()
 	m.scope = telemetry.ScopeFrom(ctx)
+	m.workers = cfg.Parallelism
+	if m.workers <= 0 {
+		m.workers = runtime.GOMAXPROCS(0)
+	}
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
+	m.tabs = make([]*routing.Table, m.workers)
+	for w := range m.tabs {
+		m.tabs[w] = m.alg.Table(m.parent)
+	}
 	m.initAdjacency()
 	return m, nil
 }
@@ -440,10 +448,15 @@ type merger struct {
 	ctx        context.Context
 	done       <-chan struct{} // ctx.Done(), polled inside worker loops
 	// scope is the request scope carried by ctx (nil outside the daemon);
-	// alg, scoped to it, makes each worker's routing.Table, so every
-	// scorer's stencil traffic is attributed to the owning request.
+	// alg, scoped to it, makes the route tables, so every scorer's stencil
+	// traffic is attributed to the owning request.
 	scope *telemetry.Scope
 	alg   routing.MinimalAdaptive
+	// workers bounds the scoring goroutines. tabs holds one route table
+	// per worker slot for the merger's lifetime; pass 2 and completeGreedy,
+	// which run alone, take slot 0.
+	workers int
+	tabs    []*routing.Table
 
 	// Per-task adjacency of the merged tasks. On a frozen graph these alias
 	// the CSR rows directly; on a builder graph they are compiled once here
@@ -511,6 +524,14 @@ func (m *merger) taskParentPos(cand Candidate, o Orientation, cubePos, taskIdx i
 	return m.parent.RankOf(coord)
 }
 
+// table returns worker slot w's route table, emptied for a new unit of
+// disjoint work so that it holds only the pairs the unit routes.
+func (m *merger) table(w int) *routing.Table {
+	tab := m.tabs[w]
+	tab.Reset()
+	return tab
+}
+
 // placementAt materializes parent positions for all tasks of a child placed
 // at the given cube position.
 func (m *merger) placementAt(child int, cand Candidate, o Orientation, cubePos int) []int {
@@ -544,7 +565,10 @@ func (m *merger) addFlowsDelta(tab *routing.Table, child int, pos []int, dv *rou
 // snapshot; a pair evaluation then replays two snapshots and routes only the
 // cross flows, sparsely — no dense vector is zeroed or scanned per pair —
 // and stops as soon as its running peak reaches the pair's best MCL so far,
-// since only a strictly lower MCL can replace it.
+// since only a strictly lower MCL can replace it. A snapshot's largest
+// value is a floor under every evaluation that replays it, so a pair whose
+// floor already reaches the best is skipped outright: its evaluation would
+// stop before routing a single cross flow.
 func (m *merger) mergeOrder() []int {
 	n := len(m.children)
 	if n == 1 {
@@ -555,18 +579,18 @@ func (m *merger) mergeOrder() []int {
 	for ko > 1 && ko*ko > m.cfg.MaxPairEvals {
 		ko--
 	}
-	workers := m.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := m.workers
 
 	// Stage 1: pinned placements and internal-load snapshots per (child,
-	// orientation), shared by every pair the child participates in.
+	// orientation), shared by every pair the child participates in, with
+	// each snapshot's largest value.
 	pl := make([][][]int, n)
 	snaps := make([][]routing.Snapshot, n)
+	floor := make([][]float64, n)
 	for i := range pl {
 		pl[i] = make([][]int, ko)
 		snaps[i] = make([]routing.Snapshot, ko)
+		floor[i] = make([]float64, ko)
 	}
 	units := n * ko
 	var wg sync.WaitGroup
@@ -577,9 +601,9 @@ func (m *merger) mergeOrder() []int {
 			hi = units
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			tab := m.alg.Table(m.parent)
+			tab := m.table(w)
 			defer tab.Flush()
 			dv := routing.NewDeltaVec(m.parent.NumChannels())
 			for u := lo; u < hi; u++ {
@@ -594,8 +618,13 @@ func (m *merger) mergeOrder() []int {
 				m.addFlowsDelta(tab, i, p, dv)
 				pl[i][oi] = p
 				snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
+				for _, v := range snaps[i][oi].Val {
+					if v > floor[i][oi] {
+						floor[i][oi] = v
+					}
+				}
 			}
-		}(lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 
@@ -650,12 +679,12 @@ func (m *merger) mergeOrder() []int {
 			hi = len(pairs)
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
 			var evals int64
 			//rahtm:allow(telemetrybatch): flushes a per-worker local once at worker exit, not per iteration
 			defer func() { m.scope.CounterOr(telemetry.CtrSymmetryEvals, ctrSymmetryEvals).Add(evals) }()
-			tab := m.alg.Table(m.parent)
+			tab := m.tabs[w]
 			defer tab.Flush()
 			dv := routing.NewDeltaVec(m.parent.NumChannels())
 			for pi := lo; pi < hi; pi++ {
@@ -664,6 +693,8 @@ func (m *merger) mergeOrder() []int {
 					return // ordering becomes partial; run() handles the context
 				default:
 				}
+				// A child pair routes its own node pairs only.
+				tab.Reset()
 				i, j := pairs[pi].i, pairs[pi].j
 				bst := -1.0
 				for oi := 0; oi < ko; oi++ {
@@ -675,6 +706,9 @@ func (m *merger) mergeOrder() []int {
 							continue
 						}
 						evals++
+						if bst >= 0 && (floor[i][oi] >= bst || floor[j][oj] >= bst) {
+							continue // the evaluation could not go below bst
+						}
 						dv.ResetOver(zero, 0)
 						dv.AddSnapshot(snaps[i][oi], 0)
 						dv.AddSnapshot(snaps[j][oj], 0)
@@ -695,7 +729,7 @@ func (m *merger) mergeOrder() []int {
 				}
 				best[pi] = bst
 			}
-		}(lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 	avg := make([]float64, n)
@@ -913,10 +947,7 @@ func (m *merger) run() (*Block, error) {
 	if err := hardCancel(m.ctx); err != nil {
 		return nil, err
 	}
-	workers := m.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := m.workers
 	nd2 := m.parent.NumDims() * 2
 	degraded := false
 	var candGen, candKept, boundSkips int64
@@ -982,7 +1013,7 @@ func (m *merger) run() (*Block, error) {
 			wg.Add(1)
 			go func(w, glo, ghi int) {
 				defer wg.Done()
-				tab := m.alg.Table(m.parent)
+				tab := m.table(w)
 				defer tab.Flush()
 				top := &topCombos{beam: beam, n: m.cfg.BeamWidth}
 				var skipped int64
@@ -1060,15 +1091,32 @@ func (m *merger) run() (*Block, error) {
 		// Pass 2: materialize the winners. The winner's contribution is
 		// re-accumulated at its actual cube position — bit-identical to the
 		// translated snapshot used for scoring — and added onto the state
-		// loads channel by channel.
+		// loads channel by channel. The last kept combo of each state takes
+		// over the state's load vector instead of copying it, and the
+		// vectors of states nothing was kept from are dropped first, so the
+		// step never holds two beams' loads.
+		last := make([]int, len(beam))
+		for k, sc := range kept {
+			last[sc.si] = k + 1
+		}
+		for si, st := range beam {
+			if last[si] == 0 {
+				st.loads = nil
+			}
+		}
 		next := make([]*state, 0, len(kept))
-		tab := m.alg.Table(m.parent)
+		tab := m.table(0)
 		dv := routing.NewDeltaVec(m.parent.NumChannels())
-		for _, sc := range kept {
+		for k, sc := range kept {
 			st := beam[sc.si]
 			cand := m.children[child].Candidates[sc.cand]
 			p := m.placementAt(child, cand, m.orients[sc.orient], int(sc.cube))
-			loads := append([]float64(nil), st.loads...)
+			loads := st.loads
+			if last[sc.si] == k+1 {
+				st.loads = nil
+			} else {
+				loads = append([]float64(nil), loads...)
+			}
 			dv.Reset()
 			m.addFlowsDelta(tab, child, p, dv)
 			m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
@@ -1121,7 +1169,7 @@ func (m *merger) block(beam []*state, order []int, degraded bool) *Block {
 // child -> merge step index, extended here as children are absorbed.
 func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep []int32) []*state {
 	st := beam[0]
-	tab := m.alg.Table(m.parent)
+	tab := m.table(0)
 	defer tab.Flush()
 	dv := routing.NewDeltaVec(m.parent.NumChannels())
 	for step := from; step < len(order); step++ {

@@ -1,0 +1,101 @@
+package merge
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"rahtm/internal/graph"
+	"rahtm/internal/telemetry"
+)
+
+// haloRoot is the halo-root-4x4x4x4 scenario of TestMergeDeltaByteIdentical
+// without the dense reference: 16 children of 2x2x2x2 tasks from a
+// periodic 2-D halo, Gray-pinned on a 2x2x2x2 cube, merged on a 4x4x4x4
+// torus with all 384 orientations and beam 64.
+type haloRoot struct {
+	g         *graph.Comm
+	children  []*Block
+	cubeShape []int
+	pins      []int
+	cfg       Config
+}
+
+func newHaloRoot(t testing.TB) *haloRoot {
+	const nchild, tpc = 16, 16
+	g := haloTiles(nchild, tpc)
+	children := deltaChildren(t, g, nchild, tpc, []int{2, 2, 2, 2})
+	return &haloRoot{
+		g:         g,
+		children:  children,
+		cubeShape: []int{2, 2, 2, 2},
+		pins:      grayPins(nchild),
+		cfg:       Config{BeamWidth: 64, ChildCandidates: 1, MaxPairEvals: 256, Torus: true},
+	}
+}
+
+// merge runs the root merge at the given parallelism under ctx.
+func (h *haloRoot) merge(ctx context.Context, par int) (*Block, error) {
+	cfg := h.cfg
+	cfg.Parallelism = par
+	return MergeCtx(ctx, h.g, h.children, h.cubeShape, h.pins, cfg)
+}
+
+// TestMergeWorkCounts pins the merge's work on the halo-root scenario: the
+// stencil walks (every compiled replay counts its hits as a walk would),
+// the beam's candidates, kept combos and bound skips, and the ordering's
+// orientation-pair evaluations. Route replay, table resets and the
+// ordering's floor skip change none of them; the values were taken from
+// the merge that walked every flow.
+func TestMergeWorkCounts(t *testing.T) {
+	h := newHaloRoot(t)
+	want := map[int]map[string]int64{
+		1: {
+			telemetry.CtrStencilHits:    1553218,
+			telemetry.CtrStencilMisses:  0,
+			telemetry.CtrBeamCandidates: 369024,
+			telemetry.CtrBeamKept:       1024,
+			telemetry.CtrBeamBoundSkips: 349581,
+			telemetry.CtrSymmetryEvals:  30720,
+		},
+		8: {
+			telemetry.CtrStencilHits:    3706604,
+			telemetry.CtrStencilMisses:  0,
+			telemetry.CtrBeamCandidates: 369024,
+			telemetry.CtrBeamKept:       1024,
+			telemetry.CtrBeamBoundSkips: 309340,
+			telemetry.CtrSymmetryEvals:  30720,
+		},
+	}
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Reg: reg})
+			if _, err := h.merge(ctx, par); err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			for _, name := range []string{
+				telemetry.CtrStencilHits, telemetry.CtrStencilMisses,
+				telemetry.CtrBeamCandidates, telemetry.CtrBeamKept,
+				telemetry.CtrBeamBoundSkips, telemetry.CtrSymmetryEvals,
+			} {
+				if got := snap.Counter(name); got != want[par][name] {
+					t.Errorf("%s = %d, want %d", name, got, want[par][name])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMergeHaloRoot times the halo-root merge at Parallelism 1.
+func BenchmarkMergeHaloRoot(b *testing.B) {
+	h := newHaloRoot(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.merge(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

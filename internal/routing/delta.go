@@ -23,12 +23,13 @@ package routing
 // stop depositing as soon as it exceeds a bound and its final value is
 // bit-for-bit the max over the finished vector.
 //
-// Table.AddLoadsDelta takes the same flow walk as AddLoads — same
-// direction and tie handling, same stencil, same deposit order — so for
-// any flow the per-channel totals accumulated into a DeltaVec are
-// bit-identical to the totals the dense path accumulates from a zeroed
-// vector. Delta evaluation is therefore byte-exact against a full
-// recomputation, not merely approximately equal.
+// Table.AddLoadsDelta replays the same compiled route, or takes the same
+// flow walk, as AddLoads — same direction and tie handling, same stencil,
+// same channel ids, same products in the same order — so for any flow the
+// per-channel totals accumulated into a DeltaVec are bit-identical to the
+// totals the dense path accumulates from a zeroed vector. Delta evaluation
+// is therefore byte-exact against a full recomputation, not merely
+// approximately equal.
 
 // DeltaVec is a sparse accumulator over a dense channel space. The zero
 // value is not usable; construct with NewDeltaVec. Not safe for concurrent

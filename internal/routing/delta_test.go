@@ -175,9 +175,11 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 // per-channel totals a Table deposits through AddLoadsDelta are
 // bit-identical (==, not approximately equal) to the totals AddLoads
 // deposits into a zeroed dense vector, with equal stencil hit and miss
-// counts. Covers wrap ties (torus distance exactly k/2), mesh dimensions,
-// and displacements the cache key cannot encode: the 299-hop pair of a
-// 300-node mesh and a 9-dimension torus. The table arm holds the
+// counts, and the running peak over a base load vector equals the dense
+// scan. Every pair is routed twice, so its second flow replays the
+// compiled route. Covers wrap ties (torus distance exactly k/2), mesh
+// dimensions, and displacements the cache key cannot encode: the 299-hop
+// pair of a 300-node mesh and a 9-dimension torus. The table arm holds the
 // compiled dense routes to the same contract against AddLoads, over flows
 // of either sign.
 func TestAddLoadsDeltaBitwise(t *testing.T) {
@@ -201,19 +203,25 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 			ref := MinimalAdaptive{}.WithScope(refScope)
 			tab := MinimalAdaptive{}.WithScope(tabScope).Table(topo)
 			dense := make([]float64, topo.NumChannels())
+			base := make([]float64, topo.NumChannels())
 			dv := NewDeltaVec(topo.NumChannels())
-			for trial := 0; trial < 50; trial++ {
-				src := rng.Intn(n)
-				dst := rng.Intn(n)
-				if trial < len(sh.pairs) {
-					src, dst = sh.pairs[trial][0], sh.pairs[trial][1]
+			var src, dst int
+			for trial := 0; trial < 100; trial++ {
+				// Odd trials replay the pair of the trial before.
+				if trial%2 == 0 {
+					src, dst = rng.Intn(n), rng.Intn(n)
+					if trial/2 < len(sh.pairs) {
+						src, dst = sh.pairs[trial/2][0], sh.pairs[trial/2][1]
+					}
 				}
 				vol := 1 + rng.Float64()*9
 				for i := range dense {
 					dense[i] = 0
+					base[i] = rng.Float64() * 20
 				}
+				baseMCL := MCL(base)
 				ref.AddLoads(topo, src, dst, vol, dense)
-				dv.Reset()
+				dv.ResetOver(base, baseMCL)
 				tab.AddLoadsDelta(src, dst, vol, dv)
 
 				nz := 0
@@ -230,9 +238,13 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 					t.Fatalf("trial %d: delta touched %d channels, dense has %d non-zero",
 						trial, dv.NumTouched(), nz)
 				}
-				// And the sparse max equals the dense MCL bitwise.
-				if got, want := dv.Max(), MCL(dense); got != want {
-					t.Fatalf("trial %d: sparse max %v, dense MCL %v", trial, got, want)
+				// And the running peak equals the dense scan bitwise.
+				want := 0.0
+				for ch, b := range base {
+					want = math.Max(want, b+dense[ch])
+				}
+				if got := dv.Peak(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: peak %v, dense scan %v", trial, got, want)
 				}
 			}
 			tab.Flush()
@@ -252,22 +264,33 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 	// an already compiled pair are checked too. On the 300-node mesh the
 	// 299-hop pair has no cached stencil and must be walked. The 2^7
 	// torus wants about 28M channel ids for all its pairs, so its flows
-	// run the table out of budget and the later pairs are walked; the 2^9
-	// torus has more pairs than the table indexes, so every flow is
-	// walked (and, at 9 dimensions, misses the stencil cache).
+	// run the table out of budget and empty it again and again; the 2^9
+	// torus indexes its pairs but, at 9 dimensions, misses the stencil
+	// cache and walks them all. The 200x200 torus has more channels than
+	// a uint16 id holds, so it indexes nothing. On the 2^4x4^4 torus
+	// (2^16 channels) the antipodal pairs tie in every dimension and
+	// would store 1.5M ids, more than an empty table holds, so they are
+	// walked. The reset case empties the table halfway through.
+	huge := topology.NewTorus(2, 2, 2, 2, 4, 4, 4, 4)
+	far := huge.RankOf([]int{1, 1, 1, 1, 2, 2, 2, 2})
 	for _, sh := range []struct {
 		name   string
 		topo   *topology.Torus
 		pairs  [][2]int
 		trials int
-		spent  bool // the channel budget runs out
+		spent  bool // the budget runs out and empties the table
+		reset  bool // Reset after half the trials
+		walked bool // pairs are cached but too large to compile
 	}{
-		{"torus-2x2x2x2", topology.NewTorus(2, 2, 2, 2), nil, 400, false},
-		{"torus-4x4x4", topology.NewTorus(4, 4, 4), nil, 400, false},
-		{"mesh-2x2x2x2", topology.NewMesh(2, 2, 2, 2), nil, 400, false},
-		{"mesh-300", topology.NewMesh(300), [][2]int{{0, 299}, {299, 0}}, 400, false},
-		{"torus-2^7", topology.NewTorus(2, 2, 2, 2, 2, 2, 2), nil, 4000, true},
-		{"torus-2^9", topology.NewTorus(2, 2, 2, 2, 2, 2, 2, 2, 2), nil, 100, false},
+		{"torus-2x2x2x2", topology.NewTorus(2, 2, 2, 2), nil, 400, false, false, false},
+		{"torus-4x4x4", topology.NewTorus(4, 4, 4), nil, 400, false, false, false},
+		{"mesh-2x2x2x2", topology.NewMesh(2, 2, 2, 2), nil, 400, false, false, false},
+		{"mesh-300", topology.NewMesh(300), [][2]int{{0, 299}, {299, 0}}, 400, false, false, false},
+		{"torus-2^7", topology.NewTorus(2, 2, 2, 2, 2, 2, 2), nil, 4000, true, false, false},
+		{"torus-2^9", topology.NewTorus(2, 2, 2, 2, 2, 2, 2, 2, 2), nil, 100, false, false, false},
+		{"torus-200x200", topology.NewTorus(200, 200), nil, 100, false, false, false},
+		{"torus-2^4x4^4", huge, [][2]int{{0, far}, {far, 0}}, 100, false, false, true},
+		{"reset-torus-4x4x4", topology.NewTorus(4, 4, 4), nil, 400, false, true, false},
 	} {
 		t.Run("table/"+sh.name, func(t *testing.T) {
 			topo := sh.topo
@@ -278,7 +301,16 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 			tab := MinimalAdaptive{}.WithScope(tabScope).Table(topo)
 			want := make([]float64, topo.NumChannels())
 			got := make([]float64, topo.NumChannels())
+			routed := map[[2]int]bool{}
 			for trial := 0; trial < sh.trials; trial++ {
+				if sh.reset && trial == sh.trials/2 {
+					c := cap(tab.ids)
+					tab.Reset()
+					if len(tab.ids) != 0 || cap(tab.ids) != c || tab.used != 0 || tab.free != maxTableChans {
+						t.Fatalf("after Reset: %d ids (cap %d, was %d), %d pairs, %d free",
+							len(tab.ids), cap(tab.ids), c, tab.used, tab.free)
+					}
+				}
 				src, dst := rng.Intn(n), rng.Intn(n)
 				if trial%50 < len(sh.pairs) {
 					src, dst = sh.pairs[trial%50][0], sh.pairs[trial%50][1]
@@ -286,6 +318,9 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 				vol := 1 + rng.Float64()*9
 				if rng.Intn(2) == 0 {
 					vol = -vol
+				}
+				if src != dst && trial >= sh.trials/2 {
+					routed[[2]int{src, dst}] = true
 				}
 				ref.AddLoads(topo, src, dst, vol, want)
 				tab.AddLoads(src, dst, vol, got)
@@ -303,27 +338,46 @@ func TestAddLoadsDeltaBitwise(t *testing.T) {
 				}
 			}
 			misses := refScope.Counter(telemetry.CtrStencilMisses).Value()
-			if wantMisses := len(sh.pairs) > 0 || topo.NumDims() > maxStencilDims; wantMisses != (misses > 0) {
+			if wantMisses := len(sh.pairs) > 0 && !sh.walked || topo.NumDims() > maxStencilDims; wantMisses != (misses > 0) {
 				t.Fatalf("%d stencil misses, want them only for the uncacheable pairs", misses)
 			}
 
-			// Memory: the index exists only within maxTablePairs, and the
-			// stored channel ids never exceed maxTableChans.
-			if (tab.routes == nil) != (n*n > maxTablePairs) {
-				t.Fatalf("%d pairs: index present %v", n*n, tab.routes != nil)
-			}
-			stored, refused := 0, 0
-			for _, r := range tab.routes {
-				stored += cap(r.chans)
-				if r.nc > 0 && r.st == nil {
+			// Memory: ids are stored only for topologies whose channel ids
+			// fit uint16, the stored ids plus the charged pair records
+			// account for the whole budget, and only uncached pairs are
+			// walked.
+			compiled, refused := 0, 0
+			for _, r := range tab.slots {
+				switch {
+				case r.key == 0:
+				case r.st != nil:
+					compiled++
+				default:
 					refused++
 				}
 			}
-			if stored > maxTableChans || stored+tab.free != maxTableChans {
-				t.Fatalf("%d channel ids stored, %d free, budget %d", stored, tab.free, maxTableChans)
+			if compiled+refused != tab.used {
+				t.Fatalf("%d compiled and %d refused records, index counts %d", compiled, refused, tab.used)
 			}
-			if sh.spent && (refused == 0 || misses > 0) {
-				t.Fatalf("%d pairs refused with %d ids stored and %d misses, want the budget to refuse some", refused, stored, misses)
+			if len(tab.ids) > maxTableChans || len(tab.ids)+tab.used*pairCost+tab.free != maxTableChans {
+				t.Fatalf("%d channel ids and %d pairs stored, %d free, budget %d",
+					len(tab.ids), tab.used, tab.free, maxTableChans)
+			}
+			if topo.NumChannels() > maxTableTopoChans && (cap(tab.ids) != 0 || tab.slots != nil) {
+				t.Fatalf("%d channels: %d ids, %d index slots, want none", topo.NumChannels(), cap(tab.ids), len(tab.slots))
+			}
+			if topo.NumDims() > maxStencilDims && (tab.used == 0 || compiled != 0) {
+				t.Fatalf("%d dimensions: %d pairs indexed, %d compiled, want every pair indexed and walked",
+					topo.NumDims(), tab.used, compiled)
+			}
+			if wantRefused := len(sh.pairs) > 0 || topo.NumDims() > maxStencilDims; tab.compiles && wantRefused != (refused > 0) {
+				t.Fatalf("%d pairs walked, want them only for the given or uncacheable pairs", refused)
+			}
+			// Every pair of the second half is held unless the budget
+			// emptied the table on the way.
+			if tab.compiles && sh.spent != (compiled+refused < len(routed)) {
+				t.Fatalf("%d pairs held of the %d routed since the middle, %d ids stored, want them all held: %v",
+					compiled+refused, len(routed), len(tab.ids), !sh.spent)
 			}
 		})
 	}

@@ -14,7 +14,9 @@
 // package's only implementation of the model. Two evaluators route
 // through it: MinimalAdaptive.AddLoads for one-off evaluations, and Table,
 // one worker's evaluator, which owns its scratch and stencil counts and
-// replays compiled per-pair routes (table.go).
+// replays compiled per-pair routes (table.go) into a dense load vector or
+// a sparse DeltaVec (delta.go): the leaf solvers and the beam merger's
+// scorers route every flow through a Table.
 //
 // Dimension-order routing (DOR) is provided as the routing-oblivious
 // comparator.
@@ -82,9 +84,9 @@ func (a MinimalAdaptive) AddLoads(t *topology.Torus, src, dst int, vol float64, 
 }
 
 // walk is the one flow walk of the minimal-adaptive evaluators:
-// prepareDirs, the box's stencil, and one stencil walk per tie
-// combination, depositing into loads, or into dv when dv is non-nil. The
-// box counts one stencil hit or miss per combination on sc.
+// prepareDirs, the box's stencil, and one stencil walk (stencil.chans) per
+// tie combination, depositing into loads, or into dv when dv is non-nil.
+// The box counts one stencil hit or miss per combination on sc.
 func (sc *scratch) walk(t *topology.Torus, src, dst int, vol float64, loads []float64, dv *DeltaVec) {
 	cs := t.CoordOf(src, sc.cs)
 	cd := t.CoordOf(dst, sc.cd)
@@ -98,10 +100,15 @@ func (sc *scratch) walk(t *topology.Torus, src, dst int, vol float64, loads []fl
 	comboVol := vol / float64(numCombos)
 	for mask := 0; mask < numCombos; mask++ {
 		sc.setTies(mask)
+		chs := s.chans(t, cs, sc.dirs, sc)
 		if dv != nil {
-			s.applyDelta(t, cs, sc.dirs, comboVol, dv, sc)
+			for i, ch := range chs {
+				dv.Add(int(ch), s.fracs[i]*comboVol)
+			}
 		} else {
-			s.apply(t, cs, sc.dirs, comboVol, loads, sc)
+			for i, ch := range chs {
+				loads[ch] += s.fracs[i] * comboVol
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ package routing
 // cell offsets from its source coordinate and scaling by its volume. The
 // process-wide cache keeps each stencil for reuse; a box the cache cannot
 // hold is routed through a stencil built for that use alone, so a flow's
-// loads never depend on what the cache held. The Phase 3 merge scorers
-// spend most of their time in this walk; the leaf solvers' route tables
-// (table.go) run it once per pair and replay it.
+// loads never depend on what the cache held. Route tables (table.go) run
+// the walk once per (src, dst) pair and replay its channel ids, so a pair
+// walks again only when it has no cached stencil or its table was reset.
 
 import (
 	"sync"
@@ -259,9 +259,8 @@ func incOffset(u, shape []int) {
 // chans walks the stencil over a concrete box — source coordinate cs,
 // travel directions dirs — and returns the channel id of every deposit in
 // the DP's visit order: entry i receives fracs[i] of the box's volume.
-// The slice is sc's storage, valid until sc's next chans call. apply and
-// Table.compile deposit through it; applyDelta fuses the same walk with
-// its deposits.
+// The slice is sc's storage, valid until sc's next chans call. The flow
+// walk deposits through it, and Table.compile stores it.
 func (s *stencil) chans(t *topology.Torus, cs, dirs []int, sc *scratch) []int32 {
 	nd := s.nd
 	tab, chanOff := s.fillChanTab(t, cs, dirs, sc)
@@ -282,37 +281,6 @@ func (s *stencil) chans(t *topology.Torus, cs, dirs []int, sc *scratch) []int32 
 		}
 	}
 	return out
-}
-
-// apply translates the stencil to a concrete flow: source coordinate cs,
-// travel directions dirs, vol units of traffic. sc supplies the walk's
-// storage. Deposits follow the DP's visit order.
-func (s *stencil) apply(t *topology.Torus, cs, dirs []int, vol float64, loads []float64, sc *scratch) {
-	for i, ch := range s.chans(t, cs, dirs, sc) {
-		loads[ch] += s.fracs[i] * vol
-	}
-}
-
-// applyDelta is apply depositing into a DeltaVec. It repeats the cell loop
-// of chans instead of depositing from its channel list: the beam merger's
-// scorers route through here, and the two-pass walk made the 4k rung's
-// merge 15% slower (GOMAXPROCS=1 rahtm-bench -fig scale, six alternating
-// runs on a 2-vCPU host: median 4.35s -> 5.02s).
-func (s *stencil) applyDelta(t *topology.Torus, cs, dirs []int, vol float64, dv *DeltaVec, sc *scratch) {
-	nd := s.nd
-	tab, chanOff := s.fillChanTab(t, cs, dirs, sc)
-	ei := 0
-	for c := 0; c < s.cells; c++ {
-		base := c * nd
-		nodeCh := 0
-		for d := 0; d < nd; d++ {
-			nodeCh += tab[s.offs[base+d]]
-		}
-		for n := s.cnt[c]; n > 0; n-- {
-			dv.Add(nodeCh+chanOff[s.dims[ei]], s.fracs[ei]*vol)
-			ei++
-		}
-	}
 }
 
 // scratch is one evaluator's working storage and stencil accounting. A
