@@ -339,7 +339,7 @@ func BenchmarkSimplexLP(b *testing.B) {
 
 // BenchmarkParallelPipeline measures the level-wise scheduler on a
 // 512-process 3-D halo: the same workload mapped fully sequentially
-// (Parallelism=1) and with one worker per CPU (Parallelism=0). Results are
+// (Parallelism=1) and with GOMAXPROCS workers (Parallelism=0). Results are
 // byte-identical by construction — the benchmark fails if they diverge —
 // so the only difference is Phase 2 + Phase 3 wall time, reported as
 // phase23-ms. On a multi-core host the parallel variant is expected to be
@@ -354,7 +354,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 		par  int
 	}{
 		{"parallelism=1", 1},
-		{"parallelism=NumCPU", 0},
+		{"parallelism=GOMAXPROCS", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := Mapper{Parallelism: bc.par}
@@ -375,7 +375,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 		})
 	}
 	if seq, ok := mcls["parallelism=1"]; ok {
-		if par, ok := mcls["parallelism=NumCPU"]; ok && par != seq {
+		if par, ok := mcls["parallelism=GOMAXPROCS"]; ok && par != seq {
 			b.Fatalf("parallel MCL %v != sequential MCL %v", par, seq)
 		}
 	}

@@ -50,7 +50,7 @@ func main() {
 		srvAddr  = flag.String("serve-addr", "", "client mode: load-test the rahtm-serve daemon at this address instead of benchmarking locally")
 		srvReqs  = flag.Int("requests", 32, "client mode: total requests to issue")
 		srvConc  = flag.Int("concurrency", 4, "client mode: concurrent request goroutines")
-		workers  = flag.Int("parallelism", 0, "RAHTM scheduler worker goroutines (0 = all CPUs, 1 = sequential); results are identical for every setting")
+		workers  = flag.Int("parallelism", 0, "RAHTM scheduler worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical for every setting")
 		verbose  = flag.Bool("verbose", false, "log one line per pipeline span (phase envelopes and scheduler jobs) to stderr")
 		jsonOut  = flag.String("json", "", "also write machine-readable results (per-case MCL, wall times, pipeline phase stats, counter deltas) to this file")
 		pprofOut = flag.String("pprof", "", "write a CPU profile to this file")
@@ -102,7 +102,7 @@ func main() {
 		observers = append(observers, rahtm.NewLogObserver(os.Stderr))
 		eff := *workers
 		if eff == 0 {
-			eff = runtime.NumCPU()
+			eff = runtime.GOMAXPROCS(0)
 		}
 		fmt.Fprintf(os.Stderr, "rahtm-bench: scheduler parallelism %d (GOMAXPROCS %d)\n", eff, runtime.GOMAXPROCS(0))
 	}
@@ -232,7 +232,7 @@ type benchJSON struct {
 		Topology    string `json:"topology"`
 		Procs       int    `json:"procs"`
 		Conc        int    `json:"conc"`
-		Parallelism int    `json:"parallelism"` // requested; 0 = all CPUs
+		Parallelism int    `json:"parallelism"` // requested; 0 = GOMAXPROCS
 		GOMAXPROCS  int    `json:"gomaxprocs"`
 		Fig         string `json:"fig"`
 	} `json:"config"`

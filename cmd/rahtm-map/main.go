@@ -37,7 +37,7 @@ func main() {
 		format   = flag.String("format", "ranks", "map file format: ranks (one node per line) or coords (BG/Q tuples)")
 		quiet    = flag.Bool("q", false, "suppress the quality report")
 		timeout  = flag.Duration("timeout", 0, "mapping time budget; on expiry RAHTM returns its best mapping so far")
-		workers  = flag.Int("parallelism", 0, "RAHTM scheduler worker goroutines (0 = all CPUs, 1 = sequential); results are identical for every setting")
+		workers  = flag.Int("parallelism", 0, "RAHTM scheduler worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical for every setting")
 		verbose  = flag.Bool("verbose", false, "log one line per pipeline span (phase envelopes and scheduler jobs) to stderr")
 		pprofOut = flag.String("pprof", "", "write a CPU profile of the mapping computation to this file")
 		metrics  = flag.String("metrics-addr", "", "serve live telemetry (/metrics progress+metrics snapshot, JSON or Prometheus text) on this address while mapping")

@@ -54,7 +54,7 @@ type Config struct {
 	// solutions across subproblems with identical communication structure.
 	DisableSiblingReuse bool
 	// Parallelism bounds the worker goroutines of the level-wise Phase 2/3
-	// scheduler (0 = runtime.NumCPU(), 1 = fully sequential). Unless
+	// scheduler (0 = runtime.GOMAXPROCS(0), 1 = fully sequential). Unless
 	// Merge.Parallelism is set explicitly, the leftover worker budget is
 	// also forwarded to the Phase 3 beam scorers. Results are identical
 	// for every setting; see DESIGN.md "Concurrency architecture".
@@ -68,7 +68,7 @@ type PhaseStats struct {
 	MergeTime   time.Duration
 
 	// Parallelism is the effective worker count of the level-wise
-	// scheduler (Config.Parallelism after resolving 0 to NumCPU).
+	// scheduler (Config.Parallelism after resolving 0 to GOMAXPROCS).
 	Parallelism int
 	// MapWorkTime and MergeWorkTime accumulate solver wall time across
 	// Phase 2 / Phase 3 workers; with W workers they can exceed MapTime /

@@ -23,11 +23,11 @@ import (
 	"sync/atomic"
 )
 
-// workerCount resolves a Parallelism setting: 0 means all CPUs, anything
-// below 1 is clamped to sequential.
+// workerCount resolves a Parallelism setting: 0 means GOMAXPROCS, as in
+// merge.Config, anything below 1 is clamped to sequential.
 func workerCount(parallelism int) int {
 	if parallelism == 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	if parallelism < 1 {
 		return 1

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rahtm/internal/graph"
@@ -146,8 +147,8 @@ func TestParallelWorkerCountResolution(t *testing.T) {
 	if got := workerCount(6); got != 6 {
 		t.Errorf("workerCount(6) = %d", got)
 	}
-	if got := workerCount(0); got < 1 {
-		t.Errorf("workerCount(0) = %d", got)
+	if got := workerCount(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("workerCount(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := innerParallelism(8, 2); got != 4 {
 		t.Errorf("innerParallelism(8,2) = %d", got)

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rahtm/internal/telemetry"
@@ -82,6 +84,37 @@ func newFrozen(n int, rowPtr, colIdx []int32, vol []float64) *Comm {
 	out := &Comm{n: n}
 	out.install(rowPtr, colIdx, vol)
 	return out
+}
+
+// edge is one parsed flow. pair packs (src, dst) as src<<32 | dst, so one
+// integer comparison orders edges by source, then destination.
+type edge struct {
+	pair uint64
+	vol  float64
+}
+
+// compileEdges builds the frozen graph of edges given in line order. A
+// stable sort by (src, dst) keeps duplicate pairs in line order, and they
+// are summed in that order: AddTraffic's += on a fresh map entry followed by
+// Freeze gives the same bits. Sorts es in place.
+func compileEdges(n int, es []edge) *Comm {
+	slices.SortStableFunc(es, func(a, b edge) int { return cmp.Compare(a.pair, b.pair) })
+	rowPtr := make([]int32, n+1)
+	colIdx := make([]int32, 0, len(es))
+	vol := make([]float64, 0, len(es))
+	for i, e := range es {
+		if i > 0 && e.pair == es[i-1].pair {
+			vol[len(vol)-1] += e.vol
+			continue
+		}
+		colIdx = append(colIdx, int32(uint32(e.pair)))
+		vol = append(vol, e.vol)
+		rowPtr[e.pair>>32+1]++
+	}
+	for s := 0; s < n; s++ {
+		rowPtr[s+1] += rowPtr[s]
+	}
+	return newFrozen(n, rowPtr, colIdx, vol)
 }
 
 // row returns the CSR slices for vertex s. Frozen graphs only.

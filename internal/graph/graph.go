@@ -3,10 +3,11 @@
 // process ranks (or, after clustering, cluster ids); edge weights are
 // communication volumes in arbitrary byte-like units.
 //
-// A Comm has two representations. It starts as a mutable builder backed by
+// A Comm has two representations. New starts a mutable builder backed by
 // adjacency maps; Freeze compiles it into an immutable CSR (compressed
 // sparse row) form whose traversals are allocation-free linear scans in
-// deterministic (src, dst) order. Every accessor works on both forms and
+// deterministic (src, dst) order. Read parses the text format straight into
+// the CSR form. Every accessor works on both forms and
 // iterates in the same order, so float accumulations are bit-identical
 // whichever representation backs the graph.
 package graph
@@ -20,6 +21,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Flow is one directed communication demand.
@@ -415,11 +417,15 @@ func ReadHeader(line string) (int, error) {
 	return n, nil
 }
 
-// Read parses the format produced by WriteTo. Duplicate header lines and
-// non-finite volumes are rejected with line-numbered errors.
+// Read parses the format produced by WriteTo straight into the frozen CSR
+// form. Duplicate header lines and non-finite volumes are rejected with
+// line-numbered errors. Edges are collected in line order, dropping
+// self-traffic and non-positive volumes as AddTraffic does, and compiled by
+// compileEdges, so every volume bit is what AddTraffic followed by Freeze
+// gives.
 func Read(r io.Reader) (*Comm, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	sc.Buffer(make([]byte, 4<<10), 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("graph: empty input")
 	}
@@ -427,25 +433,28 @@ func Read(r io.Reader) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := New(n)
-	line := 1
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" || strings.HasPrefix(txt, "#") {
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d overflows the CSR index", n)
+	}
+	var (
+		es []edge
+		f  [3][]byte
+	)
+	for line := 2; sc.Scan(); line++ {
+		txt, nf := splitLine(sc.Bytes(), &f)
+		if nf == 0 || f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(txt)
-		if fields[0] == "comm" {
+		if string(f[0]) == "comm" {
 			return nil, fmt.Errorf("graph: line %d: duplicate header %q", line, txt)
 		}
-		if len(fields) != 3 {
+		if nf != 3 {
 			return nil, fmt.Errorf("graph: line %d: want 'src dst vol', got %q", line, txt)
 		}
-		s, err1 := strconv.Atoi(fields[0])
-		d, err2 := strconv.Atoi(fields[1])
-		v, err3 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
+		s, ok1 := parseInt(f[0])
+		d, ok2 := parseInt(f[1])
+		v, ok3 := parseVol(f[2])
+		if !ok1 || !ok2 || !ok3 {
 			return nil, fmt.Errorf("graph: line %d: parse error in %q", line, txt)
 		}
 		if s < 0 || s >= n || d < 0 || d >= n {
@@ -454,7 +463,126 @@ func Read(r io.Reader) (*Comm, error) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("graph: line %d: non-finite volume in %q", line, txt)
 		}
-		g.AddTraffic(s, d, v)
+		if s != d && v > 0 {
+			es = append(es, edge{pair: uint64(s)<<32 | uint64(d), vol: v})
+		}
 	}
-	return g, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(es) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges overflow the CSR index", len(es))
+	}
+	return compileEdges(n, es), nil
+}
+
+// Byte classes of splitLine: a field byte, an ASCII byte unicode.IsSpace
+// accepts (the separators strings.TrimSpace and strings.Fields use on ASCII
+// input), and a byte outside ASCII.
+const (
+	fieldByte = iota
+	spaceByte
+	wideByte
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte("\t\n\v\f\r ") {
+		c[b] = spaceByte
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = wideByte
+	}
+	return c
+}()
+
+// splitLine returns a line's text trimmed as strings.TrimSpace trims it and
+// its field count as strings.Fields counts it, storing the first len(f)
+// fields in f. An all-ASCII line is split in place in one pass, so the
+// fields alias b; a line holding any other byte goes through those two
+// functions, so Unicode whitespace keeps its meaning there.
+func splitLine(b []byte, f *[3][]byte) (txt []byte, nf int) {
+	start, from := 0, -1 // from: start of the open field, -1 between fields
+	for i, c := range b {
+		switch byteClass[c] {
+		case fieldByte:
+			if from < 0 {
+				if nf == 0 {
+					start = i
+				}
+				from = i
+			}
+		case spaceByte:
+			if from >= 0 {
+				if nf < len(f) {
+					f[nf] = b[from:i]
+				}
+				nf++
+				txt = b[start:i]
+				from = -1
+			}
+		default:
+			t := strings.TrimSpace(string(b))
+			fs := strings.Fields(t)
+			for i := 0; i < len(fs) && i < len(f); i++ {
+				f[i] = []byte(fs[i])
+			}
+			return []byte(t), len(fs)
+		}
+	}
+	if from >= 0 {
+		if nf < len(f) {
+			f[nf] = b[from:]
+		}
+		nf++
+		txt = b[start:]
+	}
+	return txt, nf
+}
+
+// parseInt is strconv.Atoi on a field. With a 64-bit int, up to 18 bytes
+// cannot overflow, so those are parsed in place, as Atoi's own fast path
+// does; anything else goes through Atoi.
+func parseInt(b []byte) (int, bool) {
+	if strconv.IntSize < 64 || len(b) >= 19 {
+		x, err := strconv.Atoi(string(b))
+		return x, err == nil
+	}
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		b = b[1:]
+	}
+	u, ok := digits(b)
+	x := int(u)
+	if neg {
+		x = -x
+	}
+	return x, ok
+}
+
+// parseVol is strconv.ParseFloat(field, 64). A field of at most 15 plain
+// digits is an integer below 10^15, which a float64 holds exactly, so it
+// converts directly; anything else goes through ParseFloat.
+func parseVol(b []byte) (float64, bool) {
+	if len(b) <= 15 {
+		if x, ok := digits(b); ok {
+			return float64(x), true
+		}
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	return v, err == nil
+}
+
+// digits returns the value of a non-empty run of at most 19 ASCII digits.
+func digits(b []byte) (uint64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var x uint64
+	for _, c := range b {
+		if c -= '0'; c > 9 {
+			return 0, false
+		}
+		x = x*10 + uint64(c)
+	}
+	return x, true
 }

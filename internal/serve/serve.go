@@ -86,7 +86,7 @@ type Config struct {
 	// unbudgeted requests unbounded.
 	MaxDeadline time.Duration
 	// MaxParallelism caps the pipeline worker goroutines of each solve
-	// (0 = leave requests as sent, where 0 means all CPUs). Daemons
+	// (0 = leave requests as sent, where 0 means GOMAXPROCS). Daemons
 	// running several workers set this to keep one request from
 	// monopolizing the machine.
 	MaxParallelism int

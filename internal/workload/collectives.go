@@ -11,7 +11,7 @@ import (
 // named collective (over all ranks) added — the §VI extension: collectives
 // become mappable point-to-point patterns once the implementation is known.
 func (w *Workload) WithCollective(op collective.Op, msg float64) (*Workload, error) {
-	g := w.Graph.Clone()
+	g := builderCopy(w.Graph)
 	if err := collective.Add(g, op, collective.World(g.N()), msg); err != nil {
 		return nil, err
 	}
@@ -29,7 +29,7 @@ func (w *Workload) WithRowCollectives(op collective.Op, msg float64) (*Workload,
 	if len(w.Grid) != 2 {
 		return nil, fmt.Errorf("workload: row collectives need a 2-D grid, have %v", w.Grid)
 	}
-	g := w.Graph.Clone()
+	g := builderCopy(w.Graph)
 	rows, cols := w.Grid[0], w.Grid[1]
 	for i := 0; i < rows; i++ {
 		comm := make(collective.Communicator, cols)
@@ -46,6 +46,14 @@ func (w *Workload) WithRowCollectives(op collective.Op, msg float64) (*Workload,
 		Graph:        g,
 		CommFraction: w.CommFraction,
 	}, nil
+}
+
+// builderCopy returns a copy of g in builder form, so traffic can be added
+// to it whether g is a builder or frozen (as graph.Read returns it).
+func builderCopy(g *graph.Comm) *graph.Comm {
+	out := graph.New(g.N())
+	g.EachFlow(out.AddTraffic)
+	return out
 }
 
 // AllReduceJob is a data-parallel training-style workload: computation

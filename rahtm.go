@@ -136,7 +136,9 @@ func PhasedCommTime(t *Torus, phases []*Comm, m Mapping, model Model) (float64, 
 }
 
 // ReadGraph parses the plain-text communication graph format
-// ("comm <n>" header, then "src dst vol" lines).
+// ("comm <n>" header, then "src dst vol" lines). The graph comes back in
+// the frozen, immutable form; to add traffic, copy its flows into a
+// NewGraph builder.
 var ReadGraph = graph.Read
 
 // Mapper runs the full RAHTM pipeline as a ProcMapper. The zero value uses
@@ -150,7 +152,7 @@ type Mapper struct {
 	// DisableSiblingReuse turns off the symmetry caches.
 	DisableSiblingReuse bool
 	// Parallelism bounds the worker goroutines of the level-wise Phase 2/3
-	// scheduler: 0 uses all CPUs, 1 runs fully sequentially. Results are
+	// scheduler: 0 uses GOMAXPROCS, 1 runs fully sequentially. Results are
 	// identical for every setting.
 	Parallelism int
 }

@@ -61,7 +61,7 @@ type Request struct {
 	// expiry RAHTM degrades to its best-so-far valid mapping and the
 	// Result is flagged Degraded rather than failing.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Parallelism bounds the scheduler worker goroutines (0 = all CPUs).
+	// Parallelism bounds the scheduler worker goroutines (0 = GOMAXPROCS).
 	// Results are identical for every setting.
 	Parallelism int `json:"parallelism,omitempty"`
 	// BeamWidth overrides the Phase 3 beam width (0 = paper default 64).

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,6 +89,63 @@ func TestRequestKey(t *testing.T) {
 		if kv == k1 {
 			t.Errorf("%s variant collided with the base key %q", name, k1)
 		}
+	}
+
+	// An inline graph's key is pinned, so the daemon's cache keys cannot
+	// move with the parser. The graph has CRLF line ends, comments, a blank
+	// line, tabs, dropped self-loop / zero / negative lines and duplicate
+	// pairs, two of them summed in an order-sensitive way (0.2, 0.1, 0.3).
+	const pinnedGraph = "comm 16\r\n" +
+		"# ring with duplicate pairs, CRLF line ends and comments\r\n" +
+		"0 1 2.5\r\n" +
+		"1\t2 1\r\n" +
+		"\r\n" +
+		"0 1 0.25\r\n" +
+		"0 1 0.125\r\n" +
+		"  2 3 1e1  \r\n" +
+		"3 3 7\r\n" +
+		"4 5 0\r\n" +
+		"5 6 -1\r\n" +
+		"   # indented comment\r\n" +
+		"6 7 +3\r\n" +
+		"7 8 007\r\n" +
+		"8 9 0.1\r\n" +
+		"9 10 0.2\r\n" +
+		"8 9 0.7\r\n" +
+		"9 10 0.1\r\n" +
+		"10 11 1234567890123456789\r\n" +
+		"11 12 4\r\n" +
+		"12 13 4\r\n" +
+		"13 14 4\r\n" +
+		"14 15 4\r\n" +
+		"15 0 4\r\n" +
+		"9 10 0.3\r\n" +
+		"1 2 3"
+	const pinnedKey = "3a7003328298f251"
+	inline := Request{Graph: pinnedGraph, Topo: []int{4, 4}}
+	if k, err := inline.Key(); err != nil || k != pinnedKey {
+		t.Fatalf("inline graph key %q (%v), pinned %q", k, err, pinnedKey)
+	}
+	// The same traffic handed over as a builder graph keys the same.
+	g := NewGraph(16)
+	for _, f := range [...]struct {
+		s, d int
+		v    float64
+	}{
+		{0, 1, 2.5}, {1, 2, 1}, {0, 1, 0.25}, {0, 1, 0.125}, {2, 3, 1e1},
+		{3, 3, 7}, {4, 5, 0}, {5, 6, -1}, {6, 7, 3}, {7, 8, 7}, {8, 9, 0.1},
+		{9, 10, 0.2}, {8, 9, 0.7}, {9, 10, 0.1}, {10, 11, 1234567890123456789},
+		{11, 12, 4}, {12, 13, 4}, {13, 14, 4}, {14, 15, 4}, {15, 0, 4},
+		{9, 10, 0.3}, {1, 2, 3},
+	} {
+		g.AddTraffic(f.s, f.d, f.v)
+	}
+	work := Request{Work: &Workload{Name: "inline", Graph: g}, Topo: []int{4, 4}}
+	if k, err := work.Key(); err != nil || k != pinnedKey {
+		t.Fatalf("builder graph key %q (%v), pinned %q", k, err, pinnedKey)
+	}
+	if g.Frozen() {
+		t.Fatal("Key froze the caller's builder graph")
 	}
 }
 
@@ -330,5 +389,44 @@ func TestSolveWithScope(t *testing.T) {
 		if got := delta.Counters[name]; got != v {
 			t.Errorf("global %s advanced by %d, request attributed %d", name, got, v)
 		}
+	}
+}
+
+// benchKey keeps BenchmarkRequestKey's result live.
+var benchKey string
+
+// BenchmarkRequestKey keys a fresh inline-graph request per iteration: Key
+// reads the graph and hashes it, which rahtm-serve does for every request,
+// cache hits included. The body has the shape of perfbench serve-mix's 4x4
+// requests: 64 processes on a 4x4 torus at concentration 4, a periodic 2-D
+// halo over the 8x8 process grid with volumes 1..9, and one random partner
+// per process with volume 1..4.
+func BenchmarkRequestKey(b *testing.B) {
+	const side = 8
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "comm %d\n", side*side)
+	id := func(i, j int) int { return ((i+side)%side)*side + (j+side)%side }
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			v := id(i, j)
+			for _, n := range [...]int{id(i, j+1), id(i, j-1), id(i+1, j), id(i-1, j)} {
+				fmt.Fprintf(&sb, "%d %d %d\n", v, n, 1+rng.Intn(9))
+			}
+			if p := rng.Intn(side * side); p != v {
+				fmt.Fprintf(&sb, "%d %d %d\n", v, p, 1+rng.Intn(4))
+			}
+		}
+	}
+	text := sb.String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := Request{Graph: text, Grid: []int{side, side}, Topo: []int{4, 4}, Conc: 4}
+		key, err := req.Key()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKey = key
 	}
 }

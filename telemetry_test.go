@@ -29,7 +29,7 @@ func runTraced(t *testing.T, parallelism int) (*PipelineResult, *SpanRecorder, *
 }
 
 // TestPhaseStatsEffectiveParallelism pins the work-time accounting under
-// Parallelism=1 vs NumCPU: both settings produce the same mapping and
+// Parallelism=1 vs GOMAXPROCS: both settings produce the same mapping and
 // subproblem counts, sequential effective parallelism stays ~1, and the
 // parallel work time never exceeds wall x workers.
 func TestPhaseStatsEffectiveParallelism(t *testing.T) {
@@ -44,8 +44,8 @@ func TestPhaseStatsEffectiveParallelism(t *testing.T) {
 	if seq.Stats.Parallelism != 1 {
 		t.Fatalf("sequential Parallelism = %d", seq.Stats.Parallelism)
 	}
-	if par.Stats.Parallelism != runtime.NumCPU() {
-		t.Fatalf("parallel Parallelism = %d, NumCPU %d", par.Stats.Parallelism, runtime.NumCPU())
+	if par.Stats.Parallelism != runtime.GOMAXPROCS(0) {
+		t.Fatalf("parallel Parallelism = %d, GOMAXPROCS %d", par.Stats.Parallelism, runtime.GOMAXPROCS(0))
 	}
 	for _, c := range []struct {
 		name    string
