@@ -277,7 +277,10 @@ type pipelineJSON struct {
 	Parallelism    int     `json:"parallelism"` // effective worker count
 	MCL            float64 `json:"mcl"`
 	Degraded       bool    `json:"degraded"`
-	Err            string  `json:"error,omitempty"`
+	// DefaultFallback is set when the identity node order beat every
+	// searched candidate (PhaseStats.DefaultFallback).
+	DefaultFallback bool   `json:"default_fallback"`
+	Err             string `json:"error,omitempty"`
 
 	// Telemetry counter deltas attributed to this pipeline run.
 	StencilHits    int64 `json:"stencil_hits"`
@@ -324,6 +327,7 @@ func pipelineRow(w *rahtm.Workload, res *rahtm.PipelineResult, err error) pipeli
 	p.Parallelism = s.Parallelism
 	p.MCL = res.MCL
 	p.Degraded = s.Degraded
+	p.DefaultFallback = s.DefaultFallback
 	return p
 }
 

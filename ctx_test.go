@@ -49,6 +49,33 @@ func TestPipelineCtxDeadlineDegrades(t *testing.T) {
 	}
 }
 
+// lateTimerCtx is a context whose deadline has passed but whose timer has
+// not fired yet, as on a loaded host: Err is nil and Done never closes.
+type lateTimerCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+func (c lateTimerCtx) Done() <-chan struct{}       { return c.done }
+func (c lateTimerCtx) Err() error                  { return nil }
+
+func TestSolveLateTimerDegrades(t *testing.T) {
+	// A solve that finishes before its deadline's timer fires must still
+	// report the overrun.
+	ctx := lateTimerCtx{Context: context.Background(), done: make(chan struct{})}
+	res, err := Solve(ctx, Request{Workload: "CG", Topo: []int{4, 4, 4}, Conc: 4})
+	if err != nil {
+		t.Fatalf("deadline must degrade, not fail: %v", err)
+	}
+	if !res.Degraded {
+		t.Fatal("Degraded not set")
+	}
+	if err := res.Mapping.Validate(64, false); err != nil {
+		t.Fatalf("degraded mapping invalid: %v", err)
+	}
+}
+
 func TestPipelineCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	w, err := CG(64)

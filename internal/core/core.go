@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -83,11 +84,17 @@ type PhaseStats struct {
 	TileShapes     [][]int
 	ClusterQuality float64 // fraction of volume made node-local by Phase 1
 	LeafMethod     hiermap.Method
-	CandidatesKept int // beam size surviving at the root
-	// DefaultFallback is set when the identity (default-order) mapping
-	// beat every searched candidate and was returned instead — the guard
-	// that makes RAHTM never lose to the machine default, matching the
-	// paper's empirical behavior.
+	// CandidatesKept is the size of the root beam: the root states at or
+	// below the identity order's MCL bar, 0 when the bar stopped the root
+	// merge.
+	CandidatesKept int
+	// DefaultFallback is set when the identity order of the node-level
+	// tasks (task i on node i) beat every searched candidate and was
+	// returned instead. It compares against the identity order of RAHTM's
+	// own clustered node tasks, not against the process-level default
+	// mapper (rank p on node p/conc), which can still do better: on the
+	// 512-process rung of the scale ladder RAHTM reads 4.167 against that
+	// mapper's 4.000.
 	DefaultFallback bool
 	// Degraded is set when the context deadline expired mid-pipeline and at
 	// least one subproblem or merge returned a best-so-far result instead of
@@ -297,6 +304,15 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	res.Stats.MapWorkTime = time.Duration(mapWork.Load())
 	scope.Span(phaseSpan(telemetry.PhaseMap, res.Stats.MapTime), start)
 
+	// The identity (default) node order is the mapping the result must beat
+	// (Final assembly). Its MCL bars the root merge, which scores on the
+	// machine's channel space: a merged state above the bar can only lead
+	// to a mapping the identity beats, so the merge keeps none and stops
+	// once none is left. The margin covers the different summation order of
+	// the MCL recomputed below (DESIGN.md §11, "The default-order bar").
+	idMCL := routing.MaxChannelLoad(t, nodeGraph, topology.Identity(t.N()), routing.MinimalAdaptive{}.WithScope(scope))
+	bar := idMCL * (1 + 0x1p-20)
+
 	// ---- Phase 3: bottom-up merging ------------------------------------
 	start = time.Now()
 	// Leaf blocks (depth L-1) come straight from Phase 2.
@@ -345,10 +361,12 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		scope.Span(telemetry.Span{Name: "prepare", Phase: telemetry.PhaseMerge, Worker: -1, Level: d,
 			Jobs: len(rep), Dur: time.Since(prepStart)}, prepStart)
 		mc := cfg.Merge
+		mbar := math.Inf(1)
 		if d == 0 {
 			mc.Torus = anyWrap(t)
 			if sameDims(t, h.BlockShape(0)) {
 				mc.Topology = t
+				mbar = bar
 			}
 		}
 		if mc.Parallelism == 0 {
@@ -362,13 +380,17 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		if err := forEach(ctx, workers, len(rep), func(worker, gi int) {
 			i := rep[gi]
 			t0 := time.Now()
-			m, err := merge.MergeCtx(ctx, nodeGraph, childSets[i], h.CubeShape(d), posSets[i], mc)
+			m, err := merge.MergeCtx(ctx, nodeGraph, childSets[i], h.CubeShape(d), posSets[i], mc, mbar)
 			elapsed := time.Since(t0)
 			mergeWork.Add(int64(elapsed))
 			sp := telemetry.Span{Name: "merge", Phase: telemetry.PhaseMerge, Worker: worker, Level: d,
 				Hash: keys[i], Dur: elapsed}
 			if err == nil {
-				sp.MCL = m.Candidates[0].MCL
+				if len(m.Candidates) > 0 {
+					sp.MCL = m.Candidates[0].MCL
+				} else {
+					sp.Barred, sp.BarSteps = true, m.BarSteps
+				}
 			}
 			scope.Span(sp, t0)
 			merged[gi] = mergeResult{block: m, err: err}
@@ -410,7 +432,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	// After the loop blocks[0] is the root block (for L == 1 the Phase 2
 	// root solution wrapped as a leaf block).
 	final := blocks[0]
-	best := final.Candidates[0]
 	res.Stats.CandidatesKept = len(final.Candidates)
 
 	// Block-local positions are row-major over BlockShape(0); when the
@@ -418,22 +439,25 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	if !sameDims(t, final.Shape) {
 		return nil, fmt.Errorf("core: final block shape %v does not cover topology %v", final.Shape, t)
 	}
-	res.NodeMapping = make(topology.Mapping, t.N())
-	for i, task := range final.Tasks {
-		res.NodeMapping[task] = best.Local[i]
-	}
-	if err := res.NodeMapping.Validate(t.N(), true); err != nil {
-		return nil, fmt.Errorf("core: produced invalid node mapping: %w", err)
-	}
 	res.NodeGraph = nodeGraph
-	res.MCL = routing.MaxChannelLoad(t, nodeGraph, res.NodeMapping, routing.MinimalAdaptive{}.WithScope(scope))
-
 	// Safety net: the beam search is heuristic, and on workloads the
 	// default order already embeds perfectly it can land above it. Compare
 	// against the identity (default) node order and keep the better — the
-	// paper's evaluation never loses to ABCDET, and neither do we.
-	idMCL := routing.MaxChannelLoad(t, nodeGraph, topology.Identity(t.N()), routing.MinimalAdaptive{}.WithScope(scope))
-	if idMCL < res.MCL {
+	// paper's evaluation never loses to ABCDET, and neither do we. A root
+	// block without candidates is a merge the bar stopped: the identity
+	// beats every state it could have returned.
+	if len(final.Candidates) > 0 {
+		best := final.Candidates[0]
+		res.NodeMapping = make(topology.Mapping, t.N())
+		for i, task := range final.Tasks {
+			res.NodeMapping[task] = best.Local[i]
+		}
+		if err := res.NodeMapping.Validate(t.N(), true); err != nil {
+			return nil, fmt.Errorf("core: produced invalid node mapping: %w", err)
+		}
+		res.MCL = routing.MaxChannelLoad(t, nodeGraph, res.NodeMapping, routing.MinimalAdaptive{}.WithScope(scope))
+	}
+	if len(final.Candidates) == 0 || idMCL < res.MCL {
 		res.NodeMapping = topology.Identity(t.N())
 		res.MCL = idMCL
 		res.Stats.DefaultFallback = true

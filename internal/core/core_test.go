@@ -7,6 +7,7 @@ import (
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -258,5 +259,41 @@ func TestPipelineTwoNodeTorus(t *testing.T) {
 	// Flow of 5 splits over the double links: MCL 2.5.
 	if math.Abs(res.MCL-2.5) > 1e-9 {
 		t.Fatalf("MCL = %v, want 2.5", res.MCL)
+	}
+}
+
+// TestPipelineBarredRootMerge checks a root merge the default-order bar
+// stops: on a periodic 16x16 halo on 4x4x4x4, whose identity order no
+// merged state can match, the root merge span reports the floor check's
+// stop, no root candidate survives, and the result is the identity order
+// with its MCL.
+func TestPipelineBarredRootMerge(t *testing.T) {
+	tp := topology.NewTorus(4, 4, 4, 4)
+	rec := telemetry.NewRecorder()
+	ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Observer: rec})
+	res, err := MapProcessesCtx(ctx, halo2D(16, 16, 1), tp, Config{GridDims: []int{16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root []telemetry.Span
+	for _, sp := range rec.Spans() {
+		if sp.Name == "merge" && sp.Level == 0 {
+			root = append(root, sp)
+		}
+	}
+	if len(root) != 1 || !root[0].Barred || root[0].BarSteps != 0 || root[0].MCL != 0 {
+		t.Fatalf("root merge spans %+v, want one barred by the floor check", root)
+	}
+	if !res.Stats.DefaultFallback || res.Stats.CandidatesKept != 0 {
+		t.Fatalf("DefaultFallback %v, CandidatesKept %d", res.Stats.DefaultFallback, res.Stats.CandidatesKept)
+	}
+	for task, node := range res.NodeMapping {
+		if task != node {
+			t.Fatalf("task %d on node %d, want the identity order", task, node)
+		}
+	}
+	//rahtm:allow(floateq): the fallback returns the identity's own MCL evaluation, bit for bit
+	if want := routing.MaxChannelLoad(tp, res.NodeGraph, topology.Identity(tp.N()), routing.MinimalAdaptive{}); res.MCL != want {
+		t.Fatalf("MCL %v, want the identity's %v", res.MCL, want)
 	}
 }

@@ -122,3 +122,38 @@ func TestMILPCtxDeadlineFallsBackToAnneal(t *testing.T) {
 		t.Fatalf("degraded mapping invalid: %v", err)
 	}
 }
+
+// lateTimerCtx is a context whose deadline has passed but whose timer has
+// not fired yet, as on a loaded host: Err is nil and Done never closes.
+type lateTimerCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func newLateTimerCtx() lateTimerCtx {
+	return lateTimerCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+func (c lateTimerCtx) Done() <-chan struct{}       { return c.done }
+func (c lateTimerCtx) Err() error                  { return nil }
+
+func TestMapCtxLateTimerDegrades(t *testing.T) {
+	// Every solver must read the deadline off the clock: one that only
+	// asked ctx.Err() would run to the end undegraded.
+	for _, tc := range []struct {
+		method Method
+		n      int
+	}{{Exhaustive, 8}, {Anneal, 32}, {MILP, 8}} {
+		res, err := MapCtx(newLateTimerCtx(), randomGraph(tc.n, 6), cubeShape(tc.n), Config{Method: tc.method})
+		if err != nil {
+			t.Fatalf("%v: deadline must degrade, not fail: %v", tc.method, err)
+		}
+		if !res.Degraded {
+			t.Fatalf("%v: Degraded not set", tc.method)
+		}
+		if err := res.Mapping.Validate(tc.n, true); err != nil {
+			t.Fatalf("%v: degraded mapping invalid: %v", tc.method, err)
+		}
+	}
+}

@@ -147,9 +147,16 @@ func hardCancel(ctx context.Context) error {
 	return nil
 }
 
-// expired reports whether ctx's deadline has passed.
+// expired reports whether ctx's deadline has passed. It reads the clock
+// as well as ctx.Err(): the timer behind a deadline can fire late on a
+// loaded host, and a solve that finishes before it fires must still report
+// the overrun.
 func expired(ctx context.Context) bool {
-	return errors.Is(ctx.Err(), context.DeadlineExceeded)
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return true
+	}
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
 }
 
 // cubeTopology builds the evaluation topology for a cube shape.
@@ -203,15 +210,12 @@ func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (
 		if evals&1023 != 0 {
 			return false
 		}
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				degraded = true
-			} else {
-				ctxErr = err
-			}
+		if err := hardCancel(ctx); err != nil {
+			ctxErr = err
 			return true
 		}
-		return false
+		degraded = expired(ctx)
+		return degraded
 	}
 	evalCur()
 	i := 0
@@ -285,10 +289,10 @@ restartLoop:
 		temp := t0
 		for it := 0; it < iters; it++ {
 			if it&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					if !errors.Is(err, context.DeadlineExceeded) {
-						return nil, err
-					}
+				if err := hardCancel(ctx); err != nil {
+					return nil, err
+				}
+				if expired(ctx) {
 					degraded = true
 					break restartLoop
 				}

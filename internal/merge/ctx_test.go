@@ -3,6 +3,7 @@ package merge
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestMergeCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g, blocks, childPos := denseBlocks(t, 1)
-	_, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{})
+	_, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{}, math.Inf(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -56,7 +57,7 @@ func TestMergeCtxCancelMidRun(t *testing.T) {
 	g, blocks, childPos := denseBlocks(t, 2)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{BeamWidth: 512})
+		_, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{BeamWidth: 512}, math.Inf(1))
 		errc <- err
 	}()
 	cancel()
@@ -76,7 +77,7 @@ func TestMergeCtxDeadlineDegrades(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	g, blocks, childPos := denseBlocks(t, 3)
-	out, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{})
+	out, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{}, math.Inf(1))
 	if err != nil {
 		t.Fatalf("deadline must degrade, not fail: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestMergeCtxDeadlineHonorsPins(t *testing.T) {
 		blocks[i] = NewLeafBlock([]int{i}, shape, topology.Mapping{0}, 0)
 	}
 	childPos := []int{3, 2, 1, 0}
-	out, err := MergeCtx(ctx, g, blocks, []int{2, 2}, childPos, Config{})
+	out, err := MergeCtx(ctx, g, blocks, []int{2, 2}, childPos, Config{}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,5 +118,36 @@ func TestMergeCtxDeadlineHonorsPins(t *testing.T) {
 		if best.Local[task] != 3-task {
 			t.Fatalf("task %d at %d, want %d (mapping %v)", task, best.Local[task], 3-task, best.Local)
 		}
+	}
+}
+
+// lateTimerCtx is a context whose deadline has passed but whose timer has
+// not fired yet, as on a loaded host: Err is nil and Done never closes.
+type lateTimerCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func newLateTimerCtx() lateTimerCtx {
+	return lateTimerCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+func (c lateTimerCtx) Done() <-chan struct{}       { return c.done }
+func (c lateTimerCtx) Err() error                  { return nil }
+
+func TestMergeCtxLateTimerDegrades(t *testing.T) {
+	// The merge must read the deadline off the clock: a merge that only
+	// asked ctx.Err() would run to the end undegraded.
+	g, blocks, childPos := denseBlocks(t, 3)
+	out, err := MergeCtx(newLateTimerCtx(), g, blocks, []int{2, 2, 2}, childPos, Config{}, math.Inf(1))
+	if err != nil {
+		t.Fatalf("deadline must degrade, not fail: %v", err)
+	}
+	if !out.Degraded {
+		t.Fatal("Degraded not set")
+	}
+	if err := out.Candidates[0].Local.Validate(64, true); err != nil {
+		t.Fatalf("degraded merge produced invalid placement: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package merge
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,7 +33,7 @@ func deltaChildren(t testing.TB, g *graph.Comm, nchild, tpc int, childShape []in
 			leaves[j] = NewLeafBlock([]int{i*tpc + j}, ones, topology.Mapping{0}, 0)
 			pins[j] = j
 		}
-		blk, err := MergeCtx(context.Background(), g, leaves, childShape, pins, Config{BeamWidth: 4, MaxOrientations: 8})
+		blk, err := MergeCtx(context.Background(), g, leaves, childShape, pins, Config{BeamWidth: 4, MaxOrientations: 8}, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +437,7 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 						ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Reg: reg})
 						c := cfg
 						c.Parallelism = par
-						got, err := MergeCtx(ctx, g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c)
+						got, err := MergeCtx(ctx, g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c, math.Inf(1))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -74,6 +74,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
@@ -227,6 +228,10 @@ type Block struct {
 	// and completed greedily instead of searching: the candidates are
 	// valid but best-effort.
 	Degraded bool
+	// BarSteps is how many merge steps ran before the bar left no state
+	// (MergeCtx), when Candidates is empty: 0 means the floor check found
+	// a child that no (candidate, orientation) pair keeps at or below it.
+	BarSteps int
 }
 
 // NewLeafBlock wraps a Phase 2 leaf solution as a single-candidate block.
@@ -296,7 +301,12 @@ func (c Config) withDefaults() Config {
 // expired deadline stops searching and completes the remaining children
 // greedily — pinned positions, first candidate, identity orientation — so a
 // valid merged block is still produced, flagged Degraded.
-func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config) (*Block, error) {
+//
+// bar caps the MCL of the states the search keeps: the result is the
+// unbarred beam cut at bar, and the merge stops with a block without
+// candidates (Block.BarSteps) once no state at or below bar is left. Pass
+// math.Inf(1) for an unbarred merge.
+func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config, bar float64) (*Block, error) {
 	if err := hardCancel(ctx); err != nil {
 		return nil, err
 	}
@@ -304,10 +314,12 @@ func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape [
 	if err != nil {
 		return nil, err
 	}
+	m.bar = bar
 	return m.run()
 }
 
-// newMerger validates a merge's inputs and prepares its search state.
+// newMerger validates a merge's inputs and prepares its search state. The
+// merger it returns is unbarred.
 func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config) (*merger, error) {
 	cfg = cfg.withDefaults()
 	if len(children) == 0 {
@@ -361,6 +373,7 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 		cubeShape:  cubeShape,
 		childShape: childShape,
 		cfg:        cfg,
+		bar:        math.Inf(1),
 	}
 	switch {
 	case cfg.Topology != nil:
@@ -418,9 +431,16 @@ func hardCancel(ctx context.Context) error {
 	return nil
 }
 
-// expired reports whether ctx's deadline has passed.
+// expired reports whether ctx's deadline has passed. It reads the clock
+// as well as ctx.Err(): the timer behind a deadline can fire late on a
+// loaded host, and a merge that finishes before it fires must still report
+// the overrun.
 func expired(ctx context.Context) bool {
-	return errors.Is(ctx.Err(), context.DeadlineExceeded)
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return true
+	}
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
 }
 
 // cubeOrigin returns the parent-box origin of the child at cube position p.
@@ -457,6 +477,8 @@ type merger struct {
 	// which run alone, take slot 0.
 	workers int
 	tabs    []*routing.Table
+	// bar caps the MCL of every kept state (MergeCtx); +Inf when unbarred.
+	bar float64
 
 	// Per-task adjacency of the merged tasks. On a frozen graph these alias
 	// the CSR rows directly; on a builder graph they are compiled once here
@@ -549,15 +571,50 @@ func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
 
 // addFlowsDelta deposits the loads of every graph flow inside one child,
 // its tasks placed at pos (local task index -> parent rank), into a sparse
-// DeltaVec through the worker's table.
-func (m *merger) addFlowsDelta(tab *routing.Table, child int, pos []int, dv *routing.DeltaVec) {
+// DeltaVec through the worker's table. It stops early once dv's running
+// peak (ResetOver) is above bound; pass +Inf to route every flow.
+func (m *merger) addFlowsDelta(tab *routing.Table, child int, pos []int, dv *routing.DeltaVec, bound float64) {
 	for li, t := range m.children[child].Tasks {
 		for ni, d := range m.nbr[t] {
+			if dv.Peak() > bound {
+				return
+			}
 			if m.taskChild[d] == int32(child) {
 				tab.AddLoadsDelta(pos[li], pos[m.taskLocal[d]], m.nvol[t][ni], dv)
 			}
 		}
 	}
+}
+
+// floorAboveBar reports whether some child has no (candidate, orientation)
+// pair whose internal loads stay at or below the bar. A child's internal
+// loads are the same at every cube position (the package comment), every
+// state holds one such pair per child, and deposits only raise a state's
+// MCL, so such a child puts every merged state above the bar. Each pair is
+// routed as the scorers route it into their snapshots, so the loads are
+// bit-identical, and cut off once its peak passes the bar; a child's pairs
+// are tried in scoring order until one stays at or below it.
+func (m *merger) floorAboveBar() bool {
+	nch := m.parent.NumChannels()
+	zero := make([]float64, nch) // read-only peak base
+	dv := routing.NewDeltaVec(nch)
+	tab := m.tabs[0]
+	defer tab.Flush()
+	for ci, c := range m.children {
+		tab.Reset() // one child's pairs are one unit of work
+		nc := min(len(c.Candidates), m.cfg.ChildCandidates)
+		below := false
+		for k := 0; k < nc*len(m.orients) && !below; k++ {
+			cand, o := c.Candidates[k/len(m.orients)], m.orients[k%len(m.orients)]
+			dv.ResetOver(zero, 0)
+			m.addFlowsDelta(tab, ci, m.placement(ci, cand, o), dv, m.bar)
+			below = dv.Peak() <= m.bar
+		}
+		if !below {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeOrder ranks children by decreasing average best-pair MCL. Each
@@ -615,7 +672,7 @@ func (m *merger) mergeOrder() []int {
 				i, oi := u/ko, u%ko
 				p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
 				dv.Reset()
-				m.addFlowsDelta(tab, i, p, dv)
+				m.addFlowsDelta(tab, i, p, dv, math.Inf(1))
 				pl[i][oi] = p
 				snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
 				for _, v := range snaps[i][oi].Val {
@@ -826,12 +883,13 @@ func comboLess(beam []*state, a, b *combo) bool {
 		packChoice(int(b.cube), int(b.cand), int(b.orient))
 }
 
-// topCombos is one scoring worker's best n combos of a merge step, kept as
-// a max-heap under comboLess (container/heap): the root is the worst combo
-// kept.
+// topCombos is one scoring worker's best n combos of a merge step at or
+// below bar, kept as a max-heap under comboLess (container/heap): the root
+// is the worst combo kept.
 type topCombos struct {
 	beam []*state
 	n    int
+	bar  float64
 	h    []combo
 }
 
@@ -845,13 +903,14 @@ func (t *topCombos) Pop() any {
 	return c
 }
 
-// bound is the score a combo must not exceed to enter the heap: +Inf until
-// the heap holds n combos, then the worst kept MCL.
+// bound is the score a combo must not exceed to enter the heap: the bar
+// until the heap holds n combos, then the lower of the bar and the worst
+// kept MCL.
 func (t *topCombos) bound() float64 {
 	if len(t.h) < t.n {
-		return math.Inf(1)
+		return t.bar
 	}
-	return t.h[0].mcl
+	return min(t.h[0].mcl, t.bar)
 }
 
 // offer keeps c if it ranks among the n best seen so far.
@@ -943,6 +1002,9 @@ func (m *merger) addCrossEdgesDelta(tab *routing.Table, edges []crossEdge, st *s
 }
 
 func (m *merger) run() (*Block, error) {
+	if !math.IsInf(m.bar, 1) && !expired(m.ctx) && m.floorAboveBar() {
+		return m.barred(0), nil
+	}
 	order := m.mergeOrder()
 	if err := hardCancel(m.ctx); err != nil {
 		return nil, err
@@ -1015,7 +1077,7 @@ func (m *merger) run() (*Block, error) {
 				defer wg.Done()
 				tab := m.table(w)
 				defer tab.Flush()
-				top := &topCombos{beam: beam, n: m.cfg.BeamWidth}
+				top := &topCombos{beam: beam, n: m.cfg.BeamWidth, bar: m.bar}
 				var skipped int64
 				defer func() { tops[w], skips[w] = top.h, skipped }()
 				refPos := make([]int, len(tasks))
@@ -1029,7 +1091,7 @@ func (m *merger) run() (*Block, error) {
 						refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
 					}
 					dv.Reset()
-					m.addFlowsDelta(tab, child, refPos, dv)
+					m.addFlowsDelta(tab, child, refPos, dv, math.Inf(1))
 					snap = dv.Snapshot(snap)
 					for si, st := range beam {
 						if st.mcl > top.bound() {
@@ -1087,6 +1149,11 @@ func (m *merger) run() (*Block, error) {
 		}
 		candGen += int64(groups * groupSize)
 		candKept += int64(len(kept))
+		if len(kept) == 0 {
+			// Every combo of the step is above the bar, so every state
+			// built from this beam would be too.
+			return m.barred(step + 1), nil
+		}
 
 		// Pass 2: materialize the winners. The winner's contribution is
 		// re-accumulated at its actual cube position — bit-identical to the
@@ -1118,7 +1185,7 @@ func (m *merger) run() (*Block, error) {
 				loads = append([]float64(nil), loads...)
 			}
 			dv.Reset()
-			m.addFlowsDelta(tab, child, p, dv)
+			m.addFlowsDelta(tab, child, p, dv, math.Inf(1))
 			m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
 			dv.AddTo(loads)
 			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
@@ -1160,6 +1227,14 @@ func (m *merger) block(beam []*state, order []int, degraded bool) *Block {
 	return out
 }
 
+// barred is the block of a merge the bar stopped after steps merge steps:
+// the merged tasks and shape, and no candidate.
+func (m *merger) barred(steps int) *Block {
+	out := m.block(nil, nil, false)
+	out.BarSteps = steps
+	return out
+}
+
 // completeGreedy finishes an interrupted merge from the best surviving
 // state: each remaining child (steps from..end of order) is absorbed with
 // its first candidate, the identity orientation, and its pinned cube
@@ -1188,7 +1263,7 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep 
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 		dv.ResetOver(st.loads, st.mcl)
-		m.addFlowsDelta(tab, child, p, dv)
+		m.addFlowsDelta(tab, child, p, dv, math.Inf(1))
 		m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
 		loads := append([]float64(nil), st.loads...)
 		dv.AddTo(loads)

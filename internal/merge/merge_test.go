@@ -98,7 +98,7 @@ func TestMergeSingleTaskChildrenHonorsPins(t *testing.T) {
 	g.AddTraffic(0, 1, 1)
 	blocks := singleTaskBlocks(4, 2)
 	childPos := []int{3, 2, 1, 0} // task i pinned to position 3-i
-	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, childPos, Config{})
+	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, childPos, Config{}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMergeMCLMatchesDirectEvaluation(t *testing.T) {
 			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
 		blocks := singleTaskBlocks(4, 2)
-		merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{})
+		merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestMergeBestEqualsOrientationBruteForce(t *testing.T) {
 		}
 		a := NewLeafBlock([]int{0, 1}, []int{1, 2}, topology.Mapping{0, 1}, 0)
 		b := NewLeafBlock([]int{2, 3}, []int{1, 2}, topology.Mapping{0, 1}, 0)
-		merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{BeamWidth: 64})
+		merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{BeamWidth: 64}, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestMergeBeamWidthRespected(t *testing.T) {
 	g := graph.New(4)
 	g.AddTraffic(0, 1, 1)
 	blocks := singleTaskBlocks(4, 2)
-	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{BeamWidth: 3})
+	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{BeamWidth: 3}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +193,16 @@ func TestMergeBeamWidthRespected(t *testing.T) {
 func TestMergeValidatesInput(t *testing.T) {
 	g := graph.New(4)
 	blocks := singleTaskBlocks(4, 2)
-	if _, err := MergeCtx(context.Background(), g, blocks[:3], []int{2, 2}, []int{0, 1, 2}, Config{}); err == nil {
+	if _, err := MergeCtx(context.Background(), g, blocks[:3], []int{2, 2}, []int{0, 1, 2}, Config{}, math.Inf(1)); err == nil {
 		t.Fatal("expected error: 3 children for 4-cube")
 	}
-	if _, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 2}, Config{}); err == nil {
+	if _, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 2}, Config{}, math.Inf(1)); err == nil {
 		t.Fatal("expected error: duplicate positions")
 	}
-	if _, err := MergeCtx(context.Background(), g, blocks, []int{3, 2}, []int{0, 1, 2, 3}, Config{}); err == nil {
+	if _, err := MergeCtx(context.Background(), g, blocks, []int{3, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1)); err == nil {
 		t.Fatal("expected error: non-2-ary cube")
 	}
-	if _, err := MergeCtx(context.Background(), g, nil, []int{2, 2}, nil, Config{}); err == nil {
+	if _, err := MergeCtx(context.Background(), g, nil, []int{2, 2}, nil, Config{}, math.Inf(1)); err == nil {
 		t.Fatal("expected error: no children")
 	}
 }
@@ -216,7 +216,7 @@ func TestMergedMappingIsInjective(t *testing.T) {
 	// Two 2x2 blocks merged along a 2x1 cube into a 4x2 parent.
 	a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{3, 2, 1, 0}, 0)
-	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{1, 0}, Config{})
+	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{1, 0}, Config{}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestMergeTorusEvaluation(t *testing.T) {
 	g := graph.New(4)
 	g.AddTraffic(0, 1, 8)
 	blocks := singleTaskBlocks(4, 2)
-	meshRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{})
+	meshRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	torusRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{Torus: true})
+	torusRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{Torus: true}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}

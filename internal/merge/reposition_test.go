@@ -19,11 +19,11 @@ func TestRepositionOverridesBadPins(t *testing.T) {
 	blocks := singleTaskBlocks(4, 2)
 	// Pins separate the pairs onto diagonals: 0@0, 1@3, 2@1, 3@2.
 	badPins := []int{0, 3, 1, 2}
-	pinned, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, badPins, Config{})
+	pinned, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, badPins, Config{}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, badPins, Config{Reposition: true})
+	free, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, badPins, Config{Reposition: true}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRepositionProducesValidPermutations(t *testing.T) {
 	}
 	a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
-	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{Reposition: true})
+	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{Reposition: true}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestRepositionNeverWorseThanPinned(t *testing.T) {
 		}
 		blocks := singleTaskBlocks(4, 2)
 		pins := rng.Perm(4)
-		pinned, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, pins, Config{})
+		pinned, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, pins, Config{}, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		free, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, pins, Config{Reposition: true})
+		free, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, pins, Config{Reposition: true}, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +96,11 @@ func TestParallelMergeDeterministic(t *testing.T) {
 		b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{3, 2, 1, 0}, 0)
 		return []*Block{a, b}
 	}
-	serial, err := MergeCtx(context.Background(), g, mk(), []int{2, 1}, []int{0, 1}, Config{Parallelism: 1})
+	serial, err := MergeCtx(context.Background(), g, mk(), []int{2, 1}, []int{0, 1}, Config{Parallelism: 1}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MergeCtx(context.Background(), g, mk(), []int{2, 1}, []int{0, 1}, Config{Parallelism: 8})
+	parallel, err := MergeCtx(context.Background(), g, mk(), []int{2, 1}, []int{0, 1}, Config{Parallelism: 8}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRepositionCubeTooLarge(t *testing.T) {
 		pins[i] = i
 	}
 	cube := []int{2, 2, 2, 2, 2, 2, 2}
-	if _, err := MergeCtx(context.Background(), g, blocks, cube, pins, Config{Reposition: true}); err == nil {
+	if _, err := MergeCtx(context.Background(), g, blocks, cube, pins, Config{Reposition: true}, math.Inf(1)); err == nil {
 		t.Fatal("expected error for oversized reposition cube")
 	}
 }

@@ -3,6 +3,7 @@ package merge
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"rahtm/internal/graph"
@@ -38,7 +39,7 @@ func newHaloRoot(t testing.TB) *haloRoot {
 func (h *haloRoot) merge(ctx context.Context, par int) (*Block, error) {
 	cfg := h.cfg
 	cfg.Parallelism = par
-	return MergeCtx(ctx, h.g, h.children, h.cubeShape, h.pins, cfg)
+	return MergeCtx(ctx, h.g, h.children, h.cubeShape, h.pins, cfg, math.Inf(1))
 }
 
 // TestMergeWorkCounts pins the merge's work on the halo-root scenario: the

@@ -57,7 +57,7 @@ func (t *ProgressTracker) Snapshot() Progress {
 // envelope marks it done. "prepare" spans plan jobs, "solve"/"merge" spans
 // complete them, map "fanout" spans count committed subproblems, and the
 // shallowest merge level's best MCL is the pipeline's best-so-far (level 0
-// is the root merge).
+// is the root merge; a barred root merge reports none).
 func (t *ProgressTracker) Record(sp Span, _ time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -78,7 +78,7 @@ func (t *ProgressTracker) Record(sp Span, _ time.Time) {
 		}
 	case "merge":
 		t.p.MergeJobsDone++
-		if math.IsNaN(sp.MCL) || math.IsInf(sp.MCL, 0) {
+		if sp.Barred || math.IsNaN(sp.MCL) || math.IsInf(sp.MCL, 0) {
 			return
 		}
 		if t.p.BestLevel < 0 || sp.Level <= t.p.BestLevel {

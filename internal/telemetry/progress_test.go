@@ -31,9 +31,11 @@ func TestProgressTrackerLifecycle(t *testing.T) {
 	tr.Record(Span{Name: "merge", Phase: PhaseMerge, Worker: 1, Level: 1, MCL: 12.5}, now)
 	tr.Record(Span{Name: "merge", Phase: PhaseMerge, Worker: 0, Level: 0, MCL: 9.25}, now) // shallower level wins
 	tr.Record(Span{Name: "merge", Phase: PhaseMerge, Worker: 1, Level: 1, MCL: 1.0}, now)  // deeper level must not override
+	// A barred root merge carries no MCL and must not override either.
+	tr.Record(Span{Name: "merge", Phase: PhaseMerge, Worker: 0, Level: 0, Barred: true}, now)
 	tr.Record(Span{Name: "fanout", Phase: PhaseMerge, Worker: -1, Level: 1, Jobs: 4}, now)
 	p = tr.Snapshot()
-	if p.MergeJobsPlanned != 3 || p.MergeJobsDone != 3 || p.Subproblems != 2 {
+	if p.MergeJobsPlanned != 3 || p.MergeJobsDone != 4 || p.Subproblems != 2 {
 		t.Fatalf("merge counters: %+v", p)
 	}
 	if p.BestLevel != 0 || p.BestMCL != 9.25 {

@@ -45,6 +45,14 @@ type Span struct {
 	// representative's on "solve", the merged block's best candidate on
 	// "merge".
 	MCL float64 `json:"mcl,omitempty"`
+	// Barred is set on a root "merge" span when the identity order's MCL
+	// bar stopped the merge: no merged state was at or below it, MCL is 0
+	// and the pipeline returns the identity order. BarSteps is how many
+	// merge steps ran before the stop; 0 means the floor check, before the
+	// first step, found a child that no (candidate, orientation) pair keeps
+	// at or below the bar.
+	Barred   bool `json:"barred,omitempty"`
+	BarSteps int  `json:"bar_steps,omitempty"`
 	// TraceID is the request identity the span belongs to, "" for spans
 	// emitted outside a traced scope (CLI runs).
 	TraceID string `json:"trace,omitempty"`
@@ -131,6 +139,9 @@ func (l *Log) Record(sp Span, _ time.Time) {
 		}
 		if sp.MCL != 0 {
 			line += fmt.Sprintf(" mcl %.4g", sp.MCL)
+		}
+		if sp.Barred {
+			line += fmt.Sprintf(" barred after %d steps", sp.BarSteps)
 		}
 	}
 	l.mu.Lock()
