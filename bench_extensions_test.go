@@ -192,5 +192,6 @@ func BenchmarkCollectiveExpansion(b *testing.B) {
 		if err := AddCollective(g, AllGatherDissemination, nil, 10); err != nil {
 			b.Fatal(err)
 		}
+		g.Build()
 	}
 }

@@ -40,11 +40,12 @@ func printTable(key string, f func()) {
 // diagonal mapping beats the hop-bytes-optimal adjacent mapping under
 // minimal adaptive routing.
 func BenchmarkFigure1RoutingAwareExample(b *testing.B) {
-	g := NewGraph(4)
-	g.AddTraffic(0, 1, 10)
-	g.AddTraffic(1, 2, 1)
-	g.AddTraffic(2, 3, 1)
-	g.AddTraffic(3, 0, 1)
+	gb := NewGraph(4)
+	gb.AddTraffic(0, 1, 10)
+	gb.AddTraffic(1, 2, 1)
+	gb.AddTraffic(2, 3, 1)
+	gb.AddTraffic(3, 0, 1)
+	g := gb.Build()
 	t := NewMesh(2, 2)
 	adjacent := Mapping{0, 1, 3, 2}
 	diagonal := Mapping{0, 3, 1, 2}
@@ -146,11 +147,12 @@ func BenchmarkFigure10CommTime(b *testing.B) {
 // BenchmarkTable2MILPSolve solves the Table II MILP formulation on a 2x2
 // leaf subproblem — the optimal-mapping building block of Phase 2.
 func BenchmarkTable2MILPSolve(b *testing.B) {
-	g := NewGraph(4)
-	g.AddTraffic(0, 1, 10)
-	g.AddTraffic(1, 2, 1)
-	g.AddTraffic(2, 3, 1)
-	g.AddTraffic(3, 0, 1)
+	gb := NewGraph(4)
+	gb.AddTraffic(0, 1, 10)
+	gb.AddTraffic(1, 2, 1)
+	gb.AddTraffic(2, 3, 1)
+	gb.AddTraffic(3, 0, 1)
+	g := gb.Build()
 	var mcl float64
 	for i := 0; i < b.N; i++ {
 		res, err := hiermap.MapCtx(context.Background(), g, []int{2, 2}, hiermap.Config{Method: hiermap.MILP})
@@ -241,11 +243,12 @@ func BenchmarkAblationHopBytesVsMCL(b *testing.B) {
 // BenchmarkAblationLeafSolver compares the Phase 2 solver choices on one
 // 8-node cube subproblem.
 func BenchmarkAblationLeafSolver(b *testing.B) {
-	g := NewGraph(8)
+	gb := NewGraph(8)
 	for i := 0; i < 8; i++ {
-		g.AddTraffic(i, (i+1)%8, 10)
-		g.AddTraffic(i, (i+3)%8, 3)
+		gb.AddTraffic(i, (i+1)%8, 10)
+		gb.AddTraffic(i, (i+3)%8, 3)
 	}
+	g := gb.Build()
 	for _, method := range []hiermap.Method{hiermap.Exhaustive, hiermap.Anneal, hiermap.MILP} {
 		b.Run(method.String(), func(b *testing.B) {
 			if method == hiermap.MILP && testing.Short() {

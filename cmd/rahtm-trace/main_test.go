@@ -29,7 +29,7 @@ func TestPrintStatsAndConversions(t *testing.T) {
 		t.Fatal(err)
 	}
 	printStats(g) // must not panic on tiny graphs
-	printStats(rahtm.NewGraph(1))
+	printStats(rahtm.NewGraph(1).Build())
 
 	// Round trip graph -> profile -> graph.
 	out := filepath.Join(dir, "q.txt")

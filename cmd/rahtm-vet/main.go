@@ -10,7 +10,7 @@
 // context.Background in internal code (ctxpoll), no exact float
 // comparisons outside tolerance helpers (floateq), batched telemetry
 // counters in hot loops (telemetrybatch), no mutation or undocumented
-// escape of frozen-CSR row aliases (csralias), cancellable-or-joined
+// escape of CSR row aliases (csralias), cancellable-or-joined
 // goroutines in the concurrent packages (goroutinejoin), mutex copy and
 // release discipline (lockdiscipline), and telemetry-scope propagation
 // through ctx-carrying functions (scopeprop). Individual findings are

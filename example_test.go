@@ -14,8 +14,9 @@ import (
 // adaptive routing, the diagonal placement of a heavy pair halves the
 // hottest link relative to the adjacent placement that hop-bytes prefers.
 func ExampleMCL() {
-	g := rahtm.NewGraph(4)
-	g.AddTraffic(0, 1, 10)
+	b := rahtm.NewGraph(4)
+	b.AddTraffic(0, 1, 10)
+	g := b.Build()
 
 	t := rahtm.NewMesh(2, 2)
 	adjacent := rahtm.Mapping{0, 1, 2, 3}
@@ -43,10 +44,11 @@ func ExampleCompareCtx() {
 // ExampleAddCollective expands a collective implementation into mappable
 // point-to-point traffic (the paper's §VI extension).
 func ExampleAddCollective() {
-	g := rahtm.NewGraph(8)
-	if err := rahtm.AddCollective(g, rahtm.AllReduceRecursiveDoubling, nil, 100); err != nil {
+	b := rahtm.NewGraph(8)
+	if err := rahtm.AddCollective(b, rahtm.AllReduceRecursiveDoubling, nil, 100); err != nil {
 		panic(err)
 	}
+	g := b.Build()
 	// log2(8) = 3 stages of 100 bytes per process.
 	fmt.Println(g.OutVolume(0))
 	// Output: 300

@@ -16,11 +16,12 @@ import (
 func main() {
 	// Figure 1(a): four processes; P0-P1 exchange heavily, the rest
 	// lightly.
-	g := rahtm.NewGraph(4)
-	g.AddTraffic(0, 1, 10)
-	g.AddTraffic(1, 2, 1)
-	g.AddTraffic(2, 3, 1)
-	g.AddTraffic(3, 0, 1)
+	b := rahtm.NewGraph(4)
+	b.AddTraffic(0, 1, 10)
+	b.AddTraffic(1, 2, 1)
+	b.AddTraffic(2, 3, 1)
+	b.AddTraffic(3, 0, 1)
+	g := b.Build()
 
 	t := rahtm.NewMesh(2, 2)
 

@@ -61,9 +61,6 @@ func CompareCtx(ctx context.Context, w *Workload, t *Torus, conc int, ms []ProcM
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("rahtm: no mappers to compare")
 	}
-	// The graph is fully built by now; every mapper and evaluation below
-	// scans the frozen form, as in Solve.
-	w.Graph.Freeze()
 	cmp := &Comparison{
 		Workload:     w.Name,
 		Procs:        w.Procs(),

@@ -70,13 +70,13 @@ const (
 var CollectiveOps = collective.Ops
 
 // AddCollective adds the traffic of the named collective over ranks (nil =
-// all ranks of g) with msg bytes per process into g.
-func AddCollective(g *Comm, op CollectiveOp, ranks []int, msg float64) error {
+// all ranks of b) with msg bytes per process to the builder b.
+func AddCollective(b *GraphBuilder, op CollectiveOp, ranks []int, msg float64) error {
 	comm := collective.Communicator(ranks)
 	if comm == nil {
-		comm = collective.World(g.N())
+		comm = collective.World(b.N())
 	}
-	return collective.Add(g, op, comm, msg)
+	return collective.Add(b, op, comm, msg)
 }
 
 // AllReduceJob builds a data-parallel (training-style) workload dominated

@@ -7,14 +7,14 @@ import (
 )
 
 func TestAddCollectiveFacade(t *testing.T) {
-	g := NewGraph(8)
-	if err := AddCollective(g, AllReduceRecursiveDoubling, nil, 100); err != nil {
+	b := NewGraph(8)
+	if err := AddCollective(b, AllReduceRecursiveDoubling, nil, 100); err != nil {
 		t.Fatal(err)
 	}
-	if g.TotalVolume() != 8*3*100 { // 8 procs x log2(8) stages x msg
+	if g := b.Build(); g.TotalVolume() != 8*3*100 { // 8 procs x log2(8) stages x msg
 		t.Fatalf("volume = %v", g.TotalVolume())
 	}
-	if err := AddCollective(g, "bogus", nil, 1); err == nil {
+	if err := AddCollective(b, "bogus", nil, 1); err == nil {
 		t.Fatal("unknown op should fail")
 	}
 }
@@ -67,8 +67,9 @@ func TestParseProfileFacade(t *testing.T) {
 
 func TestOptimalSplitMCLFacade(t *testing.T) {
 	tp := NewMesh(2, 2)
-	g := NewGraph(4)
-	g.AddTraffic(0, 3, 4)
+	b := NewGraph(4)
+	b.AddTraffic(0, 3, 4)
+	g := b.Build()
 	mcl, rt, err := OptimalSplitMCLCtx(context.Background(), tp, g, Identity(4))
 	if err != nil {
 		t.Fatal(err)

@@ -6,15 +6,16 @@ import (
 	"strings"
 )
 
-// CSRAlias enforces the frozen-CSR aliasing contract of internal/graph
+// CSRAlias enforces the CSR aliasing contract of internal/graph
 // (DESIGN.md §12). Slices obtained from accessors documented as aliasing —
 // graph.Comm.Edges, and the merge-side nbr/nvol row caches built from it —
 // are windows into the graph's immutable rowPtr/colIdx/vol arrays, shared
 // by every holder of the graph. Mutating through such a slice (an element
 // store, append, copy-into, or an in-place sort) silently corrupts the
-// frozen graph for everyone else and breaks the byte-identical guarantees
-// pinned by TestFrozenPathByteIdentical; storing one into a field, map, or
-// slice element extends the alias's lifetime beyond the local scope and is
+// graph for every holder, including concurrent solves sharing it, and
+// breaks the byte-identical guarantees (TestGraphBuildDigest,
+// TestDefaultBarByteIdentical); storing one into a field, map, or slice
+// element extends the alias's lifetime beyond the local scope and is
 // reported too, so each long-lived alias is a documented decision
 // (rahtm:allow with justification).
 //

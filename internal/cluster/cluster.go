@@ -52,7 +52,7 @@ func TileGrid(g *graph.Comm, gridDims []int, tileVol int) (*Result, error) {
 		res := &Result{
 			Assign:      identity(n),
 			NumClusters: n,
-			Coarse:      g.Clone(),
+			Coarse:      g,
 			TileShape:   ones(len(gridDims)),
 			GridDims:    append([]int(nil), gridDims...),
 		}
@@ -158,7 +158,7 @@ func Greedy(g *graph.Comm, groupSize int) (*Result, error) {
 		return nil, fmt.Errorf("cluster: group size %d does not divide %d vertices", groupSize, g.N())
 	}
 	assign := identity(g.N())
-	cur := g.Clone()
+	cur := g
 	intraTotal := 0.0
 	for sz := 1; sz < groupSize; sz *= 2 {
 		pair := heavyEdgePairs(cur)

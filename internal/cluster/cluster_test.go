@@ -25,7 +25,7 @@ func grid2D(r, c int, w float64, wrap bool) *graph.Comm {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 func TestTileGridSquareTileForIsotropicStencil(t *testing.T) {
@@ -48,18 +48,19 @@ func TestTileGridSquareTileForIsotropicStencil(t *testing.T) {
 
 func TestTileGridAnisotropicPrefersElongatedTile(t *testing.T) {
 	// Heavy row-direction traffic: a 1x4 tile absorbs the heavy edges.
-	g := graph.New(16)
+	b := graph.New(16)
 	id := func(i, j int) int { return i*4 + j }
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if j+1 < 4 {
-				g.AddTraffic(id(i, j), id(i, j+1), 100)
+				b.AddTraffic(id(i, j), id(i, j+1), 100)
 			}
 			if i+1 < 4 {
-				g.AddTraffic(id(i, j), id(i+1, j), 1)
+				b.AddTraffic(id(i, j), id(i+1, j), 1)
 			}
 		}
 	}
+	g := b.Build()
 	res, err := TileGrid(g, []int{4, 4}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +114,11 @@ func TestTileGridErrors(t *testing.T) {
 }
 
 func TestGreedyPairsHeaviestEdges(t *testing.T) {
-	g := graph.New(4)
-	g.AddTraffic(0, 3, 100)
-	g.AddTraffic(1, 2, 90)
-	g.AddTraffic(0, 1, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 3, 100)
+	b.AddTraffic(1, 2, 90)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	res, err := Greedy(g, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +152,7 @@ func TestGreedyGroupSizeFour(t *testing.T) {
 }
 
 func TestGreedyErrors(t *testing.T) {
-	g := graph.New(6)
+	g := graph.New(6).Build()
 	if _, err := Greedy(g, 3); err == nil {
 		t.Fatal("expected error: non-power-of-two group")
 	}
@@ -160,7 +162,7 @@ func TestGreedyErrors(t *testing.T) {
 }
 
 func TestGreedyDisconnectedVerticesStillGrouped(t *testing.T) {
-	g := graph.New(8) // no edges at all
+	g := graph.New(8).Build() // no edges at all
 	res, err := Greedy(g, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +212,7 @@ func TestQuality(t *testing.T) {
 	if q <= 0 || q >= 1 {
 		t.Fatalf("quality = %v, want in (0,1)", q)
 	}
-	empty := graph.New(4)
+	empty := graph.New(4).Build()
 	r2, err := TileGrid(empty, []int{2, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -227,10 +229,11 @@ func TestQuickTilingInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := []int{2, 4, 8}[rng.Intn(3)]
 		c := []int{2, 4, 8}[rng.Intn(3)]
-		g := graph.New(r * c)
+		b := graph.New(r * c)
 		for e := 0; e < r*c; e++ {
-			g.AddTraffic(rng.Intn(r*c), rng.Intn(r*c), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(r*c), rng.Intn(r*c), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		vols := []int{2, 4}
 		vol := vols[rng.Intn(len(vols))]
 		res, err := TileGrid(g, []int{r, c}, vol)
@@ -259,10 +262,11 @@ func TestQuickGreedyVolumeConservation(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 * (1 + rng.Intn(3))
-		g := graph.New(n)
+		b := graph.New(n)
 		for e := 0; e < 3*n; e++ {
-			g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		res, err := Greedy(g, 8)
 		if err != nil {
 			return n%8 != 0

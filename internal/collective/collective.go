@@ -6,8 +6,8 @@
 // recursive-doubling all-gather produces a completely different pattern
 // than a dissemination all-gather.
 //
-// Every generator adds its traffic into an existing communication graph, so
-// application phases and collectives compose into one mapping problem. All
+// Every generator adds its traffic to a graph builder, so application
+// phases and collectives compose into one mapping problem. All
 // volumes follow the standard cost models (see e.g. Thakur, Rabenseifner &
 // Gropp, "Optimization of Collective Communication Operations in MPICH").
 package collective
@@ -32,7 +32,7 @@ func World(n int) Communicator {
 	return c
 }
 
-func (c Communicator) validate(g *graph.Comm) error {
+func (c Communicator) validate(g *graph.Builder) error {
 	if len(c) == 0 {
 		return fmt.Errorf("collective: empty communicator")
 	}
@@ -61,7 +61,7 @@ func (c Communicator) powerOfTwo() error {
 // all-gather of msg bytes per process: log2(n) stages; at stage s, partner
 // distance 2^s, exchanged volume msg * 2^s (the data gathered so far).
 // Total bytes sent per process: msg * (n - 1).
-func RecursiveDoublingAllGather(g *graph.Comm, c Communicator, msg float64) error {
+func RecursiveDoublingAllGather(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func RecursiveDoublingAllGather(g *graph.Comm, c Communicator, msg float64) erro
 // DisseminationAllGather adds the dissemination (Bruck) all-gather pattern:
 // ceil(log2(n)) stages; at stage s each process sends to (i + 2^s) mod n
 // the min(2^s, n-2^s) blocks it holds. Works for any communicator size.
-func DisseminationAllGather(g *graph.Comm, c Communicator, msg float64) error {
+func DisseminationAllGather(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func DisseminationAllGather(g *graph.Comm, c Communicator, msg float64) error {
 // RecursiveDoublingAllReduce adds the recursive-doubling all-reduce
 // pattern: log2(n) stages, full msg bytes exchanged with the partner at
 // distance 2^s in every stage.
-func RecursiveDoublingAllReduce(g *graph.Comm, c Communicator, msg float64) error {
+func RecursiveDoublingAllReduce(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func RecursiveDoublingAllReduce(g *graph.Comm, c Communicator, msg float64) erro
 // RingAllReduce adds the bandwidth-optimal ring all-reduce (reduce-scatter
 // ring followed by all-gather ring): each process sends 2*(n-1)/n * msg
 // bytes to its ring successor.
-func RingAllReduce(g *graph.Comm, c Communicator, msg float64) error {
+func RingAllReduce(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func RingAllReduce(g *graph.Comm, c Communicator, msg float64) error {
 // communicator rank 0: at stage s (from the top), every process whose
 // relative rank is a multiple of 2^(k-s) and already holds the data sends
 // msg bytes to the process 2^(k-s-1) away.
-func BinomialBroadcast(g *graph.Comm, c Communicator, msg float64) error {
+func BinomialBroadcast(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func BinomialBroadcast(g *graph.Comm, c Communicator, msg float64) error {
 
 // BinomialReduce adds the binomial-tree reduce pattern (the broadcast tree
 // with all edges reversed) toward communicator rank 0.
-func BinomialReduce(g *graph.Comm, c Communicator, msg float64) error {
+func BinomialReduce(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func BinomialReduce(g *graph.Comm, c Communicator, msg float64) error {
 // PairwiseAllToAll adds the pairwise-exchange all-to-all pattern: n-1
 // rounds; in round r each process exchanges msg bytes with rank i XOR r
 // (power-of-two sizes) — every pair communicates exactly once per call.
-func PairwiseAllToAll(g *graph.Comm, c Communicator, msg float64) error {
+func PairwiseAllToAll(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -199,7 +199,7 @@ func PairwiseAllToAll(g *graph.Comm, c Communicator, msg float64) error {
 
 // ReduceScatterRing adds a ring reduce-scatter: (n-1)/n * msg bytes to the
 // ring successor, n-1 rounds collapsed into aggregate volume.
-func ReduceScatterRing(g *graph.Comm, c Communicator, msg float64) error {
+func ReduceScatterRing(g *graph.Builder, c Communicator, msg float64) error {
 	if err := c.validate(g); err != nil {
 		return err
 	}
@@ -229,8 +229,8 @@ const (
 	OpReduceScatter Op = "reducescatter-ring"
 )
 
-// Add applies the named collective to the graph.
-func Add(g *graph.Comm, op Op, c Communicator, msg float64) error {
+// Add adds the traffic of the named collective to the builder.
+func Add(g *graph.Builder, op Op, c Communicator, msg float64) error {
 	switch op {
 	case OpAllGatherRD:
 		return RecursiveDoublingAllGather(g, c, msg)

@@ -13,10 +13,11 @@ func volPerProcess(g *graph.Comm, rank int) float64 {
 }
 
 func TestRecursiveDoublingAllGatherVolume(t *testing.T) {
-	g := graph.New(8)
-	if err := RecursiveDoublingAllGather(g, World(8), 10); err != nil {
+	b := graph.New(8)
+	if err := RecursiveDoublingAllGather(b, World(8), 10); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	// Each process sends msg*(n-1) total: 10*7 = 70.
 	for r := 0; r < 8; r++ {
 		if v := volPerProcess(g, r); math.Abs(v-70) > 1e-9 {
@@ -32,10 +33,11 @@ func TestRecursiveDoublingAllGatherVolume(t *testing.T) {
 }
 
 func TestDisseminationAllGatherAnySize(t *testing.T) {
-	g := graph.New(6)
-	if err := DisseminationAllGather(g, World(6), 3); err != nil {
+	b := graph.New(6)
+	if err := DisseminationAllGather(b, World(6), 3); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	// Stages s=1,2,4 with blocks 1,2,2: total per process 3*(1+2+2) = 15 =
 	// msg*(n-1).
 	for r := 0; r < 6; r++ {
@@ -52,14 +54,14 @@ func TestDisseminationAllGatherAnySize(t *testing.T) {
 func TestAllGatherImplementationsDiffer(t *testing.T) {
 	// §VI's point: the same collective has different patterns per
 	// implementation, so mapping must know which one runs.
-	a := graph.New(8)
-	b := graph.New(8)
-	if err := RecursiveDoublingAllGather(a, World(8), 1); err != nil {
+	rd, diss := graph.New(8), graph.New(8)
+	if err := RecursiveDoublingAllGather(rd, World(8), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := DisseminationAllGather(b, World(8), 1); err != nil {
+	if err := DisseminationAllGather(diss, World(8), 1); err != nil {
 		t.Fatal(err)
 	}
+	a, b := rd.Build(), diss.Build()
 	if a.Equal(b, 1e-12) {
 		t.Fatal("recursive doubling and dissemination should differ")
 	}
@@ -70,10 +72,11 @@ func TestAllGatherImplementationsDiffer(t *testing.T) {
 }
 
 func TestRecursiveDoublingAllReduce(t *testing.T) {
-	g := graph.New(4)
-	if err := RecursiveDoublingAllReduce(g, World(4), 5); err != nil {
+	b := graph.New(4)
+	if err := RecursiveDoublingAllReduce(b, World(4), 5); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	// log2(4)=2 stages, msg each: 10 per process.
 	for r := 0; r < 4; r++ {
 		if v := volPerProcess(g, r); math.Abs(v-10) > 1e-9 {
@@ -83,10 +86,11 @@ func TestRecursiveDoublingAllReduce(t *testing.T) {
 }
 
 func TestRingAllReduceVolume(t *testing.T) {
-	g := graph.New(4)
-	if err := RingAllReduce(g, World(4), 8); err != nil {
+	b := graph.New(4)
+	if err := RingAllReduce(b, World(4), 8); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	// 2*(n-1)/n*msg = 2*3/4*8 = 12 to the successor only.
 	for r := 0; r < 4; r++ {
 		if v := g.Traffic(r, (r+1)%4); math.Abs(v-12) > 1e-9 {
@@ -99,10 +103,11 @@ func TestRingAllReduceVolume(t *testing.T) {
 }
 
 func TestBinomialBroadcastTree(t *testing.T) {
-	g := graph.New(8)
-	if err := BinomialBroadcast(g, World(8), 1); err != nil {
+	b := graph.New(8)
+	if err := BinomialBroadcast(b, World(8), 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	// A binomial broadcast over n processes has exactly n-1 edges.
 	if g.NumEdges() != 7 {
 		t.Fatalf("edges = %d, want 7", g.NumEdges())
@@ -125,14 +130,16 @@ func TestBinomialBroadcastTree(t *testing.T) {
 }
 
 func TestBinomialReduceIsReversedBroadcast(t *testing.T) {
-	b := graph.New(8)
-	r := graph.New(8)
-	if err := BinomialBroadcast(b, World(8), 2); err != nil {
+	bb := graph.New(8)
+	rb := graph.New(8)
+	if err := BinomialBroadcast(bb, World(8), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := BinomialReduce(r, World(8), 2); err != nil {
+	b := bb.Build()
+	if err := BinomialReduce(rb, World(8), 2); err != nil {
 		t.Fatal(err)
 	}
+	r := rb.Build()
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
 			if math.Abs(b.Traffic(s, d)-r.Traffic(d, s)) > 1e-12 {
@@ -143,10 +150,11 @@ func TestBinomialReduceIsReversedBroadcast(t *testing.T) {
 }
 
 func TestPairwiseAllToAll(t *testing.T) {
-	g := graph.New(4)
-	if err := PairwiseAllToAll(g, World(4), 3); err != nil {
+	b := graph.New(4)
+	if err := PairwiseAllToAll(b, World(4), 3); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	// Every ordered pair carries exactly msg.
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
@@ -161,10 +169,11 @@ func TestPairwiseAllToAll(t *testing.T) {
 }
 
 func TestReduceScatterRing(t *testing.T) {
-	g := graph.New(4)
-	if err := ReduceScatterRing(g, World(4), 8); err != nil {
+	b := graph.New(4)
+	if err := ReduceScatterRing(b, World(4), 8); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	for r := 0; r < 4; r++ {
 		if v := g.Traffic(r, (r+1)%4); math.Abs(v-6) > 1e-9 {
 			t.Fatalf("edge volume %v, want 6", v)
@@ -174,11 +183,12 @@ func TestReduceScatterRing(t *testing.T) {
 
 func TestSubCommunicator(t *testing.T) {
 	// A collective over a row of a larger job touches only those ranks.
-	g := graph.New(16)
+	b := graph.New(16)
 	row := Communicator{4, 5, 6, 7}
-	if err := RecursiveDoublingAllReduce(g, row, 1); err != nil {
+	if err := RecursiveDoublingAllReduce(b, row, 1); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	for r := 0; r < 16; r++ {
 		v := volPerProcess(g, r)
 		if r >= 4 && r < 8 {
@@ -192,31 +202,32 @@ func TestSubCommunicator(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	g := graph.New(4)
-	if err := RecursiveDoublingAllGather(g, Communicator{}, 1); err == nil {
+	b := graph.New(4)
+	if err := RecursiveDoublingAllGather(b, Communicator{}, 1); err == nil {
 		t.Fatal("empty communicator should fail")
 	}
-	if err := RecursiveDoublingAllGather(g, Communicator{0, 0}, 1); err == nil {
+	if err := RecursiveDoublingAllGather(b, Communicator{0, 0}, 1); err == nil {
 		t.Fatal("duplicate rank should fail")
 	}
-	if err := RecursiveDoublingAllGather(g, Communicator{0, 9}, 1); err == nil {
+	if err := RecursiveDoublingAllGather(b, Communicator{0, 9}, 1); err == nil {
 		t.Fatal("out-of-range rank should fail")
 	}
-	if err := RecursiveDoublingAllGather(g, Communicator{0, 1, 2}, 1); err == nil {
+	if err := RecursiveDoublingAllGather(b, Communicator{0, 1, 2}, 1); err == nil {
 		t.Fatal("non-power-of-two should fail for recursive doubling")
 	}
-	if err := PairwiseAllToAll(g, Communicator{0, 1, 2}, 1); err == nil {
+	if err := PairwiseAllToAll(b, Communicator{0, 1, 2}, 1); err == nil {
 		t.Fatal("non-power-of-two should fail for pairwise all-to-all")
 	}
 }
 
 func TestSingletonCommunicatorsAreSilent(t *testing.T) {
-	g := graph.New(2)
+	b := graph.New(2)
 	for _, op := range Ops() {
-		if err := Add(g, op, Communicator{0}, 5); err != nil {
+		if err := Add(b, op, Communicator{0}, 5); err != nil {
 			t.Fatalf("%s on singleton: %v", op, err)
 		}
 	}
+	g := b.Build()
 	if g.TotalVolume() != 0 {
 		t.Fatal("singleton collectives should move nothing")
 	}
@@ -224,10 +235,11 @@ func TestSingletonCommunicatorsAreSilent(t *testing.T) {
 
 func TestAddDispatch(t *testing.T) {
 	for _, op := range Ops() {
-		g := graph.New(8)
-		if err := Add(g, op, World(8), 1); err != nil {
+		b := graph.New(8)
+		if err := Add(b, op, World(8), 1); err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
+		g := b.Build()
 		if g.TotalVolume() <= 0 {
 			t.Fatalf("%s moved no data", op)
 		}
@@ -244,10 +256,11 @@ func TestQuickAllGatherVolumeInvariant(t *testing.T) {
 	prop := func(seedRaw int64) bool {
 		n := 2 + int(uint64(seedRaw)%14)
 		msg := 1 + float64(uint64(seedRaw)%5)
-		g := graph.New(n)
-		if err := DisseminationAllGather(g, World(n), msg); err != nil {
+		b := graph.New(n)
+		if err := DisseminationAllGather(b, World(n), msg); err != nil {
 			return false
 		}
+		g := b.Build()
 		for r := 0; r < n; r++ {
 			if math.Abs(g.OutVolume(r)-msg*float64(n-1)) > 1e-9 {
 				return false

@@ -187,7 +187,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		res.Stats.ClusterQuality = cluster.Quality(proc, c1)
 		res.procToTask = c1.Assign
 	} else {
-		nodeGraph = proc.Clone()
+		nodeGraph = proc
 		res.procToTask = identity(proc.N())
 		res.Stats.ClusterQuality = 0
 	}

@@ -23,7 +23,7 @@ func halo2D(rows, cols int, w float64) *graph.Comm {
 			g.AddTraffic(id((i+1)%rows, j), id(i, j), w)
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // butterflyRows builds a CG-like pattern: power-of-two distance exchanges
@@ -38,7 +38,7 @@ func butterflyRows(rows, cols int, w float64) *graph.Comm {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 func TestPipelineSixteenProcessExample(t *testing.T) {
@@ -177,13 +177,13 @@ func TestPipelineSiblingReuse(t *testing.T) {
 
 func TestPipelineErrors(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	if _, err := MapProcessesCtx(context.Background(), graph.New(15), tp, Config{}); err == nil {
+	if _, err := MapProcessesCtx(context.Background(), graph.New(15).Build(), tp, Config{}); err == nil {
 		t.Fatal("expected error: 15 processes on 16 nodes")
 	}
-	if _, err := MapProcessesCtx(context.Background(), graph.New(12), topology.NewTorus(3, 4), Config{}); err == nil {
+	if _, err := MapProcessesCtx(context.Background(), graph.New(12).Build(), topology.NewTorus(3, 4), Config{}); err == nil {
 		t.Fatal("expected error: non-power-of-two topology")
 	}
-	if _, err := MapProcessesCtx(context.Background(), graph.New(32), tp, Config{Concentration: 3}); err == nil {
+	if _, err := MapProcessesCtx(context.Background(), graph.New(32).Build(), tp, Config{Concentration: 3}); err == nil {
 		t.Fatal("expected error: concentration mismatch")
 	}
 }
@@ -247,8 +247,9 @@ func TestPipelineThreeLevelHierarchy(t *testing.T) {
 func TestPipelineTwoNodeTorus(t *testing.T) {
 	// Smallest possible hierarchy: L = 1, phase 3 degenerates.
 	tp := topology.NewTorus(2)
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 5)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 5)
+	g := b.Build()
 	res, err := MapProcessesCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)

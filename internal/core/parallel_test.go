@@ -28,7 +28,7 @@ func halo3D(x, y, z int, w float64) *graph.Comm {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // randomComm builds a seeded sparse random traffic pattern. Unlike the halo
@@ -44,7 +44,7 @@ func randomComm(n, edges int, seed int64) *graph.Comm {
 		}
 		g.AddTraffic(a, b, 1+9*rng.Float64())
 	}
-	return g
+	return g.Build()
 }
 
 // runPair runs the same workload sequentially and with 8 workers and fails

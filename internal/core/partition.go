@@ -122,7 +122,7 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 // concentrate is Phase 1a shared between entry points.
 func concentrate(proc *graph.Comm, gridDims []int, conc int) (*graph.Comm, []int, float64, error) {
 	if conc == 1 {
-		return proc.Clone(), identity(proc.N()), 0, nil
+		return proc, identity(proc.N()), 0, nil
 	}
 	c1, err := cluster.Auto(proc, gridDims, conc)
 	if err != nil {

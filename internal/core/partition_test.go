@@ -55,13 +55,14 @@ func TestPowerOfTwoBoxesMultipleOddDims(t *testing.T) {
 func TestPartitionBySizes(t *testing.T) {
 	// Two communities of different sizes: the cut refinement must place
 	// each community whole.
-	g := graph.New(6)
+	gb := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 3}} {
-		g.AddTraffic(e[0], e[1], 10)
-		g.AddTraffic(e[1], e[0], 10)
+		gb.AddTraffic(e[0], e[1], 10)
+		gb.AddTraffic(e[1], e[0], 10)
 	}
-	g.AddTraffic(4, 5, 10)
-	g.AddTraffic(5, 4, 10)
+	gb.AddTraffic(4, 5, 10)
+	gb.AddTraffic(5, 4, 10)
+	g := gb.Build()
 	parts, err := partitionBySizes(g, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +95,15 @@ func TestPartitionBySizes(t *testing.T) {
 func TestMapPartitionedNonPowerOfTwoTorus(t *testing.T) {
 	// A 6x4 torus (24 nodes) with a 2-D halo job.
 	tp := topology.NewTorus(6, 4)
-	g := graph.New(24)
+	b := graph.New(24)
 	id := func(i, j int) int { return i*4 + j }
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 4; j++ {
-			g.AddTraffic(id(i, j), id(i, (j+1)%4), 5)
-			g.AddTraffic(id(i, j), id((i+1)%6, j), 5)
+			b.AddTraffic(id(i, j), id(i, (j+1)%4), 5)
+			b.AddTraffic(id(i, j), id((i+1)%6, j), 5)
 		}
 	}
+	g := b.Build()
 	res, err := MapPartitionedCtx(context.Background(), g, tp, Config{GridDims: []int{6, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +127,9 @@ func TestMapPartitionedNonPowerOfTwoTorus(t *testing.T) {
 
 func TestMapPartitionedDelegatesForPowerOfTwo(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(16)
-	g.AddTraffic(0, 1, 5)
+	gb := graph.New(16)
+	gb.AddTraffic(0, 1, 5)
+	g := gb.Build()
 	a, err := MapPartitionedCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +147,11 @@ func TestMapPartitionedDelegatesForPowerOfTwo(t *testing.T) {
 
 func TestMapPartitionedWithConcentration(t *testing.T) {
 	tp := topology.NewTorus(6, 4) // 24 nodes
-	g := graph.New(48)            // concentration 2
+	b := graph.New(48)            // concentration 2
 	for i := 0; i < 48; i++ {
-		g.AddTraffic(i, (i+1)%48, 3)
+		b.AddTraffic(i, (i+1)%48, 3)
 	}
+	g := b.Build()
 	res, err := MapPartitionedCtx(context.Background(), g, tp, Config{Concentration: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +170,11 @@ func TestMapPartitionedWithConcentration(t *testing.T) {
 func TestMapPartitionedSingleNodeBoxes(t *testing.T) {
 	// A 3-wide ring decomposes into a 2-box and a 1-box.
 	tp := topology.NewTorus(3, 2)
-	g := graph.New(6)
+	b := graph.New(6)
 	for i := 0; i < 6; i++ {
-		g.AddTraffic(i, (i+1)%6, 1)
+		b.AddTraffic(i, (i+1)%6, 1)
 	}
+	g := b.Build()
 	res, err := MapPartitionedCtx(context.Background(), g, tp, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +186,7 @@ func TestMapPartitionedSingleNodeBoxes(t *testing.T) {
 
 func TestMapPartitionedSizeMismatch(t *testing.T) {
 	tp := topology.NewTorus(6, 4)
-	if _, err := MapPartitionedCtx(context.Background(), graph.New(23), tp, Config{}); err == nil {
+	if _, err := MapPartitionedCtx(context.Background(), graph.New(23).Build(), tp, Config{}); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 }

@@ -22,11 +22,12 @@ func TestMinimalEntersViaGlobalLinkOwner(t *testing.T) {
 	// Source router does not own the global link: a local hop precedes the
 	// global hop; destination-side local hop follows when needed.
 	d := mustNew(t, 3, 2, 1, 1) // 6 hosts, 1 host per router
-	g := graph.New(6)
+	b := graph.New(6)
 	// Host 1 = group 0 router 1; host 4 = group 2 router 0.
 	// Group 0's link to group 2: peer index (2-0)-1 = 1 -> owner router 1.
 	// Group 2's link to group 0: peer index (0-2+3)-1 = 0 -> owner router 0.
-	g.AddTraffic(1, 4, 9)
+	b.AddTraffic(1, 4, 9)
+	g := b.Build()
 	loads, err := d.Loads(g, topology.Identity(6), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -49,13 +50,14 @@ func TestMinimalEntersViaGlobalLinkOwner(t *testing.T) {
 
 func TestMinimalLocalHopsBothSides(t *testing.T) {
 	d := mustNew(t, 3, 2, 1, 1)
-	g := graph.New(6)
+	b := graph.New(6)
 	// Host 0 = group 0 router 0; link to group 1 owned by router 0
 	// (peer index 0). Destination host 3 = group 1 router 1; group 1's
 	// link to group 0 has peer index (0-1+3)-1 = 1 -> owner router 1... so
 	// pick a flow with dst-side hop: host 0 -> host 2 (group 1 router 0):
 	// dst owner router 1 != dst router 0 -> dst-side local hop.
-	g.AddTraffic(0, 2, 4)
+	b.AddTraffic(0, 2, 4)
+	g := b.Build()
 	loads, err := d.Loads(g, topology.Identity(6), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +72,9 @@ func TestMinimalLocalHopsBothSides(t *testing.T) {
 
 func TestGlobalMCLAndMCLDiffer(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	g := graph.New(8)
-	g.AddTraffic(0, 2, 50) // intra-group router hop only
+	b := graph.New(8)
+	b.AddTraffic(0, 2, 50) // intra-group router hop only
+	g := b.Build()
 	mcl, err := d.MCL(g, topology.Identity(8), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +90,15 @@ func TestGlobalMCLAndMCLDiffer(t *testing.T) {
 
 func TestMCLMappingErrors(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	if _, err := d.MCL(graph.New(8), topology.Mapping{0}, Minimal); err == nil {
+	if _, err := d.MCL(graph.New(8).Build(), topology.Mapping{0}, Minimal); err == nil {
 		t.Fatal("short mapping")
 	}
-	if _, err := d.GlobalMCL(graph.New(8), topology.Mapping{0}, Minimal); err == nil {
+	if _, err := d.GlobalMCL(graph.New(8).Build(), topology.Mapping{0}, Minimal); err == nil {
 		t.Fatal("short mapping")
 	}
-	g := graph.New(8)
-	g.AddTraffic(0, 1, 1)
+	b := graph.New(8)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	bad := topology.Mapping{99, 1, 2, 3, 4, 5, 6, 7}
 	if _, err := d.Loads(g, bad, Minimal); err == nil {
 		t.Fatal("out-of-range host")
@@ -103,14 +107,15 @@ func TestMCLMappingErrors(t *testing.T) {
 
 func TestMapWithGrid(t *testing.T) {
 	d := mustNew(t, 2, 2, 4, 1) // 16 hosts
-	g := graph.New(16)
+	b := graph.New(16)
 	id := func(i, j int) int { return i*4 + j }
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			g.AddTraffic(id(i, j), id(i, (j+1)%4), 3)
-			g.AddTraffic(id(i, j), id((i+1)%4, j), 3)
+			b.AddTraffic(id(i, j), id(i, (j+1)%4), 3)
+			b.AddTraffic(id(i, j), id((i+1)%4, j), 3)
 		}
 	}
+	g := b.Build()
 	m, err := d.Map(g, []int{4, 4})
 	if err != nil {
 		t.Fatal(err)

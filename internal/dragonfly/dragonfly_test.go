@@ -52,8 +52,9 @@ func TestGlobalLinkOwnerPalmtree(t *testing.T) {
 
 func TestSameRouterTrafficUsesHostLinksOnly(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	g := graph.New(d.Hosts())
-	g.AddTraffic(0, 1, 10) // hosts 0,1 share router 0
+	b := graph.New(d.Hosts())
+	b.AddTraffic(0, 1, 10) // hosts 0,1 share router 0
+	g := b.Build()
 	mcl, err := d.MCL(g, topology.Identity(d.Hosts()), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +66,9 @@ func TestSameRouterTrafficUsesHostLinksOnly(t *testing.T) {
 
 func TestMinimalIntraGroup(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	g := graph.New(d.Hosts())
-	g.AddTraffic(0, 2, 6) // router 0 -> router 1, same group
+	b := graph.New(d.Hosts())
+	b.AddTraffic(0, 2, 6) // router 0 -> router 1, same group
+	g := b.Build()
 	loads, err := d.Loads(g, topology.Identity(d.Hosts()), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +83,10 @@ func TestMinimalIntraGroup(t *testing.T) {
 
 func TestMinimalInterGroup(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	g := graph.New(d.Hosts())
+	b := graph.New(d.Hosts())
 	// Host 0 (group 0, local router 0) -> host 4 (group 1, local router 0).
-	g.AddTraffic(0, 4, 8)
+	b.AddTraffic(0, 4, 8)
+	g := b.Build()
 	loads, err := d.Loads(g, topology.Identity(d.Hosts()), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +98,9 @@ func TestMinimalInterGroup(t *testing.T) {
 
 func TestValiantSpreadsGlobalLoad(t *testing.T) {
 	d := mustNew(t, 4, 2, 1, 2)
-	g := graph.New(d.Hosts())
-	g.AddTraffic(0, 6, 12) // group 0 -> group 3
+	b := graph.New(d.Hosts())
+	b.AddTraffic(0, 6, 12) // group 0 -> group 3
+	g := b.Build()
 	mclMin, err := d.GlobalMCL(g, topology.Identity(d.Hosts()), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +116,9 @@ func TestValiantSpreadsGlobalLoad(t *testing.T) {
 
 func TestVolumeConservationMinimal(t *testing.T) {
 	d := mustNew(t, 3, 2, 2, 1)
-	g := graph.New(d.Hosts())
-	g.AddTraffic(0, 11, 5) // cross-group
+	b := graph.New(d.Hosts())
+	b.AddTraffic(0, 11, 5) // cross-group
+	g := b.Build()
 	loads, err := d.Loads(g, topology.Identity(d.Hosts()), Minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +137,14 @@ func TestVolumeConservationMinimal(t *testing.T) {
 
 func TestMapConfinesHeavyPairs(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1) // 8 hosts
-	g := graph.New(8)
+	b := graph.New(8)
 	pairs := [][2]int{{0, 7}, {1, 6}, {2, 5}, {3, 4}}
 	for _, p := range pairs {
-		g.AddTraffic(p[0], p[1], 100)
-		g.AddTraffic(p[1], p[0], 100)
+		b.AddTraffic(p[0], p[1], 100)
+		b.AddTraffic(p[1], p[0], 100)
 	}
-	g.AddTraffic(0, 2, 1)
+	b.AddTraffic(0, 2, 1)
+	g := b.Build()
 	m, err := d.Map(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,14 +170,14 @@ func TestMapConfinesHeavyPairs(t *testing.T) {
 
 func TestMapErrors(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	if _, err := d.Map(graph.New(5), nil); err == nil {
+	if _, err := d.Map(graph.New(5).Build(), nil); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
 }
 
 func TestLoadsMappingMismatch(t *testing.T) {
 	d := mustNew(t, 2, 2, 2, 1)
-	if _, err := d.Loads(graph.New(8), topology.Mapping{0}, Minimal); err == nil {
+	if _, err := d.Loads(graph.New(8).Build(), topology.Mapping{0}, Minimal); err == nil {
 		t.Fatal("short mapping should fail")
 	}
 }

@@ -234,7 +234,7 @@ func (f *FatTree) Map(g *graph.Comm, gridDims []int) (topology.Mapping, error) {
 	for i := range assign {
 		assign[i] = i
 	}
-	cur := g.Clone()
+	cur := g
 	grids := gridDims
 	perLevel := make([][]int, f.levels) // perLevel[level][task] = digit
 	for level := 0; level < f.levels; level++ {

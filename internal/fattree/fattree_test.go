@@ -59,8 +59,9 @@ func TestLinkIDsDense(t *testing.T) {
 
 func TestLoadsSameLeafSwitch(t *testing.T) {
 	f, _ := New(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 10) // hosts 0,1 share the leaf switch
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 10) // hosts 0,1 share the leaf switch
+	g := b.Build()
 	loads, err := f.Loads(g, topology.Identity(4), ECMP)
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +81,9 @@ func TestLoadsSameLeafSwitch(t *testing.T) {
 
 func TestLoadsCrossTree(t *testing.T) {
 	f, _ := New(2, 2) // hosts 0..3; leaves {0,1},{2,3}
-	g := graph.New(4)
-	g.AddTraffic(0, 2, 8)
+	b := graph.New(4)
+	b.AddTraffic(0, 2, 8)
+	g := b.Build()
 	loads, err := f.Loads(g, topology.Identity(4), ECMP)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +104,9 @@ func TestLoadsCrossTree(t *testing.T) {
 
 func TestDModKConcentrates(t *testing.T) {
 	f, _ := New(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 2, 8)
+	b := graph.New(4)
+	b.AddTraffic(0, 2, 8)
+	g := b.Build()
 	loads, err := f.Loads(g, topology.Identity(4), DModK)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +119,12 @@ func TestDModKConcentrates(t *testing.T) {
 
 func TestECMPNeverWorseThanDModK(t *testing.T) {
 	f, _ := New(2, 3)
-	g := graph.New(8)
+	b := graph.New(8)
 	for i := 0; i < 8; i++ {
-		g.AddTraffic(i, (i+3)%8, float64(1+i))
-		g.AddTraffic(i, 7-i, 2)
+		b.AddTraffic(i, (i+3)%8, float64(1+i))
+		b.AddTraffic(i, 7-i, 2)
 	}
+	g := b.Build()
 	m := topology.Identity(8)
 	ecmp, err := f.MCL(g, m, ECMP)
 	if err != nil {
@@ -139,13 +143,14 @@ func TestMapConfinesCommunities(t *testing.T) {
 	// Four 2-task heavy pairs with light cross traffic: the mapper must
 	// put each pair under one leaf switch, zeroing their uplink load.
 	f, _ := New(2, 3) // 8 hosts, leaves of 2
-	g := graph.New(8)
+	b := graph.New(8)
 	pairs := [][2]int{{0, 5}, {1, 4}, {2, 7}, {3, 6}}
 	for _, p := range pairs {
-		g.AddTraffic(p[0], p[1], 100)
-		g.AddTraffic(p[1], p[0], 100)
+		b.AddTraffic(p[0], p[1], 100)
+		b.AddTraffic(p[1], p[0], 100)
 	}
-	g.AddTraffic(0, 1, 1)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	m, err := f.Map(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -173,14 +178,15 @@ func TestMapGridWorkload(t *testing.T) {
 	// An 4x4 halo mapped to a 4-ary 2-level tree: tiling should confine
 	// tile-internal traffic.
 	f, _ := New(4, 2)
-	g := graph.New(16)
+	b := graph.New(16)
 	id := func(i, j int) int { return i*4 + j }
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			g.AddTraffic(id(i, j), id(i, (j+1)%4), 5)
-			g.AddTraffic(id(i, j), id((i+1)%4, j), 5)
+			b.AddTraffic(id(i, j), id(i, (j+1)%4), 5)
+			b.AddTraffic(id(i, j), id((i+1)%4, j), 5)
 		}
 	}
+	g := b.Build()
 	m, err := f.Map(g, []int{4, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -192,18 +198,18 @@ func TestMapGridWorkload(t *testing.T) {
 
 func TestMapErrors(t *testing.T) {
 	f, _ := New(2, 2)
-	if _, err := f.Map(graph.New(5), nil); err == nil {
+	if _, err := f.Map(graph.New(5).Build(), nil); err == nil {
 		t.Fatal("task count mismatch should fail")
 	}
 	f3, _ := New(3, 2)
-	if _, err := f3.Map(graph.New(9), nil); err == nil {
+	if _, err := f3.Map(graph.New(9).Build(), nil); err == nil {
 		t.Fatal("non-power-of-two arity mapping should fail")
 	}
 }
 
 func TestLoadsMappingMismatch(t *testing.T) {
 	f, _ := New(2, 2)
-	if _, err := f.Loads(graph.New(4), topology.Mapping{0, 1}, ECMP); err == nil {
+	if _, err := f.Loads(graph.New(4).Build(), topology.Mapping{0, 1}, ECMP); err == nil {
 		t.Fatal("short mapping should fail")
 	}
 }

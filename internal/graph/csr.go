@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -10,57 +9,88 @@ import (
 	"rahtm/internal/telemetry"
 )
 
-// Construction telemetry: builds count every Comm brought into existence
-// (builder or frozen derived result); freezes count CSR compilations.
-var (
-	ctrGraphBuild  = telemetry.Default.Counter(telemetry.CtrGraphBuild)
-	ctrGraphFreeze = telemetry.Default.Counter(telemetry.CtrGraphFreeze)
-)
+// ctrGraphBuild counts every Comm brought into existence: built, read or
+// derived.
+var ctrGraphBuild = telemetry.Default.Counter(telemetry.CtrGraphBuild)
 
-// Freeze compiles the adjacency maps into the CSR form — sorted
-// rowPtr/colIdx/vol arrays plus cached per-vertex out-volumes and the total
-// volume — and releases the maps. After Freeze the graph is immutable:
-// AddTraffic panics, every traversal is an allocation-free linear scan, and
-// derived operations (Coarsen, InducedSubgraph, Clone, Scale) emit frozen
-// CSR results directly. Freeze is idempotent and returns
-// the receiver for chaining.
-//
-// Determinism: the CSR rows are compiled in ascending (src, dst) order — the
-// same order sortedDsts imposes on every observable map-path iteration — so
-// all float accumulations (out-volumes, totals, coarsening sums) are
-// bit-identical between the builder and frozen forms.
-func (g *Comm) Freeze() *Comm {
-	if g.frozen {
-		return g
-	}
-	m := g.NumEdges()
-	if m > math.MaxInt32 {
-		panic("graph: edge count overflows CSR index")
-	}
-	rowPtr := make([]int32, g.n+1)
-	colIdx := make([]int32, 0, m)
-	vol := make([]float64, 0, m)
-	for s, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			colIdx = append(colIdx, int32(d))
-			vol = append(vol, a[d])
-		}
-		rowPtr[s+1] = int32(len(colIdx))
-	}
-	g.install(rowPtr, colIdx, vol)
-	return g
+// edge is one flow as added or read, before compilation.
+type edge struct {
+	src, dst int32
+	vol      float64
 }
 
-// Frozen reports whether the graph has been compiled to CSR form.
-func (g *Comm) Frozen() bool { return g.frozen }
+// Build compiles the traffic added so far into a Comm. The builder stays
+// usable: later calls add to what the next Build compiles.
+//
+// Two stable counting sorts, by destination and then by source, order the
+// edges by (src, dst) in O(edges + vertices) and keep the edges of one
+// pair in call order. Volumes added to the same edge are summed in that
+// order, the order the map-backed builder's += summed them in.
+func (b *Builder) Build() *Comm {
+	if b.m > math.MaxInt32 {
+		panic("graph: edge count overflows the CSR index")
+	}
+	n := b.n
+	// Histograms shifted by one, so their prefix sums are start offsets.
+	dstPtr := make([]int32, n+1)
+	rowPtr := make([]int32, n+1)
+	for _, c := range b.chunks {
+		for _, e := range c {
+			dstPtr[e.dst+1]++
+			rowPtr[e.src+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		dstPtr[v+1] += dstPtr[v]
+		rowPtr[v+1] += rowPtr[v]
+	}
+	// Pass 1: sources and volumes bucketed by destination, in call order.
+	next := slices.Clone(dstPtr[:n])
+	srcs := make([]int32, b.m)
+	vols := make([]float64, b.m)
+	for _, c := range b.chunks {
+		for _, e := range c {
+			k := next[e.dst]
+			srcs[k], vols[k] = e.src, e.vol
+			next[e.dst]++
+		}
+	}
+	// Pass 2: the buckets, in destination order, scattered into rows.
+	copy(next, rowPtr)
+	colIdx := make([]int32, b.m)
+	vol := make([]float64, b.m)
+	for d := int32(0); d < int32(n); d++ {
+		for j := dstPtr[d]; j < dstPtr[d+1]; j++ {
+			k := next[srcs[j]]
+			colIdx[k], vol[k] = d, vols[j]
+			next[srcs[j]]++
+		}
+	}
+	// Sum each run of equal columns into its first entry, compacting the
+	// rows in place.
+	w, lo := int32(0), int32(0)
+	for s := 1; s <= n; s++ {
+		start, hi := w, rowPtr[s]
+		for k := lo; k < hi; k++ {
+			if w > start && colIdx[w-1] == colIdx[k] {
+				vol[w-1] += vol[k]
+				continue
+			}
+			colIdx[w], vol[w] = colIdx[k], vol[k]
+			w++
+		}
+		rowPtr[s], lo = w, hi
+	}
+	return newCSR(n, rowPtr, colIdx[:w], vol[:w])
+}
 
-// install adopts compiled CSR arrays (rows must be ascending) and caches the
-// volume aggregates. Out-volumes are accumulated per row and the total in one
-// global row-major pass — exactly the orders the map path uses in OutVolume
-// and TotalVolume — so the cached bits match what the builder would return.
-func (g *Comm) install(rowPtr, colIdx []int32, vol []float64) {
-	outVol := make([]float64, g.n)
-	for s := 0; s < g.n; s++ {
+// newCSR wraps compiled CSR arrays (columns ascending within each row) in
+// a graph and caches its volume aggregates: each out-volume summed along
+// its row, the total in one row-major pass.
+func newCSR(n int, rowPtr, colIdx []int32, vol []float64) *Comm {
+	ctrGraphBuild.Inc()
+	outVol := make([]float64, n)
+	for s := 0; s < n; s++ {
 		sum := 0.0
 		for k := rowPtr[s]; k < rowPtr[s+1]; k++ {
 			sum += vol[k]
@@ -68,89 +98,28 @@ func (g *Comm) install(rowPtr, colIdx []int32, vol []float64) {
 		outVol[s] = sum
 	}
 	tot := 0.0
-	for k := range vol {
-		tot += vol[k]
+	for _, v := range vol {
+		tot += v
 	}
-	g.rowPtr, g.colIdx, g.vol = rowPtr, colIdx, vol
-	g.outVol, g.totVol = outVol, tot
-	g.adj = nil
-	g.frozen = true
-	ctrGraphFreeze.Inc()
+	return &Comm{n: n, rowPtr: rowPtr, colIdx: colIdx, vol: vol, outVol: outVol, totVol: tot}
 }
 
-// newFrozen wraps pre-compiled CSR arrays in a frozen graph.
-func newFrozen(n int, rowPtr, colIdx []int32, vol []float64) *Comm {
-	ctrGraphBuild.Inc()
-	out := &Comm{n: n}
-	out.install(rowPtr, colIdx, vol)
-	return out
-}
-
-// edge is one parsed flow. pair packs (src, dst) as src<<32 | dst, so one
-// integer comparison orders edges by source, then destination.
-type edge struct {
-	pair uint64
-	vol  float64
-}
-
-// compileEdges builds the frozen graph of edges given in line order. A
-// stable sort by (src, dst) keeps duplicate pairs in line order, and they
-// are summed in that order: AddTraffic's += on a fresh map entry followed by
-// Freeze gives the same bits. Sorts es in place.
-func compileEdges(n int, es []edge) *Comm {
-	slices.SortStableFunc(es, func(a, b edge) int { return cmp.Compare(a.pair, b.pair) })
-	rowPtr := make([]int32, n+1)
-	colIdx := make([]int32, 0, len(es))
-	vol := make([]float64, 0, len(es))
-	for i, e := range es {
-		if i > 0 && e.pair == es[i-1].pair {
-			vol[len(vol)-1] += e.vol
-			continue
-		}
-		colIdx = append(colIdx, int32(uint32(e.pair)))
-		vol = append(vol, e.vol)
-		rowPtr[e.pair>>32+1]++
-	}
-	for s := 0; s < n; s++ {
-		rowPtr[s+1] += rowPtr[s]
-	}
-	return newFrozen(n, rowPtr, colIdx, vol)
-}
-
-// row returns the CSR slices for vertex s. Frozen graphs only.
-func (g *Comm) row(s int) ([]int32, []float64) {
-	b, e := g.rowPtr[s], g.rowPtr[s+1]
-	return g.colIdx[b:e], g.vol[b:e]
-}
-
-// rowSorter sorts a CSR row's destination/volume pairs by destination.
-// Destinations within a row are unique, so the order of equal keys never
-// arises and the result is independent of the sort algorithm.
-type rowSorter struct {
-	d []int32
-	v []float64
-}
-
-func (r rowSorter) Len() int           { return len(r.d) }
-func (r rowSorter) Less(i, j int) bool { return r.d[i] < r.d[j] }
-func (r rowSorter) Swap(i, j int) {
-	r.d[i], r.d[j] = r.d[j], r.d[i]
-	r.v[i], r.v[j] = r.v[j], r.v[i]
-}
-
-// coarsenFrozen is Coarsen over the CSR form. Two passes keep the float sums
-// bit-identical to the map path:
+// Coarsen merges vertices according to assign (len N, values in [0, parts))
+// and returns the cluster-level graph: volume between clusters a != b is the
+// sum of volumes between their members; intra-cluster volume is dropped
+// (it becomes on-node shared-memory traffic). Also returns the total volume
+// that became intra-cluster, the quantity Phase 1 tiling minimizes the
+// complement of.
 //
-// Pass A accumulates the intra-cluster volume in global (src, dst) order —
-// the map path interleaves intra contributions across clusters in exactly
-// that order, and float addition is order-sensitive.
-//
-// Pass B builds each coarse row by scanning the cluster's members in
-// ascending fine id (rows ascending by construction), accumulating into a
-// dense per-cluster scratch. For a fixed coarse pair (cs, cd) the fine
-// contributions arrive in lexicographic (src, dst) order — the same order the
-// map path's AddTraffic calls accumulate that pair.
-func (g *Comm) coarsenFrozen(assign []int, parts int) (*Comm, float64) {
+// The float sums run in fixed orders, in two passes. Pass A accumulates the
+// intra-cluster volume in global (src, dst) order. Pass B builds each
+// coarse row by scanning the cluster's members in ascending fine id,
+// accumulating into a dense per-cluster scratch, so the contributions to a
+// coarse pair (cs, cd) arrive in (src, dst) order too.
+func (g *Comm) Coarsen(assign []int, parts int) (*Comm, float64) {
+	if len(assign) != g.n {
+		panic("graph: assignment length mismatch")
+	}
 	intra := 0.0
 	for s := 0; s < g.n; s++ {
 		cs := assign[s]
@@ -198,7 +167,7 @@ func (g *Comm) coarsenFrozen(assign []int, parts int) (*Comm, float64) {
 		}
 		rowPtr[cs+1] = int32(len(colIdx))
 	}
-	return newFrozen(parts, rowPtr, colIdx, vol), intra
+	return newCSR(parts, rowPtr, colIdx, vol), intra
 }
 
 type int32Slice []int32
@@ -207,17 +176,32 @@ func (p int32Slice) Len() int           { return len(p) }
 func (p int32Slice) Less(i, j int) bool { return p[i] < p[j] }
 func (p int32Slice) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
 
-// inducedFrozen is InducedSubgraph over the CSR form. Each edge carries a
-// single stored volume (no accumulation), so only the per-row sort order
-// matters and the result is bit-identical to the map path by construction.
-func (g *Comm) inducedFrozen(verts []int) (*Comm, map[int]int) {
+// rowSorter sorts a CSR row's destination/volume pairs by destination.
+// Destinations within a row are unique, so the order of equal keys never
+// arises and the result is independent of the sort algorithm.
+type rowSorter struct {
+	d []int32
+	v []float64
+}
+
+func (r rowSorter) Len() int           { return len(r.d) }
+func (r rowSorter) Less(i, j int) bool { return r.d[i] < r.d[j] }
+func (r rowSorter) Swap(i, j int) {
+	r.d[i], r.d[j] = r.d[j], r.d[i]
+	r.v[i], r.v[j] = r.v[j], r.v[i]
+}
+
+// InducedSubgraph returns the subgraph over the given vertices (in the given
+// order; result vertex i corresponds to verts[i]), keeping only edges with
+// both endpoints inside. The second return value maps original -> local ids.
+func (g *Comm) InducedSubgraph(verts []int) (*Comm, map[int]int) {
 	local := make(map[int]int, len(verts))
 	localOf := make([]int32, g.n)
 	for i := range localOf {
 		localOf[i] = -1
 	}
 	for i, v := range verts {
-		g.check(v)
+		check(v, g.n)
 		if localOf[v] >= 0 {
 			panic("graph: duplicate vertex in InducedSubgraph")
 		}
@@ -242,28 +226,15 @@ func (g *Comm) inducedFrozen(verts []int) (*Comm, map[int]int) {
 		sort.Sort(rowSorter{colIdx[start:], vol[start:]})
 		rowPtr[i+1] = int32(len(colIdx))
 	}
-	return newFrozen(len(verts), rowPtr, colIdx, vol), local
+	return newCSR(len(verts), rowPtr, colIdx, vol), local
 }
 
-// cloneFrozen deep-copies a frozen graph, including the cached aggregates.
-func (g *Comm) cloneFrozen() *Comm {
-	ctrGraphBuild.Inc()
-	ctrGraphFreeze.Inc()
-	out := &Comm{
-		n:      g.n,
-		frozen: true,
-		rowPtr: append([]int32(nil), g.rowPtr...),
-		colIdx: append([]int32(nil), g.colIdx...),
-		vol:    append([]float64(nil), g.vol...),
-		outVol: append([]float64(nil), g.outVol...),
-		totVol: g.totVol,
+// Scale returns a copy with every volume multiplied by f (> 0). Products
+// that underflow to zero are dropped, as AddTraffic drops them.
+func (g *Comm) Scale(f float64) *Comm {
+	if f <= 0 {
+		panic("graph: non-positive scale factor")
 	}
-	return out
-}
-
-// scaleFrozen is Scale over the CSR form, mirroring AddTraffic's drop of
-// products that underflow to non-positive values.
-func (g *Comm) scaleFrozen(f float64) *Comm {
 	rowPtr := make([]int32, g.n+1)
 	colIdx := make([]int32, 0, len(g.colIdx))
 	vol := make([]float64, 0, len(g.vol))
@@ -277,5 +248,5 @@ func (g *Comm) scaleFrozen(f float64) *Comm {
 		}
 		rowPtr[s+1] = int32(len(colIdx))
 	}
-	return newFrozen(g.n, rowPtr, colIdx, vol)
+	return newCSR(g.n, rowPtr, colIdx, vol)
 }

@@ -2,25 +2,34 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// randomComm builds a reproducible sparse builder graph: n vertices, about
-// deg out-edges each, volumes spread over many binades so order-sensitive
-// float accumulation differences cannot hide.
-func randomComm(n, deg int, seed int64) *Comm {
+// randomCalls draws a reproducible sparse AddTraffic sequence: n vertices,
+// about deg out-edges each, volumes spread over many binades so
+// order-sensitive float accumulation differences cannot hide.
+func randomCalls(n, deg int, seed int64) []call {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	var cs []call
 	for s := 0; s < n; s++ {
 		for k := 0; k < deg; k++ {
-			d := rng.Intn(n)
-			g.AddTraffic(s, d, math.Ldexp(1+rng.Float64(), rng.Intn(24)-12))
+			cs = append(cs, call{s, rng.Intn(n), math.Ldexp(1+rng.Float64(), rng.Intn(24)-12)})
 		}
 	}
-	return g
+	return cs
+}
+
+// randomComm builds the graph of randomCalls.
+func randomComm(n, deg int, seed int64) *Comm {
+	b := New(n)
+	for _, c := range randomCalls(n, deg, seed) {
+		b.AddTraffic(c.s, c.d, c.vol)
+	}
+	return b.Build()
 }
 
 // requireSameComm fails unless a and b expose bit-identical structure and
@@ -56,25 +65,29 @@ func requireSameComm(t *testing.T, ctxt string, a, b *Comm) {
 	}
 }
 
-// TestFrozenBitIdenticalToBuilder pins the core CSR contract: every accessor
-// and derived operation returns bit-identical results on the frozen form and
-// on the builder it was compiled from.
+// TestFrozenBitIdenticalToBuilder pins the CSR form to the map-backed
+// builder it replaced: for the same calls, every accessor and derived
+// operation returns bit-identical results on the built graph and on the
+// map oracle, whose derived operations run the old map paths.
 func TestFrozenBitIdenticalToBuilder(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 200} {
-		b := randomComm(n, 6, int64(n))
-		f := b.Clone().Freeze()
-		requireSameComm(t, "base", b, f)
+		o := newMapOracle(n)
+		for _, c := range randomCalls(n, 6, int64(n)) {
+			o.add(c.s, c.d, c.vol)
+		}
+		want, g := o.comm(), randomComm(n, 6, int64(n))
+		requireSameCSR(t, "base", g, want)
 
 		for s := 0; s < n; s++ {
-			for _, d := range b.Neighbors(s) {
-				if math.Float64bits(b.Traffic(s, d)) != math.Float64bits(f.Traffic(s, d)) {
-					t.Fatalf("Traffic(%d,%d) differs", s, d)
+			for d, v := range o.adj[s] {
+				if math.Float64bits(g.Traffic(s, d)) != math.Float64bits(v) {
+					t.Fatalf("Traffic(%d,%d) = %v, oracle %v", s, d, g.Traffic(s, d), v)
 				}
 			}
-			if math.Float64bits(b.Traffic(s, (s+1)%n)) != math.Float64bits(f.Traffic(s, (s+1)%n)) {
+			if math.Float64bits(g.Traffic(s, (s+1)%n)) != math.Float64bits(o.adj[s][(s+1)%n]) {
 				t.Fatalf("Traffic miss lookup differs at %d", s)
 			}
-			if b.Degree(s) != f.Degree(s) {
+			if g.Degree(s) != len(o.adj[s]) {
 				t.Fatalf("Degree(%d) differs", s)
 			}
 		}
@@ -84,91 +97,44 @@ func TestFrozenBitIdenticalToBuilder(t *testing.T) {
 		for i := range assign {
 			assign[i] = (i * 7) % parts
 		}
-		cb, ib := b.Coarsen(assign, parts)
-		cf, if_ := f.Coarsen(assign, parts)
-		if math.Float64bits(ib) != math.Float64bits(if_) {
-			t.Fatalf("Coarsen intra %v != %v", ib, if_)
+		co, io := o.coarsen(assign, parts)
+		cg, ig := g.Coarsen(assign, parts)
+		if math.Float64bits(ig) != math.Float64bits(io) {
+			t.Fatalf("Coarsen intra %v, oracle %v", ig, io)
 		}
-		requireSameComm(t, "coarsen", cb, cf)
+		requireSameCSR(t, "coarsen", cg, co.comm())
 
 		verts := make([]int, 0, n/2)
 		for v := n - 1; v >= 0; v -= 2 { // descending order on purpose
 			verts = append(verts, v)
 		}
-		sb, lb := b.InducedSubgraph(verts)
-		sf, lf := f.InducedSubgraph(verts)
-		requireSameComm(t, "induced", sb, sf)
-		if len(lb) != len(lf) {
-			t.Fatalf("induced local maps differ in size")
-		}
-		for k, v := range lb {
-			if lf[k] != v {
-				t.Fatalf("induced local map differs at %d", k)
+		sg, local := g.InducedSubgraph(verts)
+		requireSameCSR(t, "induced", sg, o.induced(verts).comm())
+		for i, v := range verts {
+			if local[v] != i || len(local) != len(verts) {
+				t.Fatalf("induced local map %v for vertices %v", local, verts)
 			}
 		}
 
-		requireSameComm(t, "scaled", b.Scale(0.625), f.Scale(0.625))
-		requireSameComm(t, "clone", b.Clone(), f.Clone())
-
-		if !b.Equal(f, 0) || !f.Equal(b, 0) {
-			t.Fatalf("Equal(tol=0) rejects builder/frozen pair")
+		requireSameCSR(t, "scaled", g.Scale(0.625), o.scale(0.625).comm())
+		if !g.Equal(want, 0) || !want.Equal(g, 0) {
+			t.Fatalf("Equal(tol=0) rejects the oracle's graph")
 		}
 	}
 }
 
-// TestFrozenDerivedStayFrozen checks frozen-ness propagates through derived
-// operations, so one Freeze at the pipeline entry covers the whole solve.
-func TestFrozenDerivedStayFrozen(t *testing.T) {
-	f := randomComm(32, 4, 1).Freeze()
-	assign := make([]int, 32)
-	for i := range assign {
-		assign[i] = i % 8
-	}
-	cg, _ := f.Coarsen(assign, 8)
-	sg, _ := f.InducedSubgraph([]int{3, 1, 4, 15, 9, 2, 6})
-	for name, g := range map[string]*Comm{
-		"coarsen": cg, "induced": sg, "scaled": f.Scale(2), "clone": f.Clone(),
-	} {
-		if !g.Frozen() {
-			t.Errorf("%s of frozen graph is not frozen", name)
-		}
-	}
-	b := randomComm(32, 4, 1)
-	if bc, _ := b.Coarsen(assign, 8); bc.Frozen() {
-		t.Errorf("coarsen of builder graph is frozen")
-	}
-}
-
+// TestFreezeIdempotent: Freeze is a no-op that returns its receiver.
 func TestFreezeIdempotent(t *testing.T) {
 	g := randomComm(16, 3, 2)
-	f := g.Freeze()
-	if f != g {
+	if g.Freeze() != g || g.Freeze().Freeze() != g {
 		t.Fatalf("Freeze must return the receiver")
 	}
-	if g.Freeze() != g {
-		t.Fatalf("second Freeze must be a no-op returning the receiver")
-	}
-}
-
-func TestMutateAfterFreezePanics(t *testing.T) {
-	g := randomComm(8, 2, 3).Freeze()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("AddTraffic on frozen graph did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "frozen") || !strings.Contains(msg, "AddTraffic") {
-			t.Fatalf("panic message %q does not explain the frozen mutation", r)
-		}
-	}()
-	g.AddTraffic(0, 1, 5)
 }
 
 // TestTraversalZeroAllocs is the always-on version of the benchmark gate:
-// hot traversals of a frozen graph must not allocate.
+// hot traversals of a graph must not allocate.
 func TestTraversalZeroAllocs(t *testing.T) {
-	g := randomComm(256, 8, 4).Freeze()
+	g := randomComm(256, 8, 4)
 	sink := 0.0
 	cases := map[string]func(){
 		"EachFlow": func() {
@@ -201,7 +167,7 @@ func TestTraversalZeroAllocs(t *testing.T) {
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s: %v allocs/op on frozen graph, want 0", name, allocs)
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
 	_ = sink
@@ -230,14 +196,10 @@ func TestReadRejectsNonFiniteVolumes(t *testing.T) {
 }
 
 // TestWriteReadRoundTripExact: WriteTo uses %g, Go's shortest round-tripping
-// float format, so Read must reproduce every volume bit-exactly — for both
-// representations of the source graph.
+// float format, so Read must reproduce every volume bit-exactly.
 func TestWriteReadRoundTripExact(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomComm(50, 5, seed)
-		if seed%2 == 1 {
-			g.Freeze()
-		}
 		var buf bytes.Buffer
 		if _, err := g.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
@@ -246,70 +208,53 @@ func TestWriteReadRoundTripExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Read: %v", err)
 		}
-		requireSameComm(t, "round trip", g, got)
-		gf, hf := g.Flows(), got.Flows()
-		for i := range gf {
-			if math.Float64bits(gf[i].Vol) != math.Float64bits(hf[i].Vol) {
-				t.Fatalf("seed %d: volume %d not bit-exact after round trip", seed, i)
-			}
-		}
+		requireSameCSR(t, fmt.Sprintf("seed %d round trip", seed), got, g)
 	}
+}
+
+// rebuilt returns a builder holding g's flows, in (src, dst) order.
+func rebuilt(g *Comm) *Builder {
+	b := New(g.N())
+	g.EachFlow(b.AddTraffic)
+	return b
 }
 
 func TestEqualMergeScan(t *testing.T) {
 	a := randomComm(40, 4, 9)
-	b := a.Clone()
-	if !a.Equal(b, 0) {
-		t.Fatalf("clone not Equal at tol 0")
+	bb := rebuilt(a)
+	if !a.Equal(bb.Build(), 0) {
+		t.Fatalf("rebuilt graph not Equal at tol 0")
 	}
-	b.AddTraffic(0, 39, 1e-6)
+	bb.AddTraffic(0, 39, 1e-6)
+	b := bb.Build()
 	if a.Equal(b, 1e-9) {
 		t.Fatalf("Equal missed an extra edge beyond tol")
 	}
 	if !a.Equal(b, 1e-3) {
 		t.Fatalf("Equal rejected difference within tol")
 	}
-	// Same checks across representations.
-	if a.Freeze(); a.Equal(b, 1e-9) || !a.Equal(b, 1e-3) {
-		t.Fatalf("frozen Equal disagrees with builder Equal")
-	}
 	c := New(40)
 	c.AddTraffic(1, 2, 3)
-	if a.Equal(c, 1e-3) || c.Equal(a, 1e-3) {
+	if a.Equal(c.Build(), 1e-3) || c.Build().Equal(a, 1e-3) {
 		t.Fatalf("Equal ignored structural mismatch")
 	}
 }
 
 // ---- allocation micro-benchmarks (CI gates the traversal ones to 0 allocs/op) ----
 
-func benchGraph(b *testing.B, frozen bool) *Comm {
-	b.Helper()
-	g := randomComm(1024, 8, 42)
-	if frozen {
-		g.Freeze()
-	}
-	return g
-}
-
-// BenchmarkFlows measures a full-graph traversal. The frozen EachFlow path
-// is the hot one and must report 0 allocs/op; the builder path and the
-// materializing Flows() compat wrapper are kept for comparison.
+// BenchmarkFlows measures a full-graph traversal. EachFlow is the hot one
+// and must report 0 allocs/op; the materializing Flows() compat wrapper is
+// kept for comparison.
 func BenchmarkFlows(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		frozen bool
-	}{{"frozen", true}, {"builder", false}} {
-		g := benchGraph(b, bc.frozen)
-		b.Run(bc.name, func(b *testing.B) {
-			sink := 0.0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.EachFlow(func(s, d int, vol float64) { sink += vol })
-			}
-			_ = sink
-		})
-	}
-	g := benchGraph(b, true)
+	g := randomComm(1024, 8, 42)
+	b.Run("eachflow", func(b *testing.B) {
+		sink := 0.0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.EachFlow(func(s, d int, vol float64) { sink += vol })
+		}
+		_ = sink
+	})
 	b.Run("slice-compat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -319,9 +264,9 @@ func BenchmarkFlows(b *testing.B) {
 }
 
 // BenchmarkTraversal covers the remaining per-vertex hot accessors; every
-// sub-benchmark runs on a frozen graph and must report 0 allocs/op.
+// sub-benchmark must report 0 allocs/op.
 func BenchmarkTraversal(b *testing.B) {
-	g := benchGraph(b, true)
+	g := randomComm(1024, 8, 42)
 	b.Run("edges", func(b *testing.B) {
 		sink := 0.0
 		b.ReportAllocs()
@@ -357,45 +302,29 @@ func BenchmarkTraversal(b *testing.B) {
 	})
 }
 
-// BenchmarkCoarsen compares the CSR-direct coarsening against the
-// map-builder path (the result graph itself must be allocated, so this one
-// is about constant-factor allocation volume, not zero allocs).
+// BenchmarkCoarsen measures coarsening (the result graph itself must be
+// allocated, so this one is about allocation volume, not zero allocs).
 func BenchmarkCoarsen(b *testing.B) {
+	g := randomComm(1024, 8, 42)
 	assign := make([]int, 1024)
 	for i := range assign {
 		assign[i] = i / 16
 	}
-	for _, bc := range []struct {
-		name   string
-		frozen bool
-	}{{"frozen", true}, {"builder", false}} {
-		g := benchGraph(b, bc.frozen)
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, _ = g.Coarsen(assign, 64)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = g.Coarsen(assign, 64)
 	}
 }
 
-// BenchmarkInduced compares CSR-direct induced subgraphs against the
-// map-builder path.
+// BenchmarkInduced measures induced subgraphs.
 func BenchmarkInduced(b *testing.B) {
+	g := randomComm(1024, 8, 42)
 	verts := make([]int, 256)
 	for i := range verts {
 		verts[i] = i * 4
 	}
-	for _, bc := range []struct {
-		name   string
-		frozen bool
-	}{{"frozen", true}, {"builder", false}} {
-		g := benchGraph(b, bc.frozen)
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, _ = g.InducedSubgraph(verts)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = g.InducedSubgraph(verts)
 	}
 }

@@ -7,27 +7,24 @@ import (
 )
 
 // denseGraph builds a graph with many non-commensurable float volumes whose
-// edges are inserted in the given order. Volumes like 1/(i+3) make float
-// summation order observable: if any aggregation walked the adjacency maps
-// in raw map order, two runs (or two insertion orders) would disagree in
-// the low bits.
+// edges are added in the given order. Volumes like 1/(i+3) make float
+// summation order observable: if any aggregation followed the insertion
+// order, two insertion orders would disagree in the low bits.
 func denseGraph(n int, order []int) *Comm {
-	g := New(n)
+	b := New(n)
 	for _, k := range order {
 		s, d := k/n, k%n
 		if s == d {
 			continue
 		}
-		g.AddTraffic(s, d, 1.0/float64(k+3))
+		b.AddTraffic(s, d, 1.0/float64(k+3))
 	}
-	return g
+	return b.Build()
 }
 
-// TestAggregationsBitIdentical is the regression test for the map-order
-// leak fixed in this package: every float-aggregating method must return
-// bit-identical results regardless of map insertion order and across
-// repeated runs (Go randomizes map iteration per range statement, so two
-// calls on the same graph already exercise two orders).
+// TestAggregationsBitIdentical: every float-aggregating method must return
+// bit-identical results regardless of insertion order and across repeated
+// runs.
 func TestAggregationsBitIdentical(t *testing.T) {
 	const n = 24
 	fwd := make([]int, n*n)
@@ -85,8 +82,8 @@ func TestAggregationsBitIdentical(t *testing.T) {
 }
 
 // TestFlowsOrderStableAcrossRuns pins the edge enumeration order itself:
-// two calls on the same graph must yield identical sequences even though
-// each range over the underlying maps sees a fresh random order.
+// repeated calls on the same graph yield identical sequences, with every
+// row in ascending order.
 func TestFlowsOrderStableAcrossRuns(t *testing.T) {
 	g := denseGraph(16, func() []int {
 		o := make([]int, 256)

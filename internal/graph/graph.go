@@ -3,13 +3,13 @@
 // process ranks (or, after clustering, cluster ids); edge weights are
 // communication volumes in arbitrary byte-like units.
 //
-// A Comm has two representations. New starts a mutable builder backed by
-// adjacency maps; Freeze compiles it into an immutable CSR (compressed
-// sparse row) form whose traversals are allocation-free linear scans in
-// deterministic (src, dst) order. Read parses the text format straight into
-// the CSR form. Every accessor works on both forms and
-// iterates in the same order, so float accumulations are bit-identical
-// whichever representation backs the graph.
+// A Comm is immutable from the moment it exists. New returns a Builder,
+// whose AddTraffic appends traffic in call order and whose Build compiles
+// it into the CSR (compressed sparse row) form; Read parses the text format
+// through the same compile, and the derived operations (Coarsen,
+// InducedSubgraph, Scale) emit CSR results directly. Traversals are
+// allocation-free linear scans in (src, dst) order, so every float
+// accumulation over a graph runs in one fixed order.
 package graph
 
 import (
@@ -18,7 +18,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -30,16 +29,13 @@ type Flow struct {
 	Vol      float64
 }
 
-// Comm is a weighted directed communication graph over N vertices.
-// The zero value is unusable; create instances with New.
+// Comm is a weighted directed communication graph over N vertices, in CSR
+// form: row s is colIdx[rowPtr[s]:rowPtr[s+1]] with parallel volumes in
+// vol, columns ascending within each row. A Comm is never modified after
+// it is built, so any number of goroutines may share one. Create instances
+// with a Builder or Read.
 type Comm struct {
-	n   int
-	adj []map[int]float64 // builder: adj[s][d] = volume, self-edges excluded; nil once frozen
-
-	// Frozen CSR form (set by Freeze / derived frozen operations): row s is
-	// colIdx[rowPtr[s]:rowPtr[s+1]] with parallel volumes in vol, columns
-	// ascending within each row.
-	frozen bool
+	n      int
 	rowPtr []int32
 	colIdx []int32
 	vol    []float64
@@ -47,44 +43,65 @@ type Comm struct {
 	totVol float64   // cached total volume
 }
 
-// New returns an empty communication graph over n vertices in builder form.
-func New(n int) *Comm {
-	if n < 0 {
-		panic("graph: negative vertex count")
+// Builder collects the traffic of a communication graph over a fixed
+// vertex count. Create builders with New.
+type Builder struct {
+	n int
+	m int // edges added
+	// chunks hold the added edges in call order. Each chunk is twice the
+	// size of the one before, up to maxChunk edges, and is never
+	// reallocated: a growing builder copies nothing.
+	chunks [][]edge
+}
+
+// maxChunk bounds the edge count of one Builder chunk.
+const maxChunk = 1 << 13
+
+// New returns an empty builder over n vertices.
+func New(n int) *Builder {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: vertex count %d outside the CSR index range", n))
 	}
-	ctrGraphBuild.Inc()
-	return &Comm{n: n, adj: make([]map[int]float64, n)}
+	return &Builder{n: n}
+}
+
+// N returns the vertex count.
+func (b *Builder) N() int { return b.n }
+
+// AddTraffic adds vol to the directed edge s->d. Self-traffic and
+// non-positive volumes are ignored (self-traffic never crosses the network).
+func (b *Builder) AddTraffic(s, d int, vol float64) {
+	check(s, b.n)
+	check(d, b.n)
+	if s == d || vol <= 0 {
+		return
+	}
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
+		size := 64
+		if last >= 0 {
+			size = min(2*cap(b.chunks[last]), maxChunk)
+		}
+		b.chunks = append(b.chunks, make([]edge, 0, size))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], edge{src: int32(s), dst: int32(d), vol: vol})
+	b.m++
 }
 
 // N returns the vertex count.
 func (g *Comm) N() int { return g.n }
 
-// AddTraffic adds vol to the directed edge s->d. Self-traffic and
-// non-positive volumes are ignored (self-traffic never crosses the network).
-// Panics on a frozen graph: Freeze ends the build phase.
-func (g *Comm) AddTraffic(s, d int, vol float64) {
-	if g.frozen {
-		panic(fmt.Sprintf("graph: AddTraffic(%d, %d) on frozen graph: Freeze made it immutable; add all traffic before freezing (or Clone the builder first)", s, d))
-	}
-	g.check(s)
-	g.check(d)
-	if s == d || vol <= 0 {
-		return
-	}
-	if g.adj[s] == nil {
-		g.adj[s] = make(map[int]float64)
-	}
-	g.adj[s][d] += vol
-}
+// Freeze returns g. A Comm is compiled and immutable from the moment it
+// is built, so there is nothing left to freeze; the method remains for
+// callers written when graphs had a mutable form.
+func (g *Comm) Freeze() *Comm { return g }
 
-// Traffic returns the volume on the directed edge s->d (0 when absent).
-// On a frozen graph this is a binary search within row s.
+// Traffic returns the volume on the directed edge s->d (0 when absent), by
+// binary search within row s.
 func (g *Comm) Traffic(s, d int) float64 {
-	g.check(s)
-	g.check(d)
-	if !g.frozen {
-		return g.adj[s][d]
-	}
+	check(s, g.n)
+	check(d, g.n)
 	lo, hi := int(g.rowPtr[s]), int(g.rowPtr[s+1])
 	end := hi
 	dd := int32(d)
@@ -102,99 +119,42 @@ func (g *Comm) Traffic(s, d int) float64 {
 	return 0
 }
 
-func (g *Comm) check(v int) {
-	if v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, g.n))
+func check(v, n int) {
+	if v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, n))
 	}
 }
 
 // NumEdges returns the number of directed edges with positive volume.
-func (g *Comm) NumEdges() int {
-	if g.frozen {
-		return len(g.colIdx)
-	}
-	m := 0
-	for _, a := range g.adj {
-		m += len(a)
-	}
-	return m
-}
+func (g *Comm) NumEdges() int { return len(g.colIdx) }
 
 // Degree returns the out-degree of s.
 func (g *Comm) Degree(s int) int {
-	g.check(s)
-	if g.frozen {
-		return int(g.rowPtr[s+1] - g.rowPtr[s])
-	}
-	return len(g.adj[s])
-}
-
-// sortedDsts returns the keys of one builder adjacency row in ascending
-// order. Every observable iteration over a builder row goes through this
-// helper: float accumulation is not associative, so summing (or re-adding)
-// volumes in Go's randomized map order would leak that order into results
-// that must be bit-identical across runs and schedules. The frozen form gets
-// the same order for free from its sorted CSR rows.
-func sortedDsts(a map[int]float64) []int {
-	dsts := make([]int, 0, len(a))
-	for d := range a {
-		dsts = append(dsts, d)
-	}
-	sort.Ints(dsts)
-	return dsts
+	check(s, g.n)
+	return int(g.rowPtr[s+1] - g.rowPtr[s])
 }
 
 // Edges returns the out-neighbors of s in ascending order and the matching
-// volumes. On a frozen graph the slices alias the CSR arrays — zero
-// allocation — and must not be modified by the caller. On a builder graph
-// they are compiled per call.
+// volumes. The slices alias the CSR arrays — zero allocation — and must
+// not be modified by the caller.
 func (g *Comm) Edges(s int) ([]int32, []float64) {
-	g.check(s)
-	if g.frozen {
-		return g.row(s)
-	}
-	a := g.adj[s]
-	ds := sortedDsts(a)
-	dsts := make([]int32, len(ds))
-	vols := make([]float64, len(ds))
-	for i, d := range ds {
-		dsts[i] = int32(d)
-		vols[i] = a[d]
-	}
-	return dsts, vols
+	check(s, g.n)
+	b, e := g.rowPtr[s], g.rowPtr[s+1]
+	return g.colIdx[b:e], g.vol[b:e]
 }
 
-// EachFlow calls fn for every directed edge in (src, dst) order. On a frozen
-// graph the traversal is allocation-free.
+// EachFlow calls fn for every directed edge in (src, dst) order, without
+// allocating.
 func (g *Comm) EachFlow(fn func(s, d int, vol float64)) {
-	if g.frozen {
-		for s := 0; s < g.n; s++ {
-			for k := g.rowPtr[s]; k < g.rowPtr[s+1]; k++ {
-				fn(s, int(g.colIdx[k]), g.vol[k])
-			}
-		}
-		return
-	}
-	for s, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			fn(s, d, a[d])
+	for s := 0; s < g.n; s++ {
+		for k := g.rowPtr[s]; k < g.rowPtr[s+1]; k++ {
+			fn(s, int(g.colIdx[k]), g.vol[k])
 		}
 	}
 }
 
-// TotalVolume returns the sum of all edge volumes (cached when frozen).
-func (g *Comm) TotalVolume() float64 {
-	if g.frozen {
-		return g.totVol
-	}
-	tot := 0.0
-	for _, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			tot += a[d]
-		}
-	}
-	return tot
-}
+// TotalVolume returns the sum of all edge volumes.
+func (g *Comm) TotalVolume() float64 { return g.totVol }
 
 // Flows returns every directed edge in deterministic (src, dst) order.
 func (g *Comm) Flows() []Flow {
@@ -207,11 +167,7 @@ func (g *Comm) Flows() []Flow {
 
 // Neighbors returns the out-neighbors of s in ascending order.
 func (g *Comm) Neighbors(s int) []int {
-	g.check(s)
-	if !g.frozen {
-		return sortedDsts(g.adj[s])
-	}
-	dsts, _ := g.row(s)
+	dsts, _ := g.Edges(s)
 	out := make([]int, len(dsts))
 	for i, d := range dsts {
 		out[i] = int(d)
@@ -219,113 +175,15 @@ func (g *Comm) Neighbors(s int) []int {
 	return out
 }
 
-// OutVolume returns the total volume originating at s (cached when frozen).
+// OutVolume returns the total volume originating at s.
 func (g *Comm) OutVolume(s int) float64 {
-	g.check(s)
-	if g.frozen {
-		return g.outVol[s]
-	}
-	tot := 0.0
-	a := g.adj[s]
-	for _, d := range sortedDsts(a) {
-		tot += a[d]
-	}
-	return tot
-}
-
-// Clone returns a deep copy in the same representation as the receiver.
-func (g *Comm) Clone() *Comm {
-	if g.frozen {
-		return g.cloneFrozen()
-	}
-	out := New(g.n)
-	for s, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			out.AddTraffic(s, d, a[d])
-		}
-	}
-	return out
-}
-
-// Scale returns a copy with every volume multiplied by f (> 0).
-func (g *Comm) Scale(f float64) *Comm {
-	if f <= 0 {
-		panic("graph: non-positive scale factor")
-	}
-	if g.frozen {
-		return g.scaleFrozen(f)
-	}
-	out := New(g.n)
-	for s, a := range g.adj {
-		for _, d := range sortedDsts(a) {
-			out.AddTraffic(s, d, a[d]*f)
-		}
-	}
-	return out
-}
-
-// Coarsen merges vertices according to assign (len N, values in [0, parts))
-// and returns the cluster-level graph: volume between clusters a != b is the
-// sum of volumes between their members; intra-cluster volume is dropped
-// (it becomes on-node shared-memory traffic). Also returns the total volume
-// that became intra-cluster, the quantity Phase 1 tiling minimizes the
-// complement of.
-func (g *Comm) Coarsen(assign []int, parts int) (*Comm, float64) {
-	if len(assign) != g.n {
-		panic("graph: assignment length mismatch")
-	}
-	if g.frozen {
-		return g.coarsenFrozen(assign, parts)
-	}
-	out := New(parts)
-	intra := 0.0
-	for s, a := range g.adj {
-		cs := assign[s]
-		if cs < 0 || cs >= parts {
-			panic(fmt.Sprintf("graph: assignment %d for vertex %d out of range", cs, s))
-		}
-		for _, d := range sortedDsts(a) {
-			cd := assign[d]
-			if cs == cd {
-				intra += a[d]
-			} else {
-				out.AddTraffic(cs, cd, a[d])
-			}
-		}
-	}
-	return out, intra
-}
-
-// InducedSubgraph returns the subgraph over the given vertices (in the given
-// order; result vertex i corresponds to verts[i]), keeping only edges with
-// both endpoints inside. The second return value maps original -> local ids.
-func (g *Comm) InducedSubgraph(verts []int) (*Comm, map[int]int) {
-	if g.frozen {
-		return g.inducedFrozen(verts)
-	}
-	local := make(map[int]int, len(verts))
-	for i, v := range verts {
-		g.check(v)
-		if _, dup := local[v]; dup {
-			panic("graph: duplicate vertex in InducedSubgraph")
-		}
-		local[v] = i
-	}
-	out := New(len(verts))
-	for _, v := range verts {
-		a := g.adj[v]
-		for _, d := range sortedDsts(a) {
-			if ld, ok := local[d]; ok {
-				out.AddTraffic(local[v], ld, a[d])
-			}
-		}
-	}
-	return out, local
+	check(s, g.n)
+	return g.outVol[s]
 }
 
 // Equal reports whether the two graphs have identical vertex counts and edge
 // volumes within tol. Rows are compared with one merge-style linear scan
-// over each graph's sorted edges (no re-sorting, no per-edge map lookups).
+// over each graph's sorted edges.
 func (g *Comm) Equal(h *Comm, tol float64) bool {
 	if g.n != h.n {
 		return false
@@ -417,12 +275,10 @@ func ReadHeader(line string) (int, error) {
 	return n, nil
 }
 
-// Read parses the format produced by WriteTo straight into the frozen CSR
-// form. Duplicate header lines and non-finite volumes are rejected with
-// line-numbered errors. Edges are collected in line order, dropping
-// self-traffic and non-positive volumes as AddTraffic does, and compiled by
-// compileEdges, so every volume bit is what AddTraffic followed by Freeze
-// gives.
+// Read parses the format produced by WriteTo. Duplicate header lines and
+// non-finite volumes are rejected with line-numbered errors. The edge
+// lines go to a Builder in line order, so the graph is the one AddTraffic
+// calls in that order build.
 func Read(r io.Reader) (*Comm, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 4<<10), 1<<24)
@@ -437,8 +293,8 @@ func Read(r io.Reader) (*Comm, error) {
 		return nil, fmt.Errorf("graph: vertex count %d overflows the CSR index", n)
 	}
 	var (
-		es []edge
-		f  [3][]byte
+		b = New(n)
+		f [3][]byte
 	)
 	for line := 2; sc.Scan(); line++ {
 		txt, nf := splitLine(sc.Bytes(), &f)
@@ -463,17 +319,15 @@ func Read(r io.Reader) (*Comm, error) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("graph: line %d: non-finite volume in %q", line, txt)
 		}
-		if s != d && v > 0 {
-			es = append(es, edge{pair: uint64(s)<<32 | uint64(d), vol: v})
-		}
+		b.AddTraffic(s, d, v)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(es) > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: %d edges overflow the CSR index", len(es))
+	if b.m > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges overflow the CSR index", b.m)
 	}
-	return compileEdges(n, es), nil
+	return b.Build(), nil
 }
 
 // Byte classes of splitLine: a field byte, an ASCII byte unicode.IsSpace

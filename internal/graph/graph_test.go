@@ -9,10 +9,11 @@ import (
 )
 
 func TestAddAndQueryTraffic(t *testing.T) {
-	g := New(4)
-	g.AddTraffic(0, 1, 5)
-	g.AddTraffic(0, 1, 3)
-	g.AddTraffic(1, 0, 2)
+	b := New(4)
+	b.AddTraffic(0, 1, 5)
+	b.AddTraffic(0, 1, 3)
+	b.AddTraffic(1, 0, 2)
+	g := b.Build()
 	if got := g.Traffic(0, 1); got != 8 {
 		t.Fatalf("Traffic(0,1) = %v, want 8", got)
 	}
@@ -25,22 +26,23 @@ func TestAddAndQueryTraffic(t *testing.T) {
 }
 
 func TestSelfTrafficIgnored(t *testing.T) {
-	g := New(2)
-	g.AddTraffic(1, 1, 100)
-	g.AddTraffic(0, 1, -5)
-	g.AddTraffic(0, 1, 0)
+	b := New(2)
+	b.AddTraffic(1, 1, 100)
+	b.AddTraffic(0, 1, -5)
+	b.AddTraffic(0, 1, 0)
+	g := b.Build()
 	if g.NumEdges() != 0 || g.TotalVolume() != 0 {
 		t.Fatalf("self/non-positive traffic recorded: edges=%d vol=%v", g.NumEdges(), g.TotalVolume())
 	}
 }
 
 func TestFlowsDeterministicOrder(t *testing.T) {
-	g := New(5)
-	g.AddTraffic(3, 1, 1)
-	g.AddTraffic(0, 4, 2)
-	g.AddTraffic(0, 2, 3)
-	g.AddTraffic(3, 0, 4)
-	fl := g.Flows()
+	b := New(5)
+	b.AddTraffic(3, 1, 1)
+	b.AddTraffic(0, 4, 2)
+	b.AddTraffic(0, 2, 3)
+	b.AddTraffic(3, 0, 4)
+	fl := b.Build().Flows()
 	want := []Flow{{0, 2, 3}, {0, 4, 2}, {3, 0, 4}, {3, 1, 1}}
 	if len(fl) != len(want) {
 		t.Fatalf("Flows len = %d, want %d", len(fl), len(want))
@@ -54,12 +56,12 @@ func TestFlowsDeterministicOrder(t *testing.T) {
 
 func TestCoarsen(t *testing.T) {
 	// 4 vertices in 2 clusters {0,1}, {2,3}.
-	g := New(4)
-	g.AddTraffic(0, 1, 5)  // intra
-	g.AddTraffic(0, 2, 3)  // inter
-	g.AddTraffic(3, 1, 2)  // inter
-	g.AddTraffic(2, 3, 10) // intra
-	cg, intra := g.Coarsen([]int{0, 0, 1, 1}, 2)
+	b := New(4)
+	b.AddTraffic(0, 1, 5)  // intra
+	b.AddTraffic(0, 2, 3)  // inter
+	b.AddTraffic(3, 1, 2)  // inter
+	b.AddTraffic(2, 3, 10) // intra
+	cg, intra := b.Build().Coarsen([]int{0, 0, 1, 1}, 2)
 	if intra != 15 {
 		t.Fatalf("intra = %v, want 15", intra)
 	}
@@ -72,11 +74,11 @@ func TestCoarsen(t *testing.T) {
 }
 
 func TestInducedSubgraph(t *testing.T) {
-	g := New(5)
-	g.AddTraffic(1, 3, 7)
-	g.AddTraffic(3, 4, 2)
-	g.AddTraffic(0, 1, 9)
-	sub, local := g.InducedSubgraph([]int{1, 3})
+	b := New(5)
+	b.AddTraffic(1, 3, 7)
+	b.AddTraffic(3, 4, 2)
+	b.AddTraffic(0, 1, 9)
+	sub, local := b.Build().InducedSubgraph([]int{1, 3})
 	if sub.N() != 2 {
 		t.Fatalf("sub N = %d", sub.N())
 	}
@@ -88,46 +90,49 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestEqualAndClone(t *testing.T) {
-	g := New(3)
-	g.AddTraffic(0, 1, 4)
-	g.AddTraffic(2, 1, 1)
-	c := g.Clone()
-	if !g.Equal(c, 0) {
-		t.Fatal("clone not equal")
+func TestEqualAndRebuild(t *testing.T) {
+	b := New(3)
+	b.AddTraffic(0, 1, 4)
+	b.AddTraffic(2, 1, 1)
+	g := b.Build()
+	c := rebuilt(g)
+	if !g.Equal(c.Build(), 0) {
+		t.Fatal("rebuilt graph not equal")
 	}
 	c.AddTraffic(0, 2, 1)
-	if g.Equal(c, 0) {
-		t.Fatal("mutated clone still equal")
+	if g.Equal(c.Build(), 0) {
+		t.Fatal("graph with an extra edge still equal")
 	}
-	if g.Equal(New(4), 0) {
+	if g.Equal(New(4).Build(), 0) {
 		t.Fatal("different sizes equal")
 	}
 }
 
 func TestStructuralHash(t *testing.T) {
-	g := New(4)
-	g.AddTraffic(0, 1, 3)
-	g.AddTraffic(2, 3, 5)
-	h := New(4)
-	h.AddTraffic(2, 3, 5)
-	h.AddTraffic(0, 1, 3)
-	if g.StructuralHash() != h.StructuralHash() {
+	gb := New(4)
+	gb.AddTraffic(0, 1, 3)
+	gb.AddTraffic(2, 3, 5)
+	hb := New(4)
+	hb.AddTraffic(2, 3, 5)
+	hb.AddTraffic(0, 1, 3)
+	g := gb.Build()
+	if g.StructuralHash() != hb.Build().StructuralHash() {
 		t.Fatal("hash depends on insertion order")
 	}
-	h.AddTraffic(0, 1, 0.5)
-	if g.StructuralHash() == h.StructuralHash() {
+	hb.AddTraffic(0, 1, 0.5)
+	if g.StructuralHash() == hb.Build().StructuralHash() {
 		t.Fatal("hash ignores volume change")
 	}
-	if New(4).StructuralHash() == New(5).StructuralHash() {
+	if New(4).Build().StructuralHash() == New(5).Build().StructuralHash() {
 		t.Fatal("hash ignores vertex count")
 	}
 }
 
 func TestRoundTripSerialization(t *testing.T) {
-	g := New(6)
-	g.AddTraffic(0, 5, 1.5)
-	g.AddTraffic(3, 2, 42)
+	b := New(6)
+	b.AddTraffic(0, 5, 1.5)
+	b.AddTraffic(3, 2, 42)
+	g := b.Build()
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -169,9 +174,10 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestOutVolumeAndNeighbors(t *testing.T) {
-	g := New(4)
-	g.AddTraffic(1, 0, 2)
-	g.AddTraffic(1, 3, 5)
+	b := New(4)
+	b.AddTraffic(1, 0, 2)
+	b.AddTraffic(1, 3, 5)
+	g := b.Build()
 	if g.OutVolume(1) != 7 {
 		t.Fatalf("OutVolume = %v", g.OutVolume(1))
 	}
@@ -187,10 +193,11 @@ func TestQuickCoarsenVolumeConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
 		parts := 1 + rng.Intn(n)
-		g := New(n)
+		b := New(n)
 		for e := 0; e < 3*n; e++ {
-			g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		assign := make([]int, n)
 		for i := range assign {
 			assign[i] = rng.Intn(parts)
@@ -210,10 +217,11 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(12)
-		g := New(n)
+		b := New(n)
 		for e := 0; e < n*2; e++ {
-			g.AddTraffic(rng.Intn(n), rng.Intn(n), rng.Float64()*100)
+			b.AddTraffic(rng.Intn(n), rng.Intn(n), rng.Float64()*100)
 		}
+		g := b.Build()
 		var buf bytes.Buffer
 		if _, err := g.WriteTo(&buf); err != nil {
 			return false

@@ -19,10 +19,11 @@ func TestIncEvalMatchesFullEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 5; trial++ {
 		cube := topology.NewMesh(2, 2, 2)
-		g := graph.New(8)
+		b := graph.New(8)
 		for e := 0; e < 20; e++ {
-			g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		ev := newIncEval(g, cube, topology.Mapping(rng.Perm(8)), routing.MinimalAdaptive{}.Table(cube))
 		for step := 0; step < 200; step++ {
 			i, j := rng.Intn(8), rng.Intn(8)
@@ -49,10 +50,11 @@ func TestIncEvalMatchesFullEvaluation(t *testing.T) {
 // the loads exactly enough.
 func TestIncEvalSwapUndo(t *testing.T) {
 	cube := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 5)
-	g.AddTraffic(2, 3, 2)
-	g.AddTraffic(0, 3, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 5)
+	b.AddTraffic(2, 3, 2)
+	b.AddTraffic(0, 3, 1)
+	g := b.Build()
 	ev := newIncEval(g, cube, topology.Identity(4), routing.MinimalAdaptive{}.Table(cube))
 	before := append([]float64(nil), ev.loads...)
 	ev.swap(0, 3)
@@ -67,8 +69,9 @@ func TestIncEvalSwapUndo(t *testing.T) {
 // TestIncEvalPeriodicRebuild forces the rebuild path.
 func TestIncEvalPeriodicRebuild(t *testing.T) {
 	cube := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 3)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 3)
+	g := b.Build()
 	ev := newIncEval(g, cube, topology.Identity(4), routing.MinimalAdaptive{}.Table(cube))
 	for k := 0; k < 9000; k++ {
 		ev.swap(0, 1)
@@ -97,10 +100,11 @@ func TestNegativeVolumeSubtracts(t *testing.T) {
 func BenchmarkAnnealStepIncremental(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cube := topology.NewMesh(2, 2, 2, 2, 2)
-	g := graph.New(32)
+	gb := graph.New(32)
 	for e := 0; e < 200; e++ {
-		g.AddTraffic(rng.Intn(32), rng.Intn(32), float64(1+rng.Intn(9)))
+		gb.AddTraffic(rng.Intn(32), rng.Intn(32), float64(1+rng.Intn(9)))
 	}
+	g := gb.Build()
 	ev := newIncEval(g, cube, topology.Identity(32), routing.MinimalAdaptive{}.Table(cube))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,10 +115,11 @@ func BenchmarkAnnealStepIncremental(b *testing.B) {
 func BenchmarkAnnealStepFull(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cube := topology.NewMesh(2, 2, 2, 2, 2)
-	g := graph.New(32)
+	gb := graph.New(32)
 	for e := 0; e < 200; e++ {
-		g.AddTraffic(rng.Intn(32), rng.Intn(32), float64(1+rng.Intn(9)))
+		gb.AddTraffic(rng.Intn(32), rng.Intn(32), float64(1+rng.Intn(9)))
 	}
+	g := gb.Build()
 	m := topology.Identity(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@ func randomGraph(n int, seed int64) *graph.Comm {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 func cubeShape(n int) []int {

@@ -19,7 +19,7 @@ func ringGraph(n int, w float64) *graph.Comm {
 	for i := 0; i < n; i++ {
 		g.AddTraffic(i, (i+1)%n, w)
 	}
-	return g
+	return g.Build()
 }
 
 // figure1Graph reproduces the paper's Figure 1 communication graph: a heavy
@@ -30,7 +30,7 @@ func figure1Graph() *graph.Comm {
 	g.AddTraffic(1, 2, 1)
 	g.AddTraffic(2, 3, 1)
 	g.AddTraffic(3, 0, 1)
-	return g
+	return g.Build()
 }
 
 func diagonalDistance(shape []int, m topology.Mapping, a, b int) int {
@@ -110,10 +110,11 @@ func TestMILPObjectiveMatchesLPEvaluator(t *testing.T) {
 func TestExhaustiveMatchesBruteForceUniformModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
-		g := graph.New(4)
+		b := graph.New(4)
 		for e := 0; e < 6; e++ {
-			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
@@ -147,10 +148,11 @@ func TestMILPNeverWorseThanExhaustiveUnderLPModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	mesh := topology.NewMesh(2, 2)
 	for trial := 0; trial < 5; trial++ {
-		g := graph.New(4)
+		b := graph.New(4)
 		for e := 0; e < 5; e++ {
-			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(5)))
+			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(5)))
 		}
+		g := b.Build()
 		mRes, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
@@ -213,8 +215,9 @@ func TestAutoSelectsBySize(t *testing.T) {
 func TestTorusDoubleLinksHalveLoad(t *testing.T) {
 	// Two clusters exchanging on a 2-cube with torus links: load splits
 	// across the double links.
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 8)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 8)
+	g := b.Build()
 	res, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: Exhaustive, Torus: true})
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +268,11 @@ func TestEvaluateConsistentWithResult(t *testing.T) {
 func TestExhaustiveProducesPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
-		g := graph.New(8)
+		b := graph.New(8)
 		for e := 0; e < 12; e++ {
-			g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(4)))
+			b.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(4)))
 		}
+		g := b.Build()
 		res, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)

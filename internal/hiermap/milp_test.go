@@ -11,8 +11,9 @@ import (
 )
 
 func TestMILPTrivialTwoNodeShape(t *testing.T) {
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 6)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 6)
+	g := b.Build()
 	res, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -29,8 +30,9 @@ func TestMILPTorusCapacityHalvesLoad(t *testing.T) {
 	// The paper's root-level trick: a 2-ary torus is a 2-ary mesh with
 	// double-wide links. Result.MCL reports the uniform-split model on the
 	// torus (split across the pair), i.e. half the mesh load.
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 8)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 8)
+	g := b.Build()
 	mesh, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +48,7 @@ func TestMILPTorusCapacityHalvesLoad(t *testing.T) {
 
 func TestMILPEmptyGraph(t *testing.T) {
 	// No flows: any placement is optimal with MCL 0.
-	g := graph.New(4)
+	g := graph.New(4).Build()
 	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -62,14 +64,15 @@ func TestMILPEmptyGraph(t *testing.T) {
 func TestMILPDeadlineStillReturnsMapping(t *testing.T) {
 	// An aggressive deadline must still yield a feasible placement (from
 	// the annealing incumbent), just possibly unproved.
-	g := graph.New(4)
+	b := graph.New(4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if i != j {
-				g.AddTraffic(i, j, float64(1+(i*3+j)%5))
+				b.AddTraffic(i, j, float64(1+(i*3+j)%5))
 			}
 		}
 	}
+	g := b.Build()
 	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +85,10 @@ func TestMILPDeadlineStillReturnsMapping(t *testing.T) {
 func TestMILPSymmetryPinRespected(t *testing.T) {
 	// The symmetry-breaking constraint pins cluster 0 to vertex 0; the
 	// solution must honor it (any optimum can be rotated to this form).
-	g := graph.New(4)
-	g.AddTraffic(2, 3, 10)
-	g.AddTraffic(0, 1, 1)
+	b := graph.New(4)
+	b.AddTraffic(2, 3, 10)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)

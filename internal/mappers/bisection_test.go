@@ -3,6 +3,7 @@ package mappers
 import (
 	"testing"
 
+	"rahtm/internal/graph"
 	"rahtm/internal/metrics"
 	"rahtm/internal/topology"
 	"rahtm/internal/workload"
@@ -28,18 +29,19 @@ func TestRecursiveBisectionKeepsCommunitiesTogether(t *testing.T) {
 	// communities end up in the same sub-box. Four 4-task cliques with a
 	// light inter-clique ring must beat random placement on hop-bytes.
 	tp := topology.NewTorus(4, 4)
-	g := workload.RandomNeighbors(16, 0, 1, 1) // 16 procs, empty graph
+	b := graph.New(16)
 	for grp := 0; grp < 4; grp++ {
 		base := grp * 4
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
 				if i != j {
-					g.Graph.AddTraffic(base+i, base+j, 50)
+					b.AddTraffic(base+i, base+j, 50)
 				}
 			}
 		}
-		g.Graph.AddTraffic(base, (base+4)%16, 1)
+		b.AddTraffic(base, (base+4)%16, 1)
 	}
+	g := &workload.Workload{Name: "cliques", Graph: b.Build()}
 	bis := mustMap(t, RecursiveBisection{}, g, tp, 1)
 	rnd := mustMap(t, Random{Seed: 2}, g, tp, 1)
 	hbB := metrics.HopBytes(tp, g.Graph, bis)
@@ -64,11 +66,12 @@ func TestRecursiveBisectionCutQuality(t *testing.T) {
 	// Two cliques joined by one light edge must not be split down the
 	// middle of a clique.
 	tp := topology.NewTorus(2, 2)
-	g := workload.RandomNeighbors(4, 0, 1, 1) // empty graph, 4 procs
-	// Build two heavy pairs: {0,1} and {2,3}, light cross edge.
-	g.Graph.AddTraffic(0, 1, 100)
-	g.Graph.AddTraffic(2, 3, 100)
-	g.Graph.AddTraffic(1, 2, 1)
+	// Two heavy pairs: {0,1} and {2,3}, light cross edge.
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 100)
+	b.AddTraffic(2, 3, 100)
+	b.AddTraffic(1, 2, 1)
+	g := &workload.Workload{Name: "pairs", Graph: b.Build()}
 	m := mustMap(t, RecursiveBisection{}, g, tp, 1)
 	// The heavy pairs must land at distance 1 (same bisection half).
 	if tp.MinDistance(m[0], m[1]) > 1 || tp.MinDistance(m[2], m[3]) > 1 {

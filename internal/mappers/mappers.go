@@ -451,7 +451,7 @@ func aggregateToNodes(g *graph.Comm, m topology.Mapping, numNodes int) *graph.Co
 	g.EachFlow(func(s, d int, vol float64) {
 		out.AddTraffic(m[s], m[d], vol)
 	})
-	return out
+	return out.Build()
 }
 
 // NodeGraph exposes aggregateToNodes for callers computing node-level

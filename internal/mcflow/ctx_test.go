@@ -13,8 +13,9 @@ import (
 
 func TestEvaluateCtxBackground(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(tp.N())
-	g.AddTraffic(0, 5, 10)
+	b := graph.New(tp.N())
+	b.AddTraffic(0, 5, 10)
+	g := b.Build()
 	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(tp.N()), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -28,8 +29,9 @@ func TestEvaluateCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(tp.N())
-	g.AddTraffic(0, 5, 10)
+	b := graph.New(tp.N())
+	b.AddTraffic(0, 5, 10)
+	g := b.Build()
 	_, _, err := EvaluateWithRoutesCtx(ctx, tp, g, topology.Identity(tp.N()), lp.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -14,8 +14,9 @@ import (
 
 func TestSingleFlowLine(t *testing.T) {
 	tp := topology.NewMesh(3)
-	g := graph.New(3)
-	g.AddTraffic(0, 2, 4)
+	b := graph.New(3)
+	b.AddTraffic(0, 2, 4)
+	g := b.Build()
 	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(3), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -29,9 +30,10 @@ func TestLPBeatsOrMatchesUniformSplit(t *testing.T) {
 	// Two diagonal flows sharing a corner on a 2x2 mesh: the uniform split
 	// stacks 0.5+0.5 on shared links; the LP can route them disjointly.
 	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 3, 1) // (0,0)->(1,1)
-	g.AddTraffic(1, 2, 1) // (0,1)->(1,0)
+	b := graph.New(4)
+	b.AddTraffic(0, 3, 1) // (0,0)->(1,1)
+	b.AddTraffic(1, 2, 1) // (0,1)->(1,0)
+	g := b.Build()
 	m := topology.Identity(4)
 	uniform := routing.MaxChannelLoad(tp, g, m, routing.MinimalAdaptive{})
 	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
@@ -52,9 +54,10 @@ func TestLPBeatsOrMatchesUniformSplit(t *testing.T) {
 
 func TestColocatedTasksFree(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 100)
-	g.AddTraffic(2, 3, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 100)
+	b.AddTraffic(2, 3, 1)
+	g := b.Build()
 	m := topology.Mapping{0, 0, 0, 1} // heavy pair shares node 0
 	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
 	if err != nil {
@@ -68,9 +71,10 @@ func TestColocatedTasksFree(t *testing.T) {
 func TestAggregationAcrossTasks(t *testing.T) {
 	// Two tasks on node 0 each send 1 to node 1: aggregate flow 2.
 	tp := topology.NewMesh(2)
-	g := graph.New(3)
-	g.AddTraffic(0, 2, 1)
-	g.AddTraffic(1, 2, 1)
+	b := graph.New(3)
+	b.AddTraffic(0, 2, 1)
+	b.AddTraffic(1, 2, 1)
+	g := b.Build()
 	m := topology.Mapping{0, 0, 1}
 	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})
 	if err != nil {
@@ -83,7 +87,7 @@ func TestAggregationAcrossTasks(t *testing.T) {
 
 func TestMappingLengthMismatch(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(3)
+	g := graph.New(3).Build()
 	if _, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Mapping{0, 1}, lp.Options{}); err == nil {
 		t.Fatal("expected error for short mapping")
 	}
@@ -94,9 +98,10 @@ func TestTorusTieUsesBothDirections(t *testing.T) {
 	// opposite arcs for MCL 1; uniform split also achieves max 1 here
 	// (each direction carries 0.5+0.5). Check LP result is exactly 1.
 	tp := topology.NewTorus(4)
-	g := graph.New(4)
-	g.AddTraffic(0, 2, 1)
-	g.AddTraffic(1, 3, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 2, 1)
+	b.AddTraffic(1, 3, 1)
+	g := b.Build()
 	res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(4), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -118,10 +123,11 @@ func TestQuickLPBoundsAgainstUniform(t *testing.T) {
 			tp = topology.NewTorus(2, 2)
 		}
 		n := tp.N()
-		g := graph.New(n)
+		b := graph.New(n)
 		for e := 0; e < 4; e++ {
-			g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		m := topology.Mapping(rng.Perm(n))
 		uniform := routing.MaxChannelLoad(tp, g, m, routing.MinimalAdaptive{})
 		res, _, err := EvaluateWithRoutesCtx(context.Background(), tp, g, m, lp.Options{})

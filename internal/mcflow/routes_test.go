@@ -14,9 +14,10 @@ import (
 
 func TestRoutesMatchLoads(t *testing.T) {
 	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 3, 4)
-	g.AddTraffic(1, 2, 2)
+	b := graph.New(4)
+	b.AddTraffic(0, 3, 4)
+	b.AddTraffic(1, 2, 2)
+	g := b.Build()
 	res, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(4), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -36,10 +37,11 @@ func TestRoutesConserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		tp := topology.NewTorus(4)
-		g := graph.New(4)
+		b := graph.New(4)
 		for e := 0; e < 4; e++ {
-			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		_, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Mapping(rng.Perm(4)), lp.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -52,8 +54,9 @@ func TestRoutesConserved(t *testing.T) {
 
 func TestRoutesFractionsSumToOneAtSource(t *testing.T) {
 	tp := topology.NewMesh(3)
-	g := graph.New(3)
-	g.AddTraffic(0, 2, 5)
+	b := graph.New(3)
+	b.AddTraffic(0, 2, 5)
+	g := b.Build()
 	_, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(3), lp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +78,9 @@ func TestRoutesFractionsSumToOneAtSource(t *testing.T) {
 
 func TestRoutingTableString(t *testing.T) {
 	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 3, 4)
+	b := graph.New(4)
+	b.AddTraffic(0, 3, 4)
+	g := b.Build()
 	_, rt, err := EvaluateWithRoutesCtx(context.Background(), tp, g, topology.Identity(4), lp.Options{})
 	if err != nil {
 		t.Fatal(err)

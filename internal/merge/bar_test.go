@@ -86,10 +86,11 @@ func TestMergeBarCutsUnbarredBeam(t *testing.T) {
 			}
 			n := nchild * tpc
 			rng := rand.New(rand.NewSource(seed))
-			g := graph.New(n)
+			b := graph.New(n)
 			for e := 0; e < 3*n; e++ {
-				g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+				b.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
 			}
+			g := b.Build()
 			pins := rng.Perm(nchild)
 			for _, repos := range []bool{false, true} {
 				for _, bw := range []int{4, 16} {
@@ -153,20 +154,21 @@ func TestMergeBarCutsUnbarredBeam(t *testing.T) {
 // floor exceeds, the merge stops before its first step.
 func TestMergeBarFloorStopsOnLaterChild(t *testing.T) {
 	const nchild, tpc = 8, 8
-	g := graph.New(nchild * tpc)
+	b := graph.New(nchild * tpc)
 	for c := 0; c < nchild; c++ {
 		for i := 0; i < tpc; i++ {
-			g.AddTraffic(c*tpc+i, c*tpc+(i+1)%tpc, 1)
+			b.AddTraffic(c*tpc+i, c*tpc+(i+1)%tpc, 1)
 		}
 	}
 	for i := 0; i < tpc; i++ {
 		for j := 0; j < tpc; j++ {
-			g.AddTraffic(i, tpc+j, 200)
+			b.AddTraffic(i, tpc+j, 200)
 			if i != j {
-				g.AddTraffic(6*tpc+i, 6*tpc+j, 10)
+				b.AddTraffic(6*tpc+i, 6*tpc+j, 10)
 			}
 		}
 	}
+	g := b.Build()
 	children := deltaChildren(t, g, nchild, tpc, []int{2, 2, 2})
 	pins := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	cfg := Config{BeamWidth: 8, Parallelism: 1}

@@ -18,14 +18,15 @@ func denseBlocks(t *testing.T, seed int64) (*graph.Comm, []*Block, []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const kids, per = 8, 8 // 8 children of 8 tasks each
-	g := graph.New(kids * per)
-	for i := 0; i < g.N(); i++ {
-		for j := 0; j < g.N(); j++ {
+	b := graph.New(kids * per)
+	for i := 0; i < b.N(); i++ {
+		for j := 0; j < b.N(); j++ {
 			if i != j && rng.Float64() < 0.3 {
-				g.AddTraffic(i, j, 1+9*rng.Float64())
+				b.AddTraffic(i, j, 1+9*rng.Float64())
 			}
 		}
 	}
+	g := b.Build()
 	blocks := make([]*Block, kids)
 	childPos := make([]int, kids)
 	shape := []int{2, 2, 2}
@@ -98,8 +99,9 @@ func TestMergeCtxDeadlineHonorsPins(t *testing.T) {
 	// pinned cube position when nothing conflicts.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	shape := []int{1, 1}
 	blocks := make([]*Block, 4)
 	for i := range blocks {

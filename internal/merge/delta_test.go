@@ -290,7 +290,7 @@ func haloTiles(nchild, tpc int) *graph.Comm {
 			g.AddTraffic(id(r, c), id(r-1, c), 2)
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // grayPins places tile (a, b) of a square grid of nchild tiles at cube
@@ -406,10 +406,11 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			if sc.halo {
 				g = haloTiles(nchild, tpc)
 			} else {
-				g = graph.New(n)
+				b := graph.New(n)
 				for e := 0; e < 4*n; e++ {
-					g.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+					b.AddTraffic(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
 				}
+				g = b.Build()
 			}
 			pins := rng.Perm(nchild)
 			if sc.halo {

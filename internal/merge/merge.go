@@ -480,10 +480,9 @@ type merger struct {
 	// bar caps the MCL of every kept state (MergeCtx); +Inf when unbarred.
 	bar float64
 
-	// Per-task adjacency of the merged tasks. On a frozen graph these alias
-	// the CSR rows directly; on a builder graph they are compiled once here
-	// so the scorers never rebuild (or re-sort) neighbor lists per
-	// evaluation. Read-only either way.
+	// Per-task adjacency of the merged tasks: aliases of the graph's CSR
+	// rows, cached so the scorers never look a row up per evaluation.
+	// Read-only.
 	nbr  [][]int32
 	nvol [][]float64
 	// taskChild/taskLocal invert the children's task lists: global task id
@@ -516,7 +515,7 @@ func (m *merger) initAdjacency() {
 			if m.nbr[t] != nil {
 				continue
 			}
-			//rahtm:allow(csralias): nbr/nvol deliberately cache CSR row aliases for zero-copy adjacency scans; the rows are never written and the frozen graph outlives the merger (TestMergeDeltaByteIdentical covers the read-only contract)
+			//rahtm:allow(csralias): nbr/nvol deliberately cache CSR row aliases for zero-copy adjacency scans; the rows are never written and the immutable graph outlives the merger (TestMergeDeltaByteIdentical covers the read-only contract)
 			m.nbr[t], m.nvol[t] = m.g.Edges(t)
 		}
 	}

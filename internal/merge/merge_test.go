@@ -94,8 +94,9 @@ func singleTaskBlocks(n int, nd int) []*Block {
 }
 
 func TestMergeSingleTaskChildrenHonorsPins(t *testing.T) {
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
 	childPos := []int{3, 2, 1, 0} // task i pinned to position 3-i
 	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, childPos, Config{}, math.Inf(1))
@@ -113,10 +114,11 @@ func TestMergeSingleTaskChildrenHonorsPins(t *testing.T) {
 func TestMergeMCLMatchesDirectEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		g := graph.New(4)
+		b := graph.New(4)
 		for e := 0; e < 5; e++ {
-			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		blocks := singleTaskBlocks(4, 2)
 		merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1))
 		if err != nil {
@@ -137,10 +139,11 @@ func TestMergeBestEqualsOrientationBruteForce(t *testing.T) {
 	// find the same optimum as brute force over orientation pairs.
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 8; trial++ {
-		g := graph.New(4)
+		gb := graph.New(4)
 		for e := 0; e < 6; e++ {
-			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
+			gb.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
+		g := gb.Build()
 		a := NewLeafBlock([]int{0, 1}, []int{1, 2}, topology.Mapping{0, 1}, 0)
 		b := NewLeafBlock([]int{2, 3}, []int{1, 2}, topology.Mapping{0, 1}, 0)
 		merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{BeamWidth: 64}, math.Inf(1))
@@ -172,8 +175,9 @@ func TestMergeBestEqualsOrientationBruteForce(t *testing.T) {
 }
 
 func TestMergeBeamWidthRespected(t *testing.T) {
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1)
+	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
 	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{BeamWidth: 3}, math.Inf(1))
 	if err != nil {
@@ -191,7 +195,7 @@ func TestMergeBeamWidthRespected(t *testing.T) {
 }
 
 func TestMergeValidatesInput(t *testing.T) {
-	g := graph.New(4)
+	g := graph.New(4).Build()
 	blocks := singleTaskBlocks(4, 2)
 	if _, err := MergeCtx(context.Background(), g, blocks[:3], []int{2, 2}, []int{0, 1, 2}, Config{}, math.Inf(1)); err == nil {
 		t.Fatal("expected error: 3 children for 4-cube")
@@ -209,10 +213,11 @@ func TestMergeValidatesInput(t *testing.T) {
 
 func TestMergedMappingIsInjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	g := graph.New(8)
+	gb := graph.New(8)
 	for e := 0; e < 16; e++ {
-		g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(5)))
+		gb.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(5)))
 	}
+	g := gb.Build()
 	// Two 2x2 blocks merged along a 2x1 cube into a 4x2 parent.
 	a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{3, 2, 1, 0}, 0)
@@ -233,8 +238,9 @@ func TestMergedMappingIsInjective(t *testing.T) {
 func TestMergeTorusEvaluation(t *testing.T) {
 	// At the root the parent is a torus: a flow between opposite corners of
 	// a 2x2 torus splits over double links, so MCL is half the mesh value.
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 8)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 8)
+	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
 	meshRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1))
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 func TestRepositionOverridesBadPins(t *testing.T) {
 	// Two heavy pairs pinned apart: with repositioning the merge can put
 	// each pair's blocks adjacent regardless of the pins.
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 100)
-	g.AddTraffic(2, 3, 100)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 100)
+	b.AddTraffic(2, 3, 100)
+	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
 	// Pins separate the pairs onto diagonals: 0@0, 1@3, 2@1, 3@2.
 	badPins := []int{0, 3, 1, 2}
@@ -44,10 +45,11 @@ func TestRepositionOverridesBadPins(t *testing.T) {
 
 func TestRepositionProducesValidPermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	g := graph.New(8)
+	gb := graph.New(8)
 	for e := 0; e < 14; e++ {
-		g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
+		gb.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
 	}
+	g := gb.Build()
 	a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{Reposition: true}, math.Inf(1))
@@ -64,10 +66,11 @@ func TestRepositionProducesValidPermutations(t *testing.T) {
 func TestRepositionNeverWorseThanPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
-		g := graph.New(4)
+		b := graph.New(4)
 		for e := 0; e < 6; e++ {
-			g.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
+			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
+		g := b.Build()
 		blocks := singleTaskBlocks(4, 2)
 		pins := rng.Perm(4)
 		pinned, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, pins, Config{}, math.Inf(1))
@@ -87,10 +90,11 @@ func TestRepositionNeverWorseThanPinned(t *testing.T) {
 
 func TestParallelMergeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := graph.New(8)
+	gb := graph.New(8)
 	for e := 0; e < 20; e++ {
-		g.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
+		gb.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
 	}
+	g := gb.Build()
 	mk := func() []*Block {
 		a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 		b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{3, 2, 1, 0}, 0)
@@ -123,7 +127,7 @@ func TestParallelMergeDeterministic(t *testing.T) {
 func TestRepositionCubeTooLarge(t *testing.T) {
 	// 128 single-task children on a 2^7 cube exceed the bitmask width.
 	n := 128
-	g := graph.New(n)
+	g := graph.New(n).Build()
 	shape := []int{1, 1, 1, 1, 1, 1, 1}
 	blocks := make([]*Block, n)
 	pins := make([]int, n)

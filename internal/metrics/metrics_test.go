@@ -12,9 +12,10 @@ import (
 
 func TestHopBytes(t *testing.T) {
 	tp := topology.NewMesh(4)
-	g := graph.New(4)
-	g.AddTraffic(0, 3, 2) // distance 3
-	g.AddTraffic(1, 2, 5) // distance 1
+	b := graph.New(4)
+	b.AddTraffic(0, 3, 2) // distance 3
+	b.AddTraffic(1, 2, 5) // distance 1
+	g := b.Build()
 	hb := HopBytes(tp, g, topology.Identity(4))
 	if hb != 2*3+5*1 {
 		t.Fatalf("hop-bytes = %v, want 11", hb)
@@ -23,8 +24,9 @@ func TestHopBytes(t *testing.T) {
 
 func TestHopBytesColocated(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 100)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 100)
+	g := b.Build()
 	if hb := HopBytes(tp, g, topology.Mapping{0, 0}); hb != 0 {
 		t.Fatalf("co-located hop-bytes = %v", hb)
 	}
@@ -32,36 +34,39 @@ func TestHopBytesColocated(t *testing.T) {
 
 func TestDilation(t *testing.T) {
 	tp := topology.NewTorus(8)
-	g := graph.New(8)
-	g.AddTraffic(0, 4, 1) // distance 4 on the ring
-	g.AddTraffic(0, 1, 9)
+	b := graph.New(8)
+	b.AddTraffic(0, 4, 1) // distance 4 on the ring
+	b.AddTraffic(0, 1, 9)
+	g := b.Build()
 	if d := Dilation(tp, g, topology.Identity(8)); d != 4 {
 		t.Fatalf("dilation = %d, want 4", d)
 	}
-	if d := Dilation(tp, graph.New(8), topology.Identity(8)); d != 0 {
+	if d := Dilation(tp, graph.New(8).Build(), topology.Identity(8)); d != 0 {
 		t.Fatalf("empty dilation = %d", d)
 	}
 }
 
 func TestAvgDilation(t *testing.T) {
 	tp := topology.NewMesh(4)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1) // dist 1
-	g.AddTraffic(0, 3, 1) // dist 3
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1) // dist 1
+	b.AddTraffic(0, 3, 1) // dist 3
+	g := b.Build()
 	if ad := AvgDilation(tp, g, topology.Identity(4)); math.Abs(ad-2) > 1e-12 {
 		t.Fatalf("avg dilation = %v, want 2", ad)
 	}
-	if ad := AvgDilation(tp, graph.New(4), topology.Identity(4)); ad != 0 {
+	if ad := AvgDilation(tp, graph.New(4).Build(), topology.Identity(4)); ad != 0 {
 		t.Fatalf("empty avg dilation = %v", ad)
 	}
 }
 
 func TestMeasureConsistency(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(16)
+	b := graph.New(16)
 	for i := 0; i < 16; i++ {
-		g.AddTraffic(i, (i+3)%16, float64(1+i%4))
+		b.AddTraffic(i, (i+3)%16, float64(1+i%4))
 	}
+	g := b.Build()
 	m := topology.Identity(16)
 	rep := Measure(tp, g, m, routing.MinimalAdaptive{})
 	direct := routing.MaxChannelLoad(tp, g, m, routing.MinimalAdaptive{})
@@ -87,7 +92,7 @@ func TestMeasureConsistency(t *testing.T) {
 
 func TestMeasureEmptyGraph(t *testing.T) {
 	tp := topology.NewMesh(2, 2)
-	rep := Measure(tp, graph.New(4), topology.Identity(4), routing.MinimalAdaptive{})
+	rep := Measure(tp, graph.New(4).Build(), topology.Identity(4), routing.MinimalAdaptive{})
 	if rep.MCL != 0 || rep.HopBytes != 0 || rep.Imbalance != 0 {
 		t.Fatalf("empty report = %+v", rep)
 	}
@@ -97,11 +102,12 @@ func TestMeasureEmptyGraph(t *testing.T) {
 // while MCL prefers the diagonal one — the paper's core motivating claim.
 func TestHopBytesAndMCLDisagreeOnFigure1(t *testing.T) {
 	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 10)
-	g.AddTraffic(1, 2, 1)
-	g.AddTraffic(2, 3, 1)
-	g.AddTraffic(3, 0, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 10)
+	b.AddTraffic(1, 2, 1)
+	b.AddTraffic(2, 3, 1)
+	b.AddTraffic(3, 0, 1)
+	g := b.Build()
 	adjacent := topology.Mapping{0, 1, 3, 2} // heavy pair adjacent
 	diagonal := topology.Mapping{0, 3, 1, 2} // heavy pair diagonal
 

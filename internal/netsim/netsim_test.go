@@ -11,8 +11,9 @@ import (
 
 func TestCommTimeLinkBound(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 2e9) // 2 GB over a 2 GB/s link = 1 s
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 2e9) // 2 GB over a 2 GB/s link = 1 s
+	g := b.Build()
 	rep, err := CommTime(tp, g, topology.Identity(2), Model{})
 	if err != nil {
 		t.Fatal(err)
@@ -32,10 +33,11 @@ func TestCommTimeInjectionBound(t *testing.T) {
 	// One node fans out to many: with a high link bandwidth the injection
 	// term dominates.
 	tp := topology.NewTorus(4)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1e9)
-	g.AddTraffic(0, 2, 1e9)
-	g.AddTraffic(0, 3, 1e9)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1e9)
+	b.AddTraffic(0, 2, 1e9)
+	b.AddTraffic(0, 3, 1e9)
+	g := b.Build()
 	rep, err := CommTime(tp, g, topology.Identity(4), Model{
 		LinkBandwidth:      1e12,
 		InjectionBandwidth: 1e9,
@@ -53,8 +55,9 @@ func TestCommTimeInjectionBound(t *testing.T) {
 
 func TestCommTimeColocatedFree(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1e12)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1e12)
+	g := b.Build()
 	rep, err := CommTime(tp, g, topology.Mapping{0, 0, 0, 1}, Model{})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +69,7 @@ func TestCommTimeColocatedFree(t *testing.T) {
 
 func TestCommTimeMappingMismatch(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(3)
+	g := graph.New(3).Build()
 	if _, err := CommTime(tp, g, topology.Mapping{0, 1}, Model{}); err == nil {
 		t.Fatal("expected error")
 	}

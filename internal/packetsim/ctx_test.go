@@ -14,14 +14,15 @@ import (
 // spans many hundreds of cycles, so the every-512-cycles poll fires.
 func heavyTraffic() (*topology.Torus, *graph.Comm, topology.Mapping) {
 	t := topology.NewTorus(4, 4)
-	g := graph.New(t.N())
+	b := graph.New(t.N())
 	for i := 0; i < t.N(); i++ {
 		for j := 0; j < t.N(); j++ {
 			if i != j {
-				g.AddTraffic(i, j, 200)
+				b.AddTraffic(i, j, 200)
 			}
 		}
 	}
+	g := b.Build()
 	return t, g, topology.Identity(t.N())
 }
 

@@ -12,8 +12,9 @@ import (
 
 func TestSingleFlowSerialization(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 10)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 10)
+	g := b.Build()
 	res, err := SimulateCtx(context.Background(), tp, g, topology.Identity(2), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +33,9 @@ func TestSingleFlowSerialization(t *testing.T) {
 
 func TestPacketization(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 1024)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 1024)
+	g := b.Build()
 	res, err := SimulateCtx(context.Background(), tp, g, topology.Identity(2), Config{PacketBytes: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +47,9 @@ func TestPacketization(t *testing.T) {
 
 func TestColocatedTrafficFree(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 1e6)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 1e6)
+	g := b.Build()
 	res, err := SimulateCtx(context.Background(), tp, g, topology.Mapping{0, 0, 1, 1}, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -58,10 +61,11 @@ func TestColocatedTrafficFree(t *testing.T) {
 
 func TestHopsAreMinimal(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(16)
-	g.AddTraffic(0, 15, 7)
-	g.AddTraffic(3, 9, 5)
-	g.AddTraffic(5, 6, 2)
+	b := graph.New(16)
+	b.AddTraffic(0, 15, 7)
+	b.AddTraffic(3, 9, 5)
+	b.AddTraffic(5, 6, 2)
+	g := b.Build()
 	m := topology.Identity(16)
 	res, err := SimulateCtx(context.Background(), tp, g, m, Config{})
 	if err != nil {
@@ -79,8 +83,9 @@ func TestAdaptiveBeatsConcentration(t *testing.T) {
 	// adjacent nodes (single bottleneck link).
 	tp := topology.NewMesh(2, 2)
 	heavy := 400.0
-	g := graph.New(4)
-	g.AddTraffic(0, 1, heavy)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, heavy)
+	g := b.Build()
 	adjacent := topology.Mapping{0, 1, 2, 3} // distance 1
 	diagonal := topology.Mapping{0, 3, 1, 2} // distance 2, two paths
 	ra, err := SimulateCtx(context.Background(), tp, g, adjacent, Config{Seed: 1})
@@ -108,14 +113,15 @@ func TestSimulationValidatesMCLPrediction(t *testing.T) {
 	// (every flow distance 1), while an interleaved mapping stretches
 	// every flow across the machine.
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(16)
+	b := graph.New(16)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			id := i*4 + j
-			g.AddTraffic(id, i*4+(j+1)%4, 40)
-			g.AddTraffic(id, ((i+1)%4)*4+j, 40)
+			b.AddTraffic(id, i*4+(j+1)%4, 40)
+			b.AddTraffic(id, ((i+1)%4)*4+j, 40)
 		}
 	}
+	g := b.Build()
 	good := topology.Identity(16)
 	bad := make(topology.Mapping, 16)
 	for i := range bad {
@@ -145,10 +151,11 @@ func TestSimulationValidatesMCLPrediction(t *testing.T) {
 
 func TestDeterminismBySeed(t *testing.T) {
 	tp := topology.NewTorus(4, 4)
-	g := graph.New(16)
+	gb := graph.New(16)
 	for i := 0; i < 16; i++ {
-		g.AddTraffic(i, (i+5)%16, 20)
+		gb.AddTraffic(i, (i+5)%16, 20)
 	}
+	g := gb.Build()
 	m := topology.Identity(16)
 	a, err := SimulateCtx(context.Background(), tp, g, m, Config{Seed: 9})
 	if err != nil {
@@ -165,8 +172,9 @@ func TestDeterminismBySeed(t *testing.T) {
 
 func TestMaxCyclesAborts(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(2)
-	g.AddTraffic(0, 1, 1000)
+	b := graph.New(2)
+	b.AddTraffic(0, 1, 1000)
+	g := b.Build()
 	if _, err := SimulateCtx(context.Background(), tp, g, topology.Identity(2), Config{MaxCycles: 3}); err == nil {
 		t.Fatal("expected abort")
 	}
@@ -174,7 +182,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 
 func TestMappingMismatch(t *testing.T) {
 	tp := topology.NewMesh(2)
-	g := graph.New(3)
+	g := graph.New(3).Build()
 	if _, err := SimulateCtx(context.Background(), tp, g, topology.Mapping{0, 1}, Config{}); err == nil {
 		t.Fatal("expected error")
 	}
@@ -182,8 +190,9 @@ func TestMappingMismatch(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	tp := topology.NewMesh(3)
-	g := graph.New(3)
-	g.AddTraffic(0, 2, 1)
+	b := graph.New(3)
+	b.AddTraffic(0, 2, 1)
+	g := b.Build()
 	res, err := SimulateCtx(context.Background(), tp, g, topology.Identity(3), Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -193,10 +193,11 @@ func TestDimOrderTorusWrap(t *testing.T) {
 
 func TestChannelLoadsAggregatesAndSkipsColocated(t *testing.T) {
 	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 5)
-	g.AddTraffic(1, 0, 5)
-	g.AddTraffic(2, 3, 7) // will be colocated
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 5)
+	b.AddTraffic(1, 0, 5)
+	b.AddTraffic(2, 3, 7) // will be colocated
+	g := b.Build()
 	m := topology.Mapping{0, 1, 2, 2}
 	loads := ChannelLoads(tp, g, m, MinimalAdaptive{})
 	if math.Abs(TotalLoad(loads)-10) > 1e-12 {
@@ -225,9 +226,10 @@ func TestMaxChannelLoadFigure1Intuition(t *testing.T) {
 	// The paper's Figure 1: on a 2x2 mesh with minimal adaptive routing,
 	// placing the heavy pair on a diagonal halves its per-link load.
 	tp := topology.NewMesh(2, 2)
-	g := graph.New(4)
-	g.AddTraffic(0, 1, 10) // heavy pair
-	g.AddTraffic(2, 3, 1)
+	b := graph.New(4)
+	b.AddTraffic(0, 1, 10) // heavy pair
+	b.AddTraffic(2, 3, 1)
+	g := b.Build()
 	adjacent := topology.Mapping{0, 1, 2, 3} // heavy pair adjacent
 	diagonal := topology.Mapping{0, 3, 1, 2} // heavy pair on diagonal
 	mclAdj := MaxChannelLoad(tp, g, adjacent, MinimalAdaptive{})

@@ -24,7 +24,7 @@ func randomGraph(n int, seed int64) *graph.Comm {
 			}
 		}
 	}
-	return g
+	return g.Build()
 }
 
 // directDP is the reference evaluator the stencil cache is checked

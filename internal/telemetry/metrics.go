@@ -26,9 +26,8 @@ import (
 // Default registry; the report table and the bench JSON reader look them up
 // by the same constants.
 const (
-	// graph: communication-graph construction and CSR compilation.
-	CtrGraphBuild  = "graph.build"  // Comm instances created (builders and derived results)
-	CtrGraphFreeze = "graph.freeze" // CSR compilations (Freeze calls and frozen derived results)
+	// graph: communication-graph construction.
+	CtrGraphBuild = "graph.build" // Comm instances created (built, read or derived)
 
 	// routing: displacement-stencil cache of the minimal-adaptive evaluator.
 	CtrStencilHits      = "routing.stencil.hits"

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,7 +77,7 @@ func Parse(r io.Reader) (*Profile, error) {
 				return nil, fmt.Errorf("trace: line %d: want 'procs <n>'", line)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 1 {
+			if err != nil || n < 1 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("trace: line %d: bad process count %q", line, fields[1])
 			}
 			if p.Procs != -1 {
@@ -100,6 +101,9 @@ func Parse(r io.Reader) (*Profile, error) {
 					return nil, fmt.Errorf("trace: line %d: bad count %q", line, fields[4])
 				}
 			}
+			if !finite(bytes * float64(count)) {
+				return nil, fmt.Errorf("trace: line %d: non-finite volume in %q", line, txt)
+			}
 			p.P2Ps = append(p.P2Ps, P2P{Src: src, Dst: dst, Bytes: bytes, Count: count})
 		case "coll":
 			if len(fields) < 4 {
@@ -108,6 +112,9 @@ func Parse(r io.Reader) (*Profile, error) {
 			bytes, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil || bytes < 0 {
 				return nil, fmt.Errorf("trace: line %d: bad bytes %q", line, fields[2])
+			}
+			if !finite(bytes) {
+				return nil, fmt.Errorf("trace: line %d: non-finite volume in %q", line, txt)
 			}
 			c := Coll{Op: collective.Op(fields[1]), Bytes: bytes}
 			if !(len(fields) == 4 && fields[3] == "all") {
@@ -138,8 +145,12 @@ func Parse(r io.Reader) (*Profile, error) {
 	return p, nil
 }
 
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Graph expands the profile into a communication graph: p2p volumes are
-// bytes*count; collectives expand according to their implementation.
+// bytes*count; collectives expand according to their implementation. A
+// profile whose expanded or summed volumes are not finite is an error.
 func (p *Profile) Graph() (*graph.Comm, error) {
 	g := graph.New(p.Procs)
 	ctrP2P.Add(int64(len(p.P2Ps)))
@@ -156,7 +167,17 @@ func (p *Profile) Graph() (*graph.Comm, error) {
 			return nil, err
 		}
 	}
-	return g, nil
+	out := g.Build()
+	var err error
+	out.EachFlow(func(s, d int, vol float64) {
+		if err == nil && !finite(vol) {
+			err = fmt.Errorf("trace: traffic %d->%d is %v", s, d, vol)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Write serializes the profile in the Parse format.

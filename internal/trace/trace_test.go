@@ -73,6 +73,7 @@ func TestParseErrors(t *testing.T) {
 		"",
 		"p2p 0 1 10\n",
 		"procs x\n",
+		"procs 4294967296\n",
 		"procs 4\nprocs 4\n",
 		"procs 4\np2p 0 1\n",
 		"procs 4\np2p a b c\n",
@@ -117,9 +118,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestFromGraph(t *testing.T) {
-	g := graph.New(4)
-	g.AddTraffic(0, 3, 7.5)
-	g.AddTraffic(2, 1, 3)
+	b := graph.New(4)
+	b.AddTraffic(0, 3, 7.5)
+	b.AddTraffic(2, 1, 3)
+	g := b.Build()
 	p := FromGraph(g)
 	if p.Procs != 4 || len(p.P2Ps) != 2 {
 		t.Fatalf("profile = %+v", p)
@@ -152,4 +154,59 @@ func TestSubsetCollectiveStaysLocal(t *testing.T) {
 		t.Fatal("communicator member silent")
 	}
 	_ = collective.OpAllReduceRing
+}
+
+// TestNonFiniteVolumesRejected: volumes that are NaN or infinite, as
+// written or as bytes x count, fail Parse with the line named, and volumes
+// that overflow only once expanded or summed fail Graph.
+func TestNonFiniteVolumesRejected(t *testing.T) {
+	for _, c := range []struct{ in, line string }{
+		{"procs 4\np2p 0 1 nan\n", "line 2"},
+		{"procs 4\np2p 0 1 inf\n", "line 2"},
+		{"procs 4\n# big\np2p 0 1 1e308 10\n", "line 3"},
+		{"procs 4\ncoll allreduce-ring NaN all\n", "line 2"},
+		{"procs 4\ncoll allreduce-ring +Inf 0 1\n", "line 2"},
+	} {
+		_, err := Parse(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.line) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Parse(%q): error %v, want a non-finite volume on %s", c.in, err, c.line)
+		}
+	}
+	for _, in := range []string{
+		"procs 4\np2p 0 1 1e308\np2p 0 1 1e308\n",
+		"procs 4\ncoll allgather-recursive-doubling 1e308 all\n",
+	} {
+		p, err := Parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		if _, err := p.Graph(); err == nil {
+			t.Errorf("Graph of %q succeeded, want an overflow error", in)
+		}
+	}
+}
+
+// FuzzTraceParse checks Parse on arbitrary bytes: it never panics, and
+// every graph a parsed profile expands to holds only finite, positive
+// volumes. A profile that could expand to more than a few million edges is
+// skipped: its size lies in the process count, not in the bytes.
+func FuzzTraceParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		p, err := Parse(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if p.Procs > 1<<12 || (len(p.Colls)+1)*p.Procs*p.Procs > 1<<22 {
+			t.Skip("profile expands to too much traffic")
+		}
+		g, err := p.Graph()
+		if err != nil {
+			return
+		}
+		g.EachFlow(func(s, d int, vol float64) {
+			if !(vol > 0) || math.IsInf(vol, 0) {
+				t.Fatalf("Graph of %q: volume %v on %d->%d", in, vol, s, d)
+			}
+		})
+	})
 }

@@ -11,14 +11,15 @@ import (
 // named collective (over all ranks) added — the §VI extension: collectives
 // become mappable point-to-point patterns once the implementation is known.
 func (w *Workload) WithCollective(op collective.Op, msg float64) (*Workload, error) {
-	g := builderCopy(w.Graph)
+	g := graph.New(w.Procs())
+	w.Graph.EachFlow(g.AddTraffic)
 	if err := collective.Add(g, op, collective.World(g.N()), msg); err != nil {
 		return nil, err
 	}
 	return &Workload{
 		Name:         fmt.Sprintf("%s+%s", w.Name, op),
 		Grid:         append([]int(nil), w.Grid...),
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: w.CommFraction,
 	}, nil
 }
@@ -29,7 +30,8 @@ func (w *Workload) WithRowCollectives(op collective.Op, msg float64) (*Workload,
 	if len(w.Grid) != 2 {
 		return nil, fmt.Errorf("workload: row collectives need a 2-D grid, have %v", w.Grid)
 	}
-	g := builderCopy(w.Graph)
+	g := graph.New(w.Procs())
+	w.Graph.EachFlow(g.AddTraffic)
 	rows, cols := w.Grid[0], w.Grid[1]
 	for i := 0; i < rows; i++ {
 		comm := make(collective.Communicator, cols)
@@ -43,17 +45,9 @@ func (w *Workload) WithRowCollectives(op collective.Op, msg float64) (*Workload,
 	return &Workload{
 		Name:         fmt.Sprintf("%s+row-%s", w.Name, op),
 		Grid:         append([]int(nil), w.Grid...),
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: w.CommFraction,
 	}, nil
-}
-
-// builderCopy returns a copy of g in builder form, so traffic can be added
-// to it whether g is a builder or frozen (as graph.Read returns it).
-func builderCopy(g *graph.Comm) *graph.Comm {
-	out := graph.New(g.N())
-	g.EachFlow(out.AddTraffic)
-	return out
 }
 
 // AllReduceJob is a data-parallel training-style workload: computation
@@ -66,7 +60,7 @@ func AllReduceJob(procs int, msg float64, op collective.Op) (*Workload, error) {
 	}
 	return &Workload{
 		Name:         fmt.Sprintf("allreduce-%d-%s", procs, op),
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.50,
 	}, nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCollectivesOnFrozenGraph adds collectives to a workload whose graph
-// graph.Read returned frozen: the result must equal the one built from the
-// builder form, and the source must stay untouched.
+// graph.Read returned: the result must equal the one built on the
+// generator's graph, and the source must stay untouched.
 func TestCollectivesOnFrozenGraph(t *testing.T) {
 	built := Halo2D(4, 4, 10)
 	var buf bytes.Buffer
@@ -36,7 +36,7 @@ func TestCollectivesOnFrozenGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Graph.StructuralHash() != want.Graph.StructuralHash() || !got.Graph.Equal(want.Graph, 0) {
-			t.Fatalf("%s: graph differs from the builder-form result", got.Name)
+			t.Fatalf("%s: graph differs from the generated workload's result", got.Name)
 		}
 	}
 	if g.StructuralHash() != before {

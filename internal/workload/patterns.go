@@ -22,7 +22,7 @@ func Transpose(n int, vol float64) *Workload {
 	return &Workload{
 		Name:         fmt.Sprintf("transpose-%dx%d", n, n),
 		Grid:         []int{n, n},
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.55,
 	}
 }
@@ -46,7 +46,7 @@ func Sweep(r, c int, vol float64) *Workload {
 	return &Workload{
 		Name:         fmt.Sprintf("sweep-%dx%d", r, c),
 		Grid:         []int{r, c},
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.30,
 	}
 }
@@ -73,7 +73,7 @@ func Spectral(rows, cols int, vol float64) (*Workload, error) {
 	return &Workload{
 		Name:         fmt.Sprintf("spectral-%dx%d", rows, cols),
 		Grid:         []int{rows, cols},
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.60,
 	}, nil
 }
@@ -93,7 +93,7 @@ func ManyToOne(procs, blockSize int, vol float64) (*Workload, error) {
 	}
 	return &Workload{
 		Name:         fmt.Sprintf("manytoone-%d-b%d", procs, blockSize),
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.45,
 	}, nil
 }

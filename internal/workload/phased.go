@@ -39,7 +39,7 @@ func NewPhased(name string, ws ...*Workload) (*Phased, error) {
 		if w.Procs() != procs {
 			return nil, fmt.Errorf("workload: phase %s has %d processes, want %d", w.Name, w.Procs(), procs)
 		}
-		p.Phases = append(p.Phases, Phase{Name: w.Name, Graph: w.Graph.Clone()})
+		p.Phases = append(p.Phases, Phase{Name: w.Name, Graph: w.Graph})
 		if p.Grid == nil && w.Grid != nil {
 			p.Grid = append([]int(nil), w.Grid...)
 		}
@@ -56,11 +56,9 @@ func (p *Phased) Procs() int { return p.Phases[0].Graph.N() }
 func (p *Phased) Union() *graph.Comm {
 	g := graph.New(p.Procs())
 	for _, ph := range p.Phases {
-		for _, f := range ph.Graph.Flows() {
-			g.AddTraffic(f.Src, f.Dst, f.Vol)
-		}
+		ph.Graph.EachFlow(g.AddTraffic)
 	}
-	return g
+	return g.Build()
 }
 
 // Workload converts the phased job to a plain workload over the union

@@ -81,7 +81,7 @@ func BT(procs int) (*Workload, error) {
 			g.AddTraffic(id(i, j), id((i+1)%s, (j+1)%s), diag)
 		}
 	}
-	return &Workload{Name: "BT", Grid: []int{s, s}, Graph: g, CommFraction: 0.35}, nil
+	return &Workload{Name: "BT", Grid: []int{s, s}, Graph: g.Build(), CommFraction: 0.35}, nil
 }
 
 // SP builds the Scalar Penta-diagonal solver pattern: the same
@@ -103,7 +103,7 @@ func SP(procs int) (*Workload, error) {
 			g.AddTraffic(id(i, j), id((i-1+s)%s, j), face)
 		}
 	}
-	return &Workload{Name: "SP", Grid: []int{s, s}, Graph: g, CommFraction: 0.35}, nil
+	return &Workload{Name: "SP", Grid: []int{s, s}, Graph: g.Build(), CommFraction: 0.35}, nil
 }
 
 // CG builds the Conjugate Gradient pattern on procs ranks (a power of four
@@ -131,7 +131,7 @@ func CG(procs int) (*Workload, error) {
 			}
 		}
 	}
-	return &Workload{Name: "CG", Grid: []int{s, s}, Graph: g, CommFraction: 0.70}, nil
+	return &Workload{Name: "CG", Grid: []int{s, s}, Graph: g.Build(), CommFraction: 0.70}, nil
 }
 
 // ByName builds one of the paper's three benchmarks by name.
@@ -175,7 +175,7 @@ func Halo2D(rows, cols int, vol float64) *Workload {
 	return &Workload{
 		Name:         fmt.Sprintf("halo2d-%dx%d", rows, cols),
 		Grid:         []int{rows, cols},
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.30,
 	}
 }
@@ -199,7 +199,7 @@ func Halo3D(nx, ny, nz int, vol float64) *Workload {
 	return &Workload{
 		Name:         fmt.Sprintf("halo3d-%dx%dx%d", nx, ny, nz),
 		Grid:         []int{nx, ny, nz},
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.30,
 	}
 }
@@ -220,7 +220,7 @@ func RandomNeighbors(procs, deg int, vol float64, seed int64) *Workload {
 	}
 	return &Workload{
 		Name:         fmt.Sprintf("random-%d-deg%d", procs, deg),
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.40,
 	}
 }
@@ -233,7 +233,7 @@ func Ring(procs int, vol float64) *Workload {
 	}
 	return &Workload{
 		Name:         fmt.Sprintf("ring-%d", procs),
-		Graph:        g,
+		Graph:        g.Build(),
 		CommFraction: 0.25,
 	}
 }

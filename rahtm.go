@@ -59,8 +59,11 @@ type (
 	// Mapping assigns tasks (process ranks or node-level clusters) to
 	// topology nodes.
 	Mapping = topology.Mapping
-	// Comm is a weighted directed communication graph.
+	// Comm is a weighted directed communication graph. It is immutable
+	// once built, so solves may share one.
 	Comm = graph.Comm
+	// GraphBuilder collects traffic and builds a Comm (see NewGraph).
+	GraphBuilder = graph.Builder
 	// Flow is one directed communication demand of a Comm.
 	Flow = graph.Flow
 	// Workload is a benchmark communication pattern with its metadata.
@@ -98,7 +101,8 @@ var (
 	NewTorus = topology.NewTorus
 	// NewMesh builds an unwrapped mesh.
 	NewMesh = topology.NewMesh
-	// NewGraph builds an empty communication graph over n vertices.
+	// NewGraph returns a GraphBuilder over n vertices: add traffic with
+	// AddTraffic, then call Build for the Comm.
 	NewGraph = graph.New
 	// Identity returns the mapping task i -> node i.
 	Identity = topology.Identity
@@ -136,9 +140,9 @@ func PhasedCommTime(t *Torus, phases []*Comm, m Mapping, model Model) (float64, 
 }
 
 // ReadGraph parses the plain-text communication graph format
-// ("comm <n>" header, then "src dst vol" lines). The graph comes back in
-// the frozen, immutable form; to add traffic, copy its flows into a
-// NewGraph builder.
+// ("comm <n>" header, then "src dst vol" lines). To add traffic to the
+// graph it returns, copy its flows into a NewGraph builder
+// (g.EachFlow(b.AddTraffic)).
 var ReadGraph = graph.Read
 
 // Mapper runs the full RAHTM pipeline as a ProcMapper. The zero value uses

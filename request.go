@@ -482,12 +482,6 @@ func Solve(ctx context.Context, req Request) (res *Result, err error) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	// The graph is fully built by now: compile it to the frozen CSR form so
-	// every traversal below — clustering, leaf solves, merge cross-edge
-	// precomputation, metrics — is an allocation-free scan. Derived graphs
-	// (coarsened, induced, node-aggregated) inherit frozen-ness.
-	w.Graph.Freeze()
-
 	start := time.Now()
 	mp, pres, err := mapProcs(ctx, mapper, w, t, conc)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rahtm/internal/telemetry"
@@ -126,8 +128,8 @@ func TestRequestKey(t *testing.T) {
 	if k, err := inline.Key(); err != nil || k != pinnedKey {
 		t.Fatalf("inline graph key %q (%v), pinned %q", k, err, pinnedKey)
 	}
-	// The same traffic handed over as a builder graph keys the same.
-	g := NewGraph(16)
+	// The same traffic added to a builder keys the same.
+	b := NewGraph(16)
 	for _, f := range [...]struct {
 		s, d int
 		v    float64
@@ -138,14 +140,11 @@ func TestRequestKey(t *testing.T) {
 		{11, 12, 4}, {12, 13, 4}, {13, 14, 4}, {14, 15, 4}, {15, 0, 4},
 		{9, 10, 0.3}, {1, 2, 3},
 	} {
-		g.AddTraffic(f.s, f.d, f.v)
+		b.AddTraffic(f.s, f.d, f.v)
 	}
-	work := Request{Work: &Workload{Name: "inline", Graph: g}, Topo: []int{4, 4}}
+	work := Request{Work: &Workload{Name: "inline", Graph: b.Build()}, Topo: []int{4, 4}}
 	if k, err := work.Key(); err != nil || k != pinnedKey {
-		t.Fatalf("builder graph key %q (%v), pinned %q", k, err, pinnedKey)
-	}
-	if g.Frozen() {
-		t.Fatal("Key froze the caller's builder graph")
+		t.Fatalf("built graph key %q (%v), pinned %q", k, err, pinnedKey)
 	}
 }
 
@@ -428,5 +427,45 @@ func BenchmarkRequestKey(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchKey = key
+	}
+}
+
+// TestConcurrentSolvesShareWorkload solves one generated workload from
+// four goroutines at once, two through Solve and two through CompareCtx:
+// the pipeline only reads the caller's graph, so under -race nothing may
+// conflict, and every solve reports the same MCL.
+func TestConcurrentSolvesShareWorkload(t *testing.T) {
+	w := Halo2D(8, 8, 10)
+	tp := NewTorus(4, 4)
+	var (
+		wg   sync.WaitGroup
+		mcl  [4]float64
+		errs [4]error
+	)
+	for i := range mcl {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i < 2 {
+				res, err := Solve(context.Background(), Request{Work: w, Torus: tp, Conc: 4})
+				if errs[i] = err; err == nil {
+					mcl[i] = res.MCL
+				}
+				return
+			}
+			cmp, err := CompareCtx(context.Background(), w, tp, 4, []ProcMapper{DefaultMapper(tp), Mapper{}}, Model{})
+			if errs[i] = err; err == nil {
+				mcl[i] = cmp.Rows[1].MCL
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range mcl {
+		if errs[i] != nil {
+			t.Fatalf("solve %d: %v", i, errs[i])
+		}
+		if math.Float64bits(mcl[i]) != math.Float64bits(mcl[0]) {
+			t.Errorf("solve %d: MCL %v, solve 0 %v", i, mcl[i], mcl[0])
+		}
 	}
 }
