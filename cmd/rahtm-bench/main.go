@@ -291,7 +291,8 @@ type pipelineJSON struct {
 	BeamCandidates int64 `json:"beam_candidates"`
 	BeamPruned     int64 `json:"beam_pruned"`
 	SymmetryEvals  int64 `json:"symmetry_evals"`
-	BoundSkips     int64 `json:"bound_skips"` // merge combos the running bound rejected
+	BoundSkips     int64 `json:"bound_skips"`  // merge combos the running bound rejected
+	ScreenSkips    int64 `json:"screen_skips"` // the bound skips the channel-subset prescreen made
 }
 
 // addMetrics fills the counter-delta columns from a per-run snapshot
@@ -306,6 +307,7 @@ func (p *pipelineJSON) addMetrics(d rahtm.MetricsSnapshot) {
 	p.BeamPruned = d.Counter("merge.beam.candidates") - d.Counter("merge.beam.kept")
 	p.SymmetryEvals = d.Counter("merge.symmetry.evals")
 	p.BoundSkips = d.Counter("merge.beam.bound_skips")
+	p.ScreenSkips = d.Counter("merge.beam.screen_skips")
 }
 
 func pipelineRow(w *rahtm.Workload, res *rahtm.PipelineResult, err error) pipelineJSON {
@@ -424,7 +426,7 @@ var scaleLadder = []struct {
 // rung individually.
 func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJSON {
 	fmt.Println("pipeline scaling trajectory (halo-2d)")
-	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "bound-skips", "peak-rss")
+	fmt.Printf("%-7s %-12s %6s %12s %12s %10s %12s %12s %10s\n", "procs", "topology", "conc", "merge", "wall", "mcl", "bound-skips", "screen-skips", "peak-rss")
 	var out []scaleJSON
 	for _, lvl := range scaleLadder {
 		if lvl.procs > maxProcs {
@@ -453,10 +455,10 @@ func scaleTrajectory(ctx context.Context, m rahtm.Mapper, maxProcs int) []scaleJ
 			fmt.Printf("%-7d %-12s %6d  error: %v\n", lvl.procs, lvl.topo, lvl.conc, err)
 			continue
 		}
-		fmt.Printf("%-7d %-12s %6d %12v %12v %10.3f %12d %8.0fMB\n",
+		fmt.Printf("%-7d %-12s %6d %12v %12v %10.3f %12d %12d %8.0fMB\n",
 			lvl.procs, lvl.topo, lvl.conc,
 			res.Stats.MergeTime.Round(time.Millisecond), wall.Round(time.Millisecond),
-			res.MCL, row.BoundSkips, row.PeakRSSMB)
+			res.MCL, row.BoundSkips, row.ScreenSkips, row.PeakRSSMB)
 	}
 	return out
 }

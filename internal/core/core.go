@@ -124,7 +124,8 @@ func (s PhaseStats) MergeParallelism() float64 {
 
 // Result is the pipeline output.
 type Result struct {
-	// ProcToNode maps each process rank to a topology node.
+	// ProcToNode maps each process rank to a topology node: the node
+	// NodeMapping gives the process's node-level task.
 	ProcToNode topology.Mapping
 	// NodeMapping maps node-level tasks (post-concentration clusters) to
 	// topology nodes; it is a permutation of the nodes.
@@ -137,12 +138,29 @@ type Result struct {
 	// Stats describes the work done.
 	Stats PhaseStats
 
-	procToTask []int // process rank -> node-level task id
+	// nodeTask inverts NodeMapping (node -> node-level task), so a result
+	// keeps one int per node instead of one per process.
+	nodeTask []int
 }
 
 // ProcTask returns the node-level task (post-concentration cluster) of a
-// process rank.
-func (r *Result) ProcTask(p int) int { return r.procToTask[p] }
+// process rank. It reads ProcToNode: the task is the one NodeMapping
+// places on the process's node, so ProcToNode must be left as returned.
+func (r *Result) ProcTask(p int) int { return r.nodeTask[r.ProcToNode[p]] }
+
+// place fills ProcToNode from the final NodeMapping and procToTask
+// (process rank -> node-level task), and keeps NodeMapping's inverse for
+// ProcTask instead of procToTask.
+func (r *Result) place(procToTask []int) {
+	r.ProcToNode = make(topology.Mapping, len(procToTask))
+	for p, task := range procToTask {
+		r.ProcToNode[p] = r.NodeMapping[task]
+	}
+	r.nodeTask = make([]int, len(r.NodeMapping))
+	for task, node := range r.NodeMapping {
+		r.nodeTask[node] = task
+	}
+}
 
 // MapProcessesCtx runs RAHTM end to end under a context. Hard cancellation
 // (ctx canceled outright) aborts promptly with ctx.Err(); an expired
@@ -175,6 +193,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	// ---- Phase 1: clustering -------------------------------------------
 	start := time.Now()
 	var nodeGraph *graph.Comm
+	var procToTask []int
 	gridDims := cfg.GridDims
 	if conc > 1 {
 		c1, err := cluster.Auto(proc, gridDims, conc)
@@ -185,10 +204,10 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		gridDims = c1.GridDims
 		res.Stats.TileShapes = append(res.Stats.TileShapes, c1.TileShape)
 		res.Stats.ClusterQuality = cluster.Quality(proc, c1)
-		res.procToTask = c1.Assign
+		procToTask = c1.Assign
 	} else {
 		nodeGraph = proc
-		res.procToTask = identity(proc.N())
+		procToTask = identity(proc.N())
 		res.Stats.ClusterQuality = 0
 	}
 
@@ -463,10 +482,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		res.Stats.DefaultFallback = true
 	}
 
-	res.ProcToNode = make(topology.Mapping, proc.N())
-	for p := 0; p < proc.N(); p++ {
-		res.ProcToNode[p] = res.NodeMapping[res.procToTask[p]]
-	}
+	res.place(procToTask)
 	return res, nil
 }
 

@@ -107,14 +107,10 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 	out := &Result{
 		NodeMapping: nodeMapping,
 		NodeGraph:   nodeGraph,
-		procToTask:  procToTask,
 	}
 	out.Stats.ClusterQuality = quality
 	out.Stats.Degraded = degraded
-	out.ProcToNode = make(topology.Mapping, proc.N())
-	for p := 0; p < proc.N(); p++ {
-		out.ProcToNode[p] = nodeMapping[procToTask[p]]
-	}
+	out.place(procToTask)
 	out.MCL = routing.MaxChannelLoad(t, nodeGraph, nodeMapping, routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx)))
 	return out, nil
 }

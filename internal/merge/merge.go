@@ -56,9 +56,24 @@
 //   - Every beam member is in its own worker's top N, so merging the heaps
 //     yields exactly the beam a full sort would.
 //
-// Bounds are per worker, never shared, so the pruning counter
-// (merge.beam.bound_skips) repeats exactly for a given Parallelism and the
-// mappings are identical at every Parallelism. mergeOrder applies the same
+// Most rejected combos peak on a few channels. On channel spaces of at
+// least minScreenChans, once a worker has rejected screenAfter combos in
+// full in one unit of work, it prescreens each later combo with a finite
+// bound at the pinned cube: routing.Table.Screen learns S, the channels
+// the full rejections peaked on (DeltaVec.PeakChan), and screenRejects
+// replays only the combo's deposits on S, in the full replay's order,
+// rejecting it once that S-peak is above the bound. A channel's running
+// total depends only on the deposits to that channel, in their order, so
+// the S-values are the full replay's and the S-peak is a floor under the
+// full peak: the prescreen rejects only combos the full scorer rejects.
+// Survivors are scored in full, so each heap sees the same combos in the
+// same order: beams, mappings and the other beam counters do not change,
+// and only the stencil hits of the combos never routed in full go.
+//
+// Bounds and screen sets are per worker, never shared, so the pruning
+// counters (merge.beam.bound_skips, and merge.beam.screen_skips among
+// them) repeat exactly for a given Parallelism and the mappings are
+// identical at every Parallelism. mergeOrder applies the same
 // cut-off to its orientation-pair evaluations: an evaluation stops once its
 // peak reaches the best MCL already found for that child pair.
 // TestMergeDeltaByteIdentical checks the production merge byte-for-byte
@@ -89,6 +104,20 @@ var (
 	ctrBeamKept       = telemetry.Default.Counter(telemetry.CtrBeamKept)
 	ctrSymmetryEvals  = telemetry.Default.Counter(telemetry.CtrSymmetryEvals)
 	ctrBoundSkips     = telemetry.Default.Counter(telemetry.CtrBeamBoundSkips)
+	ctrScreenSkips    = telemetry.Default.Counter(telemetry.CtrBeamScreenSkips)
+)
+
+const (
+	// screenAfter is how many combos a pass-1 worker rejects in full in
+	// one unit of work before it prescreens the rest on the channels those
+	// rejections peaked on (routing.Table.Screen caps the set).
+	screenAfter = 64
+	// minScreenChans is the smallest channel space pass 1 prescreens. On
+	// smaller ones a route is a few deposits long, so a screen replay,
+	// which looks every flow's route up as the full replay does, saves
+	// little, and the combos that pass it pay twice: 4x4 cold solves (64
+	// channels) took about 8% longer with the prescreen.
+	minScreenChans = 1024
 )
 
 // Orientation is a signed dimension permutation of a box: output coordinate
@@ -1000,6 +1029,33 @@ func (m *merger) addCrossEdgesDelta(tab *routing.Table, edges []crossEdge, st *s
 	}
 }
 
+// screenRejects reports whether the combo that places the incoming child
+// at cp against st has a peak above bound on the table's screen set S. It
+// replays only the combo's deposits on S, in the full replay's order: ss,
+// the child's internal-load snapshot restricted to S, then every cross
+// flow's screen list (routing.Table.AddScreenDelta). A channel's total
+// depends only on the deposits to it, in their order, so dv's values on S
+// are those of the full replay, bit for bit, and its peak is a floor under
+// the full peak: every combo it rejects, the full scorer rejects too. A
+// walked pair ends the screen with false, and the combo is scored in full.
+func (m *merger) screenRejects(tab *routing.Table, ss routing.Snapshot, edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, bound float64) bool {
+	dv.ResetOver(st.loads, st.mcl)
+	dv.AddSnapshot(ss, 0)
+	for _, e := range edges {
+		if dv.Peak() > bound {
+			return true
+		}
+		src, dst := cp[e.ci], st.pos[e.s][e.oi]
+		if e.toChild {
+			src, dst = dst, src
+		}
+		if !tab.AddScreenDelta(src, dst, e.vol, dv) {
+			return false
+		}
+	}
+	return dv.Peak() > bound
+}
+
 func (m *merger) run() (*Block, error) {
 	if !math.IsInf(m.bar, 1) && !expired(m.ctx) && m.floorAboveBar() {
 		return m.barred(0), nil
@@ -1010,12 +1066,14 @@ func (m *merger) run() (*Block, error) {
 	}
 	workers := m.workers
 	nd2 := m.parent.NumDims() * 2
+	screening := m.parent.NumChannels() >= minScreenChans
 	degraded := false
-	var candGen, candKept, boundSkips int64
+	var candGen, candKept, boundSkips, screenSkips int64
 	defer func() {
 		m.scope.CounterOr(telemetry.CtrBeamCandidates, ctrBeamCandidates).Add(candGen)
 		m.scope.CounterOr(telemetry.CtrBeamKept, ctrBeamKept).Add(candKept)
 		m.scope.CounterOr(telemetry.CtrBeamBoundSkips, ctrBoundSkips).Add(boundSkips)
+		m.scope.CounterOr(telemetry.CtrBeamScreenSkips, ctrScreenSkips).Add(screenSkips)
 	}()
 
 	// The beam starts from the empty configuration; step 0 seeds it with
@@ -1062,8 +1120,13 @@ func (m *merger) run() (*Block, error) {
 		// internal-load snapshot once, then scores the group against every
 		// (state, cube position), keeping its best BeamWidth combos in a
 		// bounded heap whose worst MCL prunes the rest (package comment).
+		// Once it has rejected screenAfter combos in full, it prescreens
+		// each combo at the pinned cube on the channels its rejections
+		// peaked on (screenRejects), on channel spaces of at least
+		// minScreenChans.
 		tops := make([][]combo, workers)
 		skips := make([]int64, workers)
+		screens := make([]int64, workers)
 		var wg sync.WaitGroup
 		chunk := (groups + workers - 1) / workers
 		for w := 0; w < workers && w*chunk < groups; w++ {
@@ -1077,12 +1140,15 @@ func (m *merger) run() (*Block, error) {
 				tab := m.table(w)
 				defer tab.Flush()
 				top := &topCombos{beam: beam, n: m.cfg.BeamWidth, bar: m.bar}
-				var skipped int64
-				defer func() { tops[w], skips[w] = top.h, skipped }()
+				var skipped, screened, rejected int64
+				defer func() { tops[w], skips[w], screens[w] = top.h, skipped, screened }()
 				refPos := make([]int, len(tasks))
 				posBuf := make([]int, len(tasks))
 				dv := routing.NewDeltaVec(m.parent.NumChannels())
-				var snap routing.Snapshot
+				// ssnap is snap restricted to the table's screen set,
+				// current while fresh is set.
+				var snap, ssnap routing.Snapshot
+				fresh := false
 				for g := glo; g < ghi; g++ {
 					c, o := g/numOrients, g%numOrients
 					cand := m.children[child].Candidates[c]
@@ -1092,6 +1158,7 @@ func (m *merger) run() (*Block, error) {
 					dv.Reset()
 					m.addFlowsDelta(tab, child, refPos, dv, math.Inf(1))
 					snap = dv.Snapshot(snap)
+					fresh = false
 					for si, st := range beam {
 						if st.mcl > top.bound() {
 							skipped += int64(len(cubesOf[si]))
@@ -1105,6 +1172,16 @@ func (m *merger) run() (*Block, error) {
 							}
 							bound := top.bound()
 							rankOff := m.originRank[q] - m.originRank[refCube]
+							if screening && rankOff == 0 && rejected >= screenAfter && !math.IsInf(bound, 1) {
+								if !fresh {
+									ssnap, fresh = tab.ScreenSnapshot(snap, ssnap), true
+								}
+								if m.screenRejects(tab, ssnap, crossEdges, st, refPos, dv, bound) {
+									skipped++
+									screened++
+									continue
+								}
+							}
 							dv.ResetOver(st.loads, st.mcl)
 							dv.AddSnapshot(snap, rankOff*nd2)
 							if dv.Peak() <= bound {
@@ -1115,6 +1192,12 @@ func (m *merger) run() (*Block, error) {
 							}
 							if dv.Peak() > bound {
 								skipped++
+								if screening {
+									rejected++
+									if ch := dv.PeakChan(); ch >= 0 && tab.Screen(ch) {
+										fresh = false
+									}
+								}
 								continue
 							}
 							top.offer(combo{
@@ -1141,6 +1224,7 @@ func (m *merger) run() (*Block, error) {
 		for w := range tops {
 			kept = append(kept, tops[w]...)
 			boundSkips += skips[w]
+			screenSkips += screens[w]
 		}
 		sort.Slice(kept, func(a, b int) bool { return comboLess(beam, &kept[a], &kept[b]) })
 		if len(kept) > m.cfg.BeamWidth {

@@ -44,28 +44,34 @@ func (h *haloRoot) merge(ctx context.Context, par int) (*Block, error) {
 
 // TestMergeWorkCounts pins the merge's work on the halo-root scenario: the
 // stencil walks (every compiled replay counts its hits as a walk would),
-// the beam's candidates, kept combos and bound skips, and the ordering's
-// orientation-pair evaluations. Route replay, table resets and the
-// ordering's floor skip change none of them; the values were taken from
-// the merge that walked every flow.
+// the beam's candidates, kept combos and bound skips, the bound skips the
+// channel-subset prescreen made, and the ordering's orientation-pair
+// evaluations. Route replay, table resets and the ordering's floor skip
+// change none of them; the beam and ordering counts were taken from the
+// merge that walked every flow. The prescreen leaves them unchanged too,
+// but a combo it rejects is never routed in full, and its screen replays
+// count no stencil hit, so the hits fell from 1,553,218 (Parallelism 1)
+// and 3,706,604 (Parallelism 8) to the values below.
 func TestMergeWorkCounts(t *testing.T) {
 	h := newHaloRoot(t)
 	want := map[int]map[string]int64{
 		1: {
-			telemetry.CtrStencilHits:    1553218,
-			telemetry.CtrStencilMisses:  0,
-			telemetry.CtrBeamCandidates: 369024,
-			telemetry.CtrBeamKept:       1024,
-			telemetry.CtrBeamBoundSkips: 349581,
-			telemetry.CtrSymmetryEvals:  30720,
+			telemetry.CtrStencilHits:     737227,
+			telemetry.CtrStencilMisses:   0,
+			telemetry.CtrBeamCandidates:  369024,
+			telemetry.CtrBeamKept:        1024,
+			telemetry.CtrBeamBoundSkips:  349581,
+			telemetry.CtrBeamScreenSkips: 348331,
+			telemetry.CtrSymmetryEvals:   30720,
 		},
 		8: {
-			telemetry.CtrStencilHits:    3706604,
-			telemetry.CtrStencilMisses:  0,
-			telemetry.CtrBeamCandidates: 369024,
-			telemetry.CtrBeamKept:       1024,
-			telemetry.CtrBeamBoundSkips: 309340,
-			telemetry.CtrSymmetryEvals:  30720,
+			telemetry.CtrStencilHits:     1760028,
+			telemetry.CtrStencilMisses:   0,
+			telemetry.CtrBeamCandidates:  369024,
+			telemetry.CtrBeamKept:        1024,
+			telemetry.CtrBeamBoundSkips:  309340,
+			telemetry.CtrBeamScreenSkips: 299859,
+			telemetry.CtrSymmetryEvals:   30720,
 		},
 	}
 	for _, par := range []int{1, 8} {
@@ -79,7 +85,7 @@ func TestMergeWorkCounts(t *testing.T) {
 			for _, name := range []string{
 				telemetry.CtrStencilHits, telemetry.CtrStencilMisses,
 				telemetry.CtrBeamCandidates, telemetry.CtrBeamKept,
-				telemetry.CtrBeamBoundSkips, telemetry.CtrSymmetryEvals,
+				telemetry.CtrBeamBoundSkips, telemetry.CtrBeamScreenSkips, telemetry.CtrSymmetryEvals,
 			} {
 				if got := snap.Counter(name); got != want[par][name] {
 					t.Errorf("%s = %d, want %d", name, got, want[par][name])

@@ -41,17 +41,20 @@ type DeltaVec struct {
 	touched []int32
 	// base, when non-nil, is the load vector the running peak is tracked
 	// over (see ResetOver); peak is max(baseMCL, base[ch]+vals[ch]) over
-	// every deposit since.
-	base []float64
-	peak float64
+	// every deposit since, and peakCh the channel of the deposit that last
+	// raised it (-1 while none has).
+	base   []float64
+	peak   float64
+	peakCh int32
 }
 
 // NewDeltaVec returns an empty accumulator over n channels.
 func NewDeltaVec(n int) *DeltaVec {
 	return &DeltaVec{
-		vals:  make([]float64, n),
-		stamp: make([]uint64, n),
-		gen:   1,
+		vals:   make([]float64, n),
+		stamp:  make([]uint64, n),
+		gen:    1,
+		peakCh: -1,
 	}
 }
 
@@ -64,6 +67,7 @@ func (v *DeltaVec) Reset() {
 	v.touched = v.touched[:0]
 	v.base = nil
 	v.peak = 0
+	v.peakCh = -1
 }
 
 // ResetOver is Reset followed by tracking the peak over base: from here on
@@ -80,6 +84,11 @@ func (v *DeltaVec) ResetOver(base []float64, baseMCL float64) {
 // Peak returns the running peak since the last ResetOver (0 after Reset).
 func (v *DeltaVec) Peak() float64 { return v.peak }
 
+// PeakChan returns the channel that holds the running peak: the channel of
+// the deposit that last raised it since the last ResetOver, or -1 when the
+// peak is still baseMCL (or after Reset).
+func (v *DeltaVec) PeakChan() int { return int(v.peakCh) }
+
 // Add accumulates x onto channel ch, marking it touched.
 func (v *DeltaVec) Add(ch int, x float64) {
 	if v.stamp[ch] != v.gen {
@@ -92,6 +101,7 @@ func (v *DeltaVec) Add(ch int, x float64) {
 	if v.base != nil {
 		if y := v.base[ch] + v.vals[ch]; y > v.peak {
 			v.peak = y
+			v.peakCh = int32(ch)
 		}
 	}
 }

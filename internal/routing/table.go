@@ -15,27 +15,44 @@ package routing
 // stencil, tie-combination count and channel ids, and later flows replay
 // those deposits as a flat list.
 //
+// A table also keeps a screen: a channel set S of at most maxScreenChans
+// channels (Screen) and, per compiled pair, the pair's deposits on S in
+// replay order. AddScreenDelta replays only those, so a caller can bound
+// a candidate's peak on a few channels before routing it in full
+// (DESIGN.md §11, "The channel-subset prescreen"). A pair's S-list is
+// built on its first screened flow after S last changed; every change to
+// S drops every list at once.
+//
 // Only the pairs a table has seen are indexed, and its memory follows
-// them: each pair record and each channel id is charged to one constant
-// budget. On a 2-ary torus every differing dimension is a tie, so a pair
-// that differs in d dimensions stores d*2^(2d-1) channel ids, and a table
-// over every pair of a 2^n torus would hold (2n/5)*10^n: 16,000 ids on
-// 2^4, 2.4M on 2^6, 28M on 2^7. A new pair that does not fit what is left
-// of the budget resets the table before it is compiled, so a table holds
-// at most a budget's worth of the pairs it routed last. The merger resets
-// its tables at every unit of disjoint work besides, so each holds only
-// the pairs one unit routes.
+// them: each pair record, each channel id and each screen entry is
+// charged to one constant budget. On a 2-ary torus every differing
+// dimension is a tie, so a pair that differs in d dimensions stores
+// d*2^(2d-1) channel ids, and a table over every pair of a 2^n torus
+// would hold (2n/5)*10^n: 16,000 ids on 2^4, 2.4M on 2^6, 28M on 2^7. A
+// new pair that does not fit what is left of the budget resets the table
+// before it is compiled, so a table holds at most a budget's worth of the
+// pairs it routed last; a screen list that does not fit is not built, and
+// the flow is not screened. The merger resets its tables at every unit of
+// disjoint work besides, so each holds only the pairs one unit routes.
 
 import "rahtm/internal/topology"
 
 const (
 	// maxTableChans bounds what one Table stores, in channel ids (2 bytes
-	// each, 2 MB): the ids of its compiled pairs plus pairCost for every
-	// pair record.
+	// each, 2 MB): the ids of its compiled pairs, pairCost for every pair
+	// record, and listCost and screenEntryCost for every screen list and
+	// each of its entries.
 	maxTableChans = 1 << 20
 	// pairCost charges a pair record two 24-byte index slots (the index
 	// is kept at most half full) in 2-byte ids.
 	pairCost = 24
+	// listCost charges a 12-byte screen-list header, and screenEntryCost
+	// one entry (a 2-byte channel id and a 4-byte fraction index), in
+	// 2-byte ids.
+	listCost        = 6
+	screenEntryCost = 3
+	// maxScreenChans caps the screen set S.
+	maxScreenChans = 256
 	// maxTableTopoChans bounds the channel space a Table compiles for:
 	// ids are uint16. A larger topology indexes nothing and every flow is
 	// walked; every rung of the scale ladder fits (the 64k root has 24,576
@@ -54,9 +71,10 @@ const (
 // replay those deposits. Pairs without a cached stencil, or with more ids
 // than an empty table holds, are walked.
 //
-// Counts reach the evaluator's counters at Flush. A Table is not safe for
-// concurrent use: each worker takes its own and flushes it when it is
-// done.
+// Screen replays (AddScreenDelta) count no stencil hit: they route no
+// box, only a subset of a compiled pair's deposits. Counts reach the
+// evaluator's counters at Flush. A Table is not safe for concurrent use:
+// each worker takes its own and flushes it when it is done.
 type Table struct {
 	t   *topology.Torus
 	alg MinimalAdaptive
@@ -72,16 +90,35 @@ type Table struct {
 	ids  []uint16
 	free int // budget left, in ids
 	sc   scratch
+	// screen holds the screen set S as one bit per channel (allocated on
+	// its first channel) and nscreen its size. lists holds the screen
+	// lists built for the current S, whose entries are the parallel slabs
+	// sIDs (channel) and sFrac (index into the pair's stencil fractions).
+	screen  []uint64
+	nscreen int
+	lists   []screenList
+	sIDs    []uint16
+	sFrac   []uint32
 }
 
 // route is one pair record: nc tie combinations, each a run of
-// len(st.fracs) channel ids in ids[off:]. A nil st marks a pair that is
-// walked.
+// len(st.fracs) channel ids in ids[off:]. Its screen list is lists[sl]
+// when that list carries its key: lists are dropped whenever S changes or
+// the pairs are dropped, so a list with a record's key was built by that
+// record for the current S. A nil st marks a pair that is walked.
 type route struct {
 	key uint32 // src*n+dst+1; 0 marks an empty slot
 	nc  int32
 	off int32
+	sl  int32
 	st  *stencil
+}
+
+// screenList is one pair's deposits on S, in replay order: entries
+// [off, off+n) of the sIDs/sFrac slabs.
+type screenList struct {
+	key    uint32
+	off, n int32
 }
 
 // Table returns an empty route table over t. Its stencil accounting goes
@@ -96,12 +133,24 @@ func (a MinimalAdaptive) Table(t *topology.Torus) *Table {
 	return tb
 }
 
-// Reset drops every compiled pair and keeps the index and the slab for
-// reuse, so the table's memory follows the pairs of one unit of work.
+// Reset drops every compiled pair and empties the screen set, and keeps
+// the index and the slabs for reuse, so the table's memory follows the
+// pairs of one unit of work.
 func (tb *Table) Reset() {
+	tb.dropPairs()
+	if tb.nscreen > 0 {
+		clear(tb.screen)
+		tb.nscreen = 0
+	}
+}
+
+// dropPairs drops every compiled pair and every screen list and keeps the
+// screen set: the budget reset of a unit that outgrows the budget.
+func (tb *Table) dropPairs() {
 	clear(tb.slots)
 	tb.used = 0
 	tb.ids = tb.ids[:0]
+	tb.lists, tb.sIDs, tb.sFrac = tb.lists[:0], tb.sIDs[:0], tb.sFrac[:0]
 	tb.free = maxTableChans
 }
 
@@ -146,6 +195,105 @@ func (tb *Table) add(src, dst int, vol float64, loads []float64, dv *DeltaVec) {
 			}
 		}
 	}
+}
+
+// Screen adds channel ch to the screen set S and reports whether S grew:
+// false when ch is already in S or S holds maxScreenChans channels. A
+// change to S drops every pair's screen list and returns their budget.
+func (tb *Table) Screen(ch int) bool {
+	if tb.screen == nil {
+		tb.screen = make([]uint64, (tb.t.NumChannels()+63)/64)
+	}
+	if tb.nscreen >= maxScreenChans || tb.screened(ch) {
+		return false
+	}
+	tb.screen[ch>>6] |= 1 << (ch & 63)
+	tb.nscreen++
+	tb.free += listCost*len(tb.lists) + screenEntryCost*len(tb.sIDs)
+	tb.lists, tb.sIDs, tb.sFrac = tb.lists[:0], tb.sIDs[:0], tb.sFrac[:0]
+	return true
+}
+
+// screened reports whether channel ch is in S.
+func (tb *Table) screened(ch int) bool {
+	return tb.nscreen > 0 && tb.screen[ch>>6]&(1<<(ch&63)) != 0
+}
+
+// ScreenSnapshot returns the entries of s on S, in s's order, in dst's
+// storage (pass the zero Snapshot for a fresh copy).
+func (tb *Table) ScreenSnapshot(s, dst Snapshot) Snapshot {
+	dst.Ch, dst.Val = dst.Ch[:0], dst.Val[:0]
+	for i, ch := range s.Ch {
+		if tb.screened(int(ch)) {
+			dst.Ch = append(dst.Ch, ch)
+			dst.Val = append(dst.Val, s.Val[i])
+		}
+	}
+	return dst
+}
+
+// AddScreenDelta deposits into dv the deposits of AddLoadsDelta that land
+// on S, with the same values in the same order, and reports true. A
+// channel's running total depends only on the deposits to that channel,
+// in their order, so after any sequence of calls dv's values on S are
+// bit-identical to those of the same AddLoadsDelta calls, and its peak is
+// a floor under theirs. It deposits nothing and reports false when the
+// pair is walked or its screen list does not fit the budget left.
+func (tb *Table) AddScreenDelta(src, dst int, vol float64, dv *DeltaVec) bool {
+	if src == dst || vol == 0 {
+		return true
+	}
+	r := tb.route(src, dst)
+	if r == nil {
+		return false
+	}
+	if int(r.sl) >= len(tb.lists) || tb.lists[r.sl].key != r.key {
+		if !tb.screenList(r) {
+			return false
+		}
+	}
+	l := tb.lists[r.sl]
+	if l.n == 0 {
+		return true
+	}
+	comboVol := vol / float64(r.nc)
+	fracs, fi := r.st.fracs, tb.sFrac[l.off:l.off+l.n]
+	for i, ch := range tb.sIDs[l.off : l.off+l.n] {
+		dv.Add(int(ch), fracs[fi[i]]*comboVol)
+	}
+	return true
+}
+
+// screenList builds r's screen list for the current S, and reports false,
+// building nothing, when it does not fit the budget left.
+func (tb *Table) screenList(r *route) bool {
+	fracs := r.st.fracs
+	ids := tb.ids[r.off : int(r.off)+int(r.nc)*len(fracs)]
+	if listCost+screenEntryCost*len(ids) > tb.free { // it may not fit: count it first
+		n := 0
+		for _, ch := range ids {
+			if tb.screened(int(ch)) {
+				n++
+			}
+		}
+		if listCost+screenEntryCost*n > tb.free {
+			return false
+		}
+	}
+	off := len(tb.sIDs)
+	for c := ids; len(c) > 0; c = c[len(fracs):] {
+		for i, ch := range c[:len(fracs)] {
+			if tb.screened(int(ch)) {
+				tb.sIDs = append(tb.sIDs, ch)
+				tb.sFrac = append(tb.sFrac, uint32(i))
+			}
+		}
+	}
+	n := len(tb.sIDs) - off
+	tb.free -= listCost + screenEntryCost*n
+	r.sl = int32(len(tb.lists))
+	tb.lists = append(tb.lists, screenList{key: r.key, off: int32(off), n: int32(n)})
+	return true
 }
 
 // route returns the compiled record of src→dst, compiling the pair on its
@@ -213,7 +361,7 @@ func (tb *Table) compile(key uint32, src, dst int) *route {
 		s = nil
 	}
 	if need > tb.free {
-		tb.Reset()
+		tb.dropPairs()
 	}
 	if 2*(tb.used+1) > len(tb.slots) {
 		tb.resize(2 * len(tb.slots))

@@ -57,6 +57,10 @@ const (
 	CtrBeamKept       = "merge.beam.kept"
 	CtrSymmetryEvals  = "merge.symmetry.evals"
 	CtrBeamBoundSkips = "merge.beam.bound_skips" // combos the running bound rejected before a full score
+	// CtrBeamScreenSkips counts the bound skips the channel-subset
+	// prescreen made: combos rejected on their peak over a few learned
+	// channels, before any full score (a subset of bound_skips).
+	CtrBeamScreenSkips = "merge.beam.screen_skips"
 
 	// trace: communication-profile ingestion.
 	CtrTraceP2P   = "trace.p2p.records"
