@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"rahtm"
+	"rahtm/internal/sched"
 	"rahtm/internal/topology"
 )
 
@@ -100,11 +101,7 @@ func main() {
 	var tracker *rahtm.ProgressTracker
 	if *verbose {
 		observers = append(observers, rahtm.NewLogObserver(os.Stderr))
-		eff := *workers
-		if eff == 0 {
-			eff = runtime.GOMAXPROCS(0)
-		}
-		fmt.Fprintf(os.Stderr, "rahtm-bench: scheduler parallelism %d (GOMAXPROCS %d)\n", eff, runtime.GOMAXPROCS(0))
+		fmt.Fprintf(os.Stderr, "rahtm-bench: scheduler parallelism %d (GOMAXPROCS %d)\n", sched.Workers(*workers), runtime.GOMAXPROCS(0))
 	}
 	if *traceOut != "" {
 		recorder = rahtm.NewSpanRecorder()

@@ -3,9 +3,12 @@ package rahtm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"rahtm/internal/sched"
 )
 
 func TestPipelineCtxAlreadyCanceled(t *testing.T) {
@@ -242,4 +245,46 @@ func containsStr(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// panicObserver panics on every level-1 solve span. Phase 2 emits those
+// spans from the pipeline's worker goroutines.
+type panicObserver struct{}
+
+func (panicObserver) Record(sp Span, _ time.Time) {
+	if sp.Name == "solve" && sp.Level == 1 {
+		panic("observer panic on solve")
+	}
+}
+
+// TestSolveWorkerPanicRecovered pins that a panic inside the pipeline's
+// own workers reaches Solve's caller, where a deferred recover sees the
+// worker's value and stack, and that no worker outlives it.
+func TestSolveWorkerPanicRecovered(t *testing.T) {
+	before := runtime.NumGoroutine()
+	req := Request{Work: RandomNeighbors(256, 4, 10, 3), Torus: NewTorus(8, 8), Conc: 4,
+		Config: &Mapper{Parallelism: 4}, Observer: panicObserver{}}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, err := Solve(context.Background(), req)
+		t.Errorf("Solve returned (err %v) instead of panicking", err)
+	}()
+	p, ok := got.(*sched.Panic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want a worker's *sched.Panic", got, got)
+	}
+	if p.Value != "observer panic on solve" {
+		t.Errorf("Panic.Value = %v", p.Value)
+	}
+	if s := string(p.Stack); !strings.Contains(s, "panicObserver.Record") || !strings.Contains(s, "sched.Run") {
+		t.Errorf("Panic.Stack is not the worker's:\n%s", s)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the panic, %d before", n, before)
+	}
 }

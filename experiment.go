@@ -2,7 +2,6 @@ package rahtm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"rahtm/internal/netsim"
+	"rahtm/internal/sched"
 )
 
 // CtxProcMapper is a ProcMapper that also accepts a context, letting Solve
@@ -70,7 +70,7 @@ func CompareCtx(ctx context.Context, w *Workload, t *Torus, conc int, ms []ProcM
 	}
 	var cal netsim.Calibration
 	for i, m := range ms {
-		if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		if err := sched.HardCancel(ctx); err != nil {
 			return nil, err
 		}
 		row := Row{Mapper: m.Name()}

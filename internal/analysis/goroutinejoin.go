@@ -7,11 +7,11 @@ import (
 )
 
 // GoroutineJoin enforces the structured-concurrency discipline of the
-// concurrent packages (serve, milp, core, merge): every goroutine must be
-// stoppable and awaited. A daemon worker or speculative solver that is
-// neither cancellable (no context/done channel in sight) nor joined (no
-// WaitGroup tracking) can outlive its request — or the whole Server —
-// still holding solver state, which is exactly the leak class the
+// concurrent packages (serve, milp, core, merge, sched): every goroutine
+// must be stoppable and awaited. A daemon worker or speculative solver
+// that is neither cancellable (no context/done channel in sight) nor
+// joined (no WaitGroup tracking) can outlive its request — or the whole
+// Server — still holding solver state, which is exactly the leak class the
 // Shutdown-drain and TestParallelMatchesSequential contracts rule out.
 //
 // A `go` statement passes when any of the following holds:

@@ -23,11 +23,12 @@ var (
 	// counter updates outside loops.
 	hotPkgs = set("routing", "core", "lp", "milp", "hiermap", "merge")
 
-	// concurrentPkgs spawn goroutines (daemon workers, the Phase 2/3
-	// worker pools) and must keep every one cancellable and joined — the
-	// goroutinejoin contract. milp spawns none today; it stays listed so
-	// a future parallel branch-and-bound is held to the contract.
-	concurrentPkgs = set("serve", "milp", "core", "merge")
+	// concurrentPkgs spawn goroutines (daemon workers, the pipeline's
+	// fan-out) and must keep every one cancellable and joined — the
+	// goroutinejoin contract. sched is the only one that spawns pipeline
+	// workers; milp, core and merge spawn none today and stay listed so
+	// that a goroutine added there is held to the contract.
+	concurrentPkgs = set("serve", "milp", "core", "merge", "sched")
 )
 
 func set(names ...string) map[string]bool {

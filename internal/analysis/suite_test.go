@@ -124,6 +124,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		{analysis.CSRAlias, "rahtm", false},
 		{analysis.GoroutineJoin, "rahtm/internal/serve", true},
 		{analysis.GoroutineJoin, "rahtm/internal/milp", true},
+		{analysis.GoroutineJoin, "rahtm/internal/sched", true},
 		{analysis.GoroutineJoin, "rahtm/internal/routing", false},
 		{analysis.LockDiscipline, "rahtm/internal/telemetry", true},
 		{analysis.LockDiscipline, "rahtm", false},

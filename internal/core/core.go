@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -25,6 +24,7 @@ import (
 	"rahtm/internal/hiermap"
 	"rahtm/internal/merge"
 	"rahtm/internal/routing"
+	"rahtm/internal/sched"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
@@ -54,11 +54,12 @@ type Config struct {
 	// DisableSiblingReuse turns off the symmetry optimization that copies
 	// solutions across subproblems with identical communication structure.
 	DisableSiblingReuse bool
-	// Parallelism bounds the worker goroutines of the level-wise Phase 2/3
-	// scheduler (0 = runtime.GOMAXPROCS(0), 1 = fully sequential). Unless
-	// Merge.Parallelism is set explicitly, the leftover worker budget is
-	// also forwarded to the Phase 3 beam scorers. Results are identical
-	// for every setting; see DESIGN.md "Concurrency architecture".
+	// Parallelism bounds the workers of the level-wise Phase 2/3 scheduler,
+	// resolved by sched.Workers (0 = runtime.GOMAXPROCS(0), 1 or less =
+	// fully sequential). Unless Merge.Parallelism is set explicitly, the
+	// leftover worker budget is also forwarded to the Phase 3 beam
+	// scorers. Results are identical for every setting; see DESIGN.md
+	// "Concurrency architecture".
 	Parallelism int
 }
 
@@ -69,7 +70,7 @@ type PhaseStats struct {
 	MergeTime   time.Duration
 
 	// Parallelism is the effective worker count of the level-wise
-	// scheduler (Config.Parallelism after resolving 0 to GOMAXPROCS).
+	// scheduler: sched.Workers(Config.Parallelism).
 	Parallelism int
 	// MapWorkTime and MergeWorkTime accumulate solver wall time across
 	// Phase 2 / Phase 3 workers; with W workers they can exceed MapTime /
@@ -171,7 +172,7 @@ func (r *Result) place(procToTask []int) {
 // scheduler job is reported, complete, to the observer of the telemetry
 // scope on ctx (telemetry.Scope.Span; a no-op without one).
 func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, cfg Config) (*Result, error) {
-	if err := hardCancel(ctx); err != nil {
+	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
 	scope := telemetry.ScopeFrom(ctx)
@@ -242,7 +243,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	// fingerprint the sequential sibling-reuse cache keyed on, solves one
 	// representative per group on a bounded worker pool, and fans results
 	// out in sibling index order — byte-identical to the sequential run.
-	workers := workerCount(cfg.Parallelism)
+	workers := sched.Workers(cfg.Parallelism)
 	res.Stats.Parallelism = workers
 	start = time.Now()
 	// pins[d][entity] = position of the depth-(d+1) entity within its
@@ -379,14 +380,15 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		})
 		scope.Span(telemetry.Span{Name: "prepare", Phase: telemetry.PhaseMerge, Worker: -1, Level: d,
 			Jobs: len(rep), Dur: time.Since(prepStart)}, prepStart)
+		// The evaluation topology is the pipeline's to set at every level:
+		// at the root the machine (a torus of the root block's shape when
+		// the block does not cover it), below it the plain parent mesh.
 		mc := cfg.Merge
+		mc.Torus, mc.Topology = d == 0 && anyWrap(t), nil
 		mbar := math.Inf(1)
-		if d == 0 {
-			mc.Torus = anyWrap(t)
-			if sameDims(t, h.BlockShape(0)) {
-				mc.Topology = t
-				mbar = bar
-			}
+		if d == 0 && sameDims(t, h.BlockShape(0)) {
+			mc.Topology = t
+			mbar = bar
 		}
 		if mc.Parallelism == 0 {
 			mc.Parallelism = innerParallelism(workers, len(rep))
@@ -489,16 +491,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 // phaseSpan is the envelope span of a completed pipeline phase.
 func phaseSpan(phase string, dur time.Duration) telemetry.Span {
 	return telemetry.Span{Name: "phase", Phase: phase, Worker: -1, Level: -1, Dur: dur}
-}
-
-// hardCancel returns ctx's error when it was canceled outright. Deadline
-// expiry returns nil: the pipeline degrades to best-so-far instead of
-// failing.
-func hardCancel(ctx context.Context) error {
-	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return nil
 }
 
 func identity(n int) []int {

@@ -5,8 +5,8 @@ package core
 // parallel within a level — §III-C solves each 2^n-cluster subproblem
 // independently and §III-D merges sibling blocks independently — so the
 // scheduler groups a level's siblings by structural fingerprint, solves one
-// representative per group on a bounded worker pool, and fans the result
-// out through the sibling-reuse translation in sibling index order.
+// representative per group on sched.Run's workers, and fans the result out
+// through the sibling-reuse translation in sibling index order.
 //
 // Determinism rule: parallel runs produce byte-identical results to
 // sequential ones. This holds because (a) each group's representative is
@@ -18,22 +18,9 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
 
-// workerCount resolves a Parallelism setting: 0 means GOMAXPROCS, as in
-// merge.Config, anything below 1 is clamped to sequential.
-func workerCount(parallelism int) int {
-	if parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if parallelism < 1 {
-		return 1
-	}
-	return parallelism
-}
+	"rahtm/internal/sched"
+)
 
 // siblingGroups partitions the siblings 0..n-1 of one level by fingerprint.
 // rep[g] is the lowest-indexed sibling of group g; groupOf[i] is the group
@@ -64,44 +51,19 @@ func siblingGroups(n int, disableReuse bool, keyOf func(i int) uint64) (rep []in
 	return rep, groupOf
 }
 
-// forEach runs fn(worker, i) for every i in [0, n) on at most `workers`
-// goroutines, pulling indices from a shared counter. worker is the index of
-// the goroutine running the call — stable per goroutine, so span recorders
-// can lay jobs out on per-worker timelines. Hard cancellation stops
-// dispatch of further indices and returns ctx's error; indices already
-// running complete (their solvers poll the same context and bail quickly).
-// With workers <= 1 it degenerates to a plain loop (worker 0) with a
-// cancellation check per index — the fully sequential mode.
+// forEach runs fn(worker, i) for every i in [0, n) over sched.Run's
+// contiguous ranges; worker is the index of the range's worker, so span
+// recorders can lay jobs out on per-worker timelines. Hard cancellation
+// stops each worker before its next index and returns ctx's error; jobs
+// already running complete (their solvers poll the same context and bail
+// quickly).
 func forEach(ctx context.Context, workers, n int, fn func(worker, i int)) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := hardCancel(ctx); err != nil {
-				return err
-			}
-			fn(0, i)
+	sched.Run(workers, n, func(w, lo, hi int) {
+		for i := lo; i < hi && sched.HardCancel(ctx) == nil; i++ {
+			fn(w, i)
 		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || hardCancel(ctx) != nil {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return hardCancel(ctx)
+	})
+	return sched.HardCancel(ctx)
 }
 
 // innerParallelism splits a worker budget between concurrently running
@@ -109,15 +71,5 @@ func forEach(ctx context.Context, workers, n int, fn func(worker, i int)) error 
 // leftover workers for its own internal pool (the root merge is the
 // important case — one group, all workers).
 func innerParallelism(workers, groups int) int {
-	if groups < 1 {
-		groups = 1
-	}
-	if groups > workers {
-		return 1
-	}
-	inner := workers / groups
-	if inner < 1 {
-		inner = 1
-	}
-	return inner
+	return max(workers/max(groups, 1), 1)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/sched"
 	"rahtm/internal/topology"
 )
 
@@ -138,17 +139,17 @@ func TestParallelMatchesSequentialNoReuse(t *testing.T) {
 }
 
 func TestParallelWorkerCountResolution(t *testing.T) {
-	if got := workerCount(1); got != 1 {
-		t.Errorf("workerCount(1) = %d", got)
+	if got := sched.Workers(1); got != 1 {
+		t.Errorf("sched.Workers(1) = %d", got)
 	}
-	if got := workerCount(-3); got != 1 {
-		t.Errorf("workerCount(-3) = %d", got)
+	if got := sched.Workers(-3); got != 1 {
+		t.Errorf("sched.Workers(-3) = %d", got)
 	}
-	if got := workerCount(6); got != 6 {
-		t.Errorf("workerCount(6) = %d", got)
+	if got := sched.Workers(6); got != 6 {
+		t.Errorf("sched.Workers(6) = %d", got)
 	}
-	if got := workerCount(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("workerCount(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := sched.Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("sched.Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := innerParallelism(8, 2); got != 4 {
 		t.Errorf("innerParallelism(8,2) = %d", got)

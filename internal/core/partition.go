@@ -9,6 +9,7 @@ import (
 	"rahtm/internal/cluster"
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
+	"rahtm/internal/sched"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
@@ -35,7 +36,7 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 	if isPowerOfTwoTorus(t) {
 		return MapProcessesCtx(ctx, proc, t, cfg)
 	}
-	if err := hardCancel(ctx); err != nil {
+	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
 	conc := cfg.Concentration
@@ -64,7 +65,7 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 	}
 	degraded := false
 	for bi, box := range boxes {
-		if err := hardCancel(ctx); err != nil {
+		if err := sched.HardCancel(ctx); err != nil {
 			return nil, err
 		}
 		tasks := parts[bi]

@@ -22,7 +22,6 @@ package hiermap
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,6 +29,7 @@ import (
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
+	"rahtm/internal/sched"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
@@ -103,7 +103,7 @@ type Result struct {
 // gracefully — the solver stops searching and returns its best-so-far valid
 // placement with Result.Degraded set.
 func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Result, error) {
-	if err := hardCancel(ctx); err != nil {
+	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
 	size := 1
@@ -135,28 +135,6 @@ func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Resul
 		return solveMILP(ctx, g, cube, shape, cfg)
 	}
 	return nil, fmt.Errorf("hiermap: unknown method %v", cfg.Method)
-}
-
-// hardCancel returns ctx's error when it was canceled outright. Deadline
-// expiry returns nil: the solvers degrade to best-so-far instead of
-// failing.
-func hardCancel(ctx context.Context) error {
-	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return nil
-}
-
-// expired reports whether ctx's deadline has passed. It reads the clock
-// as well as ctx.Err(): the timer behind a deadline can fire late on a
-// loaded host, and a solve that finishes before it fires must still report
-// the overrun.
-func expired(ctx context.Context) bool {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return true
-	}
-	d, ok := ctx.Deadline()
-	return ok && !time.Now().Before(d)
 }
 
 // cubeTopology builds the evaluation topology for a cube shape.
@@ -210,11 +188,11 @@ func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (
 		if evals&1023 != 0 {
 			return false
 		}
-		if err := hardCancel(ctx); err != nil {
+		if err := sched.HardCancel(ctx); err != nil {
 			ctxErr = err
 			return true
 		}
-		degraded = expired(ctx)
+		degraded = sched.Expired(ctx)
 		return degraded
 	}
 	evalCur()
@@ -289,10 +267,10 @@ restartLoop:
 		temp := t0
 		for it := 0; it < iters; it++ {
 			if it&255 == 0 {
-				if err := hardCancel(ctx); err != nil {
+				if err := sched.HardCancel(ctx); err != nil {
 					return nil, err
 				}
-				if expired(ctx) {
+				if sched.Expired(ctx) {
 					degraded = true
 					break restartLoop
 				}

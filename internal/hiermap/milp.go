@@ -9,6 +9,7 @@ import (
 	"rahtm/internal/lp"
 	"rahtm/internal/milp"
 	"rahtm/internal/routing"
+	"rahtm/internal/sched"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
@@ -21,10 +22,10 @@ import (
 // routing is enforced by constraint C3: per flow, a binary r_{i,dim} allows
 // flow in only one direction within each dimension.
 func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape []int, cfg Config) (*Result, error) {
-	if err := hardCancel(ctx); err != nil {
+	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
-	if expired(ctx) {
+	if sched.Expired(ctx) {
 		// No time left even for model construction: fall back to the
 		// annealing seed, which degrades to its first valid placement.
 		res, err := solveAnneal(ctx, g, cube, cfg)
@@ -181,7 +182,7 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 		MaxNodes:  cfg.MILPMaxNodes,
 		Incumbent: incumbent,
 	})
-	if err := hardCancel(ctx); err != nil {
+	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
 	if res.X == nil {
@@ -207,7 +208,7 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 		MCL:      routing.MaxChannelLoad(cube, g, mapping, routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))),
 		Method:   MILP,
 		Proved:   res.Status == milp.Optimal,
-		Degraded: expired(ctx),
+		Degraded: sched.Expired(ctx),
 	}, nil
 }
 
@@ -226,7 +227,7 @@ func buildIncumbent(ctx context.Context, g *graph.Comm, mesh, cube *topology.Tor
 		Seed:           cfg.Seed,
 	})
 	if err != nil {
-		if hardCancel(ctx) != nil {
+		if sched.HardCancel(ctx) != nil {
 			return nil, err
 		}
 		return nil, nil

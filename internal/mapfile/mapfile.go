@@ -98,8 +98,12 @@ func WriteCoords(w io.Writer, t *topology.Torus, m topology.Mapping, header stri
 
 // ReadCoords parses the coordinate format against topology t; the trailing
 // T column is allowed but ignored for the node rank (it orders processes
-// within a node).
+// within a node). Coordinates mean nothing without a topology, so a nil t
+// is an error.
 func ReadCoords(r io.Reader, t *topology.Torus) (topology.Mapping, error) {
+	if t == nil {
+		return nil, fmt.Errorf("mapfile: a coordinate file needs a topology")
+	}
 	var m topology.Mapping
 	sc := bufio.NewScanner(r)
 	line := 0

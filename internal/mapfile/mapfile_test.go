@@ -2,6 +2,7 @@ package mapfile
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,4 +104,37 @@ func TestReadErrors(t *testing.T) {
 	if err := WriteCoords(&bytes.Buffer{}, tp, topology.Mapping{99}, ""); err == nil {
 		t.Fatal("bad node should fail on write")
 	}
+	// Ranks read without a topology; coordinates cannot.
+	if m, err := Detect(strings.NewReader("3\n1\n"), nil); err != nil || len(m) != 2 {
+		t.Fatalf("ranks without a topology: %v %v", m, err)
+	}
+	if _, err := Detect(strings.NewReader("0 0\n1 0\n"), nil); err == nil {
+		t.Fatal("coordinates without a topology should fail")
+	}
+}
+
+// FuzzMapFile reads arbitrary bytes as a map file for a 4x4x2 torus. Detect
+// never panics, every node it accepts is in range, and writing the mapping
+// in the rank format and detecting it again gives the same mapping.
+func FuzzMapFile(f *testing.F) {
+	tp := topology.NewTorus(4, 4, 2)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m, err := Detect(bytes.NewReader(in), tp)
+		if err != nil {
+			return
+		}
+		for p, node := range m {
+			if node < 0 || node >= tp.N() {
+				t.Fatalf("Detect(%q): rank %d on node %d of %d", in, p, node, tp.N())
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteRanks(&buf, m, "round trip"); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Detect(&buf, tp)
+		if err != nil || !slices.Equal(again, m) {
+			t.Fatalf("Detect(%q) = %v; its rank file reads back as %v (%v)", in, m, again, err)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -140,9 +141,14 @@ func (c lateTimerCtx) Err() error                  { return nil }
 
 func TestMergeCtxLateTimerDegrades(t *testing.T) {
 	// The merge must read the deadline off the clock: a merge that only
-	// asked ctx.Err() would run to the end undegraded.
+	// asked ctx.Err() would run to the end undegraded, and one whose
+	// scorers only polled ctx.Done would still order every child pair,
+	// since with one worker nothing lets a late timer fire meanwhile.
 	g, blocks, childPos := denseBlocks(t, 3)
-	out, err := MergeCtx(newLateTimerCtx(), g, blocks, []int{2, 2, 2}, childPos, Config{}, math.Inf(1))
+	reg := telemetry.NewRegistry()
+	ctx := newLateTimerCtx()
+	ctx.Context = telemetry.WithScope(ctx.Context, &telemetry.Scope{Reg: reg})
+	out, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{Parallelism: 1}, math.Inf(1))
 	if err != nil {
 		t.Fatalf("deadline must degrade, not fail: %v", err)
 	}
@@ -151,5 +157,8 @@ func TestMergeCtxLateTimerDegrades(t *testing.T) {
 	}
 	if err := out.Candidates[0].Local.Validate(64, true); err != nil {
 		t.Fatalf("degraded merge produced invalid placement: %v", err)
+	}
+	if n := reg.Snapshot().Counter(telemetry.CtrSymmetryEvals); n != 0 {
+		t.Errorf("the ordering evaluated %d orientation pairs after the deadline", n)
 	}
 }

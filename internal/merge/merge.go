@@ -83,16 +83,13 @@ package merge
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
+	"rahtm/internal/sched"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
@@ -280,13 +277,15 @@ type Config struct {
 	// ChildCandidates caps how many candidates of an incoming child are
 	// combined with the beam (0 = 4).
 	ChildCandidates int
-	// Torus evaluates the merged block with wraparound links; set at the
-	// root where the block is the whole machine.
+	// Torus evaluates the merged block with wraparound links. The
+	// pipeline (core) sets it at every level, over any value its config
+	// carries: at the root when the machine wraps, nowhere below it.
 	Torus bool
 	// Topology, when non-nil, overrides the evaluation topology of the
 	// merged block (its dimensions must equal the parent block shape).
-	// The root merge passes the real machine here so per-dimension wrap
-	// flags are exact.
+	// The pipeline (core) sets it at every level, over any value its
+	// config carries: the real machine at a root that covers it, so
+	// per-dimension wrap flags are exact, and nil everywhere else.
 	Topology *topology.Torus
 	// MaxOrientations caps how many child orientations are explored per
 	// merge step (0 = 384, the full hyperoctahedral group of a 4-D cube).
@@ -301,8 +300,8 @@ type Config struct {
 	// the extra placement freedom §III-D alludes to. It multiplies the
 	// search space by up to the cube size.
 	Reposition bool
-	// Parallelism bounds the worker goroutines scoring merge candidates
-	// (0 = GOMAXPROCS).
+	// Parallelism bounds the workers scoring merge candidates, resolved
+	// by sched.Workers (0 = GOMAXPROCS, below 1 = 1).
 	Parallelism int
 }
 
@@ -336,7 +335,7 @@ func (c Config) withDefaults() Config {
 // candidates (Block.BarSteps) once no state at or below bar is left. Pass
 // math.Inf(1) for an unbarred merge.
 func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config, bar float64) (*Block, error) {
-	if err := hardCancel(ctx); err != nil {
+	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
 	m, err := newMerger(ctx, g, children, cubeShape, childPos, cfg)
@@ -435,12 +434,8 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 		m.originRank[p] = m.parent.RankOf(m.origins[p])
 	}
 	m.ctx = ctx
-	m.done = ctx.Done()
 	m.scope = telemetry.ScopeFrom(ctx)
-	m.workers = cfg.Parallelism
-	if m.workers <= 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
+	m.workers = sched.Workers(cfg.Parallelism)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
 	m.tabs = make([]*routing.Table, m.workers)
 	for w := range m.tabs {
@@ -450,27 +445,13 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 	return m, nil
 }
 
-// hardCancel returns ctx's error when it was canceled outright. Deadline
-// expiry returns nil: the merge degrades to a greedy completion instead of
-// failing.
-func hardCancel(ctx context.Context) error {
-	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return nil
-}
-
-// expired reports whether ctx's deadline has passed. It reads the clock
-// as well as ctx.Err(): the timer behind a deadline can fire late on a
-// loaded host, and a merge that finishes before it fires must still report
-// the overrun.
-func expired(ctx context.Context) bool {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return true
-	}
-	d, ok := ctx.Deadline()
-	return ok && !time.Now().Before(d)
-}
+// stopped reports whether the merge must stop scoring, polled once per
+// unit of work: ctx is done, or its deadline has passed by the clock
+// (sched.Expired). With one worker the scorers run on the caller's
+// goroutine, which gives the runtime no point at which to fire a deadline
+// timer, so a poll of ctx.Done alone could miss the deadline until the
+// stage ends.
+func (m *merger) stopped() bool { return m.ctx.Err() != nil || sched.Expired(m.ctx) }
 
 // cubeOrigin returns the parent-box origin of the child at cube position p.
 func cubeOrigin(cubeShape, childShape []int, p int) []int {
@@ -495,15 +476,14 @@ type merger struct {
 	originRank []int   // cube position -> parent rank of the origin
 	cfg        Config
 	ctx        context.Context
-	done       <-chan struct{} // ctx.Done(), polled inside worker loops
 	// scope is the request scope carried by ctx (nil outside the daemon);
 	// alg, scoped to it, makes the route tables, so every scorer's stencil
 	// traffic is attributed to the owning request.
 	scope *telemetry.Scope
 	alg   routing.MinimalAdaptive
-	// workers bounds the scoring goroutines. tabs holds one route table
-	// per worker slot for the merger's lifetime; pass 2 and completeGreedy,
-	// which run alone, take slot 0.
+	// workers bounds the scorers' sched.Run fan-outs. tabs holds one
+	// route table per worker slot for the merger's lifetime; pass 2 and
+	// completeGreedy, which run alone, take slot 0.
 	workers int
 	tabs    []*routing.Table
 	// bar caps the MCL of every kept state (MergeCtx); +Inf when unbarred.
@@ -677,41 +657,27 @@ func (m *merger) mergeOrder() []int {
 		snaps[i] = make([]routing.Snapshot, ko)
 		floor[i] = make([]float64, ko)
 	}
-	units := n * ko
-	var wg sync.WaitGroup
-	chunk := (units + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < units; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > units {
-			hi = units
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tab := m.table(w)
-			defer tab.Flush()
-			dv := routing.NewDeltaVec(m.parent.NumChannels())
-			for u := lo; u < hi; u++ {
-				select {
-				case <-m.done:
-					return // ordering becomes partial; run() handles the context
-				default:
-				}
-				i, oi := u/ko, u%ko
-				p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
-				dv.Reset()
-				m.addFlowsDelta(tab, i, p, dv, math.Inf(1))
-				pl[i][oi] = p
-				snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
-				for _, v := range snaps[i][oi].Val {
-					if v > floor[i][oi] {
-						floor[i][oi] = v
-					}
+	sched.Run(workers, n*ko, func(w, lo, hi int) {
+		tab := m.table(w)
+		defer tab.Flush()
+		dv := routing.NewDeltaVec(m.parent.NumChannels())
+		for u := lo; u < hi; u++ {
+			if m.stopped() {
+				return // ordering becomes partial; run() handles the context
+			}
+			i, oi := u/ko, u%ko
+			p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
+			dv.Reset()
+			m.addFlowsDelta(tab, i, p, dv, math.Inf(1))
+			pl[i][oi] = p
+			snaps[i][oi] = dv.Snapshot(routing.Snapshot{})
+			for _, v := range snaps[i][oi].Val {
+				if v > floor[i][oi] {
+					floor[i][oi] = v
 				}
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	// Stage 2: pair evaluations. The cross flows of each child pair are
 	// extracted once from the adjacency (a single graph pass); an
@@ -757,66 +723,53 @@ func (m *merger) mergeOrder() []int {
 	}
 	best := make([]float64, len(pairs))
 	zero := make([]float64, m.parent.NumChannels()) // shared read-only peak base
-	chunk = (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < len(pairs); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var evals int64
-			//rahtm:allow(telemetrybatch): flushes a per-worker local once at worker exit, not per iteration
-			defer func() { m.scope.CounterOr(telemetry.CtrSymmetryEvals, ctrSymmetryEvals).Add(evals) }()
-			tab := m.tabs[w]
-			defer tab.Flush()
-			dv := routing.NewDeltaVec(m.parent.NumChannels())
-			for pi := lo; pi < hi; pi++ {
-				select {
-				case <-m.done:
-					return // ordering becomes partial; run() handles the context
-				default:
-				}
-				// A child pair routes its own node pairs only.
-				tab.Reset()
-				i, j := pairs[pi].i, pairs[pi].j
-				bst := -1.0
-				for oi := 0; oi < ko; oi++ {
-					if pl[i][oi] == nil {
-						continue // stage 1 was cut short by cancellation
-					}
-					for oj := 0; oj < ko; oj++ {
-						if pl[j][oj] == nil {
-							continue
-						}
-						evals++
-						if bst >= 0 && (floor[i][oi] >= bst || floor[j][oj] >= bst) {
-							continue // the evaluation could not go below bst
-						}
-						dv.ResetOver(zero, 0)
-						dv.AddSnapshot(snaps[i][oi], 0)
-						dv.AddSnapshot(snaps[j][oj], 0)
-						for _, e := range pairEdges[pi] {
-							if bst >= 0 && dv.Peak() >= bst {
-								break // cannot go below bst any more
-							}
-							if e.fromJ {
-								tab.AddLoadsDelta(pl[j][oj][e.bi], pl[i][oi][e.ai], e.vol, dv)
-							} else {
-								tab.AddLoadsDelta(pl[i][oi][e.ai], pl[j][oj][e.bi], e.vol, dv)
-							}
-						}
-						if mcl := dv.Peak(); bst < 0 || mcl < bst {
-							bst = mcl
-						}
-					}
-				}
-				best[pi] = bst
+	sched.Run(workers, len(pairs), func(w, lo, hi int) {
+		var evals int64
+		defer func() { m.scope.CounterOr(telemetry.CtrSymmetryEvals, ctrSymmetryEvals).Add(evals) }()
+		tab := m.tabs[w]
+		defer tab.Flush()
+		dv := routing.NewDeltaVec(m.parent.NumChannels())
+		for pi := lo; pi < hi; pi++ {
+			if m.stopped() {
+				return // ordering becomes partial; run() handles the context
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			// A child pair routes its own node pairs only.
+			tab.Reset()
+			i, j := pairs[pi].i, pairs[pi].j
+			bst := -1.0
+			for oi := 0; oi < ko; oi++ {
+				if pl[i][oi] == nil {
+					continue // stage 1 was cut short by cancellation
+				}
+				for oj := 0; oj < ko; oj++ {
+					if pl[j][oj] == nil {
+						continue
+					}
+					evals++
+					if bst >= 0 && (floor[i][oi] >= bst || floor[j][oj] >= bst) {
+						continue // the evaluation could not go below bst
+					}
+					dv.ResetOver(zero, 0)
+					dv.AddSnapshot(snaps[i][oi], 0)
+					dv.AddSnapshot(snaps[j][oj], 0)
+					for _, e := range pairEdges[pi] {
+						if bst >= 0 && dv.Peak() >= bst {
+							break // cannot go below bst any more
+						}
+						if e.fromJ {
+							tab.AddLoadsDelta(pl[j][oj][e.bi], pl[i][oi][e.ai], e.vol, dv)
+						} else {
+							tab.AddLoadsDelta(pl[i][oi][e.ai], pl[j][oj][e.bi], e.vol, dv)
+						}
+					}
+					if mcl := dv.Peak(); bst < 0 || mcl < bst {
+						bst = mcl
+					}
+				}
+			}
+			best[pi] = bst
+		}
+	})
 	avg := make([]float64, n)
 	for pi, p := range pairs {
 		avg[p.i] += best[pi]
@@ -1057,11 +1010,11 @@ func (m *merger) screenRejects(tab *routing.Table, ss routing.Snapshot, edges []
 }
 
 func (m *merger) run() (*Block, error) {
-	if !math.IsInf(m.bar, 1) && !expired(m.ctx) && m.floorAboveBar() {
+	if !math.IsInf(m.bar, 1) && !sched.Expired(m.ctx) && m.floorAboveBar() {
 		return m.barred(0), nil
 	}
 	order := m.mergeOrder()
-	if err := hardCancel(m.ctx); err != nil {
+	if err := sched.HardCancel(m.ctx); err != nil {
 		return nil, err
 	}
 	workers := m.workers
@@ -1086,10 +1039,10 @@ func (m *merger) run() (*Block, error) {
 	}
 
 	for step := 0; step < len(order); step++ {
-		if err := hardCancel(m.ctx); err != nil {
+		if err := sched.HardCancel(m.ctx); err != nil {
 			return nil, err
 		}
-		if expired(m.ctx) {
+		if sched.Expired(m.ctx) {
 			beam = m.completeGreedy(beam, order, step, childStep)
 			degraded = true
 			break
@@ -1127,93 +1080,80 @@ func (m *merger) run() (*Block, error) {
 		tops := make([][]combo, workers)
 		skips := make([]int64, workers)
 		screens := make([]int64, workers)
-		var wg sync.WaitGroup
-		chunk := (groups + workers - 1) / workers
-		for w := 0; w < workers && w*chunk < groups; w++ {
-			glo, ghi := w*chunk, (w+1)*chunk
-			if ghi > groups {
-				ghi = groups
-			}
-			wg.Add(1)
-			go func(w, glo, ghi int) {
-				defer wg.Done()
-				tab := m.table(w)
-				defer tab.Flush()
-				top := &topCombos{beam: beam, n: m.cfg.BeamWidth, bar: m.bar}
-				var skipped, screened, rejected int64
-				defer func() { tops[w], skips[w], screens[w] = top.h, skipped, screened }()
-				refPos := make([]int, len(tasks))
-				posBuf := make([]int, len(tasks))
-				dv := routing.NewDeltaVec(m.parent.NumChannels())
-				// ssnap is snap restricted to the table's screen set,
-				// current while fresh is set.
-				var snap, ssnap routing.Snapshot
-				fresh := false
-				for g := glo; g < ghi; g++ {
-					c, o := g/numOrients, g%numOrients
-					cand := m.children[child].Candidates[c]
-					for i := range tasks {
-						refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
+		sched.Run(workers, groups, func(w, glo, ghi int) {
+			tab := m.table(w)
+			defer tab.Flush()
+			top := &topCombos{beam: beam, n: m.cfg.BeamWidth, bar: m.bar}
+			var skipped, screened, rejected int64
+			defer func() { tops[w], skips[w], screens[w] = top.h, skipped, screened }()
+			refPos := make([]int, len(tasks))
+			posBuf := make([]int, len(tasks))
+			dv := routing.NewDeltaVec(m.parent.NumChannels())
+			// ssnap is snap restricted to the table's screen set,
+			// current while fresh is set.
+			var snap, ssnap routing.Snapshot
+			fresh := false
+			for g := glo; g < ghi; g++ {
+				if m.stopped() {
+					return // the step is discarded; run() handles the context
+				}
+				c, o := g/numOrients, g%numOrients
+				cand := m.children[child].Candidates[c]
+				for i := range tasks {
+					refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
+				}
+				dv.Reset()
+				m.addFlowsDelta(tab, child, refPos, dv, math.Inf(1))
+				snap = dv.Snapshot(snap)
+				fresh = false
+				for si, st := range beam {
+					if st.mcl > top.bound() {
+						skipped += int64(len(cubesOf[si]))
+						continue
 					}
-					dv.Reset()
-					m.addFlowsDelta(tab, child, refPos, dv, math.Inf(1))
-					snap = dv.Snapshot(snap)
-					fresh = false
-					for si, st := range beam {
-						if st.mcl > top.bound() {
-							skipped += int64(len(cubesOf[si]))
-							continue
-						}
-						for _, q := range cubesOf[si] {
-							select {
-							case <-m.done:
-								return // the step is discarded; run() handles the context
-							default:
+					for _, q := range cubesOf[si] {
+						bound := top.bound()
+						rankOff := m.originRank[q] - m.originRank[refCube]
+						if screening && rankOff == 0 && rejected >= screenAfter && !math.IsInf(bound, 1) {
+							if !fresh {
+								ssnap, fresh = tab.ScreenSnapshot(snap, ssnap), true
 							}
-							bound := top.bound()
-							rankOff := m.originRank[q] - m.originRank[refCube]
-							if screening && rankOff == 0 && rejected >= screenAfter && !math.IsInf(bound, 1) {
-								if !fresh {
-									ssnap, fresh = tab.ScreenSnapshot(snap, ssnap), true
-								}
-								if m.screenRejects(tab, ssnap, crossEdges, st, refPos, dv, bound) {
-									skipped++
-									screened++
-									continue
-								}
-							}
-							dv.ResetOver(st.loads, st.mcl)
-							dv.AddSnapshot(snap, rankOff*nd2)
-							if dv.Peak() <= bound {
-								for i := range refPos {
-									posBuf[i] = refPos[i] + rankOff
-								}
-								m.addCrossEdgesDelta(tab, crossEdges, st, posBuf, dv, bound)
-							}
-							if dv.Peak() > bound {
+							if m.screenRejects(tab, ssnap, crossEdges, st, refPos, dv, bound) {
 								skipped++
-								if screening {
-									rejected++
-									if ch := dv.PeakChan(); ch >= 0 && tab.Screen(ch) {
-										fresh = false
-									}
-								}
+								screened++
 								continue
 							}
-							top.offer(combo{
-								si: int32(si), cand: int32(c), orient: int32(o),
-								cube: int32(q), mcl: dv.Peak(),
-							})
 						}
+						dv.ResetOver(st.loads, st.mcl)
+						dv.AddSnapshot(snap, rankOff*nd2)
+						if dv.Peak() <= bound {
+							for i := range refPos {
+								posBuf[i] = refPos[i] + rankOff
+							}
+							m.addCrossEdgesDelta(tab, crossEdges, st, posBuf, dv, bound)
+						}
+						if dv.Peak() > bound {
+							skipped++
+							if screening {
+								rejected++
+								if ch := dv.PeakChan(); ch >= 0 && tab.Screen(ch) {
+									fresh = false
+								}
+							}
+							continue
+						}
+						top.offer(combo{
+							si: int32(si), cand: int32(c), orient: int32(o),
+							cube: int32(q), mcl: dv.Peak(),
+						})
 					}
 				}
-			}(w, glo, ghi)
-		}
-		wg.Wait()
-		if err := hardCancel(m.ctx); err != nil {
+			}
+		})
+		if err := sched.HardCancel(m.ctx); err != nil {
 			return nil, err
 		}
-		if expired(m.ctx) {
+		if sched.Expired(m.ctx) {
 			// The step was cut short; its scores are partial. Discard them
 			// and complete this and the remaining steps greedily.
 			beam = m.completeGreedy(beam, order, step, childStep)

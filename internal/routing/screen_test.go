@@ -161,7 +161,8 @@ func (tb *Table) onScreen(r *route) int {
 // TestScreenStencilStorage pins the screen's memory bound: after repeated
 // changes to S over the same pairs, the table holds the current S's lists
 // and nothing more, every list, id and pair record is charged to the one
-// budget, and S stops growing at its cap.
+// budget, and S stops growing at its cap. No slab's capacity passes what
+// its charges allow, also while pairs fill the budget until it resets.
 func TestScreenStencilStorage(t *testing.T) {
 	// The charges are the records' sizes in 2-byte ids (a pair record
 	// holds two index slots).
@@ -213,6 +214,7 @@ func TestScreenStencilStorage(t *testing.T) {
 		if c := cap(tb.sIDs); c > 2*len(tb.sIDs)+64 {
 			t.Fatalf("round %d: screen slab capacity %d for %d entries", round, c, len(tb.sIDs))
 		}
+		checkSlabCaps(t, tb)
 		if spent := maxTableChans - tb.free; spent != len(tb.ids)+pairCost*tb.used+listCost*len(tb.lists)+screenEntryCost*len(tb.sIDs) {
 			t.Fatalf("round %d: budget spent %d, want %d ids + %d pairs + %d screen lists + %d screen entries",
 				round, spent, len(tb.ids), tb.used, len(tb.lists), len(tb.sIDs))
@@ -221,5 +223,41 @@ func TestScreenStencilStorage(t *testing.T) {
 	tb.Reset()
 	if tb.nscreen != 0 || len(tb.lists) != 0 || len(tb.sIDs) != 0 || tb.free != maxTableChans {
 		t.Fatalf("after Reset: |S| %d, %d screen entries, budget %d", tb.nscreen, len(tb.sIDs), tb.free)
+	}
+
+	// Far pairs of the 2x2x2x2x4x4x4x4 torus fill the budget with ids
+	// until it resets; the id slab must not outgrow the budget on the way.
+	tp = topology.NewTorus(2, 2, 2, 2, 4, 4, 4, 4)
+	n = tp.N()
+	tb = MinimalAdaptive{}.Table(tp)
+	loads := make([]float64, tp.NumChannels())
+	for resets := 0; resets < 3; {
+		src := rng.Intn(n)
+		c := tp.CoordOf(src, nil)
+		near := tp.NumDims() - 1 - rng.Intn(4) // one hop short of antipodal there
+		for d := range c {
+			c[d] = (c[d] + tp.Dim(d)/2) % tp.Dim(d)
+			if d == near {
+				c[d] = (c[d] + tp.Dim(d) - 1) % tp.Dim(d)
+			}
+		}
+		used := tb.used
+		tb.AddLoads(src, tp.RankOf(c), 1, loads)
+		if tb.used < used {
+			resets++
+		}
+		checkSlabCaps(t, tb)
+	}
+}
+
+// checkSlabCaps fails unless each of tb's slabs is within the most
+// elements its charges allow.
+func checkSlabCaps(t *testing.T, tb *Table) {
+	t.Helper()
+	if cap(tb.ids) > maxTableChans || cap(tb.sIDs) > maxTableChans/screenEntryCost ||
+		cap(tb.sFrac) > maxTableChans/screenEntryCost || cap(tb.lists) > maxTableChans/listCost {
+		t.Fatalf("slab capacities %d ids, %d/%d screen entries, %d lists; budget allows %d, %d and %d",
+			cap(tb.ids), cap(tb.sIDs), cap(tb.sFrac), cap(tb.lists),
+			maxTableChans, maxTableChans/screenEntryCost, maxTableChans/listCost)
 	}
 }

@@ -284,16 +284,31 @@ func (tb *Table) screenList(r *route) bool {
 	for c := ids; len(c) > 0; c = c[len(fracs):] {
 		for i, ch := range c[:len(fracs)] {
 			if tb.screened(int(ch)) {
-				tb.sIDs = append(tb.sIDs, ch)
-				tb.sFrac = append(tb.sFrac, uint32(i))
+				tb.sIDs = append(reserve(tb.sIDs, 1, maxTableChans/screenEntryCost), ch)
+				tb.sFrac = append(reserve(tb.sFrac, 1, maxTableChans/screenEntryCost), uint32(i))
 			}
 		}
 	}
 	n := len(tb.sIDs) - off
 	tb.free -= listCost + screenEntryCost*n
 	r.sl = int32(len(tb.lists))
-	tb.lists = append(tb.lists, screenList{key: r.key, off: int32(off), n: int32(n)})
+	tb.lists = append(reserve(tb.lists, 1, maxTableChans/listCost), screenList{key: r.key, off: int32(off), n: int32(n)})
 	return true
+}
+
+// reserve returns s with room for n more elements. Its capacity grows as
+// append's does, doubling below 256 elements and by a quarter plus 192
+// above, but never past limit, the most elements the budget's charges
+// allow the slab.
+func reserve[T any](s []T, n, limit int) []T {
+	if len(s)+n > cap(s) {
+		c := 2 * cap(s)
+		if cap(s) >= 256 {
+			c = cap(s) + (cap(s)+768)/4
+		}
+		s = append(make([]T, 0, min(max(len(s)+n, c), limit)), s...)
+	}
+	return s
 }
 
 // route returns the compiled record of src→dst, compiling the pair on its
@@ -371,6 +386,7 @@ func (tb *Table) compile(key uint32, src, dst int) *route {
 	tb.used++
 	tb.free -= need
 	if s != nil {
+		tb.ids = reserve(tb.ids, nc*len(s.fracs), maxTableChans)
 		for mask := 0; mask < nc; mask++ {
 			sc.setTies(mask)
 			for _, ch := range s.chans(t, cs, sc.dirs, sc) {

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"rahtm"
+	"rahtm/internal/sched"
 	"rahtm/internal/telemetry"
 )
 
@@ -302,14 +303,20 @@ var errSolvePanic = errors.New("solve panicked")
 // solve runs one job under the merged request/daemon lifetime, with the
 // job's telemetry scope on the context so the solver layers attribute
 // their counters to this request. A panic on the worker's goroutine (in a
-// registered mapper, say) becomes an error wrapping errSolvePanic; net/http
-// recovers only its own handler goroutines, so without this one panicking
-// solve would end the process.
+// registered mapper, say), or one the pipeline re-raised there from its
+// own workers (a *sched.Panic), becomes an error wrapping errSolvePanic
+// with the panic's value, and its stack goes to the log; net/http recovers
+// only its own handler goroutines, so without this one panicking solve
+// would end the process.
 func (s *Server) solve(j *job) (res *rahtm.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			stack := debug.Stack()
+			if wp, ok := p.(*sched.Panic); ok {
+				p, stack = wp.Value, wp.Stack
+			}
 			ctrErrors.Inc()
-			s.log.Error("solve panic", "trace", j.traceID, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			s.log.Error("solve panic", "trace", j.traceID, "panic", fmt.Sprint(p), "stack", string(stack))
 			res, err = nil, fmt.Errorf("%w: %v", errSolvePanic, p)
 		}
 	}()

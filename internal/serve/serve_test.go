@@ -673,3 +673,53 @@ func TestSolvePanicRecovered(t *testing.T) {
 		t.Fatalf("request after the panic: status %d, body %s; want 200", resp.StatusCode, body)
 	}
 }
+
+// solvePanicObserver panics on every level-1 solve span, which the
+// pipeline emits from its own worker goroutines.
+type solvePanicObserver struct{}
+
+func (solvePanicObserver) Record(sp rahtm.Span, _ time.Time) {
+	if sp.Name == "solve" && sp.Level == 1 {
+		panic("observer panic on solve")
+	}
+}
+
+// workerPanicMapper runs a Parallelism-4 pipeline whose level-1 solves
+// span several workers, under solvePanicObserver: the panic starts on one
+// of the pipeline's worker goroutines, not on the daemon worker's.
+type workerPanicMapper struct{}
+
+func (workerPanicMapper) Name() string { return "worker-panic" }
+
+func (workerPanicMapper) MapProcs(*rahtm.Workload, *rahtm.Torus, int) (rahtm.Mapping, error) {
+	res, err := rahtm.Solve(context.Background(), rahtm.Request{
+		Work: rahtm.RandomNeighbors(256, 4, 10, 3), Torus: rahtm.NewTorus(8, 8), Conc: 4,
+		Config: &rahtm.Mapper{Parallelism: 4}, Observer: solvePanicObserver{},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Mapping, nil
+}
+
+// TestSolveWorkerPanicRecovered is TestSolvePanicRecovered with the panic
+// inside the pipeline's own fan-out: it reaches the daemon worker, costs
+// its request a 500 that carries the panic's value but no stack, and the
+// daemon keeps serving.
+func TestSolveWorkerPanicRecovered(t *testing.T) {
+	rahtm.RegisterMapper("worker-panic-test", func(*rahtm.Torus) rahtm.ProcMapper { return workerPanicMapper{} })
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	resp, body := postSolve(t, ts.URL, `{"workload":"CG","topo":[4,4],"mapper":"worker-panic-test"}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking solve: status %d, body %s; want 500", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "observer panic on solve") || strings.Contains(string(body), "goroutine") {
+		t.Errorf("500 body should carry the panic's value and no stack: %s", body)
+	}
+
+	resp, body = postSolve(t, ts.URL, cgRequest)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, body %s; want 200", resp.StatusCode, body)
+	}
+}

@@ -157,8 +157,9 @@ type Mapper struct {
 	// DisableSiblingReuse turns off the symmetry caches.
 	DisableSiblingReuse bool
 	// Parallelism bounds the worker goroutines of the level-wise Phase 2/3
-	// scheduler: 0 uses GOMAXPROCS, 1 runs fully sequentially. Results are
-	// identical for every setting.
+	// scheduler: 0 uses GOMAXPROCS, 1 or less runs fully sequentially.
+	// Results are identical for every setting. A panic on one of its
+	// workers (in an Observer, say) is re-raised on the caller.
 	Parallelism int
 }
 

@@ -3,6 +3,7 @@ package rahtm
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,35 @@ func TestMapperCustomConfig(t *testing.T) {
 	}
 	if err := mp.Validate(tp.N(), true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMapperTopologyFieldsIgnored pins that the pipeline sets the
+// evaluation topology of every leaf solve and merge itself: a caller's
+// Merge.Torus, Merge.Topology or Leaf.Torus returns the zero config's
+// mapping and MCL bits.
+func TestMapperTopologyFieldsIgnored(t *testing.T) {
+	tp := NewTorus(8, 8)
+	w := RandomNeighbors(256, 4, 10, 3)
+	solve := func(m Mapper) *Result {
+		t.Helper()
+		m.Parallelism = 1
+		res, err := Solve(context.Background(), Request{Work: w, Torus: tp, Conc: 4, Config: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := solve(Mapper{})
+	var mergeTorus, mergeTopo, leafTorus Mapper
+	mergeTorus.Merge.Torus = true
+	mergeTopo.Merge.Topology = tp
+	leafTorus.Leaf.Torus = true
+	for name, m := range map[string]Mapper{"Merge.Torus": mergeTorus, "Merge.Topology": mergeTopo, "Leaf.Torus": leafTorus} {
+		got := solve(m)
+		if math.Float64bits(got.MCL) != math.Float64bits(want.MCL) || !slices.Equal(got.Mapping, want.Mapping) {
+			t.Errorf("%s: MCL %v (mapping equal: %v), zero config %v", name, got.MCL, slices.Equal(got.Mapping, want.Mapping), want.MCL)
+		}
 	}
 }
 

@@ -469,3 +469,35 @@ func TestConcurrentSolvesShareWorkload(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRequest decodes arbitrary bytes as Request JSON, the daemon's wire
+// format. checkSizes never panics. For a request that names at most 4,096
+// processes, neither do Materialize and Key, and the key is the same after
+// the request is encoded to JSON and decoded again.
+func FuzzRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var req Request
+		if json.Unmarshal(in, &req) != nil || req.checkSizes() != nil {
+			return
+		}
+		if nodes, _ := boundedProduct(req.Topo...); nodes*req.concOf() > 1<<12 {
+			t.Skip("names more processes than a fuzz input should build")
+		}
+		if w, tp, err := req.Materialize(); err == nil && w.Procs() != tp.N()*req.concOf() {
+			t.Fatalf("Materialize(%q): %d processes on %d nodes at conc %d", in, w.Procs(), tp.N(), req.concOf())
+		}
+		key, err := req.Key()
+		b, merr := json.Marshal(req)
+		if merr != nil {
+			t.Fatalf("re-encoding %q: %v", in, merr)
+		}
+		var again Request
+		if err := json.Unmarshal(b, &again); err != nil {
+			t.Fatalf("decoding the re-encoded %q: %v", b, err)
+		}
+		key2, err2 := again.Key()
+		if key != key2 || (err == nil) != (err2 == nil) {
+			t.Fatalf("Key(%q) = %q (%v), after a JSON round trip %q (%v)", in, key, err, key2, err2)
+		}
+	})
+}
