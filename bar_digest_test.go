@@ -1,14 +1,18 @@
 package rahtm
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -76,28 +80,31 @@ func barCases() []barCase {
 
 // barDigest solves every case at the given parallelism and beam width and
 // hashes, per case, the process mapping, the MCL bits and DefaultFallback.
-// It also counts the solves that fell back to the identity order.
-func barDigest(cases []barCase, par, beam int) (string, int, error) {
+// It also returns each case's MCL and counts the solves that fell back to
+// the identity order.
+func barDigest(cases []barCase, par, beam int) (string, []float64, int, error) {
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
+	mcls := make([]float64, len(cases))
 	fallbacks := 0
-	for _, c := range cases {
+	for i, c := range cases {
 		req := c.req
 		req.Parallelism = par
 		req.BeamWidth = beam
 		res, err := Solve(context.Background(), req)
 		if err != nil {
-			return "", 0, fmt.Errorf("%s: %v", c.name, err)
+			return "", nil, 0, fmt.Errorf("%s: %v", c.name, err)
 		}
 		put(uint64(len(res.Mapping)))
 		for _, v := range res.Mapping {
 			put(uint64(v))
 		}
 		put(math.Float64bits(res.MCL))
+		mcls[i] = res.MCL
 		fb := uint64(0)
 		if res.Stats.DefaultFallback {
 			fb = 1
@@ -105,31 +112,119 @@ func barDigest(cases []barCase, par, beam int) (string, int, error) {
 		}
 		put(fb)
 	}
-	return hex.EncodeToString(h.Sum(nil)), fallbacks, nil
+	return hex.EncodeToString(h.Sum(nil)), mcls, fallbacks, nil
 }
 
-// barDigests are barDigest's values per beam width, recorded before the
-// root merge was barred at the identity order's MCL: the bar must not move
-// a mapping bit, an MCL bit or a fallback flag, at any parallelism.
+// barBeams are the beam widths the digest solves at.
+var barBeams = []int{64, 8}
+
+// barDigests are barDigest's values per beam width.
 var barDigests = map[int]string{
-	64: "f48836a89a7c2fd36fa650525a74ba22683ca5d9ba27271aae5eee2167d4a07c",
-	8:  "953e2f03cde775155a198720fa6cee9884ec328e31801230a24e2ac7db8c036b",
+	64: "93cc5edc149d84cf4b5647b0d028eb281c1f9ae84ad299912c1e0c78e75b8d5e",
+	8:  "d6f0ad45916614f710a607ea9be58d2ff1ca8a613d98b39b70c1e1dbc957c3f5",
 }
 
-// TestDefaultBarByteIdentical pins that barring the root merge at the
-// identity order's MCL is exact: the solves give the mappings, MCL bits
-// and DefaultFallback flags of the unbarred merge, at Parallelism 1 and 4
-// and beam widths 64 and 8.
+// barParentMCLs holds every case's MCL bits at beam widths 64 and 8 as
+// the leaf solver computed them before its seeds and bound (commit
+// bcac738); its header names the command that wrote it.
+const barParentMCLs = "testdata/bar_mcls_bcac738.txt"
+
+var barMCLsOut = flag.String("bar-mcls-out", "", "TestBarMCLsRecord writes every bar case's MCL bits to this file")
+
+// TestBarMCLsRecord writes barParentMCLs' format: one line per beam width
+// and case, "beam name bits mcl", at Parallelism 1. It runs only when
+// -bar-mcls-out names the output file.
+func TestBarMCLsRecord(t *testing.T) {
+	if *barMCLsOut == "" {
+		t.Skip("set -bar-mcls-out to record the bar cases' MCLs")
+	}
+	cases := barCases()
+	var b strings.Builder
+	for _, beam := range barBeams {
+		_, mcls, _, err := barDigest(cases, 1, beam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cases {
+			fmt.Fprintf(&b, "%d %s %016x %v\n", beam, c.name, math.Float64bits(mcls[i]), mcls[i])
+		}
+	}
+	if err := os.WriteFile(*barMCLsOut, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readBarMCLs parses barParentMCLs into per-beam, per-case MCLs. Lines
+// starting with '#' are comments.
+func readBarMCLs(path string) (map[int]map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	out := map[int]map[string]float64{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 4 {
+			return nil, fmt.Errorf("%s: bad line %q", path, line)
+		}
+		beam, err := strconv.Atoi(fields[0])
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", path, err)
+		}
+		bits, err := strconv.ParseUint(fields[2], 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", path, err)
+		}
+		if out[beam] == nil {
+			out[beam] = map[string]float64{}
+		}
+		out[beam][fields[1]] = math.Float64frombits(bits)
+	}
+	return out, sc.Err()
+}
+
+// TestDefaultBarByteIdentical pins the solves' mappings, MCL bits and
+// DefaultFallback flags at Parallelism 1 and 4 and beam widths 64 and 8,
+// and checks that no case's MCL is above its value in barParentMCLs. The
+// digests were first taken before the root merge was barred at the
+// identity order's MCL, which moved no bit. They were re-pinned when the
+// leaf solver started from the cube's Gray labelings and stopped at the
+// per-node bound, which moved mappings on purpose: halo3d-4k (209.33 ->
+// 80) and rung-512 (4.167 -> 2) improved at both widths, and halo2d-4k
+// keeps its MCL of 40 from its root merge instead of the identity
+// fallback; no case's MCL rose.
 func TestDefaultBarByteIdentical(t *testing.T) {
 	cases := barCases()
-	for _, beam := range []int{64, 8} {
+	parent, err := readBarMCLs(barParentMCLs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, beam := range barBeams {
+		if len(parent[beam]) != len(cases) {
+			t.Fatalf("%s has %d cases at beam %d, want %d", barParentMCLs, len(parent[beam]), beam, len(cases))
+		}
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("beam=%d/par=%d", beam, par), func(t *testing.T) {
-				got, fallbacks, err := barDigest(cases, par, beam)
+				got, mcls, fallbacks, err := barDigest(cases, par, beam)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Logf("%d cases, %d fell back to the identity order", len(cases), fallbacks)
+				for i, c := range cases {
+					was, ok := parent[beam][c.name]
+					if !ok {
+						t.Fatalf("%s: no parent MCL in %s", c.name, barParentMCLs)
+					}
+					if mcls[i] > was {
+						t.Errorf("%s: MCL %v rose above the parent's %v", c.name, mcls[i], was)
+					}
+				}
 				if got != barDigests[beam] {
 					t.Fatalf("digest %s, want %s", got, barDigests[beam])
 				}

@@ -93,9 +93,9 @@ type PhaseStats struct {
 	// tasks (task i on node i) beat every searched candidate and was
 	// returned instead. It compares against the identity order of RAHTM's
 	// own clustered node tasks, not against the process-level default
-	// mapper (rank p on node p/conc), which can still do better: on the
-	// 512-process rung of the scale ladder RAHTM reads 4.167 against that
-	// mapper's 4.000.
+	// mapper (rank p on node p/conc), which can still do better on some
+	// instances; on the 512-process rung of the scale ladder RAHTM reads
+	// 2.000 against that mapper's 4.000.
 	DefaultFallback bool
 	// Degraded is set when the context deadline expired mid-pipeline and at
 	// least one subproblem or merge returned a best-so-far result instead of
@@ -123,7 +123,9 @@ func (s PhaseStats) MergeParallelism() float64 {
 	return float64(s.MergeWorkTime) / float64(s.MergeTime)
 }
 
-// Result is the pipeline output.
+// Result is the pipeline output. It keeps no graph: callers hold the
+// process graph they passed in, and a result that outlives its solve
+// stays about the size of its mappings.
 type Result struct {
 	// ProcToNode maps each process rank to a topology node: the node
 	// NodeMapping gives the process's node-level task.
@@ -131,8 +133,6 @@ type Result struct {
 	// NodeMapping maps node-level tasks (post-concentration clusters) to
 	// topology nodes; it is a permutation of the nodes.
 	NodeMapping topology.Mapping
-	// NodeGraph is the node-level communication graph.
-	NodeGraph *graph.Comm
 	// MCL is the maximum channel load of NodeMapping on the real topology
 	// under the uniform minimal-path model.
 	MCL float64
@@ -282,7 +282,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			sp := telemetry.Span{Name: "solve", Phase: telemetry.PhaseMap, Worker: worker, Level: d,
 				Hash: keys[rep[gi]], Dur: elapsed}
 			if err == nil {
-				sp.MCL = r.MCL
+				sp.MCL, sp.Proved = r.MCL, r.Proved
 			}
 			scope.Span(sp, t0)
 			solved[gi] = solveResult{res: r, err: err}
@@ -460,7 +460,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	if !sameDims(t, final.Shape) {
 		return nil, fmt.Errorf("core: final block shape %v does not cover topology %v", final.Shape, t)
 	}
-	res.NodeGraph = nodeGraph
 	// Safety net: the beam search is heuristic, and on workloads the
 	// default order already embeds perfectly it can land above it. Compare
 	// against the identity (default) node order and keep the better — the

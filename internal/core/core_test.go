@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"rahtm/internal/graph"
@@ -264,15 +265,16 @@ func TestPipelineTwoNodeTorus(t *testing.T) {
 }
 
 // TestPipelineBarredRootMerge checks a root merge the default-order bar
-// stops: on a periodic 16x16 halo on 4x4x4x4, whose identity order no
+// stops: on a periodic 8x8 halo on an 8x8 torus, whose identity order no
 // merged state can match, the root merge span reports the floor check's
 // stop, no root candidate survives, and the result is the identity order
 // with its MCL.
 func TestPipelineBarredRootMerge(t *testing.T) {
-	tp := topology.NewTorus(4, 4, 4, 4)
+	tp := topology.NewTorus(8, 8)
 	rec := telemetry.NewRecorder()
 	ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Observer: rec})
-	res, err := MapProcessesCtx(ctx, halo2D(16, 16, 1), tp, Config{GridDims: []int{16, 16}})
+	g := halo2D(8, 8, 1)
+	res, err := MapProcessesCtx(ctx, g, tp, Config{GridDims: []int{8, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +295,40 @@ func TestPipelineBarredRootMerge(t *testing.T) {
 			t.Fatalf("task %d on node %d, want the identity order", task, node)
 		}
 	}
+	// At concentration 1 the node-level graph is the input graph.
 	//rahtm:allow(floateq): the fallback returns the identity's own MCL evaluation, bit for bit
-	if want := routing.MaxChannelLoad(tp, res.NodeGraph, topology.Identity(tp.N()), routing.MinimalAdaptive{}); res.MCL != want {
+	if want := routing.MaxChannelLoad(tp, g, topology.Identity(tp.N()), routing.MinimalAdaptive{}); res.MCL != want {
 		t.Fatalf("MCL %v, want the identity's %v", res.MCL, want)
+	}
+}
+
+// TestSolveSpanProved checks that a solve span carries its leaf solver's
+// Proved: on a periodic 16x16 halo on 4x4x4x4 every 16-node leaf stops at
+// the per-node bound, and the JSONL form names it.
+func TestSolveSpanProved(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Observer: rec})
+	if _, err := MapProcessesCtx(ctx, halo2D(16, 16, 1), topology.NewTorus(4, 4, 4, 4), Config{GridDims: []int{16, 16}}); err != nil {
+		t.Fatal(err)
+	}
+	solves := 0
+	for _, sp := range rec.Spans() {
+		if sp.Name != "solve" {
+			continue
+		}
+		solves++
+		if !sp.Proved {
+			t.Fatalf("solve span %+v not proved", sp)
+		}
+	}
+	if solves == 0 {
+		t.Fatal("no solve spans")
+	}
+	var sb strings.Builder
+	if err := rec.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `"proved":true`) {
+		t.Fatalf("JSONL has no proved field:\n%s", sb.String())
 	}
 }

@@ -105,10 +105,7 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 		return nil, err
 	}
 
-	out := &Result{
-		NodeMapping: nodeMapping,
-		NodeGraph:   nodeGraph,
-	}
+	out := &Result{NodeMapping: nodeMapping}
 	out.Stats.ClusterQuality = quality
 	out.Stats.Degraded = degraded
 	out.place(procToTask)

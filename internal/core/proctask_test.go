@@ -33,7 +33,7 @@ func TestProcTaskMatchesConcentration(t *testing.T) {
 		{name: "grid-tiles", g: halo2D(8, 8, 3), tp: topology.NewTorus(4, 4), conc: 4, grid: []int{8, 8}},
 		{name: "greedy", g: butterflyRows(4, 16, 5), tp: topology.NewTorus(4, 4), conc: 4},
 		{name: "partitioned-6x4", g: halo2D(12, 8, 1), tp: topology.NewTorus(6, 4), conc: 4, grid: []int{12, 8}},
-		{name: "fallback", g: halo2D(32, 32, 1), tp: topology.NewTorus(4, 4, 4, 4), conc: 4, grid: []int{32, 32}, fallback: true},
+		{name: "fallback", g: halo2D(16, 16, 1), tp: topology.NewTorus(8, 8), conc: 4, grid: []int{16, 16}, fallback: true},
 		{name: "degraded", ctx: expired, g: halo3D(8, 8, 4, 1), tp: topology.NewTorus(4, 4, 4), conc: 4, grid: []int{8, 8, 4}, degraded: true},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package hiermap
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -158,5 +160,102 @@ func TestAnnealMCLIsEvaluated(t *testing.T) {
 	check(g, true, res, err)
 	if !res.Degraded {
 		t.Fatal("Degraded not set")
+	}
+}
+
+// TestGraySeeds checks the seed set: 2^(b-1) distinct permutations of the
+// 2^b clusters, the identity first.
+func TestGraySeeds(t *testing.T) {
+	for b := 0; b <= 6; b++ {
+		n := 1 << b
+		seeds := graySeeds(n)
+		if want := max(n/2, 1); len(seeds) != want {
+			t.Fatalf("n=%d: %d seeds, want %d", n, len(seeds), want)
+		}
+		seen := map[string]bool{}
+		for s, m := range seeds {
+			if err := m.Validate(n, true); err != nil {
+				t.Fatalf("n=%d seed %d: %v", n, s, err)
+			}
+			key := fmt.Sprint(m)
+			if seen[key] {
+				t.Fatalf("n=%d seed %d repeats %v", n, s, m)
+			}
+			seen[key] = true
+		}
+		for x, p := range seeds[0] {
+			if x != p {
+				t.Fatalf("n=%d: first seed %v is not the identity", n, seeds[0])
+			}
+		}
+	}
+}
+
+// haloLeaf is the 4k rung's leaf graph: a rows x cols mesh of tiles, in
+// row-major order, sending vol to each grid neighbour.
+func haloLeaf(rows, cols int, vol float64) *graph.Comm {
+	b := graph.New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := r*cols + c
+			if c+1 < cols {
+				b.AddTraffic(v, v+1, vol)
+				b.AddTraffic(v+1, v, vol)
+			}
+			if r+1 < rows {
+				b.AddTraffic(v, v+cols, vol)
+				b.AddTraffic(v+cols, v, vol)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestHaloLeafStopsAtBound checks the 4x4 halo leaf on the 4-cube: a Gray
+// seed puts every grid edge on its own channel, MCL 4 = 16/4, the per-node
+// bound, so the annealer returns it proved without a single move.
+func TestHaloLeafStopsAtBound(t *testing.T) {
+	g := haloLeaf(4, 4, 4)
+	shape := []int{2, 2, 2, 2}
+	if b := routing.NodeBound(topology.NewMesh(shape...), g); b != 4 {
+		t.Fatalf("NodeBound %v, want 4", b)
+	}
+	scope := telemetry.NewScope("halo-leaf")
+	res, err := MapCtx(telemetry.WithScope(context.Background(), scope), g, shape, Config{Method: Anneal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MCL != 4 || !res.Proved || res.Degraded {
+		t.Fatalf("MCL %v, Proved %v, Degraded %v; want 4, true, false", res.MCL, res.Proved, res.Degraded)
+	}
+	if moves := scope.Counter(telemetry.CtrAnnealMoves).Value(); moves != 0 {
+		t.Fatalf("%d anneal moves, want 0", moves)
+	}
+	if got := EvaluateWith(g, shape, false, res.Mapping, routing.MinimalAdaptive{}); got != res.MCL {
+		t.Fatalf("Result.MCL %v, evaluated %v", res.MCL, got)
+	}
+}
+
+// TestExpiredAnnealKeepsBestSeed checks that an anneal stopped before its
+// first move returns the best Gray seed, degraded: on a random 16-node
+// graph, whose seeds are all above the bound.
+func TestExpiredAnnealKeepsBestSeed(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	g := randomGraph(16, 11)
+	shape := []int{2, 2, 2, 2}
+	best := math.Inf(1)
+	for _, m := range graySeeds(16) {
+		best = math.Min(best, EvaluateWith(g, shape, false, m, routing.MinimalAdaptive{}))
+	}
+	if bound := routing.NodeBound(topology.NewMesh(shape...), g); best <= bound {
+		t.Fatalf("best seed %v at the bound %v: the fixture must anneal", best, bound)
+	}
+	res, err := MapCtx(ctx, g, shape, Config{Method: Anneal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.Proved || res.MCL != best {
+		t.Fatalf("MCL %v, Degraded %v, Proved %v; want the best seed's %v, degraded", res.MCL, res.Degraded, res.Proved, best)
 	}
 }

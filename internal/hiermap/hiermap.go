@@ -13,11 +13,15 @@
 //     balanced all-minimal-paths evaluator; exact for the uniform-split
 //     routing model and fast up to 8-node cubes.
 //   - Anneal: seeded simulated annealing over placements, for cubes too
-//     large to enumerate.
+//     large to enumerate, started from the best of the cube's Gray
+//     labelings.
 //
 // Method Auto picks Exhaustive for cubes of at most 8 nodes and Anneal
 // above, with the MILP available explicitly (it is exact for the
-// optimal-split routing model but costs branch-and-bound time).
+// optimal-split routing model but costs branch-and-bound time). Anneal
+// and MILP both return their annealing seed as proved, without further
+// search, when it meets routing.NodeBound; that result reports Method
+// Anneal.
 package hiermap
 
 import (
@@ -224,10 +228,38 @@ func solveExhaustive(ctx context.Context, g *graph.Comm, cube *topology.Torus) (
 	return &Result{Mapping: best, MCL: bestMCL, Method: Exhaustive, Proved: true}, nil
 }
 
+// graySeeds returns the cube's Gray labelings of n = 2^b clusters, the
+// placements solveAnneal scores before it anneals. Each cuts the b bits of
+// a cluster index, in rank order, into contiguous groups and replaces each
+// group x by its reflected Gray code x ^ x>>1. Seed s joins bits j and j+1
+// into one group when bit j of s is set, which makes it x ^ (x>>1 & s):
+// 2^(b-1) distinct permutations, the identity (all groups of one bit)
+// first. A reflected Gray code embeds a path or ring of 2^k clusters in a
+// k-cube with dilation 1, so a leaf whose clusters form a grid of
+// power-of-two sides in row-major order has a seed that puts every grid
+// edge on its own link.
+func graySeeds(n int) []topology.Mapping {
+	seeds := make([]topology.Mapping, max(n/2, 1))
+	for s := range seeds {
+		m := make(topology.Mapping, n)
+		for x := range m {
+			m[x] = x ^ (x >> 1 & s)
+		}
+		seeds[s] = m
+	}
+	return seeds
+}
+
 // solveAnneal runs restart simulated annealing over placements with
-// pairwise-swap moves and incremental channel-load maintenance. The context
-// is polled every 256 steps: hard cancellation aborts with ctx.Err(), an
-// expired deadline returns the best placement found so far as degraded.
+// pairwise-swap moves and incremental channel-load maintenance, started
+// from the best of the cube's Gray labelings (graySeeds). When that seed
+// is at the per-node bound (routing.NodeBound), no placement is better,
+// so it is returned as proved without annealing. An anneal move replaces
+// the best placement only when a fresh evaluation confirms it is strictly
+// lower, so the best MCL is always the returned mapping's own and the
+// skip gives the mapping the anneal would. The context is polled every
+// 256 steps: hard cancellation aborts with ctx.Err(), an expired deadline
+// returns the best placement found so far as degraded.
 func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg Config) (*Result, error) {
 	n := cube.N()
 	iters := cfg.AnnealIters
@@ -240,9 +272,6 @@ func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg C
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
-	var best topology.Mapping
-	bestMCL := math.Inf(1)
-	degraded := false
 	var moves, accepted, restartsRun int64
 	scope := telemetry.ScopeFrom(ctx)
 	tab := routing.MinimalAdaptive{}.WithScope(scope).Table(cube)
@@ -252,11 +281,24 @@ func solveAnneal(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg C
 		scope.CounterOr(telemetry.CtrAnnealAccepted, ctrAnnealAccepted).Add(accepted)
 		scope.CounterOr(telemetry.CtrAnnealRestarts, ctrAnnealRestarts).Add(restartsRun)
 	}()
+	flows := g.Flows()
+	fresh := make([]float64, cube.NumChannels())
+	var best topology.Mapping
+	bestMCL := math.Inf(1)
+	for _, seed := range graySeeds(n) {
+		if mcl := routeAll(tab, flows, seed, fresh); mcl < bestMCL {
+			best, bestMCL = seed, mcl
+		}
+	}
+	if bestMCL <= routing.NodeBound(cube, g) {
+		return &Result{Mapping: best, MCL: bestMCL, Method: Anneal, Proved: true}, nil
+	}
+	degraded := false
 restartLoop:
 	for r := 0; r < restarts; r++ {
 		restartsRun++
 		ev := newIncEval(g, cube, topology.Mapping(rng.Perm(n)), tab)
-		curMCL := ev.mcl()
+		curMCL := ev.mcl() // a fresh evaluation: newIncEval rebuilds
 		if curMCL < bestMCL {
 			bestMCL = curMCL
 			best = ev.cur.Clone()
@@ -284,9 +326,14 @@ restartLoop:
 			if mcl <= curMCL || rng.Float64() < math.Exp((curMCL-mcl)/temp) {
 				accepted++
 				curMCL = mcl
+				// The incremental loads drift from a fresh evaluation
+				// over thousands of signed updates: confirm before
+				// keeping.
 				if mcl < bestMCL {
-					bestMCL = mcl
-					best = ev.cur.Clone()
+					if f := routeAll(tab, flows, ev.cur, fresh); f < bestMCL {
+						bestMCL = f
+						best = ev.cur.Clone()
+					}
 				}
 			} else {
 				ev.swap(i, j) // reject: undo
@@ -294,9 +341,5 @@ restartLoop:
 			temp *= alpha
 		}
 	}
-	// bestMCL is the incremental evaluator's value, which drifts from a
-	// fresh evaluation over thousands of signed updates; report the MCL the
-	// returned mapping has.
-	bestMCL = routeAll(tab, g.Flows(), best, make([]float64, cube.NumChannels()))
 	return &Result{Mapping: best, MCL: bestMCL, Method: Anneal, Degraded: degraded}, nil
 }

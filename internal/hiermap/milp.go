@@ -25,15 +25,24 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
-	if sched.Expired(ctx) {
-		// No time left even for model construction: fall back to the
-		// annealing seed, which degrades to its first valid placement.
-		res, err := solveAnneal(ctx, g, cube, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Degraded = true
-		return res, nil
+	// The annealing seed is the branch and bound's incumbent. At the
+	// per-node bound it is optimal and no branching can lower it; with no
+	// time left for the model it is the degraded answer.
+	seed, err := solveAnneal(ctx, g, cube, Config{
+		AnnealIters:    cfg.AnnealIters,
+		AnnealRestarts: 1,
+		Seed:           cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case seed.MCL <= routing.NodeBound(cube, g):
+		seed.Proved, seed.Degraded = true, false
+		return seed, nil
+	case sched.Expired(ctx):
+		seed.Degraded = true
+		return seed, nil
 	}
 	mesh := topology.NewMesh(shape...)
 	n := mesh.N()
@@ -163,11 +172,8 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 		base.AddConstraint([]lp.Term{{Var: gVar[0][0], Coef: 1}}, lp.EQ, 1)
 	}
 
-	// Warm-start incumbent from annealing (or the identity when trivial).
-	incumbent, err := buildIncumbent(ctx, g, mesh, cube, flows, base.NumVariables(), z, gVar, fVar, rVar, edgeOf, cap, cfg)
-	if err != nil {
-		return nil, err
-	}
+	alg := routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))
+	incumbent := buildIncumbent(seed.Mapping, mesh, flows, base.NumVariables(), z, gVar, fVar, rVar, edgeOf, cap, alg)
 
 	budget := cfg.MILPDeadline
 	if budget <= 0 {
@@ -205,7 +211,7 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 	}
 	return &Result{
 		Mapping:  mapping,
-		MCL:      routing.MaxChannelLoad(cube, g, mapping, routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))),
+		MCL:      routing.MaxChannelLoad(cube, g, mapping, alg),
 		Method:   MILP,
 		Proved:   res.Status == milp.Optimal,
 		Degraded: sched.Expired(ctx),
@@ -215,24 +221,11 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 // buildIncumbent converts an annealed placement into a full MILP variable
 // assignment: g from the placement, f from the uniform minimal-path split
 // on the mesh (which respects C3 because meshes have a unique minimal
-// direction per dimension), r from the travel directions. Returns a nil
-// slice (and nil error) when the placement cannot be pinned to the
-// symmetry-broken form; a non-nil error only on hard cancellation.
-func buildIncumbent(ctx context.Context, g *graph.Comm, mesh, cube *topology.Torus, flows []graph.Flow,
-	numVars, z int, gVar, fVar [][]int, rVar [][]int, edgeOf map[int]int, cap float64, cfg Config) ([]float64, error) {
+// direction per dimension), r from the travel directions. Returns nil
+// when a flow uses a channel the model has no edge for.
+func buildIncumbent(m topology.Mapping, mesh *topology.Torus, flows []graph.Flow,
+	numVars, z int, gVar, fVar [][]int, rVar [][]int, edgeOf map[int]int, cap float64, alg routing.MinimalAdaptive) []float64 {
 
-	seedRes, err := solveAnneal(ctx, g, cube, Config{
-		AnnealIters:    cfg.AnnealIters,
-		AnnealRestarts: 1,
-		Seed:           cfg.Seed,
-	})
-	if err != nil {
-		if sched.HardCancel(ctx) != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	m := seedRes.Mapping
 	// Respect the symmetry-breaking pin g_{0,0}=1 by composing with a cube
 	// automorphism that sends m[0] to vertex 0: flip every dimension where
 	// m[0] has coordinate 1.
@@ -255,7 +248,6 @@ func buildIncumbent(ctx context.Context, g *graph.Comm, mesh, cube *topology.Tor
 	}
 	maxLoad := 0.0
 	loads := make([]float64, mesh.NumChannels())
-	alg := routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))
 	for i, fl := range flows {
 		for j := range loads {
 			loads[j] = 0
@@ -271,7 +263,7 @@ func buildIncumbent(ctx context.Context, g *graph.Comm, mesh, cube *topology.Tor
 			}
 			e, ok := edgeOf[ch]
 			if !ok {
-				return nil, nil
+				return nil
 			}
 			x[fVar[i][e]] = v
 			_, dim, dir := mesh.DecodeChannel(ch)
@@ -294,5 +286,5 @@ func buildIncumbent(ctx context.Context, g *graph.Comm, mesh, cube *topology.Tor
 		}
 	}
 	x[z] = maxLoad / cap
-	return x, nil
+	return x
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/routing"
+	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
 )
 
@@ -100,5 +102,55 @@ func TestMILPSymmetryPinRespected(t *testing.T) {
 	mesh := topology.NewMesh(2, 2)
 	if mesh.MinDistance(res.Mapping[2], res.Mapping[3]) != 2 {
 		t.Fatalf("heavy pair not diagonal: %v", res.Mapping)
+	}
+}
+
+// TestMILPHaloLeafStopsAtBound checks that the MILP does not branch when
+// its annealed incumbent is at the per-node bound: the 4x4 halo leaf comes
+// back at MCL 4, proved, with no branch-and-bound node and no model built.
+func TestMILPHaloLeafStopsAtBound(t *testing.T) {
+	scope := telemetry.NewScope("milp-halo-leaf")
+	ctx := telemetry.WithScope(context.Background(), scope)
+	res, err := MapCtx(ctx, haloLeaf(4, 4, 4), []int{2, 2, 2, 2}, Config{Method: MILP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MCL != 4 || !res.Proved || res.Degraded {
+		t.Fatalf("MCL %v, Proved %v, Degraded %v; want 4, true, false", res.MCL, res.Proved, res.Degraded)
+	}
+	for _, name := range []string{telemetry.CtrMILPNodes, telemetry.CtrLPPivots} {
+		if v := scope.Counter(name).Value(); v != 0 {
+			t.Fatalf("%s = %d, want 0", name, v)
+		}
+	}
+}
+
+// TestMILPDeadlineBoundsRelaxation checks that MILPDeadline bounds a
+// single LP relaxation: a 16-node ring, whose bound no placement meets,
+// has a root relaxation that runs for minutes, and the solve must still
+// come back within seconds, with a valid mapping that claims no proof.
+func TestMILPDeadlineBoundsRelaxation(t *testing.T) {
+	b := graph.New(16)
+	for i := 0; i < 16; i++ {
+		b.AddTraffic(i, (i+1)%16, 2)
+	}
+	g := b.Build()
+	shape := []int{2, 2, 2, 2}
+	start := time.Now()
+	res, err := MapCtx(context.Background(), g, shape, Config{Method: MILP, MILPDeadline: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("took %v under a 500ms budget", elapsed)
+	}
+	if res.Proved {
+		t.Fatalf("proved at MCL %v after a cut relaxation", res.MCL)
+	}
+	if err := res.Mapping.Validate(16, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := EvaluateWith(g, shape, false, res.Mapping, routing.MinimalAdaptive{}); got != res.MCL {
+		t.Fatalf("Result.MCL %v, evaluated %v", res.MCL, got)
 	}
 }

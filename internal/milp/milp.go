@@ -170,11 +170,12 @@ func (h *nodeHeap) Pop() interface{} {
 }
 
 // SolveCtx runs branch and bound and returns the best result found. When
-// ctx is canceled or its deadline expires the search stops at the next
-// node boundary (and in-flight LP relaxations abort at their next pivot
-// poll); the best incumbent found so far is returned, exactly as for an
-// expired Deadline. Callers that must distinguish hard cancellation
-// inspect ctx.Err() themselves.
+// ctx is canceled or its deadline or Deadline expires the search stops at
+// the next node boundary, and an in-flight LP relaxation aborts at its
+// next pivot poll and its node stays open; the best incumbent found so far
+// is returned. Optimal and Infeasible are claimed only for a tree that was
+// exhausted with every relaxation solved to the end. Callers that must
+// distinguish hard cancellation inspect ctx.Err() themselves.
 func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 	tol := opt.Tol
 	if tol <= 0 {
@@ -204,7 +205,14 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 	checkDeadline := func() bool {
 		return !deadline.IsZero() && time.Now().After(deadline)
 	}
-
+	// Each relaxation runs under the deadline too: a single one can take
+	// longer than the whole budget.
+	lpCtx := ctx
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		lpCtx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	for open.Len() > 0 {
 		if res.Nodes >= maxNodes || checkDeadline() || ctx.Err() != nil {
 			break
@@ -215,12 +223,16 @@ func (p *Problem) SolveCtx(ctx context.Context, opt Options) *Result {
 		}
 		res.Nodes++
 
-		sol, err := p.relax(ctx, nd, opt.LPOptions)
+		sol, err := p.relax(lpCtx, nd, opt.LPOptions)
 		if sol != nil {
 			res.LPIters += sol.Iters
 		}
 		if err != nil {
-			continue // canceled mid-relaxation; the loop head exits next
+			// Canceled mid-relaxation: the node stays open, so neither
+			// optimality nor infeasibility is claimed and the bound
+			// keeps its lb.
+			heap.Push(open, nd)
+			break
 		}
 		switch sol.Status {
 		case lp.Infeasible:

@@ -238,6 +238,43 @@ func MaxChannelLoad(t *topology.Torus, g *graph.Comm, m topology.Mapping, alg Al
 	return MCL(ChannelLoads(t, g, m, alg))
 }
 
+// NodeBound is a lower bound on the MCL of any placement of g's tasks on
+// t with at most one task per node, under any routing: every unit a task
+// sends leaves its node, and every unit it receives enters it, on one of
+// the node's channels, so some channel carries at least the task's out-
+// or in-volume divided by their number. NodeBound returns the largest
+// task out-volume or in-volume divided by the most channels that leave
+// any node: n on a 2-ary n-mesh, 2n on a 2-ary n-torus (its double-wide
+// links) or a k-ary n-torus. It is 0 on a topology without channels.
+func NodeBound(t *topology.Torus, g *graph.Comm) float64 {
+	deg := 0
+	for d := 0; d < t.NumDims(); d++ {
+		switch k := t.Dim(d); {
+		case k <= 1:
+		case k == 2 && !t.Wrap(d):
+			deg++
+		default:
+			deg += 2
+		}
+	}
+	if deg == 0 {
+		return 0
+	}
+	out := make([]float64, g.N())
+	in := make([]float64, g.N())
+	g.EachFlow(func(s, d int, vol float64) {
+		if s != d {
+			out[s] += vol
+			in[d] += vol
+		}
+	})
+	max := 0.0
+	for v := range out {
+		max = math.Max(max, math.Max(out[v], in[v]))
+	}
+	return max / float64(deg)
+}
+
 // TotalLoad returns the sum of a channel-load vector; divided by volume it
 // is the average hop count (a hop-bytes analogue).
 func TotalLoad(loads []float64) float64 {

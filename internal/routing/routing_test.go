@@ -318,3 +318,61 @@ func TestQuickLoadsOnlyOnRealChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeBoundProperty checks NodeBound against seeded random graphs and
+// random one-task-per-node placements on 2-ary meshes, 2-ary tori, k-ary
+// tori and a k-ary mesh: no placement's MCL is below the bound, under the
+// uniform split or dimension-order routing. The tolerance covers the
+// rounding of a flow's split fractions.
+func TestNodeBoundProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	tops := []*topology.Torus{
+		topology.NewMesh(2, 2), topology.NewMesh(2, 2, 2, 2), topology.NewMesh(2, 2, 2, 2, 2, 2),
+		topology.NewTorus(2, 2, 2), topology.NewTorus(2, 2, 2, 2),
+		topology.NewTorus(3, 4), topology.NewTorus(4, 4, 2), topology.NewTorus(5, 3, 2),
+		topology.NewMesh(4, 3),
+	}
+	for _, tp := range tops {
+		n := tp.N()
+		for trial := 0; trial < 20; trial++ {
+			b := graph.New(n)
+			for e := rng.Intn(4 * n); e >= 0; e-- {
+				b.AddTraffic(rng.Intn(n), rng.Intn(n), 1+9*rng.Float64())
+			}
+			g := b.Build()
+			bound := NodeBound(tp, g)
+			m := topology.Mapping(rng.Perm(n))
+			for _, alg := range []Algorithm{MinimalAdaptive{}, DimOrder{}} {
+				if mcl := MaxChannelLoad(tp, g, m, alg); mcl < bound*(1-1e-12) {
+					t.Fatalf("%v trial %d, %s: MCL %v below NodeBound %v", tp, trial, alg.Name(), mcl, bound)
+				}
+			}
+		}
+	}
+}
+
+// TestNodeBoundChannelCounts pins the divisor: a single flow of volume 12
+// between neighbours reads 12/n on a 2-ary n-mesh, 12/2n on a 2-ary
+// n-torus and a k-ary n-torus, and 12 divided by the interior degree on a
+// k-ary mesh.
+func TestNodeBoundChannelCounts(t *testing.T) {
+	for _, tc := range []struct {
+		tp   *topology.Torus
+		want float64
+	}{
+		{topology.NewMesh(2, 2, 2), 4},
+		{topology.NewTorus(2, 2, 2), 2},
+		{topology.NewTorus(4, 4), 3},
+		{topology.NewMesh(4, 4), 3},
+		{topology.NewMesh(2, 1), 12},
+		{topology.NewTorus(1), 0},
+	} {
+		b := graph.New(tc.tp.N())
+		if tc.tp.N() > 1 {
+			b.AddTraffic(0, 1, 12)
+		}
+		if got := NodeBound(tc.tp, b.Build()); got != tc.want {
+			t.Errorf("%v: NodeBound %v, want %v", tc.tp, got, tc.want)
+		}
+	}
+}

@@ -76,8 +76,9 @@ func (c *cache) len() int {
 }
 
 // cloneResult copies the serializable parts of a Result. Detail (the full
-// pipeline output) is dropped: it is not part of the wire format and
-// holding node graphs alive in the cache would defeat the entry bound.
+// pipeline output) is dropped: it is not part of the wire format, so a
+// cache entry need not keep its node mapping and per-node task index
+// alive. The copy's Mapping is its own, not Detail's ProcToNode.
 func cloneResult(r *rahtm.Result) *rahtm.Result {
 	out := *r
 	out.Mapping = append(rahtm.Mapping(nil), r.Mapping...)

@@ -358,6 +358,8 @@ func mapperName(r *rahtm.Request) string {
 }
 
 // clampRequest applies the daemon's resource ceilings to a wire request.
+// Parallelism follows sched.Workers: an unset (0) request gets the cap, and
+// a negative one keeps its meaning, one worker.
 func (s *Server) clampRequest(req *rahtm.Request) {
 	if max := s.cfg.MaxDeadline; max > 0 {
 		maxMS := int64(max / time.Millisecond)
@@ -366,7 +368,7 @@ func (s *Server) clampRequest(req *rahtm.Request) {
 		}
 	}
 	if max := s.cfg.MaxParallelism; max > 0 {
-		if req.Parallelism <= 0 || req.Parallelism > max {
+		if req.Parallelism == 0 || req.Parallelism > max {
 			req.Parallelism = max
 		}
 	}

@@ -723,3 +723,24 @@ func TestSolveWorkerPanicRecovered(t *testing.T) {
 		t.Fatalf("request after the panic: status %d, body %s; want 200", resp.StatusCode, body)
 	}
 }
+
+// TestClampParallelism pins clampRequest's reading of Parallelism, which
+// must agree with the pipeline's (sched.Workers: 0 = GOMAXPROCS, below 1 =
+// one worker): on a capped daemon an unset request gets the cap, a larger
+// one is cut to it, and a negative one stays one worker, as it is on an
+// uncapped daemon.
+func TestClampParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		max, sent, want int
+	}{
+		{0, 0, 0}, {0, -1, -1}, {0, 3, 3},
+		{2, 0, 2}, {2, -1, -1}, {2, 1, 1}, {2, 2, 2}, {2, 5, 2},
+	} {
+		s := &Server{cfg: Config{MaxParallelism: tc.max}}
+		req := rahtm.Request{Parallelism: tc.sent}
+		s.clampRequest(&req)
+		if req.Parallelism != tc.want {
+			t.Errorf("MaxParallelism %d: parallelism %d clamped to %d, want %d", tc.max, tc.sent, req.Parallelism, tc.want)
+		}
+	}
+}

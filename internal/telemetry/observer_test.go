@@ -96,10 +96,12 @@ func TestLogWritesSpans(t *testing.T) {
 	var sb strings.Builder
 	l := NewLog(&sb)
 	l.Record(Span{Name: "solve", Phase: PhaseMap, Worker: 0, Level: 0, MCL: 4.5, Dur: 724 * time.Millisecond}, time.Now())
+	l.Record(Span{Name: "solve", Phase: PhaseMap, Worker: 1, Level: 1, MCL: 4, Proved: true, Dur: time.Millisecond}, time.Now())
 	l.Record(Span{Name: "prepare", Phase: PhaseMerge, Worker: -1, Level: 1, Jobs: 3, Dur: time.Millisecond}, time.Now())
 	l.Record(Span{Name: "merge", Phase: PhaseMerge, Worker: 0, Level: 0, Barred: true, BarSteps: 2, Dur: 2 * time.Millisecond}, time.Now())
 	l.Record(Span{Name: "phase", Phase: PhaseMerge, Worker: -1, Level: -1, Dur: 3 * time.Millisecond}, time.Now())
 	want := "rahtm: map solve level 0 worker 0 mcl 4.5 in 724ms\n" +
+		"rahtm: map solve level 1 worker 1 mcl 4 proved in 1ms\n" +
 		"rahtm: merge prepare level 1 jobs 3 in 1ms\n" +
 		"rahtm: merge merge level 0 worker 0 barred after 2 steps in 2ms\n" +
 		"rahtm: phase merge done in 3ms\n"

@@ -53,6 +53,10 @@ type Span struct {
 	// at or below the bar.
 	Barred   bool `json:"barred,omitempty"`
 	BarSteps int  `json:"bar_steps,omitempty"`
+	// Proved is set on a "solve" span whose leaf solver proved its mapping
+	// optimal: an exhaustive search that ran to the end, a seed at the
+	// per-node bound (routing.NodeBound), or a closed MILP tree.
+	Proved bool `json:"proved,omitempty"`
 	// TraceID is the request identity the span belongs to, "" for spans
 	// emitted outside a traced scope (CLI runs).
 	TraceID string `json:"trace,omitempty"`
@@ -107,7 +111,7 @@ func (t tee) Record(sp Span, start time.Time) {
 // Log is an Observer that writes one line per span to an io.Writer,
 // serialized by an internal mutex, e.g.
 //
-//	rahtm: map solve level 0 worker 0 mcl 12 in 724ms
+//	rahtm: map solve level 0 worker 0 mcl 12 proved in 724ms
 //	rahtm: phase map done in 1.2s
 //
 // A Log built with a nil writer, and a nil *Log, discard every span. Do not
@@ -142,6 +146,9 @@ func (l *Log) Record(sp Span, _ time.Time) {
 		}
 		if sp.Barred {
 			line += fmt.Sprintf(" barred after %d steps", sp.BarSteps)
+		}
+		if sp.Proved {
+			line += " proved"
 		}
 	}
 	l.mu.Lock()

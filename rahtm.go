@@ -74,8 +74,9 @@ type (
 	CommReport = netsim.CommReport
 	// Model holds network bandwidth parameters for simulation.
 	Model = netsim.Model
-	// PipelineResult is the full RAHTM pipeline output. It keeps one int
-	// per node, not per process, for ProcTask, which reads ProcToNode.
+	// PipelineResult is the full RAHTM pipeline output: the node-level
+	// mapping, ProcToNode, MCL and phase stats. It keeps no graph, and one
+	// int per node, not per process, for ProcTask, which reads ProcToNode.
 	PipelineResult = core.Result
 	// PipelineConfig tunes the RAHTM pipeline.
 	PipelineConfig = core.Config

@@ -130,8 +130,8 @@ type Result struct {
 	// filled when the context carried a telemetry scope.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 
-	// Detail is the full RAHTM pipeline output (node graph, node-level
-	// mapping, ProcTask); nil for baseline mappers. Not serialized.
+	// Detail is the full RAHTM pipeline output (node-level mapping,
+	// ProcTask, phase stats); nil for baseline mappers. Not serialized.
 	Detail *PipelineResult `json:"-"`
 }
 

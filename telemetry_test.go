@@ -203,7 +203,9 @@ func TestServeMetricsFacade(t *testing.T) {
 // context's scope, or both — it sees the same spans, and tracing changes
 // neither the result nor any counter. Solves one instance four ways at
 // parallelism 1 and 4: untraced, Request.Observer alone, a scope carrying
-// the observer, and a scope observer plus Request.Observer.
+// the observer, and a scope observer plus Request.Observer. The instance
+// is a random-neighbour graph, whose leaves anneal: a halo's leaves stop
+// at the per-node bound without a move.
 func TestSpanObserverByteIdentical(t *testing.T) {
 	keys := []string{
 		"routing.stencil.hits", "merge.beam.candidates", "merge.beam.kept", "merge.symmetry.evals",
@@ -234,7 +236,7 @@ func TestSpanObserverByteIdentical(t *testing.T) {
 		var baseSpans map[spanKey]int
 		for _, mode := range []string{"untraced", "request", "scope", "both"} {
 			req := Request{
-				Work:   Halo2D(8, 8, 10),
+				Work:   RandomNeighbors(64, 4, 10, 3),
 				Torus:  NewTorus(8, 8),
 				Config: &Mapper{Parallelism: par, Leaf: LeafConfig{Method: LeafAnneal, AnnealIters: 200}},
 			}
