@@ -7,33 +7,9 @@ import (
 	"fmt"
 	"testing"
 
-	"rahtm/internal/merge"
 	"rahtm/internal/packetsim"
 	"rahtm/internal/topology"
 )
-
-// BenchmarkAblationReposition compares Phase 3 with and without the
-// repositioning degree of freedom (children free to occupy any cube
-// position instead of their Phase 2 pseudo-pin).
-func BenchmarkAblationReposition(b *testing.B) {
-	t := NewTorus(4, 4)
-	w := Transpose(4, 10)
-	for _, reposition := range []bool{false, true} {
-		b.Run(fmt.Sprintf("reposition=%v", reposition), func(b *testing.B) {
-			var mcl float64
-			for i := 0; i < b.N; i++ {
-				m := Mapper{}
-				m.Merge = merge.Config{Reposition: reposition}
-				mp, err := m.MapProcs(w, t, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mcl = MCL(t, w.Graph, mp)
-			}
-			b.ReportMetric(mcl, "MCL")
-		})
-	}
-}
 
 // BenchmarkScalingStudy measures the offline mapping cost as the process
 // count grows (the §V-B scaling discussion): 64 -> 256 -> 1024 processes.

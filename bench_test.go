@@ -155,7 +155,7 @@ func BenchmarkTable2MILPSolve(b *testing.B) {
 	g := gb.Build()
 	var mcl float64
 	for i := 0; i < b.N; i++ {
-		res, err := hiermap.MapCtx(context.Background(), g, []int{2, 2}, hiermap.Config{Method: hiermap.MILP})
+		res, err := hiermap.MapCtx(context.Background(), g, NewMesh(2, 2), hiermap.Config{Method: hiermap.MILP})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func BenchmarkAblationLeafSolver(b *testing.B) {
 			}
 			var mcl float64
 			for i := 0; i < b.N; i++ {
-				res, err := hiermap.MapCtx(context.Background(), g, []int{2, 2, 2}, hiermap.Config{Method: method, Seed: 1})
+				res, err := hiermap.MapCtx(context.Background(), g, NewMesh(2, 2, 2), hiermap.Config{Method: method, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,7 +8,6 @@ import (
 	"context"
 
 	"rahtm/internal/graph"
-	"rahtm/internal/hiermap"
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
 	"rahtm/internal/topology"
@@ -31,9 +30,9 @@ func badUnscopedEvaluator(ctx context.Context, loads []float64) routing.MinimalA
 
 // goodScoped is the clean twin: the scope rides ctx into the evaluator,
 // which carries it to the solve.
-func goodScoped(ctx context.Context, g *graph.Comm, shape []int, m topology.Mapping) float64 {
+func goodScoped(ctx context.Context, g *graph.Comm, t *topology.Torus, m topology.Mapping) float64 {
 	alg := routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx))
-	return hiermap.EvaluateWith(g, shape, true, m, alg)
+	return routing.MaxChannelLoad(t, g, m, alg)
 }
 
 // goodCtxThreaded forwards the caller's ctx, not a fresh root.
@@ -43,8 +42,8 @@ func goodCtxThreaded(ctx context.Context) {
 
 // goodNoCtx has no ctx parameter: it is a documented unscoped entry point
 // (CLI, test, leaf helper) and is exempt.
-func goodNoCtx(g *graph.Comm, shape []int, m topology.Mapping) float64 {
-	return hiermap.EvaluateWith(g, shape, true, m, routing.MinimalAdaptive{})
+func goodNoCtx(g *graph.Comm, t *topology.Torus, m topology.Mapping) float64 {
+	return routing.MaxChannelLoad(t, g, m, routing.MinimalAdaptive{})
 }
 
 // allowedRoot shows a justified suppression: no diagnostic expected.

@@ -56,10 +56,9 @@ type Config struct {
 	DisableSiblingReuse bool
 	// Parallelism bounds the workers of the level-wise Phase 2/3 scheduler,
 	// resolved by sched.Workers (0 = runtime.GOMAXPROCS(0), 1 or less =
-	// fully sequential). Unless Merge.Parallelism is set explicitly, the
-	// leftover worker budget is also forwarded to the Phase 3 beam
-	// scorers. Results are identical for every setting; see DESIGN.md
-	// "Concurrency architecture".
+	// fully sequential). The worker budget a level's sibling merges leave
+	// over goes to each merge's beam scorers. Results are identical for
+	// every setting; see DESIGN.md "Concurrency architecture".
 	Parallelism int
 }
 
@@ -176,14 +175,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		return nil, err
 	}
 	scope := telemetry.ScopeFrom(ctx)
-	conc := cfg.Concentration
-	if conc <= 0 {
-		conc = 1
-	}
-	if proc.N() != t.N()*conc {
-		return nil, fmt.Errorf("core: %d processes != %d nodes x %d concentration",
-			proc.N(), t.N(), conc)
-	}
 	h, err := topology.NewHierarchy(t)
 	if err != nil {
 		return nil, err
@@ -193,23 +184,14 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 
 	// ---- Phase 1: clustering -------------------------------------------
 	start := time.Now()
-	var nodeGraph *graph.Comm
-	var procToTask []int
-	gridDims := cfg.GridDims
-	if conc > 1 {
-		c1, err := cluster.Auto(proc, gridDims, conc)
-		if err != nil {
-			return nil, fmt.Errorf("core: concentration clustering: %w", err)
-		}
-		nodeGraph = c1.Coarse
-		gridDims = c1.GridDims
+	c1, quality, err := concentrate(proc, t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	nodeGraph, procToTask, gridDims := c1.Coarse, c1.Assign, c1.GridDims
+	res.Stats.ClusterQuality = quality
+	if cfg.Concentration > 1 {
 		res.Stats.TileShapes = append(res.Stats.TileShapes, c1.TileShape)
-		res.Stats.ClusterQuality = cluster.Quality(proc, c1)
-		procToTask = c1.Assign
-	} else {
-		nodeGraph = proc
-		procToTask = identity(proc.N())
-		res.Stats.ClusterQuality = 0
 	}
 
 	// Per-level coarsening, bottom-up: graphs[d] is the communication graph
@@ -254,7 +236,6 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		prepStart := time.Now()
 		count := entityCount(h, d+1)
 		pins[d] = make([]int, count)
-		shape := h.CubeShape(d)
 		parents := members[d]
 		locals := make([]*graph.Comm, len(parents))
 		keys := make([]uint64, len(parents))
@@ -272,11 +253,16 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			err error
 		}
 		solved := make([]solveResult, len(rep))
-		lc := cfg.Leaf
-		lc.Torus = d == 0 && anyWrap(t)
+		// The root cube is a 2-ary torus of double-wide links when any
+		// machine dimension wraps (§III-C); every cube below it is a plain
+		// mesh.
+		cube := topology.NewMesh(h.CubeShape(d)...)
+		if d == 0 && anyWrap(t) {
+			cube = topology.NewTorus(h.CubeShape(d)...)
+		}
 		if err := forEach(ctx, workers, len(rep), func(worker, gi int) {
 			t0 := time.Now()
-			r, err := hiermap.MapCtx(ctx, locals[rep[gi]], shape, lc)
+			r, err := hiermap.MapCtx(ctx, locals[rep[gi]], cube, cfg.Leaf)
 			elapsed := time.Since(t0)
 			mapWork.Add(int64(elapsed))
 			sp := telemetry.Span{Name: "solve", Phase: telemetry.PhaseMap, Worker: worker, Level: d,
@@ -339,6 +325,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	leavesStart := time.Now()
 	blocks := make([]*merge.Block, len(members[L-1]))
 	leafShape := h.CubeShape(L - 1)
+	leafMesh := topology.NewMesh(leafShape...)
 	leafAlg := routing.MinimalAdaptive{}.WithScope(scope)
 	for i, kids := range members[L-1] {
 		local := make(topology.Mapping, len(kids))
@@ -346,7 +333,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 			local[j] = pins[L-1][kid]
 		}
 		sub, _ := nodeGraph.InducedSubgraph(kids)
-		mcl := hiermap.EvaluateWith(sub, leafShape, false, local, leafAlg)
+		mcl := routing.MaxChannelLoad(leafMesh, sub, local, leafAlg)
 		blocks[i] = merge.NewLeafBlock(kids, leafShape, local, mcl)
 	}
 	scope.Span(telemetry.Span{Name: "leaves", Phase: telemetry.PhaseMerge, Worker: -1, Level: L - 1,
@@ -354,8 +341,9 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	// Sibling merges within a level are independent (§III-D): dedupe them
 	// by mergeKey, merge one representative per group concurrently, and
 	// translate the rest. The worker budget not consumed by concurrent
-	// sibling merges flows into each merge's internal beam scorers, so the
-	// root merge (a single group) still uses every worker.
+	// sibling merges flows into each merge's internal beam scorers
+	// (innerParallelism), so the root merge (a single group) still uses
+	// every worker.
 	var mergeWork atomic.Int64
 	for d := L - 2; d >= 0; d-- {
 		prepStart := time.Now()
@@ -380,19 +368,15 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		})
 		scope.Span(telemetry.Span{Name: "prepare", Phase: telemetry.PhaseMerge, Worker: -1, Level: d,
 			Jobs: len(rep), Dur: time.Since(prepStart)}, prepStart)
-		// The evaluation topology is the pipeline's to set at every level:
-		// at the root the machine (a torus of the root block's shape when
-		// the block does not cover it), below it the plain parent mesh.
-		mc := cfg.Merge
-		mc.Torus, mc.Topology = d == 0 && anyWrap(t), nil
-		mbar := math.Inf(1)
-		if d == 0 && sameDims(t, h.BlockShape(0)) {
-			mc.Topology = t
-			mbar = bar
+		// A merge evaluates on its parent block: at the root that is the
+		// machine itself (the root block covers it), with its own wrap
+		// flags and the default-order bar; below it the plain parent mesh,
+		// unbarred.
+		parent, mbar := topology.NewMesh(h.BlockShape(d)...), math.Inf(1)
+		if d == 0 {
+			parent, mbar = t, bar
 		}
-		if mc.Parallelism == 0 {
-			mc.Parallelism = innerParallelism(workers, len(rep))
-		}
+		inner := innerParallelism(workers, len(rep))
 		type mergeResult struct {
 			block *merge.Block
 			err   error
@@ -401,7 +385,7 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 		if err := forEach(ctx, workers, len(rep), func(worker, gi int) {
 			i := rep[gi]
 			t0 := time.Now()
-			m, err := merge.MergeCtx(ctx, nodeGraph, childSets[i], h.CubeShape(d), posSets[i], mc, mbar)
+			m, err := merge.MergeCtx(ctx, nodeGraph, childSets[i], parent, posSets[i], cfg.Merge, inner, mbar)
 			elapsed := time.Since(t0)
 			mergeWork.Add(int64(elapsed))
 			sp := telemetry.Span{Name: "merge", Phase: telemetry.PhaseMerge, Worker: worker, Level: d,
@@ -455,17 +439,14 @@ func MapProcessesCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus, c
 	final := blocks[0]
 	res.Stats.CandidatesKept = len(final.Candidates)
 
-	// Block-local positions are row-major over BlockShape(0); when the
-	// block covers the whole machine this coincides with topology ranks.
-	if !sameDims(t, final.Shape) {
-		return nil, fmt.Errorf("core: final block shape %v does not cover topology %v", final.Shape, t)
-	}
-	// Safety net: the beam search is heuristic, and on workloads the
-	// default order already embeds perfectly it can land above it. Compare
-	// against the identity (default) node order and keep the better — the
-	// paper's evaluation never loses to ABCDET, and neither do we. A root
-	// block without candidates is a merge the bar stopped: the identity
-	// beats every state it could have returned.
+	// Block-local positions are row-major over BlockShape(0), the
+	// machine's shape, so they are topology ranks. Safety net: the beam
+	// search is heuristic, and on workloads the default order already
+	// embeds perfectly it can land above it. Compare against the identity
+	// (default) node order and keep the better — the paper's evaluation
+	// never loses to ABCDET, and neither do we. A root block without
+	// candidates is a merge the bar stopped: the identity beats every state
+	// it could have returned.
 	if len(final.Candidates) > 0 {
 		best := final.Candidates[0]
 		res.NodeMapping = make(topology.Mapping, t.N())
@@ -507,18 +488,6 @@ func anyWrap(t *topology.Torus) bool {
 		}
 	}
 	return false
-}
-
-func sameDims(t *topology.Torus, shape []int) bool {
-	if t.NumDims() != len(shape) {
-		return false
-	}
-	for d := range shape {
-		if t.Dim(d) != shape[d] {
-			return false
-		}
-	}
-	return true
 }
 
 // entityCount returns the number of blocks at the given depth.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"time"
 
 	"rahtm/internal/cluster"
 	"rahtm/internal/graph"
@@ -39,19 +40,18 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
-	conc := cfg.Concentration
-	if conc <= 0 {
-		conc = 1
-	}
-	if proc.N() != t.N()*conc {
-		return nil, fmt.Errorf("core: %d processes != %d nodes x %d concentration", proc.N(), t.N(), conc)
-	}
 
 	// Phase 1a as usual: concentrate processes into node-level tasks.
-	nodeGraph, procToTask, quality, err := concentrate(proc, cfg.GridDims, conc)
+	start := time.Now()
+	c1, quality, err := concentrate(proc, t, cfg)
 	if err != nil {
 		return nil, err
 	}
+	nodeGraph := c1.Coarse
+	out := &Result{}
+	out.Stats.ClusterTime = time.Since(start)
+	out.Stats.ClusterQuality = quality
+	out.Stats.Parallelism = sched.Workers(cfg.Parallelism)
 
 	boxes := powerOfTwoBoxes(t)
 	parts, err := partitionBySizes(nodeGraph, boxSizes(boxes))
@@ -63,7 +63,6 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 	for i := range nodeMapping {
 		nodeMapping[i] = -1
 	}
-	degraded := false
 	for bi, box := range boxes {
 		if err := sched.HardCancel(ctx); err != nil {
 			return nil, err
@@ -89,9 +88,7 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %v: %w", box, err)
 		}
-		if res.Stats.Degraded {
-			degraded = true
-		}
+		out.Stats.addBox(res.Stats)
 		for li, task := range tasks {
 			nodeMapping[task] = boxNodes[res.NodeMapping[li]]
 		}
@@ -105,24 +102,50 @@ func MapPartitionedCtx(ctx context.Context, proc *graph.Comm, t *topology.Torus,
 		return nil, err
 	}
 
-	out := &Result{NodeMapping: nodeMapping}
-	out.Stats.ClusterQuality = quality
-	out.Stats.Degraded = degraded
-	out.place(procToTask)
+	out.NodeMapping = nodeMapping
+	out.place(c1.Assign)
 	out.MCL = routing.MaxChannelLoad(t, nodeGraph, nodeMapping, routing.MinimalAdaptive{}.WithScope(telemetry.ScopeFrom(ctx)))
 	return out, nil
 }
 
-// concentrate is Phase 1a shared between entry points.
-func concentrate(proc *graph.Comm, gridDims []int, conc int) (*graph.Comm, []int, float64, error) {
+// addBox adds one box's pipeline work to the partitioned solve's stats:
+// phase and work times, subproblem and merge counts, and Degraded. The
+// leaf method is the last solving box's, as MapProcessesCtx keeps its last
+// solve's.
+func (s *PhaseStats) addBox(b PhaseStats) {
+	s.ClusterTime += b.ClusterTime
+	s.MapTime += b.MapTime
+	s.MergeTime += b.MergeTime
+	s.MapWorkTime += b.MapWorkTime
+	s.MergeWorkTime += b.MergeWorkTime
+	s.Subproblems += b.Subproblems
+	s.SubproblemsHit += b.SubproblemsHit
+	s.Merges += b.Merges
+	s.MergesHit += b.MergesHit
+	if b.Subproblems > 0 {
+		s.LeafMethod = b.LeafMethod
+	}
+	s.Degraded = s.Degraded || b.Degraded
+}
+
+// concentrate is Phase 1a, shared between entry points: it checks that
+// proc has t.N() × concentration processes and clusters them into
+// node-level tasks, the identity at concentration 1. Its GridDims is the
+// node-task grid the per-level clustering continues from, and quality is
+// the fraction of volume made node-local.
+func concentrate(proc *graph.Comm, t *topology.Torus, cfg Config) (c *cluster.Result, quality float64, err error) {
+	conc := max(cfg.Concentration, 1)
+	if proc.N() != t.N()*conc {
+		return nil, 0, fmt.Errorf("core: %d processes != %d nodes x %d concentration", proc.N(), t.N(), conc)
+	}
 	if conc == 1 {
-		return proc, identity(proc.N()), 0, nil
+		return &cluster.Result{Assign: identity(proc.N()), NumClusters: proc.N(), Coarse: proc, GridDims: cfg.GridDims}, 0, nil
 	}
-	c1, err := cluster.Auto(proc, gridDims, conc)
+	c, err = cluster.Auto(proc, cfg.GridDims, conc)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: concentration clustering: %w", err)
+		return nil, 0, fmt.Errorf("core: concentration clustering: %w", err)
 	}
-	return c1.Coarse, c1.Assign, cluster.Quality(proc, c1), nil
+	return c, cluster.Quality(proc, c), nil
 }
 
 // isPowerOfTwoTorus reports whether every dimension is a power of two.

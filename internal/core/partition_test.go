@@ -114,6 +114,10 @@ func TestMapPartitionedNonPowerOfTwoTorus(t *testing.T) {
 	if res.MCL <= 0 {
 		t.Fatalf("MCL = %v", res.MCL)
 	}
+	// The boxes' pipeline work is reported, not dropped.
+	if st := res.Stats; st.Parallelism < 1 || st.Subproblems <= 0 || st.MapTime <= 0 {
+		t.Fatalf("partitioned stats: Parallelism %d, Subproblems %d, MapTime %v", st.Parallelism, st.Subproblems, st.MapTime)
+	}
 	// Must beat a bad scrambled mapping.
 	bad := make(topology.Mapping, 24)
 	for i := range bad {

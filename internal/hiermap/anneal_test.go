@@ -136,28 +136,28 @@ func BenchmarkAnnealStepFull(b *testing.B) {
 // evaluator drifted to over thousands of signed updates; the last solve
 // runs into its deadline and returns degraded.
 func TestAnnealMCLIsEvaluated(t *testing.T) {
-	shape := []int{2, 2, 2, 2}
-	check := func(g *graph.Comm, torus bool, res *Result, err error) {
+	mesh, torus := topology.NewMesh(2, 2, 2, 2), topology.NewTorus(2, 2, 2, 2)
+	check := func(g *graph.Comm, cube *topology.Torus, res *Result, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := res.MCL, EvaluateWith(g, shape, torus, res.Mapping, routing.MinimalAdaptive{}); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("torus=%v degraded=%v: Result.MCL %.17g, EvaluateWith %.17g", torus, res.Degraded, got, want)
+		if got, want := res.MCL, routing.MaxChannelLoad(cube, g, res.Mapping, routing.MinimalAdaptive{}); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("cube %v degraded=%v: Result.MCL %.17g, MaxChannelLoad %.17g", cube, res.Degraded, got, want)
 		}
 	}
-	for _, torus := range []bool{false, true} {
+	for _, cube := range []*topology.Torus{mesh, torus} {
 		for seed := int64(1); seed <= 8; seed++ {
 			g := randomGraph(16, 40+seed)
-			res, err := MapCtx(context.Background(), g, shape, Config{Method: Anneal, Torus: torus, AnnealIters: 2000, AnnealRestarts: 2, Seed: seed})
-			check(g, torus, res, err)
+			res, err := MapCtx(context.Background(), g, cube, Config{Method: Anneal, AnnealIters: 2000, AnnealRestarts: 2, Seed: seed})
+			check(g, cube, res, err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	g := randomGraph(16, 49)
-	res, err := MapCtx(ctx, g, shape, Config{Method: Anneal, Torus: true, AnnealIters: 200_000_000, AnnealRestarts: 1})
-	check(g, true, res, err)
+	res, err := MapCtx(ctx, g, torus, Config{Method: Anneal, AnnealIters: 200_000_000, AnnealRestarts: 1})
+	check(g, torus, res, err)
 	if !res.Degraded {
 		t.Fatal("Degraded not set")
 	}
@@ -216,12 +216,12 @@ func haloLeaf(rows, cols int, vol float64) *graph.Comm {
 // bound, so the annealer returns it proved without a single move.
 func TestHaloLeafStopsAtBound(t *testing.T) {
 	g := haloLeaf(4, 4, 4)
-	shape := []int{2, 2, 2, 2}
-	if b := routing.NodeBound(topology.NewMesh(shape...), g); b != 4 {
+	cube := topology.NewMesh(2, 2, 2, 2)
+	if b := routing.NodeBound(cube, g); b != 4 {
 		t.Fatalf("NodeBound %v, want 4", b)
 	}
 	scope := telemetry.NewScope("halo-leaf")
-	res, err := MapCtx(telemetry.WithScope(context.Background(), scope), g, shape, Config{Method: Anneal})
+	res, err := MapCtx(telemetry.WithScope(context.Background(), scope), g, cube, Config{Method: Anneal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestHaloLeafStopsAtBound(t *testing.T) {
 	if moves := scope.Counter(telemetry.CtrAnnealMoves).Value(); moves != 0 {
 		t.Fatalf("%d anneal moves, want 0", moves)
 	}
-	if got := EvaluateWith(g, shape, false, res.Mapping, routing.MinimalAdaptive{}); got != res.MCL {
+	if got := routing.MaxChannelLoad(cube, g, res.Mapping, routing.MinimalAdaptive{}); got != res.MCL {
 		t.Fatalf("Result.MCL %v, evaluated %v", res.MCL, got)
 	}
 }
@@ -243,15 +243,15 @@ func TestExpiredAnnealKeepsBestSeed(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	g := randomGraph(16, 11)
-	shape := []int{2, 2, 2, 2}
+	cube := topology.NewMesh(2, 2, 2, 2)
 	best := math.Inf(1)
 	for _, m := range graySeeds(16) {
-		best = math.Min(best, EvaluateWith(g, shape, false, m, routing.MinimalAdaptive{}))
+		best = math.Min(best, routing.MaxChannelLoad(cube, g, m, routing.MinimalAdaptive{}))
 	}
-	if bound := routing.NodeBound(topology.NewMesh(shape...), g); best <= bound {
+	if bound := routing.NodeBound(cube, g); best <= bound {
 		t.Fatalf("best seed %v at the bound %v: the fixture must anneal", best, bound)
 	}
-	res, err := MapCtx(ctx, g, shape, Config{Method: Anneal})
+	res, err := MapCtx(ctx, g, cube, Config{Method: Anneal})
 	if err != nil {
 		t.Fatal(err)
 	}

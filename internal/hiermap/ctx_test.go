@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rahtm/internal/graph"
+	"rahtm/internal/topology"
 )
 
 func randomGraph(n int, seed int64) *graph.Comm {
@@ -23,20 +24,21 @@ func randomGraph(n int, seed int64) *graph.Comm {
 	return g.Build()
 }
 
-func cubeShape(n int) []int {
+// cubeMesh is the 2-ary mesh of n = 2^b positions.
+func cubeMesh(n int) *topology.Torus {
 	shape := []int{}
 	for n > 1 {
 		shape = append(shape, 2)
 		n /= 2
 	}
-	return shape
+	return topology.NewMesh(shape...)
 }
 
 func TestMapCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, m := range []Method{Exhaustive, Anneal, MILP} {
-		_, err := MapCtx(ctx, randomGraph(8, 1), cubeShape(8), Config{Method: m})
+		_, err := MapCtx(ctx, randomGraph(8, 1), cubeMesh(8), Config{Method: m})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", m, err)
 		}
@@ -49,7 +51,7 @@ func TestAnnealCtxCancelMidRun(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		// A huge iteration budget would run for a long time uncancelled.
-		_, err := MapCtx(ctx, g, cubeShape(32), Config{
+		_, err := MapCtx(ctx, g, cubeMesh(32), Config{
 			Method: Anneal, AnnealIters: 200_000_000, AnnealRestarts: 1,
 		})
 		errc <- err
@@ -71,7 +73,7 @@ func TestAnnealCtxDeadlineDegrades(t *testing.T) {
 	defer cancel()
 	g := randomGraph(32, 3)
 	start := time.Now()
-	res, err := MapCtx(ctx, g, cubeShape(32), Config{
+	res, err := MapCtx(ctx, g, cubeMesh(32), Config{
 		Method: Anneal, AnnealIters: 200_000_000, AnnealRestarts: 1,
 	})
 	if err != nil {
@@ -93,7 +95,7 @@ func TestExhaustiveCtxDeadlineDegrades(t *testing.T) {
 	// enumeration at the first poll but still yields a valid placement.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := MapCtx(ctx, randomGraph(8, 4), cubeShape(8), Config{Method: Exhaustive})
+	res, err := MapCtx(ctx, randomGraph(8, 4), cubeMesh(8), Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatalf("deadline must degrade, not fail: %v", err)
 	}
@@ -111,7 +113,7 @@ func TestExhaustiveCtxDeadlineDegrades(t *testing.T) {
 func TestMILPCtxDeadlineFallsBackToAnneal(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := MapCtx(ctx, randomGraph(8, 5), cubeShape(8), Config{Method: MILP})
+	res, err := MapCtx(ctx, randomGraph(8, 5), cubeMesh(8), Config{Method: MILP})
 	if err != nil {
 		t.Fatalf("deadline must degrade, not fail: %v", err)
 	}
@@ -145,7 +147,7 @@ func TestMapCtxLateTimerDegrades(t *testing.T) {
 		method Method
 		n      int
 	}{{Exhaustive, 8}, {Anneal, 32}, {MILP, 8}} {
-		res, err := MapCtx(newLateTimerCtx(), randomGraph(tc.n, 6), cubeShape(tc.n), Config{Method: tc.method})
+		res, err := MapCtx(newLateTimerCtx(), randomGraph(tc.n, 6), cubeMesh(tc.n), Config{Method: tc.method})
 		if err != nil {
 			t.Fatalf("%v: deadline must degrade, not fail: %v", tc.method, err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"rahtm/internal/routing"
 	"rahtm/internal/telemetry"
+	"rahtm/internal/topology"
 )
 
 // leafCases are the seeded leaf solves TestLeafSolveDigest pins: exhaustive
@@ -39,8 +40,8 @@ var leafCases = []struct {
 const leafDigest = "69684550fb4fcb4384d436df44489af85b290671046aef8c5e1c3695eb4d3166"
 
 // leafSolveDigest hashes, per case: the mapping, the bits of a fresh
-// EvaluateWith of it, Method/Proved/Degraded, and the anneal counter deltas
-// read from the solve's own scope.
+// MaxChannelLoad of it on the case's cube, Method/Proved/Degraded, and the
+// anneal counter deltas read from the solve's own scope.
 func leafSolveDigest() (string, error) {
 	h := sha256.New()
 	var buf [8]byte
@@ -56,12 +57,16 @@ func leafSolveDigest() (string, error) {
 	}
 	for ci, c := range leafCases {
 		n := 1 << len(c.shape)
+		cube := topology.NewMesh(c.shape...)
+		if c.torus {
+			cube = topology.NewTorus(c.shape...)
+		}
 		for seed := int64(1); seed <= int64(c.seeds); seed++ {
 			g := randomGraph(n, 100*int64(ci)+seed)
 			scope := telemetry.NewScope("leaf-digest")
 			ctx := telemetry.WithScope(context.Background(), scope)
-			res, err := MapCtx(ctx, g, c.shape, Config{
-				Method: c.method, Torus: c.torus, AnnealIters: c.iters, AnnealRestarts: c.restarts, Seed: seed,
+			res, err := MapCtx(ctx, g, cube, Config{
+				Method: c.method, AnnealIters: c.iters, AnnealRestarts: c.restarts, Seed: seed,
 			})
 			if err != nil {
 				return "", fmt.Errorf("case %d seed %d: %v", ci, seed, err)
@@ -70,7 +75,7 @@ func leafSolveDigest() (string, error) {
 			for _, v := range res.Mapping {
 				put(uint64(v))
 			}
-			put(math.Float64bits(EvaluateWith(g, c.shape, c.torus, res.Mapping, routing.MinimalAdaptive{})))
+			put(math.Float64bits(routing.MaxChannelLoad(cube, g, res.Mapping, routing.MinimalAdaptive{})))
 			put(uint64(res.Method))
 			put(bit(res.Proved))
 			put(bit(res.Degraded))

@@ -75,13 +75,8 @@ func (m Method) String() string {
 // Config tunes the solvers. The zero value is usable.
 type Config struct {
 	Method Method
-	// Torus evaluates the cube with wrapped (double-wide) links, as the
-	// paper does for the root 2-ary n-torus.
-	Torus bool
 	// MILPDeadline bounds the branch-and-bound (0 = 30s).
 	MILPDeadline time.Duration
-	// MILPMaxNodes bounds branch-and-bound nodes (0 = default).
-	MILPMaxNodes int
 	// AnnealIters is the annealing step count (0 = 40 * |V|^2).
 	AnnealIters int
 	// AnnealRestarts is the number of independent annealing runs (0 = 4).
@@ -101,30 +96,28 @@ type Result struct {
 	Degraded bool
 }
 
-// MapCtx places the |V| clusters of g onto the cube with the given {1,2}^n
-// shape (|V| must equal the cube size). Hard cancellation aborts the solver
-// at its next poll and returns ctx.Err(); an expired deadline degrades
-// gracefully — the solver stops searching and returns its best-so-far valid
-// placement with Result.Degraded set.
-func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Result, error) {
+// MapCtx places the |V| clusters of g onto cube, a {1,2}^n mesh or torus
+// (|V| must equal the cube size); a wrapped cube is the root's 2-ary torus
+// of double-wide links. Hard cancellation aborts the solver at its next
+// poll and returns ctx.Err(); an expired deadline degrades gracefully — the
+// solver stops searching and returns its best-so-far valid placement with
+// Result.Degraded set.
+func MapCtx(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg Config) (*Result, error) {
 	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
-	size := 1
-	for _, s := range shape {
-		if s != 1 && s != 2 {
-			return nil, fmt.Errorf("hiermap: shape %v is not a 2-ary cube", shape)
+	for d := 0; d < cube.NumDims(); d++ {
+		if k := cube.Dim(d); k != 1 && k != 2 {
+			return nil, fmt.Errorf("hiermap: cube %v is not 2-ary", cube)
 		}
-		size *= s
 	}
-	if g.N() != size {
-		return nil, fmt.Errorf("hiermap: graph has %d clusters, cube has %d positions", g.N(), size)
+	if g.N() != cube.N() {
+		return nil, fmt.Errorf("hiermap: graph has %d clusters, cube has %d positions", g.N(), cube.N())
 	}
-	cube := cubeTopology(shape, cfg.Torus)
 
 	method := cfg.Method
 	if method == Auto {
-		if size <= 8 {
+		if cube.N() <= 8 {
 			method = Exhaustive
 		} else {
 			method = Anneal
@@ -136,24 +129,9 @@ func MapCtx(ctx context.Context, g *graph.Comm, shape []int, cfg Config) (*Resul
 	case Anneal:
 		return solveAnneal(ctx, g, cube, cfg)
 	case MILP:
-		return solveMILP(ctx, g, cube, shape, cfg)
+		return solveMILP(ctx, g, cube, cfg)
 	}
 	return nil, fmt.Errorf("hiermap: unknown method %v", cfg.Method)
-}
-
-// cubeTopology builds the evaluation topology for a cube shape.
-func cubeTopology(shape []int, torus bool) *topology.Torus {
-	if torus {
-		return topology.NewTorus(shape...)
-	}
-	return topology.NewMesh(shape...)
-}
-
-// EvaluateWith scores an existing placement with the uniform-split model
-// under the caller's evaluator, so request-scoped callers
-// (routing.MinimalAdaptive.WithScope) keep their stencil attribution.
-func EvaluateWith(g *graph.Comm, shape []int, torus bool, m topology.Mapping, alg routing.MinimalAdaptive) float64 {
-	return routing.MaxChannelLoad(cubeTopology(shape, torus), g, m, alg)
 }
 
 // solveExhaustive tries every placement. Feasible for cubes up to 8 nodes

@@ -39,7 +39,7 @@ func diagonalDistance(shape []int, m topology.Mapping, a, b int) int {
 }
 
 func TestExhaustiveFigure1PutsHeavyPairOnDiagonal(t *testing.T) {
-	res, err := MapCtx(context.Background(), figure1Graph(), []int{2, 2}, Config{Method: Exhaustive})
+	res, err := MapCtx(context.Background(), figure1Graph(), topology.NewMesh(2, 2), Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestExhaustiveFigure1PutsHeavyPairOnDiagonal(t *testing.T) {
 }
 
 func TestMILPFigure1PutsHeavyPairOnDiagonal(t *testing.T) {
-	res, err := MapCtx(context.Background(), figure1Graph(), []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), figure1Graph(), topology.NewMesh(2, 2), Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,11 @@ func TestMILPObjectiveMatchesLPEvaluator(t *testing.T) {
 	// agree: re-evaluating the MILP's mapping with mcflow must reproduce an
 	// MCL no worse than any other placement's.
 	g := figure1Graph()
-	shape := []int{2, 2}
-	res, err := MapCtx(context.Background(), g, shape, Config{Method: MILP, MILPDeadline: time.Minute})
+	mesh := topology.NewMesh(2, 2)
+	res, err := MapCtx(context.Background(), g, mesh, Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh := topology.NewMesh(shape...)
 	milpEval, _, err := mcflow.EvaluateWithRoutesCtx(context.Background(), mesh, g, res.Mapping, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestExhaustiveMatchesBruteForceUniformModel(t *testing.T) {
 			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(9)))
 		}
 		g := b.Build()
-		res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
+		res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +152,11 @@ func TestMILPNeverWorseThanExhaustiveUnderLPModel(t *testing.T) {
 			b.AddTraffic(rng.Intn(4), rng.Intn(4), float64(1+rng.Intn(5)))
 		}
 		g := b.Build()
-		mRes, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute, Seed: int64(trial)})
+		mRes, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: MILP, MILPDeadline: time.Minute, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eRes, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
+		eRes, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +176,11 @@ func TestMILPNeverWorseThanExhaustiveUnderLPModel(t *testing.T) {
 
 func TestAnnealFindsGoodRingMapping(t *testing.T) {
 	g := ringGraph(8, 5)
-	aRes, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Anneal, Seed: 3})
+	aRes, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2, 2), Config{Method: Anneal, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eRes, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Exhaustive})
+	eRes, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2, 2), Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +195,14 @@ func TestAnnealFindsGoodRingMapping(t *testing.T) {
 }
 
 func TestAutoSelectsBySize(t *testing.T) {
-	res, err := MapCtx(context.Background(), ringGraph(4, 1), []int{2, 2}, Config{})
+	res, err := MapCtx(context.Background(), ringGraph(4, 1), topology.NewMesh(2, 2), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != Exhaustive {
 		t.Fatalf("auto picked %v for 4 nodes, want exhaustive", res.Method)
 	}
-	res, err = MapCtx(context.Background(), ringGraph(16, 1), []int{2, 2, 2, 2}, Config{AnnealIters: 500})
+	res, err = MapCtx(context.Background(), ringGraph(16, 1), topology.NewMesh(2, 2, 2, 2), Config{AnnealIters: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +217,14 @@ func TestTorusDoubleLinksHalveLoad(t *testing.T) {
 	b := graph.New(2)
 	b.AddTraffic(0, 1, 8)
 	g := b.Build()
-	res, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: Exhaustive, Torus: true})
+	res, err := MapCtx(context.Background(), g, topology.NewTorus(2, 1), Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.MCL-4) > 1e-9 {
 		t.Fatalf("torus MCL = %v, want 4 (double-wide links)", res.MCL)
 	}
-	res, err = MapCtx(context.Background(), g, []int{2, 1}, Config{Method: Exhaustive})
+	res, err = MapCtx(context.Background(), g, topology.NewMesh(2, 1), Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +234,17 @@ func TestTorusDoubleLinksHalveLoad(t *testing.T) {
 }
 
 func TestMapValidation(t *testing.T) {
-	if _, err := MapCtx(context.Background(), ringGraph(4, 1), []int{3, 2}, Config{}); err == nil {
-		t.Fatal("expected error for non-2-ary shape")
-	}
-	if _, err := MapCtx(context.Background(), ringGraph(3, 1), []int{2, 2}, Config{}); err == nil {
-		t.Fatal("expected error for size mismatch")
+	for _, tc := range []struct {
+		name string
+		g    *graph.Comm
+		cube *topology.Torus
+	}{
+		{"non-2-ary cube", ringGraph(6, 1), topology.NewMesh(3, 2)},
+		{"size mismatch", ringGraph(3, 1), topology.NewMesh(2, 2)},
+	} {
+		if _, err := MapCtx(context.Background(), tc.g, tc.cube, Config{}); err == nil {
+			t.Errorf("%s: %d clusters on %v, want an error", tc.name, tc.g.N(), tc.cube)
+		}
 	}
 }
 
@@ -255,12 +260,12 @@ func TestMethodString(t *testing.T) {
 
 func TestEvaluateConsistentWithResult(t *testing.T) {
 	g := figure1Graph()
-	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: Exhaustive})
+	res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev := EvaluateWith(g, []int{2, 2}, false, res.Mapping, routing.MinimalAdaptive{}); math.Abs(ev-res.MCL) > 1e-12 {
-		t.Fatalf("EvaluateWith = %v, Result.MCL = %v", ev, res.MCL)
+	if ev := routing.MaxChannelLoad(topology.NewMesh(2, 2), g, res.Mapping, routing.MinimalAdaptive{}); math.Abs(ev-res.MCL) > 1e-12 {
+		t.Fatalf("MaxChannelLoad = %v, Result.MCL = %v", ev, res.MCL)
 	}
 }
 
@@ -273,7 +278,7 @@ func TestExhaustiveProducesPermutation(t *testing.T) {
 			b.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(4)))
 		}
 		g := b.Build()
-		res, err := MapCtx(context.Background(), g, []int{2, 2, 2}, Config{Method: Exhaustive})
+		res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2, 2), Config{Method: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}

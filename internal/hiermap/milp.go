@@ -16,12 +16,12 @@ import (
 
 // solveMILP builds and solves the paper's Table II formulation.
 //
-// The cube is always modelled as a 2-ary n-mesh; the root torus case is
-// handled, exactly as in §III-C, by giving every link double capacity
-// (a 2-ary n-torus is a 2-ary n-mesh with double-wide links). Minimal
-// routing is enforced by constraint C3: per flow, a binary r_{i,dim} allows
-// flow in only one direction within each dimension.
-func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape []int, cfg Config) (*Result, error) {
+// The cube is always modelled as a 2-ary n-mesh; a wrapped cube, the root
+// torus, is handled, exactly as in §III-C, by giving every link double
+// capacity (a 2-ary n-torus is a 2-ary n-mesh with double-wide links).
+// Minimal routing is enforced by constraint C3: per flow, a binary
+// r_{i,dim} allows flow in only one direction within each dimension.
+func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, cfg Config) (*Result, error) {
 	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
@@ -44,7 +44,7 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 		seed.Degraded = true
 		return seed, nil
 	}
-	mesh := topology.NewMesh(shape...)
+	mesh := topology.NewMesh(cube.Dims()...)
 	n := mesh.N()
 	flows := g.Flows()
 
@@ -153,8 +153,10 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 
 	// Objective rows: sum_i f_i(e) <= cap * z.
 	cap := 1.0
-	if cfg.Torus {
-		cap = 2.0
+	for d := 0; d < cube.NumDims(); d++ {
+		if cube.Wrap(d) {
+			cap = 2.0
+		}
 	}
 	for e := range edges {
 		terms := make([]lp.Term, 0, len(flows)+1)
@@ -185,7 +187,6 @@ func solveMILP(ctx context.Context, g *graph.Comm, cube *topology.Torus, shape [
 	}
 	res := prob.SolveCtx(ctx, milp.Options{
 		Deadline:  deadline,
-		MaxNodes:  cfg.MILPMaxNodes,
 		Incumbent: incumbent,
 	})
 	if err := sched.HardCancel(ctx); err != nil {

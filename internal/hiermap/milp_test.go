@@ -16,7 +16,7 @@ func TestMILPTrivialTwoNodeShape(t *testing.T) {
 	b := graph.New(2)
 	b.AddTraffic(0, 1, 6)
 	g := b.Build()
-	res, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 1), Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestMILPTorusCapacityHalvesLoad(t *testing.T) {
 	b := graph.New(2)
 	b.AddTraffic(0, 1, 8)
 	g := b.Build()
-	mesh, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute})
+	mesh, err := MapCtx(context.Background(), g, topology.NewMesh(2, 1), Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	torus, err := MapCtx(context.Background(), g, []int{2, 1}, Config{Method: MILP, MILPDeadline: time.Minute, Torus: true})
+	torus, err := MapCtx(context.Background(), g, topology.NewTorus(2, 1), Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMILPTorusCapacityHalvesLoad(t *testing.T) {
 func TestMILPEmptyGraph(t *testing.T) {
 	// No flows: any placement is optimal with MCL 0.
 	g := graph.New(4).Build()
-	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMILPDeadlineStillReturnsMapping(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Millisecond})
+	res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: MILP, MILPDeadline: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMILPSymmetryPinRespected(t *testing.T) {
 	b.AddTraffic(2, 3, 10)
 	b.AddTraffic(0, 1, 1)
 	g := b.Build()
-	res, err := MapCtx(context.Background(), g, []int{2, 2}, Config{Method: MILP, MILPDeadline: time.Minute})
+	res, err := MapCtx(context.Background(), g, topology.NewMesh(2, 2), Config{Method: MILP, MILPDeadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMILPSymmetryPinRespected(t *testing.T) {
 func TestMILPHaloLeafStopsAtBound(t *testing.T) {
 	scope := telemetry.NewScope("milp-halo-leaf")
 	ctx := telemetry.WithScope(context.Background(), scope)
-	res, err := MapCtx(ctx, haloLeaf(4, 4, 4), []int{2, 2, 2, 2}, Config{Method: MILP})
+	res, err := MapCtx(ctx, haloLeaf(4, 4, 4), topology.NewMesh(2, 2, 2, 2), Config{Method: MILP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +135,9 @@ func TestMILPDeadlineBoundsRelaxation(t *testing.T) {
 		b.AddTraffic(i, (i+1)%16, 2)
 	}
 	g := b.Build()
-	shape := []int{2, 2, 2, 2}
+	cube := topology.NewMesh(2, 2, 2, 2)
 	start := time.Now()
-	res, err := MapCtx(context.Background(), g, shape, Config{Method: MILP, MILPDeadline: 500 * time.Millisecond})
+	res, err := MapCtx(context.Background(), g, cube, Config{Method: MILP, MILPDeadline: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMILPDeadlineBoundsRelaxation(t *testing.T) {
 	if err := res.Mapping.Validate(16, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := EvaluateWith(g, shape, false, res.Mapping, routing.MinimalAdaptive{}); got != res.MCL {
+	if got := routing.MaxChannelLoad(cube, g, res.Mapping, routing.MinimalAdaptive{}); got != res.MCL {
 		t.Fatalf("Result.MCL %v, evaluated %v", res.MCL, got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"rahtm/internal/graph"
 	"rahtm/internal/routing"
+	"rahtm/internal/topology"
 )
 
 // childFloors is the reference for floorAboveBar: per child, the lowest
@@ -59,13 +60,13 @@ func barsAround(mcls []float64) []float64 {
 }
 
 // TestMergeBarCutsUnbarredBeam checks the bar against the unbarred merge
-// on seeded merges, with and without Reposition and MaxOrientations
-// subsampling: at bars at, between and around the unbarred beam's MCLs
-// and the children's floors, MergeCtx returns exactly the unbarred beam's
-// states at or below the bar (same mappings, MCL bits and order), and a
-// block without candidates when there are none. Such a block reports the
-// floor check (BarSteps 0) exactly when some child's floor is above the
-// bar, and otherwise the step that left no state.
+// on seeded merges, with and without MaxOrientations subsampling: at bars
+// at, between and around the unbarred beam's MCLs and the children's
+// floors, MergeCtx returns exactly the unbarred beam's states at or below
+// the bar (same mappings, MCL bits and order), and a block without
+// candidates when there are none. Such a block reports the floor check
+// (BarSteps 0) exactly when some child's floor is above the bar, and
+// otherwise the step that left no state.
 func TestMergeBarCutsUnbarredBeam(t *testing.T) {
 	scenarios := []struct {
 		name                  string
@@ -92,51 +93,48 @@ func TestMergeBarCutsUnbarredBeam(t *testing.T) {
 			}
 			g := b.Build()
 			pins := rng.Perm(nchild)
-			for _, repos := range []bool{false, true} {
-				for _, bw := range []int{4, 16} {
-					cfg := Config{BeamWidth: bw, ChildCandidates: 2, MaxOrientations: sc.orients, Torus: sc.torus, Reposition: repos}
-					children := deltaChildren(t, g, nchild, tpc, sc.childShape)
-					label := fmt.Sprintf("%s seed=%d repos=%v bw=%d", sc.name, seed, repos, bw)
-					full, err := MergeCtx(context.Background(), g, children, sc.cubeShape, pins, cfg, math.Inf(1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					m, err := newMerger(context.Background(), g, children, sc.cubeShape, pins, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					floors := childFloors(m)
-					var mcls []float64
+			parent := parentTopo(sc.cubeShape, sc.childShape, sc.torus)
+			for _, bw := range []int{4, 16} {
+				cfg := Config{BeamWidth: bw, ChildCandidates: 2, MaxOrientations: sc.orients}
+				children := deltaChildren(t, g, nchild, tpc, sc.childShape)
+				label := fmt.Sprintf("%s seed=%d bw=%d", sc.name, seed, bw)
+				full, err := MergeCtx(context.Background(), g, children, parent, pins, cfg, 1, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := newMerger(context.Background(), g, children, parent, pins, cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				floors := childFloors(m)
+				var mcls []float64
+				for _, c := range full.Candidates {
+					mcls = append(mcls, c.MCL)
+				}
+				for _, bar := range barsAround(append(mcls, floors...)) {
+					want := &Block{}
 					for _, c := range full.Candidates {
-						mcls = append(mcls, c.MCL)
+						if c.MCL <= bar {
+							want.Candidates = append(want.Candidates, c)
+						}
 					}
-					for _, bar := range barsAround(append(mcls, floors...)) {
-						want := &Block{}
-						for _, c := range full.Candidates {
-							if c.MCL <= bar {
-								want.Candidates = append(want.Candidates, c)
-							}
+					for _, par := range []int{1, 4} {
+						got, err := MergeCtx(context.Background(), g, children, parent, pins, cfg, par, bar)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for _, par := range []int{1, 4} {
-							c := cfg
-							c.Parallelism = par
-							got, err := MergeCtx(context.Background(), g, children, sc.cubeShape, pins, c, bar)
-							if err != nil {
-								t.Fatal(err)
-							}
-							at := fmt.Sprintf("%s par=%d bar=%v", label, par, bar)
-							wantSameBlock(t, want, got, at)
-							if len(got.Candidates) > 0 {
-								continue
-							}
-							if floorStop := slices.Max(floors) > bar; floorStop != (got.BarSteps == 0) {
-								t.Fatalf("%s: stopped after %d steps, floors %v", at, got.BarSteps, floors)
-							}
-							if got.BarSteps > nchild {
-								t.Fatalf("%s: stopped after %d steps of %d", at, got.BarSteps, nchild)
-							}
-							stops[min(got.BarSteps, 1)]++
+						at := fmt.Sprintf("%s par=%d bar=%v", label, par, bar)
+						wantSameBlock(t, want, got, at)
+						if len(got.Candidates) > 0 {
+							continue
 						}
+						if floorStop := slices.Max(floors) > bar; floorStop != (got.BarSteps == 0) {
+							t.Fatalf("%s: stopped after %d steps, floors %v", at, got.BarSteps, floors)
+						}
+						if got.BarSteps > nchild {
+							t.Fatalf("%s: stopped after %d steps of %d", at, got.BarSteps, nchild)
+						}
+						stops[min(got.BarSteps, 1)]++
 					}
 				}
 			}
@@ -171,8 +169,9 @@ func TestMergeBarFloorStopsOnLaterChild(t *testing.T) {
 	g := b.Build()
 	children := deltaChildren(t, g, nchild, tpc, []int{2, 2, 2})
 	pins := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	cfg := Config{BeamWidth: 8, Parallelism: 1}
-	m, err := newMerger(context.Background(), g, children, []int{2, 2, 2}, pins, cfg)
+	parent := topology.NewMesh(4, 4, 4)
+	cfg := Config{BeamWidth: 8}
+	m, err := newMerger(context.Background(), g, children, parent, pins, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +186,14 @@ func TestMergeBarFloorStopsOnLaterChild(t *testing.T) {
 	if order[0] == 6 || floors[6] <= bar {
 		t.Fatalf("construction: merge order %v, floors %v", order, floors)
 	}
-	full, err := MergeCtx(context.Background(), g, children, []int{2, 2, 2}, pins, cfg, math.Inf(1))
+	full, err := MergeCtx(context.Background(), g, children, parent, pins, cfg, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Candidates[0].MCL <= bar {
 		t.Fatalf("unbarred best %v is at or below the bar %v", full.Candidates[0].MCL, bar)
 	}
-	got, err := MergeCtx(context.Background(), g, children, []int{2, 2, 2}, pins, cfg, bar)
+	got, err := MergeCtx(context.Background(), g, children, parent, pins, cfg, 1, bar)
 	if err != nil {
 		t.Fatal(err)
 	}

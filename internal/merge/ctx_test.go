@@ -48,7 +48,7 @@ func TestMergeCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g, blocks, childPos := denseBlocks(t, 1)
-	_, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{}, math.Inf(1))
+	_, err := MergeCtx(ctx, g, blocks, topology.NewMesh(4, 4, 4), childPos, Config{}, 2, math.Inf(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -59,7 +59,7 @@ func TestMergeCtxCancelMidRun(t *testing.T) {
 	g, blocks, childPos := denseBlocks(t, 2)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{BeamWidth: 512}, math.Inf(1))
+		_, err := MergeCtx(ctx, g, blocks, topology.NewMesh(4, 4, 4), childPos, Config{BeamWidth: 512}, 2, math.Inf(1))
 		errc <- err
 	}()
 	cancel()
@@ -79,7 +79,7 @@ func TestMergeCtxDeadlineDegrades(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	g, blocks, childPos := denseBlocks(t, 3)
-	out, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{}, math.Inf(1))
+	out, err := MergeCtx(ctx, g, blocks, topology.NewMesh(4, 4, 4), childPos, Config{}, 2, math.Inf(1))
 	if err != nil {
 		t.Fatalf("deadline must degrade, not fail: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestMergeCtxDeadlineDegrades(t *testing.T) {
 
 func TestMergeCtxDeadlineHonorsPins(t *testing.T) {
 	// The degraded greedy completion must still place each child at its
-	// pinned cube position when nothing conflicts.
+	// pinned cube position.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	b := graph.New(4)
@@ -109,7 +109,7 @@ func TestMergeCtxDeadlineHonorsPins(t *testing.T) {
 		blocks[i] = NewLeafBlock([]int{i}, shape, topology.Mapping{0}, 0)
 	}
 	childPos := []int{3, 2, 1, 0}
-	out, err := MergeCtx(ctx, g, blocks, []int{2, 2}, childPos, Config{}, math.Inf(1))
+	out, err := MergeCtx(ctx, g, blocks, topology.NewMesh(2, 2), childPos, Config{}, 2, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMergeCtxLateTimerDegrades(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctx := newLateTimerCtx()
 	ctx.Context = telemetry.WithScope(ctx.Context, &telemetry.Scope{Reg: reg})
-	out, err := MergeCtx(ctx, g, blocks, []int{2, 2, 2}, childPos, Config{Parallelism: 1}, math.Inf(1))
+	out, err := MergeCtx(ctx, g, blocks, topology.NewMesh(4, 4, 4), childPos, Config{}, 1, math.Inf(1))
 	if err != nil {
 		t.Fatalf("deadline must degrade, not fail: %v", err)
 	}

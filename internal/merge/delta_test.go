@@ -14,6 +14,19 @@ import (
 	"rahtm/internal/topology"
 )
 
+// parentTopo is the parent block of children of childShape on a 2-ary cube
+// of cubeShape: a torus when torus is set, a mesh otherwise.
+func parentTopo(cubeShape, childShape []int, torus bool) *topology.Torus {
+	dims := make([]int, len(cubeShape))
+	for d := range dims {
+		dims[d] = cubeShape[d] * childShape[d]
+	}
+	if torus {
+		return topology.NewTorus(dims...)
+	}
+	return topology.NewMesh(dims...)
+}
+
 // deltaChildren builds nchild blocks of tpc tasks each by merging
 // single-task leaves on the child cube, so every child carries a beam of
 // candidates (not just one) and the byte-identity test exercises the
@@ -33,7 +46,7 @@ func deltaChildren(t testing.TB, g *graph.Comm, nchild, tpc int, childShape []in
 			leaves[j] = NewLeafBlock([]int{i*tpc + j}, ones, topology.Mapping{0}, 0)
 			pins[j] = j
 		}
-		blk, err := MergeCtx(context.Background(), g, leaves, childShape, pins, Config{BeamWidth: 4, MaxOrientations: 8}, math.Inf(1))
+		blk, err := MergeCtx(context.Background(), g, leaves, topology.NewMesh(childShape...), pins, Config{BeamWidth: 4, MaxOrientations: 8}, 1, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +207,10 @@ func denseOrder(m *merger) []int {
 // denseMerge is the reference the production merge is checked against:
 // the same beam search with every combination scored densely — the child's
 // internal flows deposited from a zeroed vector at the combination's own
-// placement (once per candidate, orientation and cube), the step's cross
-// flows on top, then a full scan of state loads plus deposits — and each
-// step's combinations fully sorted by MCL, state key and packed choice. No
-// bound, no snapshot translation, no per-worker heaps, no cancellation.
+// placement (once per candidate and orientation), the step's cross flows
+// on top, then a full scan of state loads plus deposits — and each step's
+// combinations fully sorted by MCL, state key and packed choice. No bound,
+// no snapshots, no per-worker heaps, no cancellation.
 func denseMerge(m *merger) *Block {
 	order := denseOrder(m)
 	buf := make([]float64, m.parent.NumChannels())
@@ -211,14 +224,14 @@ func denseMerge(m *merger) *Block {
 		nc := min(len(m.children[child].Candidates), m.cfg.ChildCandidates)
 		edges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
-		internal := map[[3]int][]float64{}
-		deposit := func(st *state, c, o, q int) []int {
-			p := m.placementAt(child, m.children[child].Candidates[c], m.orients[o], q)
-			in, ok := internal[[3]int{c, o, q}]
+		internal := map[[2]int][]float64{}
+		deposit := func(st *state, c, o int) []int {
+			p := m.placement(child, m.children[child].Candidates[c], m.orients[o])
+			in, ok := internal[[2]int{c, o}]
 			if !ok {
 				in = make([]float64, len(buf))
 				m.addFlows(tasks, p, in)
-				internal[[3]int{c, o, q}] = in
+				internal[[2]int{c, o}] = in
 			}
 			copy(buf, in)
 			m.addCrossEdges(edges, st, p, buf)
@@ -228,13 +241,8 @@ func denseMerge(m *merger) *Block {
 		for c := 0; c < nc; c++ {
 			for o := range m.orients {
 				for si, st := range beam {
-					for _, q := range m.freeCubes(child, st.used, nil) {
-						deposit(st, c, o, q)
-						combos = append(combos, combo{
-							si: int32(si), cand: int32(c), orient: int32(o),
-							cube: int32(q), mcl: maxShifted(st.loads, buf),
-						})
-					}
+					deposit(st, c, o)
+					combos = append(combos, combo{si: int32(si), cand: int32(c), orient: int32(o), mcl: maxShifted(st.loads, buf)})
 				}
 			}
 		}
@@ -249,8 +257,7 @@ func denseMerge(m *merger) *Block {
 			if ca.si != cb.si {
 				return lessKey(beam[ca.si].key, beam[cb.si].key)
 			}
-			return packChoice(int(ca.cube), int(ca.cand), int(ca.orient)) <
-				packChoice(int(cb.cube), int(cb.cand), int(cb.orient))
+			return packChoice(int(ca.cand), int(ca.orient)) < packChoice(int(cb.cand), int(cb.orient))
 		})
 		if len(combos) > m.cfg.BeamWidth {
 			combos = combos[:m.cfg.BeamWidth]
@@ -258,13 +265,13 @@ func denseMerge(m *merger) *Block {
 		next := make([]*state, 0, len(combos))
 		for _, sc := range combos {
 			st := beam[sc.si]
-			p := deposit(st, int(sc.cand), int(sc.orient), int(sc.cube))
+			p := deposit(st, int(sc.cand), int(sc.orient))
 			loads := append([]float64(nil), st.loads...)
 			for k := range loads {
 				loads[k] += buf[k]
 			}
-			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
-			next = append(next, st.extend(p, int(sc.cube), choice, loads, sc.mcl))
+			choice := packChoice(int(sc.cand), int(sc.orient))
+			next = append(next, st.extend(p, choice, loads, sc.mcl))
 		}
 		beam = topN(next, m.cfg.BeamWidth)
 	}
@@ -321,9 +328,9 @@ func isqrt(n int) int {
 }
 
 // TestMergeDeltaByteIdentical pins the scoring contract the package
-// comment promises: at every beam width, parallelism and reposition
-// setting, the production merge — sparse delta scoring, translated
-// snapshots, per-worker bounded heaps and the bound and pair cut-offs —
+// comment promises: at every beam width and parallelism, the production
+// merge — sparse delta scoring, replayed internal-load snapshots,
+// per-worker bounded heaps and the bound and pair cut-offs —
 // produces candidates byte-identical (bitwise MCL, same mappings, same
 // order) to denseMerge. It doubles as the Parallelism 1-vs-8 beam
 // determinism regression for the deterministic combo tie-breaks.
@@ -334,7 +341,6 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 		cubeShape  []int
 		torus      bool
 		beams      []int
-		reposition []bool
 		// cands, orients and pairEvals are the ChildCandidates,
 		// MaxOrientations and MaxPairEvals settings (0 = default).
 		cands, orients, pairEvals int
@@ -350,7 +356,6 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			childShape: []int{2, 2, 2},
 			cubeShape:  []int{2, 2, 2},
 			beams:      []int{1, 2, 8},
-			reposition: []bool{false, true},
 			cands:      2, orients: 8,
 		},
 		// The paper's 16,384-process shape scaled to one top-level merge:
@@ -360,7 +365,6 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			childShape: []int{2, 2, 2, 2, 1},
 			cubeShape:  []int{2, 2, 2, 2, 2},
 			beams:      []int{4},
-			reposition: []bool{false},
 			cands:      2, orients: 8,
 		},
 		// Wrapped evaluation (k=4 dims tie at distance 2) on a small
@@ -371,7 +375,6 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			cubeShape:  []int{2, 2, 1},
 			torus:      true,
 			beams:      []int{1, 8},
-			reposition: []bool{false, true},
 			cands:      2, orients: 8,
 		},
 		// Shaped like the 4k halo root merge: 2x2x2x2 children of 2x2x2x2
@@ -384,7 +387,6 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 			cubeShape:  []int{2, 2, 2, 2},
 			torus:      true,
 			beams:      []int{64},
-			reposition: []bool{false},
 			cands:      1, pairEvals: 256,
 			halo:      true,
 			wantSkips: true,
@@ -417,35 +419,30 @@ func TestMergeDeltaByteIdentical(t *testing.T) {
 				pins = grayPins(nchild)
 			}
 
+			parent := parentTopo(sc.cubeShape, sc.childShape, sc.torus)
 			for _, bw := range sc.beams {
-				for _, repos := range sc.reposition {
-					cfg := Config{
-						BeamWidth:       bw,
-						ChildCandidates: sc.cands,
-						MaxOrientations: sc.orients,
-						MaxPairEvals:    sc.pairEvals,
-						Torus:           sc.torus,
-						Reposition:      repos,
-					}
-					label := fmt.Sprintf("bw=%d repos=%v", bw, repos)
-					m, err := newMerger(context.Background(), g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, cfg)
+				cfg := Config{
+					BeamWidth:       bw,
+					ChildCandidates: sc.cands,
+					MaxOrientations: sc.orients,
+					MaxPairEvals:    sc.pairEvals,
+				}
+				label := fmt.Sprintf("bw=%d", bw)
+				m, err := newMerger(context.Background(), g, deltaChildren(t, g, nchild, tpc, sc.childShape), parent, pins, cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := denseMerge(m)
+				for _, par := range []int{1, 8} {
+					reg := telemetry.NewRegistry()
+					ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Reg: reg})
+					got, err := MergeCtx(ctx, g, deltaChildren(t, g, nchild, tpc, sc.childShape), parent, pins, cfg, par, math.Inf(1))
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := denseMerge(m)
-					for _, par := range []int{1, 8} {
-						reg := telemetry.NewRegistry()
-						ctx := telemetry.WithScope(context.Background(), &telemetry.Scope{Reg: reg})
-						c := cfg
-						c.Parallelism = par
-						got, err := MergeCtx(ctx, g, deltaChildren(t, g, nchild, tpc, sc.childShape), sc.cubeShape, pins, c, math.Inf(1))
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantSameBlock(t, want, got, fmt.Sprintf("%s par=%d", label, par))
-						if skips := reg.Snapshot().Counter(telemetry.CtrBeamBoundSkips); sc.wantSkips && skips <= 0 {
-							t.Errorf("%s par=%d: bound rejected %d combinations, want > 0", label, par, skips)
-						}
+					wantSameBlock(t, want, got, fmt.Sprintf("%s par=%d", label, par))
+					if skips := reg.Snapshot().Counter(telemetry.CtrBeamBoundSkips); sc.wantSkips && skips <= 0 {
+						t.Errorf("%s par=%d: bound rejected %d combinations, want > 0", label, par, skips)
 					}
 				}
 			}

@@ -25,11 +25,8 @@
 // non-negative: untouched channels cannot exceed the state's maximum. This
 // sparse scorer is the only scoring path, at every channel-space size. The
 // child-internal loads are themselves computed once per (candidate,
-// orientation) pair at the child's pinned cube position and translated to
-// any other position by a constant channel offset — inside a 2-ary merge
-// cube a child box never spans half a wrapped parent dimension, so its
-// internal minimal routes neither wrap nor pick up direction ties, making
-// the load pattern translation-equivariant.
+// orientation) pair at the child's pinned cube position, kept as a
+// snapshot, and replayed against every beam state.
 //
 // # Exact bound pruning
 //
@@ -59,21 +56,21 @@
 // Most rejected combos peak on a few channels. On channel spaces of at
 // least minScreenChans, once a worker has rejected screenAfter combos in
 // full in one unit of work, it prescreens each later combo with a finite
-// bound at the pinned cube: routing.Table.Screen learns S, the channels
-// the full rejections peaked on (DeltaVec.PeakChan), and screenRejects
-// replays only the combo's deposits on S, in the full replay's order,
-// rejecting it once that S-peak is above the bound. A channel's running
-// total depends only on the deposits to that channel, in their order, so
-// the S-values are the full replay's and the S-peak is a floor under the
-// full peak: the prescreen rejects only combos the full scorer rejects.
+// bound: routing.Table.Screen learns S, the channels the full rejections
+// peaked on (DeltaVec.PeakChan), and screenRejects replays only the
+// combo's deposits on S, in the full replay's order, rejecting it once
+// that S-peak is above the bound. A channel's running total depends only
+// on the deposits to that channel, in their order, so the S-values are the
+// full replay's and the S-peak is a floor under the full peak: the
+// prescreen rejects only combos the full scorer rejects.
 // Survivors are scored in full, so each heap sees the same combos in the
 // same order: beams, mappings and the other beam counters do not change,
 // and only the stencil hits of the combos never routed in full go.
 //
 // Bounds and screen sets are per worker, never shared, so the pruning
 // counters (merge.beam.bound_skips, and merge.beam.screen_skips among
-// them) repeat exactly for a given Parallelism and the mappings are
-// identical at every Parallelism. mergeOrder applies the same
+// them) repeat exactly for a given worker count and the mappings are
+// identical at every worker count. mergeOrder applies the same
 // cut-off to its orientation-pair evaluations: an evaluation stops once its
 // peak reaches the best MCL already found for that child pair.
 // TestMergeDeltaByteIdentical checks the production merge byte-for-byte
@@ -277,16 +274,6 @@ type Config struct {
 	// ChildCandidates caps how many candidates of an incoming child are
 	// combined with the beam (0 = 4).
 	ChildCandidates int
-	// Torus evaluates the merged block with wraparound links. The
-	// pipeline (core) sets it at every level, over any value its config
-	// carries: at the root when the machine wraps, nowhere below it.
-	Torus bool
-	// Topology, when non-nil, overrides the evaluation topology of the
-	// merged block (its dimensions must equal the parent block shape).
-	// The pipeline (core) sets it at every level, over any value its
-	// config carries: the real machine at a root that covers it, so
-	// per-dimension wrap flags are exact, and nil everywhere else.
-	Topology *topology.Torus
 	// MaxOrientations caps how many child orientations are explored per
 	// merge step (0 = 384, the full hyperoctahedral group of a 4-D cube).
 	// Larger groups are subsampled with a deterministic stride that always
@@ -295,14 +282,6 @@ type Config struct {
 	// MaxPairEvals caps the orientation-pair evaluations used for merge
 	// ordering (0 = 4096); ordering falls back to coarser sampling above.
 	MaxPairEvals int
-	// Reposition additionally searches over the free cube positions for
-	// each incoming child instead of honoring its Phase 2 pseudo-pin —
-	// the extra placement freedom §III-D alludes to. It multiplies the
-	// search space by up to the cube size.
-	Reposition bool
-	// Parallelism bounds the workers scoring merge candidates, resolved
-	// by sched.Workers (0 = GOMAXPROCS, below 1 = 1).
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -322,23 +301,26 @@ func (c Config) withDefaults() Config {
 }
 
 // MergeCtx combines child blocks arranged on a {1,2}^n cube into their
-// parent block. childPos[i] is the pinned cube position of child i
-// (row-major over cubeShape) from Phase 2. g is the global task-level
-// communication graph. Hard cancellation aborts the beam
-// search (workers bail at their next poll) and returns ctx.Err(); an
-// expired deadline stops searching and completes the remaining children
-// greedily — pinned positions, first candidate, identity orientation — so a
-// valid merged block is still produced, flagged Degraded.
+// parent block. parent is the parent block's evaluation topology: each of
+// its extents is 1x or 2x the children's, which gives the cube.
+// childPos[i] is the pinned cube position of child i (row-major over the
+// cube) from Phase 2. g is the global task-level communication graph, and
+// workers bounds the beam scorers' fan-out (below 1 counts as 1). Hard
+// cancellation aborts the beam search (workers bail at their next poll)
+// and returns ctx.Err(); an expired deadline stops searching and completes
+// the remaining children greedily — pinned positions, first candidate,
+// identity orientation — so a valid merged block is still produced,
+// flagged Degraded.
 //
 // bar caps the MCL of the states the search keeps: the result is the
 // unbarred beam cut at bar, and the merge stops with a block without
 // candidates (Block.BarSteps) once no state at or below bar is left. Pass
 // math.Inf(1) for an unbarred merge.
-func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config, bar float64) (*Block, error) {
+func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, parent *topology.Torus, childPos []int, cfg Config, workers int, bar float64) (*Block, error) {
 	if err := sched.HardCancel(ctx); err != nil {
 		return nil, err
 	}
-	m, err := newMerger(ctx, g, children, cubeShape, childPos, cfg)
+	m, err := newMerger(ctx, g, children, parent, childPos, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +330,7 @@ func MergeCtx(ctx context.Context, g *graph.Comm, children []*Block, cubeShape [
 
 // newMerger validates a merge's inputs and prepares its search state. The
 // merger it returns is unbarred.
-func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape []int, childPos []int, cfg Config) (*merger, error) {
+func newMerger(ctx context.Context, g *graph.Comm, children []*Block, parent *topology.Torus, childPos []int, cfg Config, workers int) (*merger, error) {
 	cfg = cfg.withDefaults()
 	if len(children) == 0 {
 		return nil, fmt.Errorf("merge: no children")
@@ -356,11 +338,11 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 	if len(childPos) != len(children) {
 		return nil, fmt.Errorf("merge: %d children, %d positions", len(children), len(childPos))
 	}
-	nd := len(cubeShape)
+	nd := parent.NumDims()
 	childShape := children[0].Shape
 	for i, c := range children {
 		if len(c.Shape) != nd {
-			return nil, fmt.Errorf("merge: child %d dimensionality mismatch", i)
+			return nil, fmt.Errorf("merge: child %d has %d dimensions, parent %v has %d", i, len(c.Shape), parent, nd)
 		}
 		for d := range childShape {
 			if c.Shape[d] != childShape[d] {
@@ -371,14 +353,14 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 			return nil, fmt.Errorf("merge: child %d has no candidates", i)
 		}
 	}
+	cubeShape := make([]int, nd)
 	cubeSize := 1
-	parentShape := make([]int, nd)
 	for d := 0; d < nd; d++ {
-		if cubeShape[d] != 1 && cubeShape[d] != 2 {
-			return nil, fmt.Errorf("merge: cube shape %v is not 2-ary", cubeShape)
+		if k := parent.Dim(d); k != childShape[d] && k != 2*childShape[d] {
+			return nil, fmt.Errorf("merge: parent %v is not a 2-ary cube of %v children", parent, childShape)
 		}
+		cubeShape[d] = parent.Dim(d) / childShape[d]
 		cubeSize *= cubeShape[d]
-		parentShape[d] = cubeShape[d] * childShape[d]
 	}
 	if len(children) != cubeSize {
 		return nil, fmt.Errorf("merge: %d children for cube of %d positions", len(children), cubeSize)
@@ -390,32 +372,14 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 		}
 		seen[p] = true
 	}
-	if cfg.Reposition && cubeSize > 64 {
-		return nil, fmt.Errorf("merge: repositioning supports cubes up to 64 positions, have %d", cubeSize)
-	}
 
 	m := &merger{
 		g:          g,
 		children:   children,
-		childPos:   childPos,
-		cubeShape:  cubeShape,
 		childShape: childShape,
+		parent:     parent,
 		cfg:        cfg,
 		bar:        math.Inf(1),
-	}
-	switch {
-	case cfg.Topology != nil:
-		for d := 0; d < nd; d++ {
-			if cfg.Topology.Dim(d) != parentShape[d] {
-				return nil, fmt.Errorf("merge: override topology %v does not match parent shape %v",
-					cfg.Topology, parentShape)
-			}
-		}
-		m.parent = cfg.Topology
-	case cfg.Torus:
-		m.parent = topology.NewTorus(parentShape...)
-	default:
-		m.parent = topology.NewMesh(parentShape...)
 	}
 	m.orients = Orientations(childShape)
 	if len(m.orients) > cfg.MaxOrientations {
@@ -427,15 +391,13 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, cubeShape 
 		}
 		m.orients = kept
 	}
-	m.origins = make([][]int, cubeSize)
-	m.originRank = make([]int, cubeSize)
-	for p := 0; p < cubeSize; p++ {
-		m.origins[p] = cubeOrigin(cubeShape, childShape, p)
-		m.originRank[p] = m.parent.RankOf(m.origins[p])
+	m.origins = make([][]int, len(children))
+	for i, p := range childPos {
+		m.origins[i] = cubeOrigin(cubeShape, childShape, p)
 	}
 	m.ctx = ctx
 	m.scope = telemetry.ScopeFrom(ctx)
-	m.workers = sched.Workers(cfg.Parallelism)
+	m.workers = max(workers, 1)
 	m.alg = routing.MinimalAdaptive{}.WithScope(m.scope)
 	m.tabs = make([]*routing.Table, m.workers)
 	for w := range m.tabs {
@@ -467,13 +429,10 @@ func cubeOrigin(cubeShape, childShape []int, p int) []int {
 type merger struct {
 	g          *graph.Comm
 	children   []*Block
-	childPos   []int
-	cubeShape  []int
 	childShape []int
 	parent     *topology.Torus
 	orients    []Orientation
-	origins    [][]int // cube position -> parent origin coords
-	originRank []int   // cube position -> parent rank of the origin
+	origins    [][]int // child -> parent origin coords of its pinned cube position
 	cfg        Config
 	ctx        context.Context
 	// scope is the request scope carried by ctx (nil outside the daemon);
@@ -531,11 +490,12 @@ func (m *merger) initAdjacency() {
 }
 
 // taskParentPos computes the parent-box rank of a child's task under a
-// candidate and orientation, with the child block at cube position cubePos.
-func (m *merger) taskParentPos(cand Candidate, o Orientation, cubePos, taskIdx int) int {
+// candidate and orientation, with the child block at its pinned cube
+// position.
+func (m *merger) taskParentPos(child int, cand Candidate, o Orientation, taskIdx int) int {
 	local := o.applyFast(m.childShape, cand.Local[taskIdx])
 	// Decode local within childShape, offset by the child's origin.
-	origin := m.origins[cubePos]
+	origin := m.origins[child]
 	nd := len(m.childShape)
 	if nd <= 8 {
 		var buf [8]int
@@ -562,19 +522,14 @@ func (m *merger) table(w int) *routing.Table {
 	return tab
 }
 
-// placementAt materializes parent positions for all tasks of a child placed
-// at the given cube position.
-func (m *merger) placementAt(child int, cand Candidate, o Orientation, cubePos int) []int {
+// placement materializes the parent positions of all tasks of a child at
+// its pinned cube position.
+func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
 	out := make([]int, len(m.children[child].Tasks))
 	for i := range out {
-		out[i] = m.taskParentPos(cand, o, cubePos, i)
+		out[i] = m.taskParentPos(child, cand, o, i)
 	}
 	return out
-}
-
-// placement materializes parent positions using the child's pinned position.
-func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
-	return m.placementAt(child, cand, o, m.childPos[child])
 }
 
 // addFlowsDelta deposits the loads of every graph flow inside one child,
@@ -595,13 +550,13 @@ func (m *merger) addFlowsDelta(tab *routing.Table, child int, pos []int, dv *rou
 }
 
 // floorAboveBar reports whether some child has no (candidate, orientation)
-// pair whose internal loads stay at or below the bar. A child's internal
-// loads are the same at every cube position (the package comment), every
-// state holds one such pair per child, and deposits only raise a state's
-// MCL, so such a child puts every merged state above the bar. Each pair is
-// routed as the scorers route it into their snapshots, so the loads are
-// bit-identical, and cut off once its peak passes the bar; a child's pairs
-// are tried in scoring order until one stays at or below it.
+// pair whose internal loads stay at or below the bar. Every state holds one
+// such pair per child, at the child's pinned cube position, and deposits
+// only raise a state's MCL, so such a child puts every merged state above
+// the bar. Each pair is routed as the scorers route it into their
+// snapshots, so the loads are bit-identical, and cut off once its peak
+// passes the bar; a child's pairs are tried in scoring order until one
+// stays at or below it.
 func (m *merger) floorAboveBar() bool {
 	nch := m.parent.NumChannels()
 	zero := make([]float64, nch) // read-only peak base
@@ -750,8 +705,8 @@ func (m *merger) mergeOrder() []int {
 						continue // the evaluation could not go below bst
 					}
 					dv.ResetOver(zero, 0)
-					dv.AddSnapshot(snaps[i][oi], 0)
-					dv.AddSnapshot(snaps[j][oj], 0)
+					dv.AddSnapshot(snaps[i][oi])
+					dv.AddSnapshot(snaps[j][oj])
 					for _, e := range pairEdges[pi] {
 						if bst >= 0 && dv.Peak() >= bst {
 							break // cannot go below bst any more
@@ -785,45 +740,33 @@ func (m *merger) mergeOrder() []int {
 
 // state is one partial merged configuration.
 type state struct {
-	pos  [][]int // per merged child (in merge order): task parent positions
-	cube []int   // cube position chosen per merged child (in merge order)
-	used uint64  // bitmask of occupied cube positions
-	// key is the packed (cube, candidate, orientation) choice made at every
-	// merge step: a placement key unique to the state, used as the
-	// deterministic tie-break between equal-MCL states so beam contents
-	// never depend on scoring order or parallelism.
+	pos [][]int // per merged child (in merge order): task parent positions
+	// key is the packed (candidate, orientation) choice made at every merge
+	// step: a placement key unique to the state, used as the deterministic
+	// tie-break between equal-MCL states so beam contents never depend on
+	// scoring order or parallelism.
 	key   []uint64
 	loads []float64
 	mcl   float64
 }
 
 // extend returns the state that adds one more child to st: its task
-// placement p at cube position cube, chosen as choice (packChoice), with the
-// merged loads and their MCL.
-func (st *state) extend(p []int, cube int, choice uint64, loads []float64, mcl float64) *state {
+// placement p, chosen as choice (packChoice), with the merged loads and
+// their MCL.
+func (st *state) extend(p []int, choice uint64, loads []float64, mcl float64) *state {
 	step := len(st.pos)
 	pos := make([][]int, step+1)
 	copy(pos, st.pos)
 	pos[step] = p
-	cubes := make([]int, step+1)
-	copy(cubes, st.cube)
-	cubes[step] = cube
 	key := make([]uint64, step+1)
 	copy(key, st.key)
 	key[step] = choice
-	return &state{
-		pos:   pos,
-		cube:  cubes,
-		used:  st.used | 1<<uint(cube),
-		key:   key,
-		loads: loads,
-		mcl:   mcl,
-	}
+	return &state{pos: pos, key: key, loads: loads, mcl: mcl}
 }
 
 // packChoice encodes one merge step's choice as a single ordered word.
-func packChoice(cube, cand, orient int) uint64 {
-	return uint64(cube)<<40 | uint64(cand)<<20 | uint64(orient)
+func packChoice(cand, orient int) uint64 {
+	return uint64(cand)<<20 | uint64(orient)
 }
 
 // lessKey compares placement keys lexicographically. Keys of states in the
@@ -837,13 +780,12 @@ func lessKey(a, b []uint64) bool {
 	return len(a) < len(b)
 }
 
-// combo is one (beam state, child candidate, orientation, cube position)
-// scoring unit of a merge step.
+// combo is one (beam state, child candidate, orientation) scoring unit of
+// a merge step.
 type combo struct {
 	si     int32
 	cand   int32
 	orient int32
-	cube   int32
 	mcl    float64
 }
 
@@ -860,8 +802,7 @@ func comboLess(beam []*state, a, b *combo) bool {
 	if a.si != b.si {
 		return lessKey(beam[a.si].key, beam[b.si].key)
 	}
-	return packChoice(int(a.cube), int(a.cand), int(a.orient)) <
-		packChoice(int(b.cube), int(b.cand), int(b.orient))
+	return packChoice(int(a.cand), int(a.orient)) < packChoice(int(b.cand), int(b.orient))
 }
 
 // topCombos is one scoring worker's best n combos of a merge step at or
@@ -904,21 +845,6 @@ func (t *topCombos) offer(c combo) {
 		t.h[0] = c
 		heap.Fix(t, 0)
 	}
-}
-
-// freeCubes returns the cube positions the incoming child may take given the
-// occupied positions of a partial configuration, appended to dst.
-func (m *merger) freeCubes(child int, used uint64, dst []int) []int {
-	dst = dst[:0]
-	if !m.cfg.Reposition {
-		return append(dst, m.childPos[child])
-	}
-	for p := range m.origins {
-		if used&(1<<uint(p)) == 0 {
-			dst = append(dst, p)
-		}
-	}
-	return dst
 }
 
 // crossEdge is one directed flow between the incoming child of a merge step
@@ -993,7 +919,7 @@ func (m *merger) addCrossEdgesDelta(tab *routing.Table, edges []crossEdge, st *s
 // walked pair ends the screen with false, and the combo is scored in full.
 func (m *merger) screenRejects(tab *routing.Table, ss routing.Snapshot, edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, bound float64) bool {
 	dv.ResetOver(st.loads, st.mcl)
-	dv.AddSnapshot(ss, 0)
+	dv.AddSnapshot(ss)
 	for _, e := range edges {
 		if dv.Peak() > bound {
 			return true
@@ -1018,7 +944,6 @@ func (m *merger) run() (*Block, error) {
 		return nil, err
 	}
 	workers := m.workers
-	nd2 := m.parent.NumDims() * 2
 	screening := m.parent.NumChannels() >= minScreenChans
 	degraded := false
 	var candGen, candKept, boundSkips, screenSkips int64
@@ -1054,29 +979,21 @@ func (m *merger) run() (*Block, error) {
 			nc = m.cfg.ChildCandidates
 		}
 		numOrients := len(m.orients)
-		refCube := m.childPos[child]
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 
 		// A step's combos are the (candidate, orientation) groups times
-		// every (state, free cube position) pair.
-		cubesOf := make([][]int, len(beam))
-		groupSize := 0
-		for si, st := range beam {
-			cubesOf[si] = m.freeCubes(child, st.used, nil)
-			groupSize += len(cubesOf[si])
-		}
+		// every beam state.
 		groups := nc * numOrients
 
 		// Pass 1: score the combos in parallel over contiguous group ranges.
-		// A worker computes each group's reference placement and
-		// internal-load snapshot once, then scores the group against every
-		// (state, cube position), keeping its best BeamWidth combos in a
-		// bounded heap whose worst MCL prunes the rest (package comment).
-		// Once it has rejected screenAfter combos in full, it prescreens
-		// each combo at the pinned cube on the channels its rejections
-		// peaked on (screenRejects), on channel spaces of at least
-		// minScreenChans.
+		// A worker computes each group's placement and internal-load
+		// snapshot once, then scores the group against every state,
+		// keeping its best BeamWidth combos in a bounded heap whose worst
+		// MCL prunes the rest (package comment). Once it has rejected
+		// screenAfter combos in full, it prescreens each combo on the
+		// channels its rejections peaked on (screenRejects), on channel
+		// spaces of at least minScreenChans.
 		tops := make([][]combo, workers)
 		skips := make([]int64, workers)
 		screens := make([]int64, workers)
@@ -1086,8 +1003,7 @@ func (m *merger) run() (*Block, error) {
 			top := &topCombos{beam: beam, n: m.cfg.BeamWidth, bar: m.bar}
 			var skipped, screened, rejected int64
 			defer func() { tops[w], skips[w], screens[w] = top.h, skipped, screened }()
-			refPos := make([]int, len(tasks))
-			posBuf := make([]int, len(tasks))
+			pos := make([]int, len(tasks))
 			dv := routing.NewDeltaVec(m.parent.NumChannels())
 			// ssnap is snap restricted to the table's screen set,
 			// current while fresh is set.
@@ -1100,53 +1016,44 @@ func (m *merger) run() (*Block, error) {
 				c, o := g/numOrients, g%numOrients
 				cand := m.children[child].Candidates[c]
 				for i := range tasks {
-					refPos[i] = m.taskParentPos(cand, m.orients[o], refCube, i)
+					pos[i] = m.taskParentPos(child, cand, m.orients[o], i)
 				}
 				dv.Reset()
-				m.addFlowsDelta(tab, child, refPos, dv, math.Inf(1))
+				m.addFlowsDelta(tab, child, pos, dv, math.Inf(1))
 				snap = dv.Snapshot(snap)
 				fresh = false
 				for si, st := range beam {
-					if st.mcl > top.bound() {
-						skipped += int64(len(cubesOf[si]))
+					bound := top.bound()
+					if st.mcl > bound {
+						skipped++
 						continue
 					}
-					for _, q := range cubesOf[si] {
-						bound := top.bound()
-						rankOff := m.originRank[q] - m.originRank[refCube]
-						if screening && rankOff == 0 && rejected >= screenAfter && !math.IsInf(bound, 1) {
-							if !fresh {
-								ssnap, fresh = tab.ScreenSnapshot(snap, ssnap), true
-							}
-							if m.screenRejects(tab, ssnap, crossEdges, st, refPos, dv, bound) {
-								skipped++
-								screened++
-								continue
-							}
+					if screening && rejected >= screenAfter && !math.IsInf(bound, 1) {
+						if !fresh {
+							ssnap, fresh = tab.ScreenSnapshot(snap, ssnap), true
 						}
-						dv.ResetOver(st.loads, st.mcl)
-						dv.AddSnapshot(snap, rankOff*nd2)
-						if dv.Peak() <= bound {
-							for i := range refPos {
-								posBuf[i] = refPos[i] + rankOff
-							}
-							m.addCrossEdgesDelta(tab, crossEdges, st, posBuf, dv, bound)
-						}
-						if dv.Peak() > bound {
+						if m.screenRejects(tab, ssnap, crossEdges, st, pos, dv, bound) {
 							skipped++
-							if screening {
-								rejected++
-								if ch := dv.PeakChan(); ch >= 0 && tab.Screen(ch) {
-									fresh = false
-								}
-							}
+							screened++
 							continue
 						}
-						top.offer(combo{
-							si: int32(si), cand: int32(c), orient: int32(o),
-							cube: int32(q), mcl: dv.Peak(),
-						})
 					}
+					dv.ResetOver(st.loads, st.mcl)
+					dv.AddSnapshot(snap)
+					if dv.Peak() <= bound {
+						m.addCrossEdgesDelta(tab, crossEdges, st, pos, dv, bound)
+					}
+					if dv.Peak() > bound {
+						skipped++
+						if screening {
+							rejected++
+							if ch := dv.PeakChan(); ch >= 0 && tab.Screen(ch) {
+								fresh = false
+							}
+						}
+						continue
+					}
+					top.offer(combo{si: int32(si), cand: int32(c), orient: int32(o), mcl: dv.Peak()})
 				}
 			}
 		})
@@ -1170,7 +1077,7 @@ func (m *merger) run() (*Block, error) {
 		if len(kept) > m.cfg.BeamWidth {
 			kept = kept[:m.cfg.BeamWidth]
 		}
-		candGen += int64(groups * groupSize)
+		candGen += int64(groups * len(beam))
 		candKept += int64(len(kept))
 		if len(kept) == 0 {
 			// Every combo of the step is above the bar, so every state
@@ -1179,12 +1086,12 @@ func (m *merger) run() (*Block, error) {
 		}
 
 		// Pass 2: materialize the winners. The winner's contribution is
-		// re-accumulated at its actual cube position — bit-identical to the
-		// translated snapshot used for scoring — and added onto the state
-		// loads channel by channel. The last kept combo of each state takes
-		// over the state's load vector instead of copying it, and the
-		// vectors of states nothing was kept from are dropped first, so the
-		// step never holds two beams' loads.
+		// re-accumulated from its placement — bit-identical to the snapshot
+		// and cross flows that scored it — and added onto the state loads
+		// channel by channel. The last kept combo of each state takes over
+		// the state's load vector instead of copying it, and the vectors of
+		// states nothing was kept from are dropped first, so the step never
+		// holds two beams' loads.
 		last := make([]int, len(beam))
 		for k, sc := range kept {
 			last[sc.si] = k + 1
@@ -1200,7 +1107,7 @@ func (m *merger) run() (*Block, error) {
 		for k, sc := range kept {
 			st := beam[sc.si]
 			cand := m.children[child].Candidates[sc.cand]
-			p := m.placementAt(child, cand, m.orients[sc.orient], int(sc.cube))
+			p := m.placement(child, cand, m.orients[sc.orient])
 			loads := st.loads
 			if last[sc.si] == k+1 {
 				st.loads = nil
@@ -1211,8 +1118,8 @@ func (m *merger) run() (*Block, error) {
 			m.addFlowsDelta(tab, child, p, dv, math.Inf(1))
 			m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
 			dv.AddTo(loads)
-			choice := packChoice(int(sc.cube), int(sc.cand), int(sc.orient))
-			next = append(next, st.extend(p, int(sc.cube), choice, loads, sc.mcl))
+			choice := packChoice(int(sc.cand), int(sc.orient))
+			next = append(next, st.extend(p, choice, loads, sc.mcl))
 		}
 		tab.Flush()
 		beam = topN(next, m.cfg.BeamWidth)
@@ -1232,11 +1139,7 @@ func (m *merger) block(beam []*state, order []int, degraded bool) *Block {
 	for i, t := range allTasks {
 		taskIdx[t] = i
 	}
-	parentShape := make([]int, len(m.cubeShape))
-	for d := range parentShape {
-		parentShape[d] = m.cubeShape[d] * m.childShape[d]
-	}
-	out := &Block{Tasks: allTasks, Shape: parentShape, Degraded: degraded}
+	out := &Block{Tasks: allTasks, Shape: m.parent.Dims(), Degraded: degraded}
 	for _, st := range beam {
 		local := make(topology.Mapping, len(allTasks))
 		for s := 0; s < len(order); s++ {
@@ -1261,10 +1164,10 @@ func (m *merger) barred(steps int) *Block {
 // completeGreedy finishes an interrupted merge from the best surviving
 // state: each remaining child (steps from..end of order) is absorbed with
 // its first candidate, the identity orientation, and its pinned cube
-// position (or the first free one when Reposition already took it). The
-// result is a valid single-candidate beam without any further search. Each
-// step deposits like pass 2's materialization; childStep is run's
-// child -> merge step index, extended here as children are absorbed.
+// position. The result is a valid single-candidate beam without any
+// further search. Each step deposits like pass 2's materialization;
+// childStep is run's child -> merge step index, extended here as children
+// are absorbed.
 func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep []int32) []*state {
 	st := beam[0]
 	tab := m.table(0)
@@ -1272,17 +1175,7 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep 
 	dv := routing.NewDeltaVec(m.parent.NumChannels())
 	for step := from; step < len(order); step++ {
 		child := order[step]
-		cube := m.childPos[child]
-		if st.used&(1<<uint(cube)) != 0 {
-			for p := range m.origins {
-				if st.used&(1<<uint(p)) == 0 {
-					cube = p
-					break
-				}
-			}
-		}
-		cand := m.children[child].Candidates[0]
-		p := m.placementAt(child, cand, m.orients[0], cube)
+		p := m.placement(child, m.children[child].Candidates[0], m.orients[0])
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 		dv.ResetOver(st.loads, st.mcl)
@@ -1290,7 +1183,7 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep 
 		m.addCrossEdgesDelta(tab, crossEdges, st, p, dv, math.Inf(1))
 		loads := append([]float64(nil), st.loads...)
 		dv.AddTo(loads)
-		st = st.extend(p, cube, packChoice(cube, 0, 0), loads, dv.Peak())
+		st = st.extend(p, packChoice(0, 0), loads, dv.Peak())
 	}
 	return []*state{st}
 }

@@ -99,7 +99,7 @@ func TestMergeSingleTaskChildrenHonorsPins(t *testing.T) {
 	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
 	childPos := []int{3, 2, 1, 0} // task i pinned to position 3-i
-	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, childPos, Config{}, math.Inf(1))
+	merged, err := MergeCtx(context.Background(), g, blocks, topology.NewMesh(2, 2), childPos, Config{}, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMergeMCLMatchesDirectEvaluation(t *testing.T) {
 		}
 		g := b.Build()
 		blocks := singleTaskBlocks(4, 2)
-		merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1))
+		merged, err := MergeCtx(context.Background(), g, blocks, topology.NewMesh(2, 2), []int{0, 1, 2, 3}, Config{}, 1, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestMergeBestEqualsOrientationBruteForce(t *testing.T) {
 		g := gb.Build()
 		a := NewLeafBlock([]int{0, 1}, []int{1, 2}, topology.Mapping{0, 1}, 0)
 		b := NewLeafBlock([]int{2, 3}, []int{1, 2}, topology.Mapping{0, 1}, 0)
-		merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{0, 1}, Config{BeamWidth: 64}, math.Inf(1))
+		merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, topology.NewMesh(2, 2), []int{0, 1}, Config{BeamWidth: 64}, 1, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestMergeBeamWidthRespected(t *testing.T) {
 	b.AddTraffic(0, 1, 1)
 	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
-	merged, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{BeamWidth: 3}, math.Inf(1))
+	merged, err := MergeCtx(context.Background(), g, blocks, topology.NewMesh(2, 2), []int{0, 1, 2, 3}, Config{BeamWidth: 3}, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +195,28 @@ func TestMergeBeamWidthRespected(t *testing.T) {
 }
 
 func TestMergeValidatesInput(t *testing.T) {
-	g := graph.New(4).Build()
+	g := graph.New(16).Build()
 	blocks := singleTaskBlocks(4, 2)
-	if _, err := MergeCtx(context.Background(), g, blocks[:3], []int{2, 2}, []int{0, 1, 2}, Config{}, math.Inf(1)); err == nil {
-		t.Fatal("expected error: 3 children for 4-cube")
+	wide := make([]*Block, 4) // 2x2 children of 4 tasks each
+	for i := range wide {
+		wide[i] = NewLeafBlock([]int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	}
-	if _, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 2}, Config{}, math.Inf(1)); err == nil {
-		t.Fatal("expected error: duplicate positions")
-	}
-	if _, err := MergeCtx(context.Background(), g, blocks, []int{3, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1)); err == nil {
-		t.Fatal("expected error: non-2-ary cube")
-	}
-	if _, err := MergeCtx(context.Background(), g, nil, []int{2, 2}, nil, Config{}, math.Inf(1)); err == nil {
-		t.Fatal("expected error: no children")
+	for _, tc := range []struct {
+		name     string
+		children []*Block
+		parent   *topology.Torus
+		pos      []int
+	}{
+		{"3 children for a 4-cube", blocks[:3], topology.NewMesh(2, 2), []int{0, 1, 2}},
+		{"duplicate positions", blocks, topology.NewMesh(2, 2), []int{0, 1, 2, 2}},
+		{"3x2 cube", blocks, topology.NewMesh(3, 2), []int{0, 1, 2, 3}},
+		{"no children", nil, topology.NewMesh(2, 2), nil},
+		{"parent dimensionality differs", blocks, topology.NewMesh(2, 2, 1), []int{0, 1, 2, 3}},
+		{"parent extent 1.5x the child's", wide, topology.NewTorus(3, 4), []int{0, 1, 2, 3}},
+	} {
+		if _, err := MergeCtx(context.Background(), g, tc.children, tc.parent, tc.pos, Config{}, 1, math.Inf(1)); err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		}
 	}
 }
 
@@ -221,7 +230,7 @@ func TestMergedMappingIsInjective(t *testing.T) {
 	// Two 2x2 blocks merged along a 2x1 cube into a 4x2 parent.
 	a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
 	b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{3, 2, 1, 0}, 0)
-	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, []int{2, 1}, []int{1, 0}, Config{}, math.Inf(1))
+	merged, err := MergeCtx(context.Background(), g, []*Block{a, b}, topology.NewMesh(4, 2), []int{1, 0}, Config{}, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,17 +251,53 @@ func TestMergeTorusEvaluation(t *testing.T) {
 	b.AddTraffic(0, 1, 8)
 	g := b.Build()
 	blocks := singleTaskBlocks(4, 2)
-	meshRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{}, math.Inf(1))
+	meshRes, err := MergeCtx(context.Background(), g, blocks, topology.NewMesh(2, 2), []int{0, 1, 2, 3}, Config{}, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	torusRes, err := MergeCtx(context.Background(), g, blocks, []int{2, 2}, []int{0, 1, 2, 3}, Config{Torus: true}, math.Inf(1))
+	torusRes, err := MergeCtx(context.Background(), g, blocks, topology.NewTorus(2, 2), []int{0, 1, 2, 3}, Config{}, 1, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if torusRes.Candidates[0].MCL >= meshRes.Candidates[0].MCL {
 		t.Fatalf("torus MCL %v should beat mesh MCL %v (extra links)",
 			torusRes.Candidates[0].MCL, meshRes.Candidates[0].MCL)
+	}
+}
+
+func TestParallelMergeDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	gb := graph.New(8)
+	for e := 0; e < 20; e++ {
+		gb.AddTraffic(rng.Intn(8), rng.Intn(8), float64(1+rng.Intn(9)))
+	}
+	g := gb.Build()
+	mk := func() []*Block {
+		a := NewLeafBlock([]int{0, 1, 2, 3}, []int{2, 2}, topology.Mapping{0, 1, 2, 3}, 0)
+		b := NewLeafBlock([]int{4, 5, 6, 7}, []int{2, 2}, topology.Mapping{3, 2, 1, 0}, 0)
+		return []*Block{a, b}
+	}
+	serial, err := MergeCtx(context.Background(), g, mk(), topology.NewMesh(4, 2), []int{0, 1}, Config{}, 1, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := MergeCtx(context.Background(), g, mk(), topology.NewMesh(4, 2), []int{0, 1}, Config{}, 8, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Candidates) != len(parallel.Candidates) {
+		t.Fatalf("candidate counts differ: %d vs %d", len(serial.Candidates), len(parallel.Candidates))
+	}
+	for i := range serial.Candidates {
+		if math.Abs(serial.Candidates[i].MCL-parallel.Candidates[i].MCL) > 1e-12 {
+			t.Fatalf("candidate %d MCL differs: %v vs %v",
+				i, serial.Candidates[i].MCL, parallel.Candidates[i].MCL)
+		}
+		for j := range serial.Candidates[i].Local {
+			if serial.Candidates[i].Local[j] != parallel.Candidates[i].Local[j] {
+				t.Fatalf("candidate %d mapping differs at %d", i, j)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"rahtm/internal/graph"
 	"rahtm/internal/telemetry"
+	"rahtm/internal/topology"
 )
 
 // haloRoot is the halo-root-4x4x4x4 scenario of TestMergeDeltaByteIdentical
@@ -15,11 +16,11 @@ import (
 // periodic 2-D halo, Gray-pinned on a 2x2x2x2 cube, merged on a 4x4x4x4
 // torus with all 384 orientations and beam 64.
 type haloRoot struct {
-	g         *graph.Comm
-	children  []*Block
-	cubeShape []int
-	pins      []int
-	cfg       Config
+	g        *graph.Comm
+	children []*Block
+	parent   *topology.Torus
+	pins     []int
+	cfg      Config
 }
 
 func newHaloRoot(t testing.TB) *haloRoot {
@@ -27,19 +28,17 @@ func newHaloRoot(t testing.TB) *haloRoot {
 	g := haloTiles(nchild, tpc)
 	children := deltaChildren(t, g, nchild, tpc, []int{2, 2, 2, 2})
 	return &haloRoot{
-		g:         g,
-		children:  children,
-		cubeShape: []int{2, 2, 2, 2},
-		pins:      grayPins(nchild),
-		cfg:       Config{BeamWidth: 64, ChildCandidates: 1, MaxPairEvals: 256, Torus: true},
+		g:        g,
+		children: children,
+		parent:   topology.NewTorus(4, 4, 4, 4),
+		pins:     grayPins(nchild),
+		cfg:      Config{BeamWidth: 64, ChildCandidates: 1, MaxPairEvals: 256},
 	}
 }
 
 // merge runs the root merge at the given parallelism under ctx.
 func (h *haloRoot) merge(ctx context.Context, par int) (*Block, error) {
-	cfg := h.cfg
-	cfg.Parallelism = par
-	return MergeCtx(ctx, h.g, h.children, h.cubeShape, h.pins, cfg, math.Inf(1))
+	return MergeCtx(ctx, h.g, h.children, h.parent, h.pins, h.cfg, par, math.Inf(1))
 }
 
 // TestMergeWorkCounts pins the merge's work on the halo-root scenario: the

@@ -149,10 +149,9 @@ func (v *DeltaVec) Snapshot(dst Snapshot) Snapshot {
 	return dst
 }
 
-// AddSnapshot replays a snapshot into the accumulator with every channel id
-// shifted by chOff (translation of the pattern to a different box origin).
-func (v *DeltaVec) AddSnapshot(s Snapshot, chOff int) {
+// AddSnapshot replays a snapshot into the accumulator, channel by channel.
+func (v *DeltaVec) AddSnapshot(s Snapshot) {
 	for i, ch := range s.Ch {
-		v.Add(int(ch)+chOff, s.Val[i])
+		v.Add(int(ch), s.Val[i])
 	}
 }

@@ -76,8 +76,8 @@ func TestDeltaVecBasics(t *testing.T) {
 }
 
 // TestDeltaVecPeak pins the running peak the merger's bound relies on:
-// after every non-negative deposit — direct or replayed from a snapshot at
-// a channel offset — Peak equals the full MaxOver scan bit-for-bit, and
+// after every non-negative deposit — direct or replayed from a snapshot —
+// Peak equals the full MaxOver scan bit-for-bit, and
 // Reset stops tracking. Deposit magnitudes span many binades so the sums
 // round.
 func TestDeltaVecPeak(t *testing.T) {
@@ -105,7 +105,7 @@ func TestDeltaVecPeak(t *testing.T) {
 		}
 		src.Reset()
 		for k := rng.Intn(12); k >= 0; k-- {
-			src.Add(rng.Intn(n/2), mag())
+			src.Add(rng.Intn(n), mag())
 		}
 		snap = src.Snapshot(snap)
 
@@ -120,7 +120,7 @@ func TestDeltaVecPeak(t *testing.T) {
 		check("ResetOver", -1)
 		for k := 0; k < 60; k++ {
 			if rng.Intn(5) == 0 {
-				dv.AddSnapshot(snap, rng.Intn(n/2+1))
+				dv.AddSnapshot(snap)
 				check("AddSnapshot", k)
 				continue
 			}
@@ -133,7 +133,7 @@ func TestDeltaVecPeak(t *testing.T) {
 	// even onto channels that carried load in the old base.
 	dv.Reset()
 	dv.Add(0, 5)
-	dv.AddSnapshot(snap, 0)
+	dv.AddSnapshot(snap)
 	if got := dv.Peak(); got != 0 {
 		t.Fatalf("Peak after Reset = %v, want 0", got)
 	}
@@ -147,6 +147,9 @@ func TestDeltaVecPeak(t *testing.T) {
 	}
 }
 
+// TestDeltaVecSnapshotTranslate checks that a snapshot carries one
+// accumulator's totals over to another: replayed onto earlier deposits
+// they add channel by channel, and the snapshot stays frozen.
 func TestDeltaVecSnapshotTranslate(t *testing.T) {
 	dv := NewDeltaVec(32)
 	dv.Add(2, 0.75)
@@ -157,11 +160,12 @@ func TestDeltaVecSnapshotTranslate(t *testing.T) {
 		t.Fatalf("snapshot shape: %+v", snap)
 	}
 
-	// Replay shifted by 10 into a fresh accumulator.
+	// Replay into an accumulator that already holds a deposit.
 	dv2 := NewDeltaVec(32)
-	dv2.AddSnapshot(snap, 10)
-	if dv2.Value(12) != 1.0 || dv2.Value(19) != 1.25 {
-		t.Fatalf("AddSnapshot: ch12=%v ch19=%v", dv2.Value(12), dv2.Value(19))
+	dv2.Add(9, 0.5)
+	dv2.AddSnapshot(snap)
+	if dv2.Value(2) != 1.0 || dv2.Value(9) != 1.75 || dv2.NumTouched() != 2 {
+		t.Fatalf("AddSnapshot: ch2=%v ch9=%v touched=%d", dv2.Value(2), dv2.Value(9), dv2.NumTouched())
 	}
 
 	// Snapshot is frozen: resetting the source must not affect it.

@@ -78,8 +78,6 @@ type (
 	// mapping, ProcToNode, MCL and phase stats. It keeps no graph, and one
 	// int per node, not per process, for ProcTask, which reads ProcToNode.
 	PipelineResult = core.Result
-	// PipelineConfig tunes the RAHTM pipeline.
-	PipelineConfig = core.Config
 	// LeafConfig tunes the Phase 2 subproblem solver.
 	LeafConfig = hiermap.Config
 	// MergeConfig tunes the Phase 3 beam search.
@@ -155,8 +153,6 @@ type Mapper struct {
 	Leaf LeafConfig
 	// Merge configures the Phase 3 beam search.
 	Merge MergeConfig
-	// DisableSiblingReuse turns off the symmetry caches.
-	DisableSiblingReuse bool
 	// Parallelism bounds the worker goroutines of the level-wise Phase 2/3
 	// scheduler: 0 uses GOMAXPROCS, 1 or less runs fully sequentially.
 	// Results are identical for every setting. A panic on one of its

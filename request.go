@@ -506,13 +506,12 @@ func Solve(ctx context.Context, req Request) (res *Result, err error) {
 func mapProcs(ctx context.Context, m ProcMapper, w *Workload, t *Torus, conc int) (Mapping, *PipelineResult, error) {
 	switch m := m.(type) {
 	case Mapper:
-		pres, err := core.MapPartitionedCtx(ctx, w.Graph, t, PipelineConfig{
-			Concentration:       conc,
-			GridDims:            w.Grid,
-			Leaf:                m.Leaf,
-			Merge:               m.Merge,
-			DisableSiblingReuse: m.DisableSiblingReuse,
-			Parallelism:         m.Parallelism,
+		pres, err := core.MapPartitionedCtx(ctx, w.Graph, t, core.Config{
+			Concentration: conc,
+			GridDims:      w.Grid,
+			Leaf:          m.Leaf,
+			Merge:         m.Merge,
+			Parallelism:   m.Parallelism,
 		})
 		if err != nil {
 			return nil, nil, err
