@@ -28,6 +28,11 @@
 // orientation) pair at the child's pinned cube position, kept as a
 // snapshot, and replayed against every beam state.
 //
+// Placing a child is an add and a lookup: parent ranks are row-major and a
+// child box never wraps, so newMerger precomputes each child's origin
+// rank and, per orientation, the parent-rank offset of every child-local
+// position (the rank table, initRanks).
+//
 // # Exact bound pruning
 //
 // A step keeps only its best N combinations, so a combination that is
@@ -36,9 +41,11 @@
 // the step's total order (MCL, then state key, then packed choice). Once the
 // heap is full its worst MCL is the worker's bound: the worker skips a beam
 // state whose MCL is above it, and drops a combination as soon as the
-// DeltaVec's running peak (routing.DeltaVec.ResetOver) is above it. The
-// step then merges the workers' heaps instead of sorting every
-// combination. The pruning is exact, not a heuristic:
+// DeltaVec's running peak (routing.DeltaVec.ResetOver) is above it. A
+// combination whose placement key does not come before the worst kept
+// one's would lose a tie with it, so its bound is the largest float below
+// that MCL. The step then merges the workers' heaps instead of sorting
+// every combination. The pruning is exact, not a heuristic:
 //
 //   - Every deposit is non-negative: graph volumes are positive
 //     (AddTraffic drops vol <= 0, Scale panics on f <= 0) and routing splits
@@ -49,7 +56,10 @@
 //   - A worker's bound is the N-th best score over a subset of the step's
 //     combinations, so it is at least the step's final N-th best; a
 //     combination whose peak is strictly above it cannot enter the beam.
-//     Ties at the bound are scored in full and ordered by key.
+//     One whose peak ties the worst kept combination's MCL enters the heap
+//     only if its key comes first, so a later key is bounded strictly
+//     below that MCL: every combination the tie rule drops, the heap would
+//     have refused, and the heap keeps the same combinations.
 //   - Every beam member is in its own worker's top N, so merging the heaps
 //     yields exactly the beam a full sort would.
 //
@@ -59,10 +69,14 @@
 // bound: routing.Table.Screen learns S, the channels the full rejections
 // peaked on (DeltaVec.PeakChan), and screenRejects replays only the
 // combo's deposits on S, in the full replay's order, rejecting it once
-// that S-peak is above the bound. A channel's running total depends only
-// on the deposits to that channel, in their order, so the S-values are the
-// full replay's and the S-peak is a floor under the full peak: the
-// prescreen rejects only combos the full scorer rejects.
+// that S-peak is above the bound. The replay runs on S's slots, in arrays
+// the table owns: the group's snapshot on S is the slot prior, the peak
+// starts at max(state MCL, max over S of load + prior) without writing a
+// slot, and a slot takes its prior on its first cross deposit, which
+// rounds as replaying the snapshot first does. A channel's running total
+// depends only on the deposits to that channel, in their order, so the
+// S-values are the full replay's and the S-peak is a floor under the full
+// peak: the prescreen rejects only combos the full scorer rejects.
 // Survivors are scored in full, so each heap sees the same combos in the
 // same order: beams, mappings and the other beam counters do not change,
 // and only the stencil hits of the combos never routed in full go.
@@ -180,7 +194,8 @@ func Orientations(shape []int) []Orientation {
 }
 
 // applyFast is Apply without heap allocations for boxes of at most 8
-// dimensions — the merge scorers call it once per task per candidate.
+// dimensions — initRanks calls it once per orientation and child position
+// of every merge.
 func (o Orientation) applyFast(shape []int, pos int) int {
 	nd := len(shape)
 	if nd > 8 {
@@ -391,10 +406,7 @@ func newMerger(ctx context.Context, g *graph.Comm, children []*Block, parent *to
 		}
 		m.orients = kept
 	}
-	m.origins = make([][]int, len(children))
-	for i, p := range childPos {
-		m.origins[i] = cubeOrigin(cubeShape, childShape, p)
-	}
+	m.initRanks(cubeShape, childPos)
 	m.ctx = ctx
 	m.scope = telemetry.ScopeFrom(ctx)
 	m.workers = max(workers, 1)
@@ -426,13 +438,47 @@ func cubeOrigin(cubeShape, childShape []int, p int) []int {
 	return o
 }
 
+// initRanks builds the rank table. Parent ranks are row-major and a child
+// box never wraps, so the rank of origin + x is the origin's rank plus
+// the rank of x: a task at child-local position l, under orientation o,
+// lands on originRank[child] + rankOff[o*childSize+l].
+func (m *merger) initRanks(cubeShape []int, childPos []int) {
+	shape := m.childShape
+	m.childSize = 1
+	for _, k := range shape {
+		m.childSize *= k
+	}
+	m.originRank = make([]int, len(childPos))
+	for i, p := range childPos {
+		m.originRank[i] = m.parent.RankOf(cubeOrigin(cubeShape, shape, p))
+	}
+	m.rankOff = make([]int32, len(m.orients)*m.childSize)
+	x := make([]int, len(shape))
+	for oi, o := range m.orients {
+		for l := 0; l < m.childSize; l++ {
+			p := o.applyFast(shape, l)
+			for d := len(shape) - 1; d >= 0; d-- {
+				x[d] = p % shape[d]
+				p /= shape[d]
+			}
+			m.rankOff[oi*m.childSize+l] = int32(m.parent.RankOf(x))
+		}
+	}
+}
+
 type merger struct {
 	g          *graph.Comm
 	children   []*Block
 	childShape []int
 	parent     *topology.Torus
 	orients    []Orientation
-	origins    [][]int // child -> parent origin coords of its pinned cube position
+	// The rank table (initRanks): originRank[i] is the parent rank of child
+	// i's origin at its pinned cube position, and rankOff[o*childSize+l]
+	// the parent-rank offset of child-local position l under orientation
+	// o, so placing a task is an add and a lookup.
+	childSize  int
+	originRank []int
+	rankOff    []int32
 	cfg        Config
 	ctx        context.Context
 	// scope is the request scope carried by ctx (nil outside the daemon);
@@ -489,31 +535,6 @@ func (m *merger) initAdjacency() {
 	}
 }
 
-// taskParentPos computes the parent-box rank of a child's task under a
-// candidate and orientation, with the child block at its pinned cube
-// position.
-func (m *merger) taskParentPos(child int, cand Candidate, o Orientation, taskIdx int) int {
-	local := o.applyFast(m.childShape, cand.Local[taskIdx])
-	// Decode local within childShape, offset by the child's origin.
-	origin := m.origins[child]
-	nd := len(m.childShape)
-	if nd <= 8 {
-		var buf [8]int
-		coord := buf[:nd]
-		for d := nd - 1; d >= 0; d-- {
-			coord[d] = origin[d] + local%m.childShape[d]
-			local /= m.childShape[d]
-		}
-		return m.parent.RankOf(coord)
-	}
-	coord := make([]int, nd)
-	for d := nd - 1; d >= 0; d-- {
-		coord[d] = origin[d] + local%m.childShape[d]
-		local /= m.childShape[d]
-	}
-	return m.parent.RankOf(coord)
-}
-
 // table returns worker slot w's route table, emptied for a new unit of
 // disjoint work so that it holds only the pairs the unit routes.
 func (m *merger) table(w int) *routing.Table {
@@ -522,14 +543,15 @@ func (m *merger) table(w int) *routing.Table {
 	return tab
 }
 
-// placement materializes the parent positions of all tasks of a child at
-// its pinned cube position.
-func (m *merger) placement(child int, cand Candidate, o Orientation) []int {
-	out := make([]int, len(m.children[child].Tasks))
-	for i := range out {
-		out[i] = m.taskParentPos(child, cand, o, i)
+// place writes into pos the parent ranks of child's tasks under candidate
+// cand and orientation oi, at the child's pinned cube position, and
+// returns pos.
+func (m *merger) place(pos []int, child int, cand Candidate, oi int) []int {
+	base, off := m.originRank[child], m.rankOff[oi*m.childSize:(oi+1)*m.childSize]
+	for i, l := range cand.Local {
+		pos[i] = base + int(off[l])
 	}
-	return out
+	return pos
 }
 
 // addFlowsDelta deposits the loads of every graph flow inside one child,
@@ -566,11 +588,12 @@ func (m *merger) floorAboveBar() bool {
 	for ci, c := range m.children {
 		tab.Reset() // one child's pairs are one unit of work
 		nc := min(len(c.Candidates), m.cfg.ChildCandidates)
+		pos := make([]int, len(c.Tasks))
 		below := false
 		for k := 0; k < nc*len(m.orients) && !below; k++ {
-			cand, o := c.Candidates[k/len(m.orients)], m.orients[k%len(m.orients)]
+			cand, oi := c.Candidates[k/len(m.orients)], k%len(m.orients)
 			dv.ResetOver(zero, 0)
-			m.addFlowsDelta(tab, ci, m.placement(ci, cand, o), dv, m.bar)
+			m.addFlowsDelta(tab, ci, m.place(pos, ci, cand, oi), dv, m.bar)
 			below = dv.Peak() <= m.bar
 		}
 		if !below {
@@ -621,7 +644,7 @@ func (m *merger) mergeOrder() []int {
 				return // ordering becomes partial; run() handles the context
 			}
 			i, oi := u/ko, u%ko
-			p := m.placement(i, m.children[i].Candidates[0], m.orients[oi])
+			p := m.place(make([]int, len(m.children[i].Tasks)), i, m.children[i].Candidates[0], oi)
 			dv.Reset()
 			m.addFlowsDelta(tab, i, p, dv, math.Inf(1))
 			pl[i][oi] = p
@@ -789,34 +812,56 @@ type combo struct {
 	mcl    float64
 }
 
+// keyRanks numbers a beam's states in placement-key order (lessKey), so
+// a merge step compares two states' keys as two ints. Keys are unique
+// within a beam.
+func keyRanks(beam []*state) []int32 {
+	idx := make([]int, len(beam))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return lessKey(beam[idx[a]].key, beam[idx[b]].key) })
+	rank := make([]int32, len(beam))
+	for r, si := range idx {
+		rank[si] = int32(r)
+	}
+	return rank
+}
+
+// keyBefore reports whether a's placement key — its state's key (by
+// keyRanks' rank), then this step's packed choice — comes before b's.
+func keyBefore(rank []int32, a, b *combo) bool {
+	if a.si != b.si {
+		return rank[a.si] < rank[b.si]
+	}
+	return packChoice(int(a.cand), int(a.orient)) < packChoice(int(b.cand), int(b.orient))
+}
+
 // comboLess is a merge step's total order: MCL first, then the placement
-// key — the state's choice path, then this step's packed choice — so the
-// kept combos never depend on scoring order or parallelism.
-func comboLess(beam []*state, a, b *combo) bool {
+// key, so the kept combos never depend on scoring order or parallelism.
+// rank is the step's keyRanks.
+func comboLess(rank []int32, a, b *combo) bool {
 	if a.mcl < b.mcl {
 		return true
 	}
 	if b.mcl < a.mcl {
 		return false
 	}
-	if a.si != b.si {
-		return lessKey(beam[a.si].key, beam[b.si].key)
-	}
-	return packChoice(int(a.cand), int(a.orient)) < packChoice(int(b.cand), int(b.orient))
+	return keyBefore(rank, a, b)
 }
 
 // topCombos is one scoring worker's best n combos of a merge step at or
 // below bar, kept as a max-heap under comboLess (container/heap): the root
 // is the worst combo kept.
 type topCombos struct {
-	beam []*state
+	rank []int32
 	n    int
 	bar  float64
 	h    []combo
 }
 
 func (t *topCombos) Len() int           { return len(t.h) }
-func (t *topCombos) Less(i, j int) bool { return comboLess(t.beam, &t.h[j], &t.h[i]) }
+func (t *topCombos) Less(i, j int) bool { return comboLess(t.rank, &t.h[j], &t.h[i]) }
 func (t *topCombos) Swap(i, j int)      { t.h[i], t.h[j] = t.h[j], t.h[i] }
 func (t *topCombos) Push(x any)         { t.h = append(t.h, x.(combo)) }
 func (t *topCombos) Pop() any {
@@ -825,14 +870,20 @@ func (t *topCombos) Pop() any {
 	return c
 }
 
-// bound is the score a combo must not exceed to enter the heap: the bar
-// until the heap holds n combos, then the lower of the bar and the worst
-// kept MCL.
-func (t *topCombos) bound() float64 {
+// bound is the score combo c (its MCL not yet known) must not exceed to
+// enter the heap: the bar until the heap holds n combos, then the lower
+// of the bar and the worst kept MCL — or, when c's placement key does not
+// come before the worst kept combo's, the largest float below that MCL:
+// c would tie the root and lose, so only a strictly lower MCL enters.
+func (t *topCombos) bound(c *combo) float64 {
 	if len(t.h) < t.n {
 		return t.bar
 	}
-	return min(t.h[0].mcl, t.bar)
+	root := &t.h[0]
+	if keyBefore(t.rank, c, root) {
+		return min(root.mcl, t.bar)
+	}
+	return min(math.Nextafter(root.mcl, math.Inf(-1)), t.bar)
 }
 
 // offer keeps c if it ranks among the n best seen so far.
@@ -841,7 +892,7 @@ func (t *topCombos) offer(c combo) {
 		heap.Push(t, c)
 		return
 	}
-	if comboLess(t.beam, &c, &t.h[0]) {
+	if comboLess(t.rank, &c, &t.h[0]) {
 		t.h[0] = c
 		heap.Fix(t, 0)
 	}
@@ -910,29 +961,31 @@ func (m *merger) addCrossEdgesDelta(tab *routing.Table, edges []crossEdge, st *s
 
 // screenRejects reports whether the combo that places the incoming child
 // at cp against st has a peak above bound on the table's screen set S. It
-// replays only the combo's deposits on S, in the full replay's order: ss,
-// the child's internal-load snapshot restricted to S, then every cross
-// flow's screen list (routing.Table.AddScreenDelta). A channel's total
-// depends only on the deposits to it, in their order, so dv's values on S
-// are those of the full replay, bit for bit, and its peak is a floor under
-// the full peak: every combo it rejects, the full scorer rejects too. A
-// walked pair ends the screen with false, and the combo is scored in full.
-func (m *merger) screenRejects(tab *routing.Table, ss routing.Snapshot, edges []crossEdge, st *state, cp []int, dv *routing.DeltaVec, bound float64) bool {
-	dv.ResetOver(st.loads, st.mcl)
-	dv.AddSnapshot(ss)
+// replays only the combo's deposits on S, in the full replay's order: the
+// child's internal-load snapshot on S (the table's prior), then every
+// cross flow's screen list (routing.Table.ScreenAdd). A channel's total
+// depends only on the deposits to it, in their order, so the replay's
+// values on S are those of the full replay, bit for bit, and its peak is
+// a floor under the full peak: every combo it rejects, the full scorer
+// rejects too. A walked pair ends the screen with false, and the combo is
+// scored in full.
+func (m *merger) screenRejects(tab *routing.Table, edges []crossEdge, st *state, cp []int, bound float64) bool {
+	if tab.ScreenOver(st.loads, st.mcl) > bound {
+		return true
+	}
 	for _, e := range edges {
-		if dv.Peak() > bound {
-			return true
-		}
 		src, dst := cp[e.ci], st.pos[e.s][e.oi]
 		if e.toChild {
 			src, dst = dst, src
 		}
-		if !tab.AddScreenDelta(src, dst, e.vol, dv) {
+		if !tab.ScreenAdd(src, dst, e.vol) {
 			return false
 		}
+		if tab.ScreenPeak() > bound {
+			return true
+		}
 	}
-	return dv.Peak() > bound
+	return false
 }
 
 func (m *merger) run() (*Block, error) {
@@ -985,58 +1038,53 @@ func (m *merger) run() (*Block, error) {
 		// A step's combos are the (candidate, orientation) groups times
 		// every beam state.
 		groups := nc * numOrients
+		rank := keyRanks(beam)
 
 		// Pass 1: score the combos in parallel over contiguous group ranges.
 		// A worker computes each group's placement and internal-load
 		// snapshot once, then scores the group against every state,
 		// keeping its best BeamWidth combos in a bounded heap whose worst
-		// MCL prunes the rest (package comment). Once it has rejected
-		// screenAfter combos in full, it prescreens each combo on the
-		// channels its rejections peaked on (screenRejects), on channel
-		// spaces of at least minScreenChans.
+		// MCL and key prune the rest (package comment). Once it has
+		// rejected screenAfter combos in full, it prescreens each combo on
+		// the channels its rejections peaked on (screenRejects), on channel
+		// spaces of at least minScreenChans, with the group's snapshot as
+		// the table's screen prior.
 		tops := make([][]combo, workers)
 		skips := make([]int64, workers)
 		screens := make([]int64, workers)
 		sched.Run(workers, groups, func(w, glo, ghi int) {
 			tab := m.table(w)
 			defer tab.Flush()
-			top := &topCombos{beam: beam, n: m.cfg.BeamWidth, bar: m.bar}
+			top := &topCombos{rank: rank, n: m.cfg.BeamWidth, bar: m.bar}
 			var skipped, screened, rejected int64
 			defer func() { tops[w], skips[w], screens[w] = top.h, skipped, screened }()
 			pos := make([]int, len(tasks))
 			dv := routing.NewDeltaVec(m.parent.NumChannels())
-			// ssnap is snap restricted to the table's screen set,
-			// current while fresh is set.
-			var snap, ssnap routing.Snapshot
-			fresh := false
+			var snap routing.Snapshot
 			for g := glo; g < ghi; g++ {
 				if m.stopped() {
 					return // the step is discarded; run() handles the context
 				}
 				c, o := g/numOrients, g%numOrients
-				cand := m.children[child].Candidates[c]
-				for i := range tasks {
-					pos[i] = m.taskParentPos(child, cand, m.orients[o], i)
-				}
+				m.place(pos, child, m.children[child].Candidates[c], o)
 				dv.Reset()
 				m.addFlowsDelta(tab, child, pos, dv, math.Inf(1))
 				snap = dv.Snapshot(snap)
-				fresh = false
+				if screening {
+					tab.ScreenPrior(snap)
+				}
 				for si, st := range beam {
-					bound := top.bound()
+					cb := combo{si: int32(si), cand: int32(c), orient: int32(o)}
+					bound := top.bound(&cb)
 					if st.mcl > bound {
 						skipped++
 						continue
 					}
-					if screening && rejected >= screenAfter && !math.IsInf(bound, 1) {
-						if !fresh {
-							ssnap, fresh = tab.ScreenSnapshot(snap, ssnap), true
-						}
-						if m.screenRejects(tab, ssnap, crossEdges, st, pos, dv, bound) {
-							skipped++
-							screened++
-							continue
-						}
+					if screening && rejected >= screenAfter && !math.IsInf(bound, 1) &&
+						m.screenRejects(tab, crossEdges, st, pos, bound) {
+						skipped++
+						screened++
+						continue
 					}
 					dv.ResetOver(st.loads, st.mcl)
 					dv.AddSnapshot(snap)
@@ -1047,13 +1095,14 @@ func (m *merger) run() (*Block, error) {
 						skipped++
 						if screening {
 							rejected++
-							if ch := dv.PeakChan(); ch >= 0 && tab.Screen(ch) {
-								fresh = false
+							if ch := dv.PeakChan(); ch >= 0 {
+								tab.Screen(ch)
 							}
 						}
 						continue
 					}
-					top.offer(combo{si: int32(si), cand: int32(c), orient: int32(o), mcl: dv.Peak()})
+					cb.mcl = dv.Peak()
+					top.offer(cb)
 				}
 			}
 		})
@@ -1073,7 +1122,7 @@ func (m *merger) run() (*Block, error) {
 			boundSkips += skips[w]
 			screenSkips += screens[w]
 		}
-		sort.Slice(kept, func(a, b int) bool { return comboLess(beam, &kept[a], &kept[b]) })
+		sort.Slice(kept, func(a, b int) bool { return comboLess(rank, &kept[a], &kept[b]) })
 		if len(kept) > m.cfg.BeamWidth {
 			kept = kept[:m.cfg.BeamWidth]
 		}
@@ -1089,15 +1138,18 @@ func (m *merger) run() (*Block, error) {
 		// re-accumulated from its placement — bit-identical to the snapshot
 		// and cross flows that scored it — and added onto the state loads
 		// channel by channel. The last kept combo of each state takes over
-		// the state's load vector instead of copying it, and the vectors of
-		// states nothing was kept from are dropped first, so the step never
-		// holds two beams' loads.
+		// the state's load vector instead of copying it. The vectors of
+		// states nothing was kept from are taken back first, and the other
+		// kept combos copy their state's loads into those before they
+		// allocate, so the step never holds two beams' loads.
 		last := make([]int, len(beam))
 		for k, sc := range kept {
 			last[sc.si] = k + 1
 		}
+		var free [][]float64
 		for si, st := range beam {
 			if last[si] == 0 {
+				free = append(free, st.loads)
 				st.loads = nil
 			}
 		}
@@ -1106,12 +1158,15 @@ func (m *merger) run() (*Block, error) {
 		dv := routing.NewDeltaVec(m.parent.NumChannels())
 		for k, sc := range kept {
 			st := beam[sc.si]
-			cand := m.children[child].Candidates[sc.cand]
-			p := m.placement(child, cand, m.orients[sc.orient])
+			p := m.place(make([]int, len(tasks)), child, m.children[child].Candidates[sc.cand], int(sc.orient))
 			loads := st.loads
-			if last[sc.si] == k+1 {
+			switch n := len(free); {
+			case last[sc.si] == k+1:
 				st.loads = nil
-			} else {
+			case n > 0:
+				loads, free = free[n-1], free[:n-1]
+				copy(loads, st.loads)
+			default:
 				loads = append([]float64(nil), loads...)
 			}
 			dv.Reset()
@@ -1175,7 +1230,7 @@ func (m *merger) completeGreedy(beam []*state, order []int, from int, childStep 
 	dv := routing.NewDeltaVec(m.parent.NumChannels())
 	for step := from; step < len(order); step++ {
 		child := order[step]
-		p := m.placement(child, m.children[child].Candidates[0], m.orients[0])
+		p := m.place(make([]int, len(m.children[child].Tasks)), child, m.children[child].Candidates[0], 0)
 		crossEdges := m.crossEdgesFor(order, step, childStep)
 		childStep[child] = int32(step)
 		dv.ResetOver(st.loads, st.mcl)

@@ -45,31 +45,44 @@ func (h *haloRoot) merge(ctx context.Context, par int) (*Block, error) {
 // stencil walks (every compiled replay counts its hits as a walk would),
 // the beam's candidates, kept combos and bound skips, the bound skips the
 // channel-subset prescreen made, and the ordering's orientation-pair
-// evaluations. Route replay, table resets and the ordering's floor skip
-// change none of them; the beam and ordering counts were taken from the
-// merge that walked every flow. The prescreen leaves them unchanged too,
-// but a combo it rejects is never routed in full, and its screen replays
-// count no stencil hit, so the hits fell from 1,553,218 (Parallelism 1)
-// and 3,706,604 (Parallelism 8) to the values below.
+// evaluations. Route replay, table resets, the ordering's floor skip, the
+// rank table and the slot-local screen replay change none of them; the
+// candidate, kept and ordering counts were taken from the merge that
+// walked every flow. The prescreen leaves them unchanged too, but a combo
+// it rejects is never routed in full, and its screen replays count no
+// stencil hit, so the hits fell from 1,553,218 (Parallelism 1) and
+// 3,706,604 (Parallelism 8) to 737,227 and 1,760,028.
+//
+// The key-aware tie bound moved three counts. A combo whose key comes
+// after the worst kept combo's is now bounded strictly below that combo's
+// MCL, so a tie it would lose is skipped instead of scored in full and
+// offered: bound skips rose from 349,581 to 364,631 (Parallelism 1) and
+// from 309,340 to 334,157 (8). Most combos the prescreen used to reject
+// were scored against a state whose MCL equals the worst kept one; those
+// whose key comes after it are now skipped on their state's MCL before
+// any replay, so the prescreen's share and the stencil hits fell: screen
+// skips 348,331 -> 62,427 and 299,859 -> 255,113, hits 737,227 -> 479,250
+// and 1,760,028 -> 1,280,701. The heaps keep the same combos, so
+// candidates, kept combos and symmetry evaluations do not move.
 func TestMergeWorkCounts(t *testing.T) {
 	h := newHaloRoot(t)
 	want := map[int]map[string]int64{
 		1: {
-			telemetry.CtrStencilHits:     737227,
+			telemetry.CtrStencilHits:     479250,
 			telemetry.CtrStencilMisses:   0,
 			telemetry.CtrBeamCandidates:  369024,
 			telemetry.CtrBeamKept:        1024,
-			telemetry.CtrBeamBoundSkips:  349581,
-			telemetry.CtrBeamScreenSkips: 348331,
+			telemetry.CtrBeamBoundSkips:  364631,
+			telemetry.CtrBeamScreenSkips: 62427,
 			telemetry.CtrSymmetryEvals:   30720,
 		},
 		8: {
-			telemetry.CtrStencilHits:     1760028,
+			telemetry.CtrStencilHits:     1280701,
 			telemetry.CtrStencilMisses:   0,
 			telemetry.CtrBeamCandidates:  369024,
 			telemetry.CtrBeamKept:        1024,
-			telemetry.CtrBeamBoundSkips:  309340,
-			telemetry.CtrBeamScreenSkips: 299859,
+			telemetry.CtrBeamBoundSkips:  334157,
+			telemetry.CtrBeamScreenSkips: 255113,
 			telemetry.CtrSymmetryEvals:   30720,
 		},
 	}

@@ -10,16 +10,18 @@ import (
 )
 
 // TestScreenStencilExact pins the prescreen's exactness: for random screen
-// sets S and random flow sequences, a DeltaVec fed AddScreenDelta holds,
-// after every flow, the values a DeltaVec fed AddLoadsDelta holds on S,
-// bit for bit, nothing off S, and a peak equal to the full vector's peak
-// over S (so at most the full peak). Both replay through one table, as
-// the merge scorers do, in a random order per flow. S changes between
-// sequences, never within one. The topologies cover 4-D and 5-D 2-ary
-// tori, a mesh, a mixed 6x4 torus, and the 2x2x2x2x4x4x4x4 torus, whose
-// antipodal pairs are walked (AddScreenDelta must refuse them and deposit
-// nothing; the sequence ends there, as a screened combo does) and whose
-// far pairs outgrow the budget, so tables reset mid-sequence.
+// sets S, random priors and random flow sequences, a screen replay
+// (ScreenPrior, ScreenOver, ScreenAdd) holds, after every flow, the
+// values a DeltaVec fed the prior snapshot and then AddLoadsDelta holds on
+// S, slot by slot and bit for bit, and a peak equal to that DeltaVec's
+// peak over S (so at most its full peak). Each prior also covers slots no
+// flow touches. Both replay through one table, as the merge scorers do,
+// in a random order per flow. S changes between sequences, never within
+// one. The topologies cover 4-D and 5-D 2-ary tori, a mesh, a mixed 6x4
+// torus, and the 2x2x2x2x4x4x4x4 torus, whose antipodal pairs are walked
+// (ScreenAdd must refuse them and deposit nothing; the sequence ends
+// there, as a screened combo does) and whose far pairs outgrow the
+// budget, so tables reset mid-sequence.
 func TestScreenStencilExact(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -40,7 +42,7 @@ func TestScreenStencilExact(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(101 + ci)))
 			tp, n, nch := tc.tp, tc.tp.N(), tc.tp.NumChannels()
 			tb := MinimalAdaptive{}.Table(tp)
-			full, scr := NewDeltaVec(nch), NewDeltaVec(nch)
+			full := NewDeltaVec(nch)
 			mag := func() float64 { return rng.Float64() * math.Ldexp(1, rng.Intn(40)-20) }
 			// A small pool of pairs makes most flows replays.
 			pool := make([][2]int, 24)
@@ -62,15 +64,34 @@ func TestScreenStencilExact(t *testing.T) {
 				}
 				return [2]int{src, tp.RankOf(c)}
 			}
-			resets, walks, screened := 0, 0, 0
+			// check fails unless every slot holds the full replay's value
+			// on its channel and the screen peak is the full peak over S.
+			check := func(seq, f int, base []float64, baseMCL float64) {
+				t.Helper()
+				peakS := baseMCL
+				for s, ch := range tb.slotChan {
+					got, want := tb.slotValue(s), full.Value(int(ch))
+					if full.stamp[ch] == full.gen {
+						peakS = math.Max(peakS, base[ch]+want)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seq %d flow %d: slot %d (channel %d) screened %v, full %v", seq, f, s, ch, got, want)
+					}
+				}
+				if math.Float64bits(tb.ScreenPeak()) != math.Float64bits(peakS) || tb.ScreenPeak() > full.Peak() {
+					t.Fatalf("seq %d flow %d: screened peak %v, full peak over S %v, full peak %v",
+						seq, f, tb.ScreenPeak(), peakS, full.Peak())
+				}
+			}
+			resets, walks, screened, priorOnly := 0, 0, 0, 0
 			for seq := 0; seq < tc.seqs; seq++ {
 				// Grow S between sequences: a few channels at a time,
 				// past the cap in the long cases.
 				for k := rng.Intn(12); k >= 0; k-- {
 					tb.Screen(rng.Intn(nch))
 				}
-				if tb.nscreen > maxScreenChans {
-					t.Fatalf("screen holds %d channels, cap %d", tb.nscreen, maxScreenChans)
+				if len(tb.slotChan) > maxScreenChans {
+					t.Fatalf("screen holds %d channels, cap %d", len(tb.slotChan), maxScreenChans)
 				}
 				base := make([]float64, nch)
 				for ch := range base {
@@ -79,8 +100,30 @@ func TestScreenStencilExact(t *testing.T) {
 					}
 				}
 				baseMCL := MCL(base)
+				// The prior: random channels on and off S, and a few of
+				// S's own, each once.
+				var prior Snapshot
+				inPrior := make([]bool, nch)
+				addPrior := func(ch int) {
+					if !inPrior[ch] {
+						inPrior[ch] = true
+						prior.Ch = append(prior.Ch, int32(ch))
+						prior.Val = append(prior.Val, mag())
+					}
+				}
+				for k := rng.Intn(nch/8 + 1); k > 0; k-- {
+					addPrior(rng.Intn(nch))
+				}
+				for k := rng.Intn(4); k > 0; k-- {
+					addPrior(int(tb.slotChan[rng.Intn(len(tb.slotChan))]))
+				}
 				full.ResetOver(base, baseMCL)
-				scr.ResetOver(base, baseMCL)
+				full.AddSnapshot(prior)
+				tb.ScreenPrior(prior)
+				if got := tb.ScreenOver(base, baseMCL); got != tb.ScreenPeak() {
+					t.Fatalf("seq %d: ScreenOver returned %v, peak %v", seq, got, tb.ScreenPeak())
+				}
+				check(seq, -1, base, baseMCL)
 				for f := 0; f < tc.flow; f++ {
 					var pr [2]int
 					switch r := rng.Intn(16); {
@@ -94,14 +137,18 @@ func TestScreenStencilExact(t *testing.T) {
 						pr = [2]int{rng.Intn(n), rng.Intn(n)}
 					}
 					src, dst, vol := pr[0], pr[1], mag()
-					before, used := scr.NumTouched(), tb.used
+					used, peak := tb.used, tb.ScreenPeak()
+					vals := make([]float64, len(tb.slotChan))
+					for s := range vals {
+						vals[s] = tb.slotValue(s)
+					}
 					var ok bool
 					if rng.Intn(2) == 0 {
-						ok = tb.AddScreenDelta(src, dst, vol, scr)
+						ok = tb.ScreenAdd(src, dst, vol)
 						tb.AddLoadsDelta(src, dst, vol, full)
 					} else {
 						tb.AddLoadsDelta(src, dst, vol, full)
-						ok = tb.AddScreenDelta(src, dst, vol, scr)
+						ok = tb.ScreenAdd(src, dst, vol)
 					}
 					if tb.used < used {
 						resets++
@@ -112,39 +159,43 @@ func TestScreenStencilExact(t *testing.T) {
 						if r := tb.route(src, dst); r != nil && listCost+screenEntryCost*tb.onScreen(r) <= tb.free {
 							t.Fatalf("seq %d flow %d: %d->%d refused, yet compiled and its list fits", seq, f, src, dst)
 						}
-						if scr.NumTouched() != before {
-							t.Fatalf("seq %d flow %d: a refused flow deposited", seq, f)
+						for s, v := range vals {
+							if math.Float64bits(tb.slotValue(s)) != math.Float64bits(v) {
+								t.Fatalf("seq %d flow %d: a refused flow deposited on slot %d", seq, f, s)
+							}
+						}
+						if math.Float64bits(tb.ScreenPeak()) != math.Float64bits(peak) {
+							t.Fatalf("seq %d flow %d: a refused flow moved the peak %v -> %v", seq, f, peak, tb.ScreenPeak())
 						}
 						walks++
 						break // the screen ends; the combo is scored in full
 					}
 					screened++
-					peakS := baseMCL
-					for ch := 0; ch < nch; ch++ {
-						got, want := scr.Value(ch), 0.0
-						if tb.screened(ch) {
-							want = full.Value(ch)
-							if full.stamp[ch] == full.gen {
-								peakS = math.Max(peakS, base[ch]+want)
-							}
-						}
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("seq %d flow %d: channel %d (in S: %v) screened %v, full %v",
-								seq, f, ch, tb.screened(ch), got, want)
-						}
-					}
-					if math.Float64bits(scr.Peak()) != math.Float64bits(peakS) || scr.Peak() > full.Peak() {
-						t.Fatalf("seq %d flow %d: screened peak %v, full peak over S %v, full peak %v",
-							seq, f, scr.Peak(), peakS, full.Peak())
+					check(seq, f, base, baseMCL)
+				}
+				for s, ch := range tb.slotChan {
+					if inPrior[ch] && tb.replay.stamp[s] != tb.replay.gen {
+						priorOnly++
 					}
 				}
 			}
-			if screened == 0 || (tc.resets && resets == 0) || (tc.walks && walks == 0) {
-				t.Fatalf("coverage: %d screened flows, %d budget resets, %d walked pairs", screened, resets, walks)
+			if screened == 0 || priorOnly == 0 || (tc.resets && resets == 0) || (tc.walks && walks == 0) {
+				t.Fatalf("coverage: %d screened flows, %d prior-only slots, %d budget resets, %d walked pairs",
+					screened, priorOnly, resets, walks)
 			}
-			t.Logf("%d screened flows, %d budget resets, %d walked pairs, |S| = %d", screened, resets, walks, tb.nscreen)
+			t.Logf("%d screened flows, %d prior-only slots, %d budget resets, %d walked pairs, |S| = %d",
+				screened, priorOnly, resets, walks, len(tb.slotChan))
 		})
 	}
+}
+
+// slotValue is slot s's value in the current screen replay: its total
+// once a flow deposited on it, its prior before.
+func (tb *Table) slotValue(s int) float64 {
+	if r := &tb.replay; r.stamp[s] == r.gen {
+		return r.acc[s]
+	}
+	return tb.replay.prior[s]
 }
 
 // onScreen counts r's channel ids on S: the length of its screen list.
@@ -175,7 +226,7 @@ func TestScreenStencilStorage(t *testing.T) {
 	n, nch := tp.N(), tp.NumChannels()
 	rng := rand.New(rand.NewSource(7))
 	tb := MinimalAdaptive{}.Table(tp)
-	dv := NewDeltaVec(nch)
+	zero := make([]float64, nch)
 	pairs := make([][2]int, 200)
 	for i := range pairs {
 		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
@@ -199,11 +250,11 @@ func TestScreenStencilStorage(t *testing.T) {
 			ch = rng.Intn(nch)
 		}
 		if grew := tb.Screen(ch); grew != (round < maxScreenChans) {
-			t.Fatalf("round %d: Screen(%d) = %v with %d channels in S", round, ch, grew, tb.nscreen)
+			t.Fatalf("round %d: Screen(%d) = %v with %d channels in S", round, ch, grew, len(tb.slotChan))
 		}
-		dv.ResetOver(make([]float64, nch), 0)
+		tb.ScreenOver(zero, 0)
 		for _, pr := range pairs {
-			if !tb.AddScreenDelta(pr[0], pr[1], 1, dv) {
+			if !tb.ScreenAdd(pr[0], pr[1], 1) {
 				t.Fatalf("round %d: pair %v refused", round, pr)
 			}
 		}
@@ -221,8 +272,8 @@ func TestScreenStencilStorage(t *testing.T) {
 		}
 	}
 	tb.Reset()
-	if tb.nscreen != 0 || len(tb.lists) != 0 || len(tb.sIDs) != 0 || tb.free != maxTableChans {
-		t.Fatalf("after Reset: |S| %d, %d screen entries, budget %d", tb.nscreen, len(tb.sIDs), tb.free)
+	if len(tb.slotChan) != 0 || len(tb.lists) != 0 || len(tb.sIDs) != 0 || tb.free != maxTableChans {
+		t.Fatalf("after Reset: |S| %d, %d screen entries, budget %d", len(tb.slotChan), len(tb.sIDs), tb.free)
 	}
 
 	// Far pairs of the 2x2x2x2x4x4x4x4 torus fill the budget with ids

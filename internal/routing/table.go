@@ -16,12 +16,14 @@ package routing
 // those deposits as a flat list.
 //
 // A table also keeps a screen: a channel set S of at most maxScreenChans
-// channels (Screen) and, per compiled pair, the pair's deposits on S in
-// replay order. AddScreenDelta replays only those, so a caller can bound
-// a candidate's peak on a few channels before routing it in full
-// (DESIGN.md §11, "The channel-subset prescreen"). A pair's S-list is
-// built on its first screened flow after S last changed; every change to
-// S drops every list at once.
+// channels (Screen), numbered as slots 0..|S|-1 in the order they joined,
+// and, per compiled pair, the pair's deposits on S in replay order, by
+// slot. A screen replay (ScreenOver, ScreenAdd) accumulates only those,
+// into |S|-long arrays the table owns, so a caller can bound a
+// candidate's peak on a few channels before routing it in full (DESIGN.md
+// §11, "The channel-subset prescreen"). A pair's S-list is built on its
+// first screened flow after S last changed; every change to S drops every
+// list at once.
 //
 // Only the pairs a table has seen are indexed, and its memory follows
 // them: each pair record, each channel id and each screen entry is
@@ -71,10 +73,10 @@ const (
 // replay those deposits. Pairs without a cached stencil, or with more ids
 // than an empty table holds, are walked.
 //
-// Screen replays (AddScreenDelta) count no stencil hit: they route no
-// box, only a subset of a compiled pair's deposits. Counts reach the
-// evaluator's counters at Flush. A Table is not safe for concurrent use:
-// each worker takes its own and flushes it when it is done.
+// Screen replays (ScreenAdd) count no stencil hit: they route no box, only
+// a subset of a compiled pair's deposits. Counts reach the evaluator's
+// counters at Flush. A Table is not safe for concurrent use: each worker
+// takes its own and flushes it when it is done.
 type Table struct {
 	t   *topology.Torus
 	alg MinimalAdaptive
@@ -90,15 +92,34 @@ type Table struct {
 	ids  []uint16
 	free int // budget left, in ids
 	sc   scratch
-	// screen holds the screen set S as one bit per channel (allocated on
-	// its first channel) and nscreen its size. lists holds the screen
-	// lists built for the current S, whose entries are the parallel slabs
-	// sIDs (channel) and sFrac (index into the pair's stencil fractions).
-	screen  []uint64
-	nscreen int
-	lists   []screenList
-	sIDs    []uint16
-	sFrac   []uint32
+	// slotChan holds the screen set S, slot by slot, and slotOf maps a
+	// channel to its slot plus one, 0 off S (allocated on S's first
+	// channel). lists holds the screen lists built for the current S,
+	// whose entries are the parallel slabs sIDs (slot) and sFrac (index
+	// into the pair's stencil fractions).
+	slotChan []int32
+	slotOf   []uint16
+	lists    []screenList
+	sIDs     []uint16
+	sFrac    []uint32
+	replay   screenReplay
+}
+
+// screenReplay is a table's screen replay state; its arrays are indexed
+// by slot. prior holds the values that priorSnap, the caller's snapshot,
+// has on S (0 where it has none), and priorSlots the slots that have one;
+// stale marks them out of date with S or priorSnap. A replay's slot s
+// holds acc[s] once stamp[s] == gen, and prior[s] before.
+type screenReplay struct {
+	priorSnap  Snapshot
+	stale      bool
+	prior      []float64
+	priorSlots []uint16
+	acc        []float64
+	stamp      []uint64
+	gen        uint64
+	base       []float64
+	peak       float64
 }
 
 // route is one pair record: nc tie combinations, each a run of
@@ -133,15 +154,17 @@ func (a MinimalAdaptive) Table(t *topology.Torus) *Table {
 	return tb
 }
 
-// Reset drops every compiled pair and empties the screen set, and keeps
-// the index and the slabs for reuse, so the table's memory follows the
-// pairs of one unit of work.
+// Reset drops every compiled pair, empties the screen set and forgets the
+// screen prior, and keeps the index and the slabs for reuse, so the
+// table's memory follows the pairs of one unit of work.
 func (tb *Table) Reset() {
 	tb.dropPairs()
-	if tb.nscreen > 0 {
-		clear(tb.screen)
-		tb.nscreen = 0
+	for _, ch := range tb.slotChan {
+		tb.slotOf[ch] = 0
 	}
+	tb.slotChan = tb.slotChan[:0]
+	tb.ScreenPrior(Snapshot{})
+	tb.replay.base = nil
 }
 
 // dropPairs drops every compiled pair and every screen list and keeps the
@@ -197,18 +220,25 @@ func (tb *Table) add(src, dst int, vol float64, loads []float64, dv *DeltaVec) {
 	}
 }
 
-// Screen adds channel ch to the screen set S and reports whether S grew:
-// false when ch is already in S or S holds maxScreenChans channels. A
-// change to S drops every pair's screen list and returns their budget.
+// Screen adds channel ch to the screen set S, as slot |S|, and reports
+// whether S grew: false when ch is already in S or S holds maxScreenChans
+// channels. A change to S drops every pair's screen list and returns
+// their budget.
 func (tb *Table) Screen(ch int) bool {
-	if tb.screen == nil {
-		tb.screen = make([]uint64, (tb.t.NumChannels()+63)/64)
+	if tb.slotOf == nil {
+		tb.slotOf = make([]uint16, tb.t.NumChannels())
+		tb.slotChan = make([]int32, 0, maxScreenChans)
+		r := &tb.replay
+		r.prior = make([]float64, maxScreenChans)
+		r.acc = make([]float64, maxScreenChans)
+		r.stamp = make([]uint64, maxScreenChans)
 	}
-	if tb.nscreen >= maxScreenChans || tb.screened(ch) {
+	if len(tb.slotChan) >= maxScreenChans || tb.slotOf[ch] != 0 {
 		return false
 	}
-	tb.screen[ch>>6] |= 1 << (ch & 63)
-	tb.nscreen++
+	tb.slotChan = append(tb.slotChan, int32(ch))
+	tb.slotOf[ch] = uint16(len(tb.slotChan))
+	tb.replay.stale = true
 	tb.free += listCost*len(tb.lists) + screenEntryCost*len(tb.sIDs)
 	tb.lists, tb.sIDs, tb.sFrac = tb.lists[:0], tb.sIDs[:0], tb.sFrac[:0]
 	return true
@@ -216,30 +246,71 @@ func (tb *Table) Screen(ch int) bool {
 
 // screened reports whether channel ch is in S.
 func (tb *Table) screened(ch int) bool {
-	return tb.nscreen > 0 && tb.screen[ch>>6]&(1<<(ch&63)) != 0
+	return len(tb.slotChan) > 0 && tb.slotOf[ch] != 0
 }
 
-// ScreenSnapshot returns the entries of s on S, in s's order, in dst's
-// storage (pass the zero Snapshot for a fresh copy).
-func (tb *Table) ScreenSnapshot(s, dst Snapshot) Snapshot {
-	dst.Ch, dst.Val = dst.Ch[:0], dst.Val[:0]
-	for i, ch := range s.Ch {
-		if tb.screened(int(ch)) {
-			dst.Ch = append(dst.Ch, ch)
-			dst.Val = append(dst.Val, s.Val[i])
+// ScreenPrior makes s the screen replays' prior: a replay starts each
+// slot of S at s's value on its channel (0 where s has none), as if s had
+// been replayed first. The table reads s, never writes it, from the next
+// ScreenOver on; s must stay unchanged until the next ScreenPrior or
+// Reset. A change to S takes effect on the prior at the next ScreenOver.
+func (tb *Table) ScreenPrior(s Snapshot) {
+	tb.replay.priorSnap, tb.replay.stale = s, true
+}
+
+// ScreenOver starts a screen replay over the load vector base, whose MCL
+// is baseMCL, and returns its starting peak, max(baseMCL, max over the
+// prior's slots of base + prior), which it computes without writing a
+// slot. base is read, never written, and must stay unchanged until the
+// replay ends.
+func (tb *Table) ScreenOver(base []float64, baseMCL float64) float64 {
+	r := &tb.replay
+	if r.stale {
+		tb.buildPrior()
+	}
+	r.gen++
+	r.base = base
+	r.peak = baseMCL
+	for _, s := range r.priorSlots {
+		if y := base[tb.slotChan[s]] + r.prior[s]; y > r.peak {
+			r.peak = y
 		}
 	}
-	return dst
+	return r.peak
 }
 
-// AddScreenDelta deposits into dv the deposits of AddLoadsDelta that land
-// on S, with the same values in the same order, and reports true. A
-// channel's running total depends only on the deposits to that channel,
-// in their order, so after any sequence of calls dv's values on S are
-// bit-identical to those of the same AddLoadsDelta calls, and its peak is
-// a floor under theirs. It deposits nothing and reports false when the
-// pair is walked or its screen list does not fit the budget left.
-func (tb *Table) AddScreenDelta(src, dst int, vol float64, dv *DeltaVec) bool {
+// buildPrior rebuilds the prior from the prior snapshot for the current
+// S.
+func (tb *Table) buildPrior() {
+	r := &tb.replay
+	clear(r.prior[:len(tb.slotChan)])
+	r.priorSlots = r.priorSlots[:0]
+	if len(tb.slotChan) > 0 {
+		for i, ch := range r.priorSnap.Ch {
+			if s := tb.slotOf[ch]; s != 0 {
+				r.prior[s-1] = r.priorSnap.Val[i]
+				r.priorSlots = append(r.priorSlots, s-1)
+			}
+		}
+	}
+	r.stale = false
+}
+
+// ScreenPeak returns the screen replay's running peak:
+// max(baseMCL, max over S of base + the slot's value).
+func (tb *Table) ScreenPeak() float64 { return tb.replay.peak }
+
+// ScreenAdd accumulates into the screen replay the deposits of
+// AddLoadsDelta that land on S, with the same values in the same order,
+// and reports true. A slot takes its prior on its first deposit (prior +
+// x), which rounds as replaying the prior snapshot first does. A channel's
+// running total depends only on the deposits to that channel, in their
+// order, so after ScreenOver and any sequence of calls the slots hold,
+// bit for bit, what a DeltaVec reset over base holds on S after the prior
+// snapshot and the same AddLoadsDelta calls, and the replay's peak is a
+// floor under that DeltaVec's. It deposits nothing and reports false when
+// the pair is walked or its screen list does not fit the budget left.
+func (tb *Table) ScreenAdd(src, dst int, vol float64) bool {
 	if src == dst || vol == 0 {
 		return true
 	}
@@ -258,9 +329,21 @@ func (tb *Table) AddScreenDelta(src, dst int, vol float64, dv *DeltaVec) bool {
 	}
 	comboVol := vol / float64(r.nc)
 	fracs, fi := r.st.fracs, tb.sFrac[l.off:l.off+l.n]
-	for i, ch := range tb.sIDs[l.off : l.off+l.n] {
-		dv.Add(int(ch), fracs[fi[i]]*comboVol)
+	rp := &tb.replay
+	acc, stamp, prior, base, peak := rp.acc, rp.stamp, rp.prior, rp.base, rp.peak
+	for i, s := range tb.sIDs[l.off : l.off+l.n] {
+		x := fracs[fi[i]] * comboVol
+		if stamp[s] != rp.gen {
+			stamp[s] = rp.gen
+			acc[s] = prior[s] + x
+		} else {
+			acc[s] += x
+		}
+		if y := base[tb.slotChan[s]] + acc[s]; y > peak {
+			peak = y
+		}
 	}
+	rp.peak = peak
 	return true
 }
 
@@ -269,6 +352,9 @@ func (tb *Table) AddScreenDelta(src, dst int, vol float64, dv *DeltaVec) bool {
 func (tb *Table) screenList(r *route) bool {
 	fracs := r.st.fracs
 	ids := tb.ids[r.off : int(r.off)+int(r.nc)*len(fracs)]
+	if len(tb.slotChan) == 0 {
+		ids = nil // S is empty, and so is the list
+	}
 	if listCost+screenEntryCost*len(ids) > tb.free { // it may not fit: count it first
 		n := 0
 		for _, ch := range ids {
@@ -283,8 +369,8 @@ func (tb *Table) screenList(r *route) bool {
 	off := len(tb.sIDs)
 	for c := ids; len(c) > 0; c = c[len(fracs):] {
 		for i, ch := range c[:len(fracs)] {
-			if tb.screened(int(ch)) {
-				tb.sIDs = append(reserve(tb.sIDs, 1, maxTableChans/screenEntryCost), ch)
+			if s := tb.slotOf[ch]; s != 0 {
+				tb.sIDs = append(reserve(tb.sIDs, 1, maxTableChans/screenEntryCost), s-1)
 				tb.sFrac = append(reserve(tb.sFrac, 1, maxTableChans/screenEntryCost), uint32(i))
 			}
 		}
